@@ -22,6 +22,7 @@ from .polyalg import Poly, grevlex_key
 
 __all__ = [
     "RaysDoNotSpan",
+    "GradingInvariantError",
     "TorsionClassGroup",
     "InhomogeneousHypersurface",
     "NotCalabiYau",
@@ -40,6 +41,10 @@ class RaysDoNotSpan(Exception):
 
 class NotCalabiYau(Exception):
     """The background charge is nonzero."""
+
+
+class GradingInvariantError(RuntimeError):
+    """An internal invariant of the charge grading broke: a bug, not bad input."""
 
 
 class InhomogeneousHypersurface(Exception):
@@ -194,7 +199,11 @@ def _make_fiber_solver(grading):
     """SNF data for solving P*u = c over the integers, P the projection."""
     P = [list(row) for row in grading.projection]
     snf = smith_normal_form(P)
-    assert all(d == 1 for d in snf.divisors())
+    divisors = snf.divisors()
+    if any(d != 1 for d in divisors):
+        raise GradingInvariantError(
+            f"charge projection is not unimodular: divisors {divisors}"
+        )
     s = grading.rank
     r = grading.r
     kernel = tuple(
@@ -210,7 +219,10 @@ def _x_fiber(grading, solver, charge):
     w = [sum(U[i][j] * charge[j] for j in range(s)) for i in range(s)]
     u0 = [sum(V[i][t] * w[t] for t in range(s)) for i in range(r)]
     for j in range(s):
-        assert sum(grading.projection[j][i] * u0[i] for i in range(r)) == charge[j]
+        if sum(grading.projection[j][i] * u0[i] for i in range(r)) != charge[j]:
+            raise GradingInvariantError(
+                f"particular solution {u0} misses charge {tuple(charge)}"
+            )
     ndim = r - s
     ineqs = tuple(
         (tuple(kernel[i]), -u0[i]) for i in range(r)

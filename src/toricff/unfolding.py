@@ -326,18 +326,30 @@ def gamma_partial(state, alpha):
     return TruncatedSeries(dim, state.order - 1, coeffs, Poly({}))
 
 
+def _split_pair(multi, alpha, beta, dim):
+    """(C, 1/C!) with multi = (alpha, beta) + C as multisets, or None.
+
+    C is returned as its t-exponent vector; this is the coefficient walk
+    shared by every series indexed by a pair of directions.
+    """
+    if alpha not in multi:
+        return None
+    rest = _remove_one(multi, alpha)
+    if beta not in rest:
+        return None
+    key = _expvec(_remove_one(rest, beta), dim)
+    return key, Fraction(1, _factorial_of(key))
+
+
 def structure_series(state, alpha, beta):
     """Structure constants toward each basis direction, degree <= order - 2."""
     dim = len(state.basis.monomials)
     per_rho = [{} for _ in range(dim)]
     for multi, values in state.a_table.items():
-        if alpha not in multi:
+        split = _split_pair(multi, alpha, beta, dim)
+        if split is None:
             continue
-        rest = _remove_one(multi, alpha)
-        if beta not in rest:
-            continue
-        key = _expvec(_remove_one(rest, beta), dim)
-        scale = Fraction(1, _factorial_of(key))
+        key, scale = split
         for rho, value in enumerate(values):
             if value:
                 per_rho[rho][key] = scale * value
@@ -347,16 +359,42 @@ def structure_series(state, alpha, beta):
     )
 
 
+def structure_index(state):
+    """Every nonzero structure-constant series, keyed by (alpha, beta), then rho.
+
+    Built in one pass over the a table: index[(alpha, beta)][rho] is
+    structure_series(state, alpha, beta)[rho] wherever that series is
+    nonzero, and a missing pair or rho reads as the zero series.
+    """
+    dim = len(state.basis.monomials)
+    coeffs = {}
+    for multi, values in state.a_table.items():
+        support = [(rho, value) for rho, value in enumerate(values) if value]
+        if not support:
+            continue
+        for alpha in set(multi):
+            for beta in set(_remove_one(multi, alpha)):
+                key, scale = _split_pair(multi, alpha, beta, dim)
+                per_rho = coeffs.setdefault((alpha, beta), {})
+                for rho, value in support:
+                    per_rho.setdefault(rho, {})[key] = scale * value
+    return {
+        pair: {
+            rho: TruncatedSeries(dim, state.order - 2, c, Fraction(0))
+            for rho, c in per_rho.items()
+        }
+        for pair, per_rho in coeffs.items()
+    }
+
+
 def lambda_series(state, alpha, beta):
     """The witness series paired with (alpha, beta), degree <= order - 2."""
     dim = len(state.basis.monomials)
     coeffs = {}
     for multi, lam in state.lam_table.items():
-        if alpha not in multi:
+        split = _split_pair(multi, alpha, beta, dim)
+        if split is None:
             continue
-        rest = _remove_one(multi, alpha)
-        if beta not in rest:
-            continue
-        key = _expvec(_remove_one(rest, beta), dim)
-        coeffs[key] = Fraction(1, _factorial_of(key)) * lam
+        key, scale = split
+        coeffs[key] = scale * lam
     return TruncatedSeries(dim, state.order - 2, coeffs, SuperElement({}))

@@ -112,3 +112,36 @@ def ci22_state3(ci22_ring, ci22_basis):
     from toricff.unfolding import run
 
     return run(ci22_ring, ci22_basis, 3)
+
+
+@pytest.fixture(scope="session")
+def p1p1_basis(p1p1_ring):
+    from toricff.jacobired import jacobian_basis
+
+    return jacobian_basis(p1p1_ring)
+
+
+@pytest.fixture(scope="session")
+def k3_ring():
+    return build_cayley_ring(P3_RAYS, [fermat(4, 4)])
+
+
+@pytest.fixture(scope="session")
+def k3_basis(k3_ring):
+    from toricff.jacobired import jacobian_basis
+
+    return jacobian_basis(k3_ring)
+
+
+@pytest.fixture(scope="session")
+def k3_state2(k3_ring, k3_basis):
+    from toricff.unfolding import run
+
+    return run(k3_ring, k3_basis, 2)
+
+
+@pytest.fixture(scope="session")
+def k3_state3(k3_ring, k3_basis):
+    from toricff.unfolding import run
+
+    return run(k3_ring, k3_basis, 3)

@@ -1,13 +1,20 @@
 """Independent re-expansion checks over completed unfolding states."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from toricff.polyalg import Poly
 from toricff.supercomplex import SuperElement
-from toricff.unfolding import UnfoldingState, run, structure_series
+from toricff.unfolding import (
+    TruncatedSeries,
+    UnfoldingState,
+    run,
+    structure_series,
+)
 from toricff.ffverify import (
+    _first_residual,
     check_euler_identity,
     check_flat_f_axioms,
     check_fqm2,
@@ -74,12 +81,130 @@ def test_axioms_pass(cubic_state4, ci22_state3):
         assert report.cases > 0
 
 
+def with_a_entry(state, multi, rho, value):
+    bad = copy_state(state)
+    values = list(bad.a_table[multi])
+    values[rho] = value
+    bad.a_table[multi] = tuple(values)
+    return bad
+
+
+def dense_axioms_failure(state):
+    """First failing (site, monomial, residual) of the four axiom families,
+    expanded over every case on the dense table of structure series."""
+    dim = len(state.basis.monomials)
+    trunc = state.order - 2
+    table = [
+        [structure_series(state, a, b) for b in range(dim)] for a in range(dim)
+    ]
+    zero = TruncatedSeries(dim, trunc, {}, Fraction(0))
+    one = TruncatedSeries(dim, trunc, {(0,) * dim: Fraction(1)}, Fraction(0))
+    unit = state.basis.index_of[(0,) * state.ring.nvars]
+    r = range(dim)
+    cases = [
+        (f"commutativity ({a},{b})->{c}", table[a][b][c], table[b][a][c])
+        for a in r for b in r if a < b for c in r
+    ]
+    cases += [
+        (f"unit row beta={b} rho={c}", table[unit][b][c], one if b == c else zero)
+        for b in r for c in r
+    ]
+    if state.order >= 3:
+        cases += [
+            (
+                f"potentiality ({a},{b},{g})->{s}",
+                table[a][b][s].partial(g),
+                table[g][b][s].partial(a),
+            )
+            for a in r for g in r if a < g for b in r for s in r
+        ]
+    for a in r:
+        for b in r:
+            for g in range(a, dim):
+                for s in r:
+                    lhs, rhs = zero, zero
+                    for c in r:
+                        lhs = lhs + table[a][b][c] * table[c][g][s]
+                        rhs = rhs + table[b][g][c] * table[c][a][s]
+                    cases.append((f"associativity ({a},{b},{g})->{s}", lhs, rhs))
+    for site, left, right in cases:
+        hit = _first_residual(left, right)
+        if hit is not None:
+            return site, hit[0], str(hit[1])
+    return None
+
+
+def test_axioms_match_dense_reference(p1p1_ring, p1p1_basis):
+    state = run(p1p1_ring, p1p1_basis, 4)
+    rng = random.Random(3)
+    keys = sorted(state.a_table)
+    seen = set()
+    for trial in range(12):
+        bad = state if trial == 0 else copy_state(state)
+        for _ in range(trial and rng.randint(1, 2)):
+            multi = rng.choice(keys)
+            rho = rng.randrange(3)
+            shift = Fraction(rng.choice((1, -1)), rng.choice((1, 3)))
+            bad = with_a_entry(bad, multi, rho, bad.a_table[multi][rho] + shift)
+        report = check_flat_f_axioms(bad)
+        expected = dense_axioms_failure(bad)
+        assert report.cases == 99
+        assert report.passed == (expected is None)
+        if expected is not None:
+            fail = report.failure
+            assert (fail.site, fail.monomial, fail.residual) == expected
+            seen.add(fail.site.split()[0])
+    assert seen == {"unit", "associativity"}
+
+
+def test_axioms_pass_on_k3(k3_state2, k3_state3):
+    # 21 directions; order 3 adds the potentiality family
+    for state, cases in ((k3_state2, 106722), (k3_state3, 199332)):
+        report = check_flat_f_axioms(state)
+        assert report.passed
+        assert report.failure is None
+        assert report.cases == cases
+
+
+@pytest.mark.parametrize(
+    "multi, rho, shift, site, residual",
+    [
+        ((0, 5), 5, None, "unit row beta=5 rho=5", "1"),
+        ((6, 10), 0, Fraction(1, 3), "associativity (1,6,10)->1", "-1/3"),
+    ],
+)
+def test_axioms_locate_corrupt_k3_entry(
+    k3_state2, multi, rho, shift, site, residual
+):
+    old = k3_state2.a_table[multi][rho]
+    value = Fraction(2) if shift is None else old + shift
+    report = check_flat_f_axioms(with_a_entry(k3_state2, multi, rho, value))
+    assert not report.passed
+    assert report.cases == 106722
+    assert report.failure.site == site
+    assert report.failure.residual == residual
+
+
 def test_axioms_detect_broken_unit(cubic_state4):
     bad = copy_state(cubic_state4)
     bad.a_table[(0, 1, 1)] = (Fraction(0), Fraction(1))
     report = check_flat_f_axioms(bad)
     assert not report.passed
     assert "unit" in report.failure.site
+
+
+# Known defect: step settles each multiset with one lambda, which every split
+# of it into a pair and a remainder reuses; at order 3 some splits do not
+# close. These pass once every split closes.
+@pytest.mark.xfail(strict=True, reason="fqm2 fails at pair (1,4)")
+def test_fqm2_passes_k3_order_three(k3_state3):
+    assert check_fqm2(k3_state3).passed
+
+
+@pytest.mark.xfail(strict=True, reason="fqm2 fails at pair (1,2)")
+@pytest.mark.parametrize("order", [3, 4, 5])
+def test_fqm2_passes_p1p1(p1p1_ring, p1p1_basis, order):
+    assert check_fqm2(run(p1p1_ring, p1p1_basis, order)).passed
 
 
 def test_unit_rows_at_origin(cubic_state4):

@@ -2,12 +2,14 @@
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
 from conftest import CUBIC, P2_RAYS, QUADRIC_P2, fermat, xpoly
 from toricff.polyalg import Poly
 from toricff.toricring import (
+    GradingInvariantError,
     InhomogeneousHypersurface,
     RaysDoNotSpan,
     TorsionClassGroup,
@@ -15,6 +17,8 @@ from toricff.toricring import (
     build_class_grading,
     enumerate_graded_piece,
     is_calabi_yau,
+    _make_fiber_solver,
+    _x_fiber,
 )
 
 
@@ -141,3 +145,19 @@ def test_graded_piece_cached_and_deterministic(cubic_ring):
 def test_degree_of_monomial(cubic_ring):
     assert cubic_ring.degree_of_monomial((1, 1, 1, 1)) == ((0,), 1)
     assert cubic_ring.degree_of_monomial((2, 0, 0, 1)) == ((-5,), 2)
+
+
+def test_fiber_solver_invariants_are_internal_errors(cubic_ring):
+    # a broken invariant is a bug: the CLI maps ValueError to an input error
+    assert not issubclass(GradingInvariantError, ValueError)
+    grading = cubic_ring.grading
+    doubled = replace(
+        grading,
+        projection=tuple(tuple(2 * v for v in row) for row in grading.projection),
+    )
+    with pytest.raises(GradingInvariantError, match="not unimodular"):
+        _make_fiber_solver(doubled)
+    U, V, s, kernel = cubic_ring._fiber_solver
+    no_v = [[0] * len(row) for row in V]
+    with pytest.raises(GradingInvariantError, match="misses charge"):
+        _x_fiber(grading, (U, no_v, s, kernel), (3,))

@@ -19,6 +19,7 @@ from toricff.unfolding import (
     lambda_series,
     partition_sum,
     run,
+    structure_index,
     structure_series,
 )
 
@@ -183,6 +184,26 @@ def test_structure_series_pins(cubic_state4):
     heavy = structure_series(cubic_state4, 1, 1)
     for rho in (0, 1):
         assert heavy[rho].coefficient(zero) == 0
+
+
+def test_structure_index_matches_series(cubic_state4, k3_state3):
+    for state in (cubic_state4, k3_state3):
+        dim = len(state.basis.monomials)
+        index = structure_index(state)
+        for alpha in range(dim):
+            for beta in range(dim):
+                row = index.get((alpha, beta), {})
+                dense = structure_series(state, alpha, beta)
+                for rho in range(dim):
+                    if rho in row:
+                        assert row[rho].nonzero_items()
+                        assert row[rho].order == dense[rho].order
+                        got = row[rho].nonzero_items()
+                    else:
+                        got = ()
+                    assert got == dense[rho].nonzero_items()
+    # only 60 of the 21^3 K3 series are nonzero
+    assert sum(map(len, structure_index(k3_state3).values())) == 60
 
 
 def test_lambda_series_matches_table(cubic_state4):
