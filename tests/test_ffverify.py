@@ -14,6 +14,7 @@ from toricff.unfolding import (
     structure_series,
 )
 from toricff.ffverify import (
+    Failure,
     _first_residual,
     check_euler_identity,
     check_flat_f_axioms,
@@ -61,8 +62,10 @@ def test_fqm2_detects_corrupt_lambda(cubic_state4):
     )
     report = check_fqm2(bad)
     assert not report.passed
-    assert report.failure is not None
-    assert isinstance(report.failure.monomial, tuple)
+    assert report.cases == 15
+    assert report.failure == Failure(
+        "pair (1,1)", (0, 0), 1, "-3*y1*x1^2*x3^2"
+    )
 
 
 def test_fqm2_detects_corrupt_u(cubic_state4):
@@ -70,7 +73,10 @@ def test_fqm2_detects_corrupt_u(cubic_state4):
     bad.u_table[(1, 1)] = bad.u_table[(1, 1)] + Poly.monomial((1, 1, 1, 1))
     report = check_fqm2(bad)
     assert not report.passed
-    assert "Delta" in report.failure.site
+    assert report.cases == 10
+    assert report.failure == Failure(
+        "u vs Delta(lambda) at multiset (1, 1)", (0, 2), 1, "-y1*x1*x2*x3"
+    )
 
 
 def test_axioms_pass(cubic_state4, ci22_state3):
@@ -256,7 +262,8 @@ def test_euler_identity_cubic(cubic_ring, cubic_basis):
     assert report.truncation == 2
     broken = check_euler_identity(state, kappa=SuperElement({}))
     assert not broken.passed
-    assert broken.failure is not None
+    assert broken.cases == 1
+    assert broken.failure == Failure("hbar^1 direction 0", (0, 0), 0, "1")
 
 
 def test_euler_identity_ci22(ci22_state3):
