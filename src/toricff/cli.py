@@ -8,7 +8,8 @@ the same key/value shape so their tables can be re-ingested bit-exactly.
 
 Exit codes: 0 when every requested check passes, 1 when a check fails, 2 for
 input errors (unparsable files, torsion class groups, non-spanning rays,
-refused non-Calabi-Yau input, and the like).
+refused non-Calabi-Yau input, and the like), 3 for an internal error: any
+other exception from the engine, whose traceback is printed.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+import traceback
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import groupby
@@ -34,6 +36,7 @@ from .polyalg import Poly, parse_poly, render_poly
 from .supercomplex import parse_super, render_super
 from .toricring import (
     InhomogeneousHypersurface,
+    InvalidInput,
     NotCalabiYau,
     RaysDoNotSpan,
     build_cayley_ring,
@@ -47,25 +50,14 @@ CHECKS = {
     "weights": check_weight_homogeneity,
     "euler": check_euler_identity,
 }
-CHECK_ORDER = ("fqm2", "axioms", "weights", "euler")
+# report label of each check, and whether it needs an order >= 2 state
 CHECK_LABELS = {
-    "fqm2": "fqm2",
-    "axioms": "flat-f-axioms",
-    "weights": "weight-homogeneity",
-    "euler": "euler-identity",
+    "fqm2": ("fqm2", True),
+    "axioms": ("flat-f-axioms", True),
+    "weights": ("weight-homogeneity", False),
+    "euler": ("euler-identity", True),
 }
-_NEEDS_ORDER_TWO = {"fqm2", "axioms", "euler"}
-CHECK_CHOICES = ("all",) + CHECK_ORDER
-
-_INPUT_ERRORS = (
-    TorsionClassGroup,
-    RaysDoNotSpan,
-    NotCalabiYau,
-    InhomogeneousHypersurface,
-    NonFiniteQuotient,
-    BasisIncomplete,
-    ValueError,
-)
+CHECK_CHOICES = ("all",) + tuple(CHECKS)
 
 
 class ProblemFormatError(ValueError):
@@ -74,6 +66,18 @@ class ProblemFormatError(ValueError):
     def __init__(self, lineno, message):
         super().__init__(f"line {lineno}: {message}")
         self.lineno = lineno
+
+
+_INPUT_ERRORS = (
+    ProblemFormatError,
+    InvalidInput,
+    TorsionClassGroup,
+    RaysDoNotSpan,
+    NotCalabiYau,
+    InhomogeneousHypersurface,
+    NonFiniteQuotient,
+    BasisIncomplete,
+)
 
 
 @dataclass(frozen=True)
@@ -333,10 +337,10 @@ def _table_lines(state):
 
 
 def _run_checks(state, selection):
-    selected = CHECK_ORDER if selection == "all" else (selection,)
+    selected = tuple(CHECKS) if selection == "all" else (selection,)
     results = []
     for key in selected:
-        if state.order < 2 and key in _NEEDS_ORDER_TWO:
+        if state.order < 2 and CHECK_LABELS[key][1]:
             results.append((key, None))
         else:
             results.append((key, CHECKS[key](state)))
@@ -347,7 +351,7 @@ def _verification_lines(results):
     lines = ["[verification]"]
     passed = True
     for key, report in results:
-        label = CHECK_LABELS[key]
+        label = CHECK_LABELS[key][0]
         if report is None:
             lines.append(f"check.{label} = skipped (needs order >= 2)")
             continue
@@ -520,7 +524,7 @@ def main(argv=None):
         else:
             if args.order is not None:
                 if args.order < 1:
-                    raise ValueError("--order must be at least 1")
+                    raise InvalidInput("--order must be at least 1")
                 problem = replace(problem, order=args.order)
             if args.checks is not None:
                 problem = replace(problem, checks=args.checks)
@@ -528,6 +532,9 @@ def main(argv=None):
     except _INPUT_ERRORS as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        traceback.print_exc()
+        return 3
     _emit(report, args.out)
     return code
 

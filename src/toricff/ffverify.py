@@ -53,21 +53,6 @@ class VerificationReport:
     failure: Failure | None
 
 
-def _render(ring, value):
-    if isinstance(value, Poly):
-        return render_poly(value, ring.names)
-    if isinstance(value, SuperElement):
-        return render_super(value, ring.names, ring.eta_names)
-    return str(value)
-
-
-def _residual_weight(ring, value):
-    if isinstance(value, Poly) and not value.is_zero():
-        exps = sorted(value.terms)[0]
-        return ring.degree_of_monomial(exps)[1]
-    return None
-
-
 def _first_residual(left, right):
     keys = sorted(set(left.coefficients) | set(right.coefficients))
     for key in keys:
@@ -93,13 +78,78 @@ def _series_map(series, fn, zero):
     )
 
 
-def _failure(ring, site, key, value):
-    return Failure(
-        site=site,
-        monomial=tuple(key),
-        weight=_residual_weight(ring, value),
-        residual=_render(ring, value),
+def _verdict(ring, check, truncation, cases, total=None):
+    """Report on lazy (site, left, right) series cases, stopping at the first
+    whose sides differ; the failure names its site, the first t-exponent (in
+    sorted order) where the sides differ, and their difference there.
+
+    `cases` counts the cases expanded, the failing one included, unless
+    `total` gives the count of the whole family.
+    """
+    count = 0
+    failure = None
+    for site, left, right in cases:
+        count += 1
+        hit = _first_residual(left, right)
+        if hit is None:
+            continue
+        key, value = hit
+        if isinstance(value, Poly):
+            weight = ring.degree_of_monomial(min(value.terms))[1]
+            residual = render_poly(value, ring.names)
+        else:  # a rational coefficient of the structure constants
+            weight, residual = None, str(value)
+        failure = Failure(site, tuple(key), weight, residual)
+        break
+    return VerificationReport(
+        check,
+        failure is None,
+        truncation,
+        count if total is None else total,
+        failure,
     )
+
+
+def _entry_cases(state, dim):
+    zero_poly = Poly({})
+    for multi in sorted(state.lam_table):
+        key = _expvec(multi, dim)
+        yield (
+            f"u vs Delta(lambda) at multiset {multi}",
+            TruncatedSeries(
+                dim,
+                state.order,
+                {key: delta(state.lam_table[multi]).to_poly()},
+                zero_poly,
+            ),
+            TruncatedSeries(
+                dim, state.order, {key: state.u_table[multi]}, zero_poly
+            ),
+        )
+
+
+def _pair_cases(state, dim, trunc):
+    ring = state.ring
+    zero_poly = Poly({})
+    gamma = gamma_series(state)
+    partials = [gamma_partial(state, a) for a in range(dim)]
+    for alpha in range(dim):
+        for beta in range(alpha, dim):
+            lhs = (partials[alpha] * partials[beta]).truncate(trunc)
+            rhs = TruncatedSeries(dim, trunc, {}, zero_poly)
+            a_series = structure_series(state, alpha, beta)
+            for rho in range(dim):
+                rhs = rhs + a_series[rho].convolve(
+                    partials[rho], lambda a, b: a * b, zero_poly
+                )
+            lam = lambda_series(state, alpha, beta)
+            rhs = rhs + _series_map(
+                lam, lambda l: q_s(l, ring).to_poly(), zero_poly
+            )
+            rhs = rhs + gamma.convolve(
+                lam, lambda u, l: q_f(l, u).to_poly(), zero_poly
+            )
+            yield f"pair ({alpha},{beta})", lhs, rhs
 
 
 def check_fqm2(state):
@@ -107,72 +157,15 @@ def check_fqm2(state):
 
     First display: dGamma_alpha * dGamma_beta = sum_rho A^rho dGamma_rho
     + Q_{S+Gamma}(Lambda_{alphabeta}); second: u = Delta(lambda) entrywise.
-    Both are checked to t-degree order - 2 for every unordered pair.
+    The second is checked first, one case per multiset; then the first, to
+    t-degree order - 2, one case per unordered pair.
     """
     if state.order < 2:
         raise ValueError("check_fqm2 needs an order >= 2 state")
-    ring = state.ring
     dim = len(state.basis.monomials)
     trunc = state.order - 2
-    cases = 0
-    for multi in sorted(state.lam_table):
-        cases += 1
-        diff = delta(state.lam_table[multi]).to_poly() - state.u_table[multi]
-        if not diff.is_zero():
-            return VerificationReport(
-                "fqm2",
-                False,
-                trunc,
-                cases,
-                _failure(
-                    ring,
-                    f"u vs Delta(lambda) at multiset {multi}",
-                    _expvec(multi, dim),
-                    diff,
-                ),
-            )
-    zero_poly = Poly({})
-    gamma = gamma_series(state)
-    partials = [gamma_partial(state, a) for a in range(dim)]
-    for alpha in range(dim):
-        for beta in range(alpha, dim):
-            cases += 1
-            residual = (partials[alpha] * partials[beta]).truncate(trunc)
-            a_series = structure_series(state, alpha, beta)
-            for rho in range(dim):
-                residual = residual - a_series[rho].convolve(
-                    partials[rho], lambda a, b: a * b, zero_poly
-                )
-            lam = lambda_series(state, alpha, beta)
-            residual = residual - _series_map(
-                lam, lambda l: q_s(l, ring).to_poly(), zero_poly
-            )
-            residual = residual - gamma.convolve(
-                lam, lambda u, l: q_f(l, u).to_poly(), zero_poly
-            )
-            hit = _first_residual(
-                residual, TruncatedSeries(dim, trunc, {}, zero_poly)
-            )
-            if hit is not None:
-                return VerificationReport(
-                    "fqm2",
-                    False,
-                    trunc,
-                    cases,
-                    _failure(
-                        ring, f"pair ({alpha},{beta})", hit[0], hit[1]
-                    ),
-                )
-    return VerificationReport("fqm2", True, trunc, cases, None)
-
-
-def _first_failure(ring, cases):
-    """The first (site, left, right) whose sides differ, as a Failure."""
-    for site, left, right in cases:
-        hit = _first_residual(left, right)
-        if hit is not None:
-            return _failure(ring, site, *hit)
-    return None
+    cases = chain(_entry_cases(state, dim), _pair_cases(state, dim, trunc))
+    return _verdict(state.ring, "fqm2", trunc, cases)
 
 
 def _commutativity_cases(index, zero):
@@ -277,9 +270,8 @@ def check_flat_f_axioms(state):
         cases += strict_pairs * dim * dim
         families.append(_potentiality_cases(index, zero))
     families.append(_associativity_cases(index, dim, zero))
-    failure = _first_failure(ring, chain.from_iterable(families))
-    return VerificationReport(
-        "flat-f-axioms", failure is None, trunc, cases, failure
+    return _verdict(
+        ring, "flat-f-axioms", trunc, chain.from_iterable(families), cases
     )
 
 
@@ -372,6 +364,31 @@ def default_kappa(ring):
     return SuperElement(terms)
 
 
+def _euler_cases(state, kappa, dim, trunc):
+    ring = state.ring
+    k = ring.k
+    zero_poly = Poly({})
+    gamma = gamma_series(state)
+    e_series = TruncatedSeries(
+        dim, state.order, {(0,) * dim: _euler_weight(ring, ring.S)}, zero_poly
+    ) + _series_map(gamma, lambda u: _euler_weight(ring, u), zero_poly)
+    for alpha in range(dim):
+        ga = gamma_partial(state, alpha)
+        gk = _series_map(
+            ga, lambda u: SuperElement.from_poly(u) * kappa, SuperElement({})
+        )
+        lhs1 = _series_map(ga, lambda u: _euler_weight(ring, u), zero_poly)
+        rhs1 = _series_map(
+            gk, lambda w: delta(w).to_poly(), zero_poly
+        ) - _series_map(ga, lambda u: k * u, zero_poly)
+        yield f"hbar^1 direction {alpha}", lhs1, rhs1
+        lhs0 = (e_series * ga).truncate(trunc)
+        rhs0 = _series_map(
+            gk, lambda w: q_s(w, ring).to_poly(), zero_poly
+        ) + gamma.convolve(gk, lambda u, w: q_f(w, u).to_poly(), zero_poly)
+        yield f"hbar^0 direction {alpha}", lhs0, rhs0
+
+
 def check_euler_identity(state, kappa=None):
     """Both hbar-slices of the Euler-field compatibility, per direction.
 
@@ -386,44 +403,6 @@ def check_euler_identity(state, kappa=None):
     trunc = state.order - 1
     if kappa is None:
         kappa = default_kappa(ring)
-    k = ring.k
-    zero_poly = Poly({})
-    gamma = gamma_series(state)
-    e_series = TruncatedSeries(
-        dim, state.order, {(0,) * dim: _euler_weight(ring, ring.S)}, zero_poly
-    ) + _series_map(gamma, lambda u: _euler_weight(ring, u), zero_poly)
-    cases = 0
-    for alpha in range(dim):
-        ga = gamma_partial(state, alpha)
-        gk = _series_map(
-            ga, lambda u: SuperElement.from_poly(u) * kappa, SuperElement({})
-        )
-        cases += 1
-        lhs1 = _series_map(ga, lambda u: _euler_weight(ring, u), zero_poly)
-        rhs1 = _series_map(
-            gk, lambda w: delta(w).to_poly(), zero_poly
-        ) - _series_map(ga, lambda u: k * u, zero_poly)
-        hit = _first_residual(lhs1, rhs1)
-        if hit is not None:
-            return VerificationReport(
-                "euler-identity",
-                False,
-                trunc,
-                cases,
-                _failure(ring, f"hbar^1 direction {alpha}", hit[0], hit[1]),
-            )
-        cases += 1
-        lhs0 = (e_series * ga).truncate(trunc)
-        rhs0 = _series_map(
-            gk, lambda w: q_s(w, ring).to_poly(), zero_poly
-        ) + gamma.convolve(gk, lambda u, w: q_f(w, u).to_poly(), zero_poly)
-        hit = _first_residual(lhs0, rhs0)
-        if hit is not None:
-            return VerificationReport(
-                "euler-identity",
-                False,
-                trunc,
-                cases,
-                _failure(ring, f"hbar^0 direction {alpha}", hit[0], hit[1]),
-            )
-    return VerificationReport("euler-identity", True, trunc, cases, None)
+    return _verdict(
+        ring, "euler-identity", trunc, _euler_cases(state, kappa, dim, trunc)
+    )

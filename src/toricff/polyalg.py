@@ -92,21 +92,15 @@ class Poly:
         return f"Poly({self.terms!r})"
 
 
-def homogeneous_components(f, degree_fn):
-    """Split f into its degree_fn-homogeneous pieces, keyed by degree."""
-    buckets = {}
-    for exps, coeff in f.terms.items():
-        buckets.setdefault(degree_fn(exps), {})[exps] = coeff
-    return {deg: Poly(terms) for deg, terms in buckets.items()}
-
-
-def _render_term(exps, coeff, names):
+def _render_term(exps, coeff, names, odd=()):
+    """One term: coefficient, then powers of names, then the odd factors."""
     factors = []
     for name, e in zip(names, exps):
         if e == 1:
             factors.append(name)
         elif e > 1:
             factors.append(f"{name}^{e}")
+    factors.extend(odd)
     if not factors:
         return str(coeff)
     body = "*".join(factors)
@@ -117,26 +111,10 @@ def _render_term(exps, coeff, names):
     return f"{coeff}*{body}"
 
 
-def render_poly(f, names, extra=()):
-    """Canonical text form: terms in descending grevlex order.
-
-    extra holds rendered odd factors (used by the super layer) appended to
-    every term.
-    """
-    if f.is_zero():
+def _join_terms(parts):
+    """Rendered terms joined by " + " and " - "; "0" when there are none."""
+    if not parts:
         return "0"
-    parts = []
-    for exps in sorted(f.terms, key=grevlex_key, reverse=True):
-        term = _render_term(exps, f.terms[exps], names)
-        if extra:
-            tail = "*".join(extra)
-            if term == "1":
-                term = tail
-            elif term == "-1":
-                term = f"-{tail}"
-            else:
-                term = f"{term}*{tail}"
-        parts.append(term)
     out = parts[0]
     for term in parts[1:]:
         if term.startswith("-"):
@@ -144,6 +122,16 @@ def render_poly(f, names, extra=()):
         else:
             out += " + " + term
     return out
+
+
+def render_poly(f, names):
+    """Canonical text form: terms in descending grevlex order."""
+    return _join_terms(
+        [
+            _render_term(exps, f.terms[exps], names)
+            for exps in sorted(f.terms, key=grevlex_key, reverse=True)
+        ]
+    )
 
 
 _FACTOR = re.compile(r"^([A-Za-z][A-Za-z0-9]*)(?:\^(\d+))?$")

@@ -16,11 +16,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .polyalg import Poly, grevlex_key, monomial_mul, parse_terms
-
-
-class InhomogeneousCohDegree(ValueError):
-    """Raised when a bracket input mixes odd degrees."""
+from .polyalg import (
+    Poly,
+    _join_terms,
+    _render_term,
+    grevlex_key,
+    monomial_mul,
+    parse_terms,
+)
 
 
 def _merge(a, b):
@@ -156,13 +159,10 @@ def _q_parts(w, partials):
 
 def q_f(w, f):
     """Contraction against the partials of an arbitrary even potential f."""
-    nvars = len(next(iter(f.terms), ()))
-    if f.is_zero():
-        for (exps, _etas) in w.terms:
-            nvars = len(exps)
-            break
-    partials = [f.partial(i) for i in range(nvars)]
-    return _q_parts(w, partials)
+    if w.is_zero() or f.is_zero():
+        return SuperElement({})
+    nvars = len(next(iter(f.terms)))
+    return _q_parts(w, [f.partial(i) for i in range(nvars)])
 
 
 def q_s(w, ring):
@@ -173,26 +173,6 @@ def q_s(w, ring):
 def k_s(w, ring):
     """Twisted Laplacian Q_S + delta."""
     return q_s(w, ring) + delta(w)
-
-
-def _coh_degree(w):
-    degrees = {len(etas) for _exps, etas in w.terms}
-    if len(degrees) > 1:
-        raise InhomogeneousCohDegree(
-            f"mixed odd degrees {sorted(degrees)} in bracket input"
-        )
-    return degrees.pop() if degrees else 0
-
-
-def ell2(a, b, ring):
-    """Defect bracket of the twisted Laplacian on a pair of elements.
-
-    The first argument must be homogeneous in odd degree, and the potential
-    term drops out: the same bracket is produced by delta alone.
-    """
-    deg = _coh_degree(a)
-    sign = -1 if deg % 2 else 1
-    return k_s(a * b, ring) - k_s(a, ring) * b - sign * (a * k_s(b, ring))
 
 
 def mu(w):
@@ -248,11 +228,10 @@ def _wedge_parts(omega, partials):
 
 def wedge_df(f, omega):
     """Left wedge by the exact one-form df."""
-    nvars = len(next(iter(omega.terms), ((), ()))[0]) if omega.terms else 0
-    if omega.is_zero():
+    if f.is_zero() or omega.is_zero():
         return FormElement({})
-    partials = [f.partial(i) for i in range(nvars)]
-    return _wedge_parts(omega, partials)
+    nvars = len(next(iter(f.terms)))
+    return _wedge_parts(omega, [f.partial(i) for i in range(nvars)])
 
 
 def wedge_ds(omega, ring):
@@ -312,37 +291,16 @@ def super_weight(ring, exps, etas):
 
 def render_super(w, names, eta_names):
     """Canonical text form: eta groups ascending, then descending grevlex."""
-    if w.is_zero():
-        return "0"
     keys = sorted(w.terms, key=lambda k: grevlex_key(k[0]), reverse=True)
     keys.sort(key=lambda k: k[1])
-    parts = []
-    for exps, etas in keys:
-        coeff = w.terms[(exps, etas)]
-        factors = []
-        for name, e in zip(names, exps):
-            if e == 1:
-                factors.append(name)
-            elif e > 1:
-                factors.append(f"{name}^{e}")
-        factors.extend(eta_names[i] for i in etas)
-        if not factors:
-            parts.append(str(coeff))
-            continue
-        body = "*".join(factors)
-        if coeff == 1:
-            parts.append(body)
-        elif coeff == -1:
-            parts.append(f"-{body}")
-        else:
-            parts.append(f"{coeff}*{body}")
-    out = parts[0]
-    for term in parts[1:]:
-        if term.startswith("-"):
-            out += " - " + term[1:]
-        else:
-            out += " + " + term
-    return out
+    return _join_terms(
+        [
+            _render_term(
+                exps, w.terms[(exps, etas)], names, [eta_names[i] for i in etas]
+            )
+            for exps, etas in keys
+        ]
+    )
 
 
 def parse_super(text, names, eta_names):

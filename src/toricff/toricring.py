@@ -43,6 +43,10 @@ class NotCalabiYau(Exception):
     """The background charge is nonzero."""
 
 
+class InvalidInput(ValueError):
+    """A problem value no run can use, such as a zero hypersurface."""
+
+
 class GradingInvariantError(RuntimeError):
     """An internal invariant of the charge grading broke: a bug, not bad input."""
 
@@ -136,7 +140,7 @@ def build_cayley_ring(rays, hypersurfaces):
     for i, g in enumerate(hypersurfaces):
         poly = g if isinstance(g, Poly) else Poly(g)
         if poly.is_zero():
-            raise ValueError(f"hypersurface {i} is zero")
+            raise InvalidInput(f"hypersurface {i} is zero")
         beta = None
         for exps in poly.terms:
             if len(exps) != r:

@@ -152,44 +152,6 @@ def _u(state, key):
     return got
 
 
-def _set_partitions(m, blocks):
-    """Unordered partitions of range(m) into exactly `blocks` nonempty blocks."""
-
-    def rec(pos, parts):
-        if pos == m:
-            if len(parts) == blocks:
-                yield [tuple(p) for p in parts]
-            return
-        if len(parts) + (m - pos) < blocks:
-            return
-        for part in parts:
-            part.append(pos)
-            yield from rec(pos + 1, parts)
-            part.pop()
-        if len(parts) < blocks:
-            parts.append([pos])
-            yield from rec(pos + 1, parts)
-            parts.pop()
-
-    yield from rec(0, [])
-
-
-def partition_sum(state, multi, i):
-    """Sum of u-products over partitions of multi into len(multi) - i blocks."""
-    multi = tuple(sorted(multi))
-    m = len(multi)
-    if not 0 <= i <= m - 1:
-        raise ValueError(f"block defect {i} out of range for size {m}")
-    total = Poly({})
-    for partition in _set_partitions(m, m - i):
-        term = None
-        for block in partition:
-            u = _u(state, tuple(sorted(multi[p] for p in block)))
-            term = u if term is None else term * u
-        total = total + term
-    return total
-
-
 def _expand(expvec):
     out = []
     for index, count in enumerate(expvec):
@@ -289,7 +251,7 @@ def run(ring, basis, order, debug=False):
 
 
 def _factorial_of(expvec):
-    return prod(factorial(c) for c in expvec)
+    return prod(map(factorial, expvec))
 
 
 def _remove_one(multi, value):
@@ -310,20 +272,14 @@ def gamma_series(state):
     coeffs = {}
     for multi, u in state.u_table.items():
         key = _expvec(multi, dim)
-        coeffs[key] = Fraction(1, _factorial_of(key)) * u
+        scale = _factorial_of(key)
+        coeffs[key] = u if scale == 1 else Fraction(1, scale) * u
     return TruncatedSeries(dim, state.order, coeffs, Poly({}))
 
 
 def gamma_partial(state, alpha):
     """The alpha-derivative of gamma, complete to degree order - 1."""
-    dim = len(state.basis.monomials)
-    coeffs = {}
-    for multi, u in state.u_table.items():
-        if alpha not in multi:
-            continue
-        key = _expvec(_remove_one(multi, alpha), dim)
-        coeffs[key] = Fraction(1, _factorial_of(key)) * u
-    return TruncatedSeries(dim, state.order - 1, coeffs, Poly({}))
+    return gamma_series(state).partial(alpha)
 
 
 def _split_pair(multi, alpha, beta, dim):

@@ -271,6 +271,53 @@ def test_unfold_reports_check_failure(tmp_path, capsys, monkeypatch):
     assert "status = fail" in out
 
 
+@pytest.mark.parametrize(
+    "problem, argv, message",
+    [
+        (
+            CUBIC_PROBLEM.replace(
+                "hypersurface = 1 (3,0,0) + 1 (0,3,0) + 1 (0,0,3)",
+                "hypersurface = 1 (3,0,0) + -1 (3,0,0)",
+            ),
+            [],
+            "InvalidInput: hypersurface 0 is zero",
+        ),
+        (CUBIC_PROBLEM, ["--order", "0"], "InvalidInput: --order must be at least 1"),
+    ],
+)
+def test_unfold_input_errors_exit_two(tmp_path, capsys, problem, argv, message):
+    code = main(["unfold", problem_path(tmp_path, problem)] + argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert message in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        ValueError("check_fqm2 needs an order >= 2 state"),
+        ArithmeticError("reduction identity failed to close"),
+    ],
+)
+def test_unfold_internal_errors_exit_three(tmp_path, capsys, monkeypatch, error):
+    import toricff.cli as cli
+
+    def broken(state):
+        raise error
+
+    monkeypatch.setitem(cli.CHECKS, "fqm2", broken)
+    code = main(
+        ["unfold", problem_path(tmp_path, CUBIC_PROBLEM), "--checks", "fqm2"]
+    )
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "Traceback" in captured.err
+    assert f"{type(error).__name__}: {error}" in captured.err
+    assert captured.out == ""
+
+
 def test_reports_byte_stable(tmp_path):
     path = problem_path(tmp_path, CUBIC_PROBLEM)
     first = tmp_path / "a.txt"

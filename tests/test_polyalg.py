@@ -8,7 +8,6 @@ import pytest
 from toricff.polyalg import (
     Poly,
     grevlex_key,
-    homogeneous_components,
     parse_poly,
     render_poly,
 )
@@ -50,27 +49,6 @@ def test_difference_of_squares():
 
 def test_partial_of_constant_vanishes():
     assert Poly.constant(4, Fraction(7)).partial(2).is_zero()
-
-
-def test_homogeneous_components_split():
-    f = Poly.constant(4, Fraction(1)) + Y * X1 * X2 * X3
-    comps = homogeneous_components(f, cubic_degree)
-    assert set(comps) == {((0,), 0), ((0,), 1)}
-    assert comps[((0,), 0)] == Poly.constant(4, Fraction(1))
-    assert comps[((0,), 1)] == Y * X1 * X2 * X3
-    assert homogeneous_components(Poly({}), cubic_degree) == {}
-
-
-def test_homogeneous_components_sum_back():
-    rng = random.Random(11)
-    for _ in range(30):
-        f = random_poly(rng)
-        comps = homogeneous_components(f, cubic_degree)
-        total = Poly({})
-        for piece in comps.values():
-            assert len({cubic_degree(e) for e in piece.terms}) <= 1
-            total = total + piece
-        assert total == f
 
 
 def test_ring_axioms_seeded():

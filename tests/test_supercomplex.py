@@ -8,11 +8,9 @@ import pytest
 from toricff.polyalg import Poly
 from toricff.supercomplex import (
     FormElement,
-    InhomogeneousCohDegree,
     SuperElement,
     contract_euler,
     delta,
-    ell2,
     epsilon_w_s,
     form_d,
     form_scale,
@@ -101,15 +99,8 @@ def test_k_s_is_sum(cubic_ring):
         assert k_s(w, cubic_ring) == q_s(w, cubic_ring) + delta(w)
 
 
-def test_ell2_pins(cubic_ring):
-    assert ell2(Y, X1, cubic_ring).is_zero()
-    assert ell2(Y, eta(0), cubic_ring) == ONE
-    with pytest.raises(InhomogeneousCohDegree):
-        ell2(Y + eta(0), X1, cubic_ring)
-
-
-def test_ell2_ignores_q_s(cubic_ring, p1p1_ring):
-    # the bracket of K_S equals the bracket of delta alone
+def test_q_s_graded_product_rule(cubic_ring, p1p1_ring):
+    # Q_S is an odd derivation: Q(ab) = Q(a) b + (-1)^|a| a Q(b)
     for ring in (cubic_ring, p1p1_ring):
         rng = random.Random(8)
         for _ in range(10):
@@ -121,11 +112,10 @@ def test_ell2_ignores_q_s(cubic_ring, p1p1_ring):
             if a.is_zero():
                 continue
             b = random_super(rng, ring, max_terms=2)
-            with_s = ell2(a, b, ring)
-            without = (
-                delta(a * b) - delta(a) * b - (-1) ** len(etas) * (a * delta(b))
+            sign = (-1) ** len(etas)
+            assert q_s(a * b, ring) == (
+                q_s(a, ring) * b + sign * (a * q_s(b, ring))
             )
-            assert with_s == without
 
 
 def test_mu_pins():

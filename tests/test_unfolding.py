@@ -1,7 +1,6 @@
-"""Order-by-order unfolding: block sums, step results, and series assembly."""
+"""Order-by-order unfolding: step results and series assembly."""
 
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 
@@ -17,74 +16,21 @@ from toricff.unfolding import (
     gamma_partial,
     gamma_series,
     lambda_series,
-    partition_sum,
     run,
+    step,
     structure_index,
     structure_series,
 )
 
 
-def tag_table(subsets):
-    """u table mapping each multiset to a distinct tag monomial."""
-    table = {}
-    for pos, key in enumerate(subsets):
-        exps = [0] * len(subsets)
-        exps[pos] = 1
-        table[tuple(key)] = Poly.monomial(tuple(exps))
-    return table
-
-
-def test_partition_sum_three_blocks():
-    subsets = [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]
-    state = SimpleNamespace(u_table=tag_table(subsets))
-    u = state.u_table
-    got = partition_sum(state, (0, 1, 2), 1)
-    expect = (
-        u[(0,)] * u[(1, 2)] + u[(1,)] * u[(0, 2)] + u[(2,)] * u[(0, 1)]
-    )
-    assert got == expect
-    assert partition_sum(state, (0, 1, 2), 2) == u[(0, 1, 2)]
-    assert partition_sum(state, (0, 1, 2), 0) == u[(0,)] * u[(1,)] * u[(2,)]
-
-
-def test_partition_sum_four_into_two():
-    subsets = []
-    for a in range(4):
-        subsets.append((a,))
-    for a in range(4):
-        for b in range(a + 1, 4):
-            subsets.append((a, b))
-    for a in range(4):
-        for b in range(a + 1, 4):
-            for c in range(b + 1, 4):
-                subsets.append((a, b, c))
-    state = SimpleNamespace(u_table=tag_table(subsets))
-    u = state.u_table
-    got = partition_sum(state, (0, 1, 2, 3), 2)
-    expect = (
-        u[(0, 1)] * u[(2, 3)]
-        + u[(0, 2)] * u[(1, 3)]
-        + u[(0, 3)] * u[(1, 2)]
-        + u[(0,)] * u[(1, 2, 3)]
-        + u[(1,)] * u[(0, 2, 3)]
-        + u[(2,)] * u[(0, 1, 3)]
-        + u[(3,)] * u[(0, 1, 2)]
-    )
-    assert got == expect
-
-
-def test_partition_sum_repeated_indices():
-    u1 = Poly.monomial((1, 0))
-    u11 = Poly.monomial((0, 1))
-    state = SimpleNamespace(u_table={(1,): u1, (1, 1): u11})
-    assert partition_sum(state, (1, 1), 0) == u1 * u1
-    assert partition_sum(state, (1, 1), 1) == u11
-
-
-def test_partition_sum_missing_entry():
-    state = SimpleNamespace(u_table={(0,): Poly.monomial((1,))})
-    with pytest.raises(MissingTableEntry):
-        partition_sum(state, (0, 0), 1)
+@pytest.mark.parametrize(
+    "table, multi", [("u_table", (1, 1)), ("a_table", (0, 1)), ("lam_table", (0, 1))]
+)
+def test_step_reports_a_missing_lower_entry(cubic_ring, cubic_basis, table, multi):
+    state = run(cubic_ring, cubic_basis, 2)
+    del getattr(state, table)[multi]
+    with pytest.raises(MissingTableEntry, match=str(multi)):
+        step(state, (0, 1, 1))
 
 
 def test_run_order_one(cubic_ring, cubic_basis):
