@@ -340,7 +340,8 @@ def _run_checks(state, selection):
     selected = tuple(CHECKS) if selection == "all" else (selection,)
     results = []
     for key in selected:
-        if state.order < 2 and CHECK_LABELS[key][1]:
+        _, needs_order_two = CHECK_LABELS[key]
+        if needs_order_two and state.order < 2:
             results.append((key, None))
         else:
             results.append((key, CHECKS[key](state)))
@@ -351,7 +352,7 @@ def _verification_lines(results):
     lines = ["[verification]"]
     passed = True
     for key, report in results:
-        label = CHECK_LABELS[key][0]
+        label, _ = CHECK_LABELS[key]
         if report is None:
             lines.append(f"check.{label} = skipped (needs order >= 2)")
             continue

@@ -26,6 +26,7 @@ __all__ = [
     "TorsionClassGroup",
     "InhomogeneousHypersurface",
     "NotCalabiYau",
+    "InvalidInput",
     "ClassGrading",
     "CayleyRing",
     "build_class_grading",

@@ -312,6 +312,11 @@ def test_q_f_matches_q_s(cubic_ring):
     for _ in range(10):
         w = random_super(rng, cubic_ring)
         assert q_f(w, cubic_ring.S) == q_s(w, cubic_ring)
+    # a zero on either side gives zero
+    assert q_f(SuperElement({}), cubic_ring.S).is_zero()
+    assert q_f(eta(1), Poly({})).is_zero()
+    assert wedge_df(cubic_ring.S, FormElement({})).is_zero()
+    assert wedge_df(Poly({}), fterm((1, 0, 0, 0), (1,))).is_zero()
 
 
 def test_render_parse_super(cubic_ring):
