@@ -228,14 +228,16 @@ def test_weights_pass(cubic_state4, ci22_state3):
         report = check_weight_homogeneity(state)
         assert report.passed
         assert report.cases > 0
+    assert check_weight_homogeneity(cubic_state4).cases == 7
 
 
 def test_weights_detect_corrupt_u(cubic_state4):
     bad = copy_state(cubic_state4)
-    bad.u_table[(1, 1)] = bad.u_table[(1, 1)] + Poly.constant(4, 1)
+    bad.u_table[(1, 1)] = bad.u_table[(1, 1)] + Poly.monomial((0, 0, 0, 0))
     report = check_weight_homogeneity(bad)
     assert not report.passed
-    assert "u[" in report.failure.site
+    assert report.cases == 5
+    assert report.failure == Failure("u[(1, 1)]", (0, 2), 0, "1")
 
 
 def test_weights_detect_corrupt_lambda(cubic_state4):
@@ -245,7 +247,19 @@ def test_weights_detect_corrupt_lambda(cubic_state4):
     )
     report = check_weight_homogeneity(bad)
     assert not report.passed
-    assert "lambda[" in report.failure.site
+    assert report.cases == 7
+    assert report.failure == Failure("lambda[(1, 1)]", (0, 2), 1, "eta2")
+
+
+def test_weights_detect_wrong_t_weight(cubic_state4):
+    bad = copy_state(cubic_state4)
+    bad.t_weights = (1, 1)
+    report = check_weight_homogeneity(bad)
+    assert not report.passed
+    assert report.cases == 2
+    assert report.failure == Failure(
+        "t-weight of direction 1", (0, 1), 1, "expected 0"
+    )
 
 
 def test_quintic_direction_weights(quintic_ring, quintic_basis):
