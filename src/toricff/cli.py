@@ -7,9 +7,10 @@ Problem files are plain ``key = value`` text: one ``rays`` line, one
 the same key/value shape so their tables can be re-ingested bit-exactly.
 
 Exit codes: 0 when every requested check passes, 1 when a check fails, 2 for
-input errors (unparsable files, torsion class groups, non-spanning rays,
-refused non-Calabi-Yau input, and the like), 3 for an internal error: any
-other exception from the engine, whose traceback is printed.
+input errors (unreadable, undecodable or unparsable files, torsion class
+groups, non-spanning rays, refused non-Calabi-Yau input, an unwritable
+``--out``, and the like), 3 for an internal error: any other exception from
+the engine, whose traceback is printed.
 """
 
 from __future__ import annotations
@@ -513,7 +514,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         text = Path(args.problem).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {args.problem}: {exc}", file=sys.stderr)
         return 2
     try:
@@ -536,7 +537,11 @@ def main(argv=None):
     except Exception:
         traceback.print_exc()
         return 3
-    _emit(report, args.out)
+    try:
+        _emit(report, args.out)
+    except OSError as exc:
+        print(f"error: cannot write {args.out or 'stdout'}: {exc}", file=sys.stderr)
+        return 2
     return code
 
 

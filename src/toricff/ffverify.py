@@ -69,38 +69,19 @@ def _first_residual(left, right):
     return None
 
 
-def _series_map(series, fn, zero):
-    return TruncatedSeries(
-        series.dim,
-        series.order,
-        {key: fn(value) for key, value in series.coefficients.items()},
-        zero,
-    )
+def _verdict(check, truncation, outcomes, total=None):
+    """Report on lazy outcomes, each None (the case holds) or a Failure,
+    stopping at the first Failure.
 
-
-def _verdict(ring, check, truncation, cases, total=None):
-    """Report on lazy (site, left, right) series cases, stopping at the first
-    whose sides differ; the failure names its site, the first t-exponent (in
-    sorted order) where the sides differ, and their difference there.
-
-    `cases` counts the cases expanded, the failing one included, unless
+    `cases` counts the outcomes drawn, the failing one included, unless
     `total` gives the count of the whole family.
     """
     count = 0
     failure = None
-    for site, left, right in cases:
+    for failure in outcomes:
         count += 1
-        hit = _first_residual(left, right)
-        if hit is None:
-            continue
-        key, value = hit
-        if isinstance(value, Poly):
-            weight = ring.degree_of_monomial(min(value.terms))[1]
-            residual = render_poly(value, ring.names)
-        else:  # a rational coefficient of the structure constants
-            weight, residual = None, str(value)
-        failure = Failure(site, tuple(key), weight, residual)
-        break
+        if failure is not None:
+            break
     return VerificationReport(
         check,
         failure is None,
@@ -110,45 +91,56 @@ def _verdict(ring, check, truncation, cases, total=None):
     )
 
 
+def _compared(ring, cases):
+    """Outcomes of lazy (site, left, right) series cases: None where the sides
+    agree, else a Failure naming the site, the first t-exponent (in sorted
+    order) where the sides differ, and their difference there."""
+    for site, left, right in cases:
+        hit = _first_residual(left, right)
+        if hit is None:
+            yield None
+            continue
+        key, value = hit
+        if isinstance(value, Poly):
+            weight = ring.degree_of_monomial(min(value.terms))[1]
+            residual = render_poly(value, ring.names)
+        else:  # a rational coefficient of the structure constants
+            weight, residual = None, str(value)
+        yield Failure(site, tuple(key), weight, residual)
+
+
+def _q_total(ring, gamma, series):
+    """Q_{S+Gamma} applied to a series of odd elements, as a series of
+    polynomials truncated at the lower of the two orders."""
+    return series.map(lambda w: q_s(w, ring).to_poly()) + gamma.convolve(
+        series, lambda u, w: q_f(w, u).to_poly()
+    )
+
+
 def _entry_cases(state, dim):
-    zero_poly = Poly({})
     for multi in sorted(state.lam_table):
         key = _expvec(multi, dim)
         yield (
             f"u vs Delta(lambda) at multiset {multi}",
             TruncatedSeries(
-                dim,
-                state.order,
-                {key: delta(state.lam_table[multi]).to_poly()},
-                zero_poly,
+                dim, state.order, {key: delta(state.lam_table[multi]).to_poly()}
             ),
-            TruncatedSeries(
-                dim, state.order, {key: state.u_table[multi]}, zero_poly
-            ),
+            TruncatedSeries(dim, state.order, {key: state.u_table[multi]}),
         )
 
 
 def _pair_cases(state, dim, trunc):
-    ring = state.ring
-    zero_poly = Poly({})
     gamma = gamma_series(state)
     partials = [gamma_partial(state, a) for a in range(dim)]
     for alpha in range(dim):
         for beta in range(alpha, dim):
             lhs = (partials[alpha] * partials[beta]).truncate(trunc)
-            rhs = TruncatedSeries(dim, trunc, {}, zero_poly)
+            rhs = TruncatedSeries(dim, trunc, {})
             a_series = structure_series(state, alpha, beta)
             for rho in range(dim):
-                rhs = rhs + a_series[rho].convolve(
-                    partials[rho], lambda a, b: a * b, zero_poly
-                )
+                rhs = rhs + a_series[rho] * partials[rho]
             lam = lambda_series(state, alpha, beta)
-            rhs = rhs + _series_map(
-                lam, lambda l: q_s(l, ring).to_poly(), zero_poly
-            )
-            rhs = rhs + gamma.convolve(
-                lam, lambda u, l: q_f(l, u).to_poly(), zero_poly
-            )
+            rhs = rhs + _q_total(state.ring, gamma, lam)
             yield f"pair ({alpha},{beta})", lhs, rhs
 
 
@@ -165,7 +157,7 @@ def check_fqm2(state):
     dim = len(state.basis.monomials)
     trunc = state.order - 2
     cases = chain(_entry_cases(state, dim), _pair_cases(state, dim, trunc))
-    return _verdict(state.ring, "fqm2", trunc, cases)
+    return _verdict("fqm2", trunc, _compared(state.ring, cases))
 
 
 def _commutativity_cases(index, zero):
@@ -257,8 +249,8 @@ def check_flat_f_axioms(state):
     dim = len(state.basis.monomials)
     trunc = state.order - 2
     index = structure_index(state)
-    zero = TruncatedSeries(dim, trunc, {}, Fraction(0))
-    one = TruncatedSeries(dim, trunc, {(0,) * dim: Fraction(1)}, Fraction(0))
+    zero = TruncatedSeries(dim, trunc, {})
+    one = TruncatedSeries(dim, trunc, {(0,) * dim: Fraction(1)})
     unit = state.basis.index_of[(0,) * ring.nvars]
     strict_pairs = dim * (dim - 1) // 2
     cases = strict_pairs * dim + dim * dim + dim * dim * (dim + 1) // 2 * dim
@@ -270,77 +262,55 @@ def check_flat_f_axioms(state):
         cases += strict_pairs * dim * dim
         families.append(_potentiality_cases(index, zero))
     families.append(_associativity_cases(index, dim, zero))
-    return _verdict(
-        ring, "flat-f-axioms", trunc, chain.from_iterable(families), cases
-    )
+    outcomes = _compared(ring, chain.from_iterable(families))
+    return _verdict("flat-f-axioms", trunc, outcomes, cases)
 
 
-def check_weight_homogeneity(state):
-    """Every stored table entry carries exactly the weight the grading demands."""
+def _weight_outcomes(state):
     ring = state.ring
     basis = state.basis
     dim = len(basis.monomials)
-    cases = 0
     for i, w in enumerate(basis.weights):
-        cases += 1
-        if state.t_weights[i] != 1 - w:
-            return VerificationReport(
-                "weight-homogeneity",
-                False,
-                state.order,
-                cases,
-                Failure(
-                    site=f"t-weight of direction {i}",
-                    monomial=_expvec((i,), dim),
-                    weight=state.t_weights[i],
-                    residual=f"expected {1 - w}",
-                ),
-            )
+        found = state.t_weights[i]
+        yield None if found == 1 - w else Failure(
+            f"t-weight of direction {i}",
+            _expvec((i,), dim),
+            found,
+            f"expected {1 - w}",
+        )
     for multi in sorted(state.u_table):
         target = 1 - sum(state.t_weights[j] for j in multi)
         for exps in state.u_table[multi].terms:
-            cases += 1
             found = ring.degree_of_monomial(exps)[1]
-            if found != target:
-                return VerificationReport(
-                    "weight-homogeneity",
-                    False,
-                    state.order,
-                    cases,
-                    Failure(
-                        site=f"u[{multi}]",
-                        monomial=_expvec(multi, dim),
-                        weight=found,
-                        residual=render_poly(
-                            Poly.monomial(exps), ring.names
-                        ),
-                    ),
-                )
+            yield None if found == target else Failure(
+                f"u[{multi}]",
+                _expvec(multi, dim),
+                found,
+                render_poly(Poly.monomial(exps), ring.names),
+            )
     for multi in sorted(state.lam_table):
         target = 2 - sum(state.t_weights[j] for j in multi)
         for exps, etas in state.lam_table[multi].terms:
-            cases += 1
             found = super_weight(ring, exps, etas)
-            if found != target:
-                return VerificationReport(
-                    "weight-homogeneity",
-                    False,
-                    state.order,
-                    cases,
-                    Failure(
-                        site=f"lambda[{multi}]",
-                        monomial=_expvec(multi, dim),
-                        weight=found,
-                        residual=render_super(
-                            SuperElement({(exps, etas): Fraction(1)}),
-                            ring.names,
-                            ring.eta_names,
-                        ),
-                    ),
-                )
-    return VerificationReport(
-        "weight-homogeneity", True, state.order, cases, None
-    )
+            yield None if found == target else Failure(
+                f"lambda[{multi}]",
+                _expvec(multi, dim),
+                found,
+                render_super(
+                    SuperElement({(exps, etas): Fraction(1)}),
+                    ring.names,
+                    ring.eta_names,
+                ),
+            )
+
+
+def check_weight_homogeneity(state):
+    """Every stored table entry carries exactly the weight the grading demands.
+
+    One case per direction (its t-weight) and per term of every u and lambda
+    entry.
+    """
+    return _verdict("weight-homogeneity", state.order, _weight_outcomes(state))
 
 
 def _euler_weight(ring, f):
@@ -367,26 +337,18 @@ def default_kappa(ring):
 def _euler_cases(state, kappa, dim, trunc):
     ring = state.ring
     k = ring.k
-    zero_poly = Poly({})
     gamma = gamma_series(state)
     e_series = TruncatedSeries(
-        dim, state.order, {(0,) * dim: _euler_weight(ring, ring.S)}, zero_poly
-    ) + _series_map(gamma, lambda u: _euler_weight(ring, u), zero_poly)
+        dim, state.order, {(0,) * dim: _euler_weight(ring, ring.S)}
+    ) + gamma.map(lambda u: _euler_weight(ring, u))
     for alpha in range(dim):
         ga = gamma_partial(state, alpha)
-        gk = _series_map(
-            ga, lambda u: SuperElement.from_poly(u) * kappa, SuperElement({})
-        )
-        lhs1 = _series_map(ga, lambda u: _euler_weight(ring, u), zero_poly)
-        rhs1 = _series_map(
-            gk, lambda w: delta(w).to_poly(), zero_poly
-        ) - _series_map(ga, lambda u: k * u, zero_poly)
+        gk = ga.map(lambda u: SuperElement.from_poly(u) * kappa)
+        lhs1 = ga.map(lambda u: _euler_weight(ring, u))
+        rhs1 = gk.map(lambda w: delta(w).to_poly()) - ga.map(lambda u: k * u)
         yield f"hbar^1 direction {alpha}", lhs1, rhs1
         lhs0 = (e_series * ga).truncate(trunc)
-        rhs0 = _series_map(
-            gk, lambda w: q_s(w, ring).to_poly(), zero_poly
-        ) + gamma.convolve(gk, lambda u, w: q_f(w, u).to_poly(), zero_poly)
-        yield f"hbar^0 direction {alpha}", lhs0, rhs0
+        yield f"hbar^0 direction {alpha}", lhs0, _q_total(ring, gamma, gk)
 
 
 def check_euler_identity(state, kappa=None):
@@ -403,6 +365,5 @@ def check_euler_identity(state, kappa=None):
     trunc = state.order - 1
     if kappa is None:
         kappa = default_kappa(ring)
-    return _verdict(
-        ring, "euler-identity", trunc, _euler_cases(state, kappa, dim, trunc)
-    )
+    cases = _euler_cases(state, kappa, dim, trunc)
+    return _verdict("euler-identity", trunc, _compared(ring, cases))

@@ -180,9 +180,6 @@ class JacobianBasis:
             self._pieces[weight] = got
         return got
 
-    def dimension(self, weight):
-        return self.dims[weight] if 0 <= weight <= self.max_weight else None
-
 
 def jacobian_basis(ring, allow_non_cy=False, probe_extra_weights=0):
     """Quotient basis at the anticanonical charge, weights 0..n-k.

@@ -25,48 +25,59 @@ def monomial_mul(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
 
-class Poly:
+class _SparseTerms:
+    """Immutable sparse map {key: nonzero Fraction} with its additive structure.
+
+    Keys are stored as given. Subclasses supply the products; values of
+    different subclasses never compare equal.
+    """
+
     __slots__ = ("terms",)
 
     def __init__(self, terms):
         clean = {}
-        for exps, coeff in terms.items():
+        for key, coeff in terms.items():
             c = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
             if c != 0:
-                clean[tuple(exps)] = c
+                clean[key] = c
         self.terms = clean
-
-    @classmethod
-    def monomial(cls, exps, coeff=1):
-        return cls({tuple(exps): Fraction(coeff)})
-
-    @classmethod
-    def constant(cls, nvars, coeff):
-        return cls({(0,) * nvars: Fraction(coeff)})
 
     def is_zero(self):
         return not self.terms
 
     def __eq__(self, other):
-        return isinstance(other, Poly) and self.terms == other.terms
+        return type(self) is type(other) and self.terms == other.terms
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
     def __add__(self, other):
         out = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            out[exps] = out.get(exps, Fraction(0)) + coeff
-        return Poly(out)
+        for key, coeff in other.terms.items():
+            out[key] = out.get(key, Fraction(0)) + coeff
+        return type(self)(out)
 
     def __sub__(self, other):
         out = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            out[exps] = out.get(exps, Fraction(0)) - coeff
-        return Poly(out)
+        for key, coeff in other.terms.items():
+            out[key] = out.get(key, Fraction(0)) - coeff
+        return type(self)(out)
 
     def __neg__(self):
-        return Poly({e: -c for e, c in self.terms.items()})
+        return type(self)({k: -c for k, c in self.terms.items()})
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.terms!r})"
+
+
+class Poly(_SparseTerms):
+    """Keys are exponent tuples."""
+
+    __slots__ = ()
+
+    @classmethod
+    def monomial(cls, exps, coeff=1):
+        return cls({tuple(exps): Fraction(coeff)})
 
     def __mul__(self, other):
         if isinstance(other, Poly):
@@ -87,9 +98,6 @@ class Poly:
                 lowered = exps[:i] + (exps[i] - 1,) + exps[i + 1 :]
                 out[lowered] = out.get(lowered, Fraction(0)) + coeff * exps[i]
         return Poly(out)
-
-    def __repr__(self):
-        return f"Poly({self.terms!r})"
 
 
 def _render_term(exps, coeff, names, odd=()):

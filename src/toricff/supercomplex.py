@@ -18,6 +18,7 @@ from fractions import Fraction
 
 from .polyalg import (
     Poly,
+    _SparseTerms,
     _join_terms,
     _render_term,
     grevlex_key,
@@ -47,46 +48,14 @@ def _insert_sign(i, indices):
     return -1 if below % 2 else 1
 
 
-class _OddTerms:
+class _OddTerms(_SparseTerms):
     """Shared container: {(exponent tuple, sorted odd index tuple): Fraction}."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms):
-        clean = {}
-        for (exps, odd), coeff in terms.items():
-            c = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
-            if c != 0:
-                clean[(tuple(exps), tuple(odd))] = c
-        self.terms = clean
+    __slots__ = ()
 
     @classmethod
     def from_poly(cls, f):
         return cls({(exps, ()): c for exps, c in f.terms.items()})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return type(self) is type(other) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((type(self).__name__, frozenset(self.terms.items())))
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            out[key] = out.get(key, Fraction(0)) + coeff
-        return type(self)(out)
-
-    def __sub__(self, other):
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            out[key] = out.get(key, Fraction(0)) - coeff
-        return type(self)(out)
-
-    def __neg__(self):
-        return type(self)({k: -c for k, c in self.terms.items()})
 
     def __mul__(self, other):
         if type(other) is type(self):
@@ -104,9 +73,8 @@ class _OddTerms:
         scale = Fraction(other)
         return type(self)({k: c * scale for k, c in self.terms.items()})
 
-    def __rmul__(self, other):
-        # scalars and polynomials are even, so no sign appears
-        return self.__mul__(other)
+    # scalars and polynomials are even, so no sign appears
+    __rmul__ = __mul__
 
     def to_poly(self):
         out = {}
@@ -115,9 +83,6 @@ class _OddTerms:
                 raise ValueError("element carries odd factors")
             out[exps] = coeff
         return Poly(out)
-
-    def __repr__(self):
-        return f"{type(self).__name__}({self.terms!r})"
 
 
 class SuperElement(_OddTerms):

@@ -25,6 +25,7 @@ every stored u_gamma is checked to equal 1 - sum of wt(t) over gamma.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
@@ -32,7 +33,7 @@ from math import comb, factorial, prod
 
 from .jacobired import reduce_with_witness
 from .polyalg import Poly
-from .supercomplex import SuperElement, delta, q_f
+from .supercomplex import delta, q_f
 from .toricring import NotCalabiYau, is_calabi_yau
 
 
@@ -44,19 +45,18 @@ class MissingTableEntry(KeyError):
 class TruncatedSeries:
     """Formal series over t-monomials, cut at a fixed total degree.
 
-    Keys are exponent tuples over the direction set; absent keys read as the
-    stored zero value, so arithmetic may drop vanishing coefficients freely.
+    Keys are exponent tuples over the direction set; a key is absent exactly
+    where its coefficient vanishes, so arithmetic may drop vanishing
+    coefficients freely.
     """
 
     dim: int
     order: int
     coefficients: dict = field(repr=False)
-    zero: object = Fraction(0)
 
     def __post_init__(self):
         clean = {}
         for key, value in self.coefficients.items():
-            key = tuple(key)
             if len(key) != self.dim:
                 raise ValueError(f"key {key} has wrong dimension")
             if sum(key) > self.order:
@@ -65,39 +65,36 @@ class TruncatedSeries:
                 clean[key] = value
         object.__setattr__(self, "coefficients", clean)
 
-    def coefficient(self, expvec):
-        key = tuple(expvec)
-        if len(key) != self.dim or sum(key) > self.order:
-            raise ValueError(f"monomial {key} outside the series domain")
-        return self.coefficients.get(key, self.zero)
-
-    def nonzero_items(self):
-        return tuple(sorted(self.coefficients.items(), key=lambda kv: kv[0]))
-
     def truncate(self, order):
         kept = {k: v for k, v in self.coefficients.items() if sum(k) <= order}
-        return TruncatedSeries(self.dim, order, kept, self.zero)
+        return TruncatedSeries(self.dim, order, kept)
+
+    def map(self, fn):
+        """The coefficient-wise image under fn, on the same domain."""
+        return TruncatedSeries(
+            self.dim,
+            self.order,
+            {key: fn(value) for key, value in self.coefficients.items()},
+        )
 
     def __add__(self, other):
+        order = min(self.order, other.order)
         out = dict(self.coefficients)
         for key, value in other.coefficients.items():
             out[key] = out[key] + value if key in out else value
-        return TruncatedSeries(
-            self.dim, min(self.order, other.order), _clip(out, self.order, other.order), self.zero
-        )
+        kept = {k: v for k, v in out.items() if sum(k) <= order}
+        return TruncatedSeries(self.dim, order, kept)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return TruncatedSeries(
-            self.dim, self.order, {k: -v for k, v in self.coefficients.items()}, self.zero
-        )
+        return self.map(operator.neg)
 
     def __mul__(self, other):
-        return self.convolve(other, lambda a, b: a * b, self.zero * other.zero)
+        return self.convolve(other, operator.mul)
 
-    def convolve(self, other, pair, zero):
+    def convolve(self, other, pair):
         """Product with a caller-chosen coefficient pairing."""
         order = min(self.order, other.order)
         out = {}
@@ -108,7 +105,7 @@ class TruncatedSeries:
                     continue
                 value = pair(avalue, bvalue)
                 out[key] = out[key] + value if key in out else value
-        return TruncatedSeries(self.dim, order, out, zero)
+        return TruncatedSeries(self.dim, order, out)
 
     def partial(self, direction):
         out = {}
@@ -119,16 +116,11 @@ class TruncatedSeries:
                 key[:direction] + (key[direction] - 1,) + key[direction + 1 :]
             )
             out[lowered] = key[direction] * value
-        return TruncatedSeries(self.dim, self.order - 1, out, self.zero)
+        return TruncatedSeries(self.dim, self.order - 1, out)
 
 
 def _vanishes(value):
     return value.is_zero() if hasattr(value, "is_zero") else value == 0
-
-
-def _clip(coefficients, *orders):
-    order = min(orders)
-    return {k: v for k, v in coefficients.items() if sum(k) <= order}
 
 
 @dataclass(eq=False)
@@ -274,7 +266,7 @@ def gamma_series(state):
         key = _expvec(multi, dim)
         scale = _factorial_of(key)
         coeffs[key] = u if scale == 1 else Fraction(1, scale) * u
-    return TruncatedSeries(dim, state.order, coeffs, Poly({}))
+    return TruncatedSeries(dim, state.order, coeffs)
 
 
 def gamma_partial(state, alpha):
@@ -310,7 +302,7 @@ def structure_series(state, alpha, beta):
             if value:
                 per_rho[rho][key] = scale * value
     return tuple(
-        TruncatedSeries(dim, state.order - 2, coeffs, Fraction(0))
+        TruncatedSeries(dim, state.order - 2, coeffs)
         for coeffs in per_rho
     )
 
@@ -336,7 +328,7 @@ def structure_index(state):
                     per_rho.setdefault(rho, {})[key] = scale * value
     return {
         pair: {
-            rho: TruncatedSeries(dim, state.order - 2, c, Fraction(0))
+            rho: TruncatedSeries(dim, state.order - 2, c)
             for rho, c in per_rho.items()
         }
         for pair, per_rho in coeffs.items()
@@ -353,4 +345,4 @@ def lambda_series(state, alpha, beta):
             continue
         key, scale = split
         coeffs[key] = scale * lam
-    return TruncatedSeries(dim, state.order - 2, coeffs, SuperElement({}))
+    return TruncatedSeries(dim, state.order - 2, coeffs)

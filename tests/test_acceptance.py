@@ -188,7 +188,7 @@ def test_homotopy_identity_weight_and_charge(cubic_ring, p1p1_ring):
 
                 lhs = d_lf(contract_euler(xi, phi)) + contract_euler(d_lf(xi), phi)
                 rhs = form_scale(
-                    Poly.constant(ring.nvars, lam * degxi) + degf * f, xi
+                    Poly.monomial((0,) * ring.nvars, lam * degxi) + degf * f, xi
                 )
                 ok = ok and lhs == rhs
                 cases += 1
@@ -209,7 +209,7 @@ def test_epsilon_closed_form_and_telescoping(cubic_ring, p1p1_ring):
             xi, w = random_homogeneous_form(rng, ring, ring.var_weights)
             got = epsilon_w_s(xi, ring)
             ok = ok and got == form_scale(
-                Poly.constant(ring.nvars, w) + ring.S, xi
+                Poly.monomial((0,) * ring.nvars, w) + ring.S, xi
             )
             cases += 1
     for _ in range(6):
@@ -297,7 +297,7 @@ def test_flat_f_axioms_and_negative_controls(cubic_state4, ci22_state3):
     ok = ok and not check_fqm2(bad_lam).passed
 
     bad_u = copy_state(cubic_state4)
-    bad_u.u_table[(1, 1)] = bad_u.u_table[(1, 1)] + Poly.constant(4, 1)
+    bad_u.u_table[(1, 1)] = bad_u.u_table[(1, 1)] + Poly.monomial((0,) * 4)
     ok = ok and not check_weight_homogeneity(bad_u).passed
 
     doubled_kappa = 2 * default_kappa(cubic_state4.ring)

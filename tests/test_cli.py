@@ -295,6 +295,33 @@ def test_unfold_input_errors_exit_two(tmp_path, capsys, problem, argv, message):
 
 
 @pytest.mark.parametrize(
+    "content, reason",
+    [(None, "No such file"), (b"\xff\xfe", "can't decode byte 0xff")],
+)
+def test_unreadable_problem_file_exits_two(tmp_path, capsys, content, reason):
+    path = tmp_path / "problem.txt"
+    if content is not None:
+        path.write_bytes(content)
+    code = main(["unfold", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"error: cannot read {path}: ")
+    assert reason in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_unwritable_out_exits_two(tmp_path, capsys):
+    out = tmp_path / "missing" / "report.txt"
+    code = main(["unfold", problem_path(tmp_path, CUBIC_PROBLEM), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
     "error",
     [
         ValueError("check_fqm2 needs an order >= 2 state"),

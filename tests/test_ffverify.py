@@ -103,8 +103,8 @@ def dense_axioms_failure(state):
     table = [
         [structure_series(state, a, b) for b in range(dim)] for a in range(dim)
     ]
-    zero = TruncatedSeries(dim, trunc, {}, Fraction(0))
-    one = TruncatedSeries(dim, trunc, {(0,) * dim: Fraction(1)}, Fraction(0))
+    zero = TruncatedSeries(dim, trunc, {})
+    one = TruncatedSeries(dim, trunc, {(0,) * dim: Fraction(1)})
     unit = state.basis.index_of[(0,) * state.ring.nvars]
     r = range(dim)
     cases = [
@@ -219,7 +219,7 @@ def test_unit_rows_at_origin(cubic_state4):
         series = structure_series(cubic_state4, 0, beta)
         for rho in (0, 1):
             expect = Fraction(1 if rho == beta else 0)
-            assert series[rho].coefficient((0, 0)) == expect
+            assert series[rho].coefficients.get((0, 0), 0) == expect
     assert all(tuple(sorted(k)) == k for k in cubic_state4.a_table)
 
 

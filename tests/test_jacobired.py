@@ -106,7 +106,7 @@ def test_reduce_basis_idempotent(cubic_ring):
     got = reduce_with_witness(cubic_ring, basis, Poly.monomial((1, 1, 1, 1)))
     assert got.coefficients == (0, 1)
     assert got.witness == SuperElement({})
-    unit = reduce_with_witness(cubic_ring, basis, Poly.constant(4, 1))
+    unit = reduce_with_witness(cubic_ring, basis, Poly.monomial((0,) * 4))
     assert unit.coefficients == (1, 0)
     assert unit.witness == SuperElement({})
 
@@ -129,7 +129,7 @@ def test_reduce_square_of_basis_rep(cubic_ring):
 
 def test_reduce_mixed_weights(cubic_ring):
     basis = jacobian_basis(cubic_ring)
-    f = Poly.constant(4, 1) + 3 * Poly.monomial((1, 1, 1, 1))
+    f = Poly.monomial((0,) * 4) + 3 * Poly.monomial((1, 1, 1, 1))
     got = reduce_with_witness(cubic_ring, basis, f)
     assert got.coefficients == (1, 3)
     assert got.witness == SuperElement({})

@@ -1,4 +1,5 @@
-"""Every module-level function and class of the engine is used by the engine.
+"""Every module-level function, class and method of the engine is used by the
+engine.
 
 A definition that only tests call is a second way to do a job, or dead code.
 The allowlist holds the few names that are public on purpose although no
@@ -29,12 +30,23 @@ def _definitions(tree):
             yield node
 
 
+def _methods(tree):
+    """(class, method) for every method of a module-level class but dunders."""
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            for node in _definitions(cls):
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    yield cls, node
+
+
+def _outside(tree, skip):
+    skipped = {id(node) for node in ast.walk(skip)} if skip else set()
+    return (node for node in ast.walk(tree) if id(node) not in skipped)
+
+
 def _references(tree, skip):
     """Names loaded, attributes read and names imported, outside `skip`."""
-    skipped = {id(node) for node in ast.walk(skip)} if skip else set()
-    for node in ast.walk(tree):
-        if id(node) in skipped:
-            continue
+    for node in _outside(tree, skip):
         if isinstance(node, ast.Name):
             yield node.id
         elif isinstance(node, ast.Attribute):
@@ -57,10 +69,27 @@ def test_every_definition_is_referenced_in_the_engine():
     assert unused == []
 
 
+def test_every_method_is_read_in_the_engine():
+    """A method counts as used where its name appears as an attribute anywhere
+    else in the engine, an assignment target included."""
+    trees = {path: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    unused = []
+    for path, tree in trees.items():
+        for cls, node in _methods(tree):
+            used = any(
+                isinstance(ref, ast.Attribute) and ref.attr == node.name
+                for other in trees.values()
+                for ref in _outside(other, node if other is tree else None)
+            )
+            if not used and node.name not in ALLOWED:
+                unused.append(f"{path.name}:{node.lineno} {cls.name}.{node.name}")
+    assert unused == []
+
+
 def test_allowlist_names_existing_definitions():
-    defined = {
-        node.name
-        for path in SRC.glob("*.py")
-        for node in _definitions(ast.parse(path.read_text()))
-    }
+    defined = set()
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        defined |= {node.name for node in _definitions(tree)}
+        defined |= {node.name for _, node in _methods(tree)}
     assert set(ALLOWED) <= defined

@@ -215,7 +215,7 @@ def test_homotopy_identity_seeded(cubic_ring, p1p1_ring):
                     d_lf(xi), phi
                 )
                 rhs = form_scale(
-                    Poly.constant(ring.nvars, lam * degxi)
+                    Poly.monomial((0,) * ring.nvars, lam * degxi)
                     + degf * f,
                     xi,
                 )
@@ -233,7 +233,7 @@ def test_epsilon_closed_form(cubic_ring, p1p1_ring):
             xi, w = weight_homogeneous_form(rng, ring)
             got = epsilon_w_s(xi, ring)
             expect = form_scale(
-                Poly.constant(ring.nvars, w) + ring.S, xi
+                Poly.monomial((0,) * ring.nvars, w) + ring.S, xi
             )
             assert got == expect
             if not xi.is_zero():
