@@ -8,9 +8,9 @@ the same key/value shape so their tables can be re-ingested bit-exactly.
 
 Exit codes: 0 when every requested check passes, 1 when a check fails, 2 for
 input errors (unreadable, undecodable or unparsable files, torsion class
-groups, non-spanning rays, refused non-Calabi-Yau input, an unwritable
-``--out``, and the like), 3 for an internal error: any other exception from
-the engine, whose traceback is printed.
+groups, non-spanning rays, fans that are not complete, refused non-Calabi-Yau
+input, an unwritable ``--out``, and the like), 3 for an internal error: any
+other exception from the engine, whose traceback is printed.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .ffverify import (
     check_fqm2,
     check_weight_homogeneity,
 )
-from .intlattice import TorsionClassGroup
+from .intlattice import TorsionClassGroup, UnboundedPolytope
 from .jacobired import BasisIncomplete, NonFiniteQuotient, jacobian_basis
 from .polyalg import Poly, parse_poly, render_poly
 from .supercomplex import parse_super, render_super
@@ -78,6 +78,7 @@ _INPUT_ERRORS = (
     InhomogeneousHypersurface,
     NonFiniteQuotient,
     BasisIncomplete,
+    UnboundedPolytope,
 )
 
 
@@ -119,7 +120,12 @@ def _parse_hypersurface(value, index, lineno, r):
             raise ProblemFormatError(
                 lineno, f"hypersurface {index}: expected 'coeff (exponents)', got {chunk!r}"
             )
-        coeff = Fraction(match.group(1))
+        try:
+            coeff = Fraction(match.group(1))
+        except ZeroDivisionError:
+            raise ProblemFormatError(
+                lineno, f"hypersurface {index}: zero denominator in {chunk!r}"
+            ) from None
         exps = _parse_ivec("(" + match.group(2) + ")", lineno, f"hypersurface {index}")
         if len(exps) != r:
             raise ProblemFormatError(

@@ -10,7 +10,10 @@ reduced element an odd cochain lambda with f = sum(a_i b_i) + Q_S(lambda).
 Columns are monomials in descending grevlex order, so the pivot of a row is
 its grevlex-leading monomial. Generators are enumerated x partials first,
 then y partials, multipliers in descending grevlex; all later determinism
-guarantees flow from that fixed order.
+guarantees flow from that fixed order. Rows are not back-substituted: a
+residue is the normal form modulo the row space, and its combination is the
+unique one over the generators independent in that order, so both equal
+those of the reduced row echelon form.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .polyalg import Poly, grevlex_key, monomial_mul
+from .polyalg import Poly, monomial_mul
 from .supercomplex import SuperElement, q_s
 from .toricring import NotCalabiYau, enumerate_graded_piece, is_calabi_yau
 
@@ -56,9 +59,29 @@ def _axpy(dst, src, scale):
             dst[key] = new
 
 
+def _reduce_lead(row, wit, pivots):
+    """Cancel the leading pivot columns of row, carrying wit along.
+
+    Returns the first leading column with no pivot, or None once row is zero.
+    """
+    while row:
+        lead = min(row)
+        hit = pivots.get(lead)
+        if hit is None:
+            return lead
+        coeff = row[lead]
+        _axpy(row, hit[0], -coeff)
+        _axpy(wit, hit[1], -coeff)
+    return None
+
+
 @dataclass(eq=False)
 class GradedIdealPiece:
-    """One graded piece, its echelonized generators, and the quotient data."""
+    """One graded piece, its echelonized generators, and the quotient data.
+
+    pivots maps each pivot column to (row, wit): an echelon row with a unit
+    lead there, not back-substituted, equal to the generator combination wit.
+    """
 
     charge: tuple
     weight: int
@@ -72,22 +95,15 @@ class GradedIdealPiece:
     def reduce_vector(self, vec):
         """Reduce a column vector; returns (residue, generator combination).
 
-        The input equals sum(residue) over standard columns plus the recorded
-        combination of original generators.
+        The input is sum(residue) over standard columns plus the combination
+        of original generators, both as the reduced row echelon form gives.
         """
-        residue = dict(vec)
-        combo = {}
-        for col in sorted(residue):
-            coeff = residue.get(col)
-            if not coeff:
-                continue
-            hit = self.pivots.get(col)
-            if hit is None:
-                continue
-            row, wit = hit
-            _axpy(residue, row, -coeff)
-            _axpy(combo, wit, coeff)
-        return residue, combo
+        row = dict(vec)
+        wit = {}
+        residue = {}
+        while (lead := _reduce_lead(row, wit, self.pivots)) is not None:
+            residue[lead] = row.pop(lead)
+        return residue, {g: -v for g, v in wit.items()}  # wit was subtracted
 
 
 def ideal_piece(ring, charge, weight):
@@ -96,7 +112,7 @@ def ideal_piece(ring, charge, weight):
     monomials = tuple(enumerate_graded_piece(ring, (charge, weight)))
     col_index = {m: i for i, m in enumerate(monomials)}
     generators = []
-    rows = []
+    pivots = {}
     order = list(range(ring.k, ring.nvars)) + list(range(ring.k))
     for i in order:
         part = ring.s_partials[i]
@@ -113,41 +129,17 @@ def ideal_piece(ring, charge, weight):
             row = {}
             for exps, coeff in part.terms.items():
                 row[col_index[monomial_mul(mult, exps)]] = coeff
+            wit = {len(generators): Fraction(1)}
             generators.append((mult, i))
-            rows.append(row)
-    pivots = {}
-    for gen_idx, row in enumerate(rows):
-        row = dict(row)
-        wit = {gen_idx: Fraction(1)}
-        while row:
-            lead = min(row)
-            hit = pivots.get(lead)
-            if hit is None:
+            lead = _reduce_lead(row, wit, pivots)
+            if lead is not None:
                 inv = Fraction(1) / row[lead]
                 pivots[lead] = (
                     {c: v * inv for c, v in row.items()},
                     {g: v * inv for g, v in wit.items()},
                 )
-                break
-            coeff = row[lead]
-            _axpy(row, hit[0], -coeff)
-            _axpy(wit, hit[1], -coeff)
-    # clear pivot columns from the other rows, rightmost first, so every
-    # surviving row touches only its pivot and standard columns
-    for col in sorted(pivots, reverse=True):
-        crow, cwit = pivots[col]
-        for other, (row, wit) in pivots.items():
-            if other == col or col not in row:
-                continue
-            coeff = row[col]
-            _axpy(row, crow, -coeff)
-            _axpy(wit, cwit, -coeff)
-    standard = tuple(
-        sorted(
-            (m for i, m in enumerate(monomials) if i not in pivots),
-            key=grevlex_key,
-        )
-    )
+    # columns run in descending grevlex order
+    standard = tuple(m for c, m in enumerate(monomials) if c not in pivots)[::-1]
     return GradedIdealPiece(
         charge=charge,
         weight=weight,

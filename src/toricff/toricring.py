@@ -84,6 +84,8 @@ def build_class_grading(rays):
     snf = smith_normal_form(A)
     if len(snf.divisors()) < n:
         raise RaysDoNotSpan(f"rays span a rank-{len(snf.divisors())} sublattice of Z^{n}")
+    if r == n:
+        raise InvalidInput(f"{r} rays in dimension {n} cannot make a complete fan")
     projection = free_cokernel_projection(A)
     charges = tuple(
         tuple(projection[j][rho] for j in range(r - n)) for rho in range(r)

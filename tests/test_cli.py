@@ -283,6 +283,23 @@ def test_unfold_reports_check_failure(tmp_path, capsys, monkeypatch):
             "InvalidInput: hypersurface 0 is zero",
         ),
         (CUBIC_PROBLEM, ["--order", "0"], "InvalidInput: --order must be at least 1"),
+        (
+            CUBIC_PROBLEM.replace("1 (3,0,0)", "1/0 (3,0,0)"),
+            [],
+            "ProblemFormatError: line 2: hypersurface 1: "
+            "zero denominator in '1/0 (3,0,0)'",
+        ),
+        (
+            "rays = (1,0) (0,1)\nhypersurface = 1 (1,0) + 1 (0,1)\norder = 1\n",
+            [],
+            "InvalidInput: 2 rays in dimension 2 cannot make a complete fan",
+        ),
+        (
+            "rays = (1,0) (0,1) (1,1)\n"
+            "hypersurface = 1 (1,0,0) + 1 (0,1,0)\norder = 1\n",
+            [],
+            "UnboundedPolytope: ",
+        ),
     ],
 )
 def test_unfold_input_errors_exit_two(tmp_path, capsys, problem, argv, message):

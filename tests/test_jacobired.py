@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from dimoracle import quotient_dimension
-from toricff.polyalg import Poly
+from toricff.polyalg import Poly, grevlex_key, monomial_mul
 from toricff.supercomplex import SuperElement, q_s
 from toricff.toricring import (
     NotCalabiYau,
@@ -22,7 +22,7 @@ from toricff.jacobired import (
     reduce_with_witness,
 )
 
-from conftest import P2_RAYS, fermat, xpoly
+from conftest import P2_RAYS, P3_RAYS, fermat, xpoly
 
 
 def test_ideal_piece_cubic_weight1(cubic_ring):
@@ -203,3 +203,97 @@ def test_reduction_deterministic(cubic_ring):
         if first is None:
             first = state
         assert state == first
+
+
+def _axpy(dst, src, scale):
+    for key, value in src.items():
+        new = dst.get(key, 0) + scale * value
+        if new:
+            dst[key] = new
+        else:
+            dst.pop(key, None)
+
+
+def _rref_pivots(piece):
+    """Reference: back-substitute a copy of the stored rows into rref."""
+    pivots = {col: (dict(row), dict(wit)) for col, (row, wit) in piece.pivots.items()}
+    for col in sorted(pivots, reverse=True):
+        crow, cwit = pivots[col]
+        for other, (row, wit) in pivots.items():
+            if other != col and col in row:
+                coeff = row[col]
+                _axpy(row, crow, -coeff)
+                _axpy(wit, cwit, -coeff)
+    return pivots
+
+
+def _rref_reduce(pivots, vec):
+    """Reference: one ascending-column sweep against rref rows."""
+    residue = dict(vec)
+    combo = {}
+    for col in sorted(residue):
+        coeff = residue.get(col)
+        if coeff and col in pivots:
+            row, wit = pivots[col]
+            _axpy(residue, row, -coeff)
+            _axpy(combo, wit, coeff)
+    return residue, combo
+
+
+def _generator_row(ring, piece, gen_idx):
+    mult, i = piece.generators[gen_idx]
+    return {
+        piece.col_index[monomial_mul(mult, exps)]: coeff
+        for exps, coeff in ring.s_partials[i].terms.items()
+    }
+
+
+# Fermat plus the product of all variables, so the x partials have two terms
+HESSE_CUBIC = fermat(3, 3) + Poly.monomial((1, 1, 1))
+DWORK_QUARTIC = fermat(4, 4) + Poly.monomial((1, 1, 1, 1))
+
+
+@pytest.fixture(scope="module")
+def hesse_ring():
+    return build_cayley_ring(P2_RAYS, [HESSE_CUBIC])
+
+
+@pytest.fixture(scope="module")
+def dwork_ring():
+    return build_cayley_ring(P3_RAYS, [DWORK_QUARTIC])
+
+
+@pytest.mark.parametrize(
+    "name, weights",
+    [
+        ("hesse", (1, 2, 3)),
+        ("ci22", (1, 2, 3)),
+        ("dwork", (2, 3)),
+        ("p1p1", (1, 2)),
+    ],
+)
+def test_echelon_reduction_matches_rref_reference(request, name, weights):
+    """Unreduced echelon rows give the residue and combination of rref."""
+    ring = request.getfixturevalue(name + "_ring")
+    rng = random.Random(name)
+    multi_term = 0
+    for w in weights:
+        piece = ideal_piece(ring, ring.c_B, w)
+        multi_term += sum(len(row) > 1 for row, _ in piece.pivots.values())
+        for col, (row, wit) in piece.pivots.items():
+            assert min(row) == col and row[col] == 1
+            rebuilt = {}
+            for gen_idx, coeff in wit.items():
+                _axpy(rebuilt, _generator_row(ring, piece, gen_idx), coeff)
+            assert rebuilt == row
+        standard = [m for c, m in enumerate(piece.monomials) if c not in piece.pivots]
+        assert piece.standard_monomials == tuple(sorted(standard, key=grevlex_key))
+        rref = _rref_pivots(piece)
+        ncols = len(piece.monomials)
+        for _ in range(8):
+            cols = rng.sample(range(ncols), min(6, ncols))
+            vec = {
+                c: Fraction(rng.randint(-6, 6) or 1, rng.randint(1, 4)) for c in cols
+            }
+            assert piece.reduce_vector(vec) == _rref_reduce(rref, vec)
+    assert multi_term

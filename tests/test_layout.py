@@ -1,9 +1,10 @@
 """Every module-level function, class and method of the engine is used by the
-engine.
+engine, and the engine checks its invariants without `assert`.
 
 A definition that only tests call is a second way to do a job, or dead code.
 The allowlist holds the few names that are public on purpose although no
-other engine code calls them.
+other engine code calls them. An `assert` vanishes under `python -O`, so an
+invariant raises an explicit exception instead.
 """
 
 import ast
@@ -93,3 +94,13 @@ def test_allowlist_names_existing_definitions():
         defined |= {node.name for node in _definitions(tree)}
         defined |= {node.name for _, node in _methods(tree)}
     assert set(ALLOWED) <= defined
+
+
+def test_engine_has_no_assert_statements():
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
