@@ -1,12 +1,19 @@
 """Problem-file parsing, subcommands, report stability, and re-ingestion."""
 
+import hashlib
+import importlib.util
+import json
+import sys
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from toricff.cli import (
     ProblemFile,
     ProblemFormatError,
+    cmd_unfold,
     ingest_report,
     main,
     parse_problem,
@@ -404,3 +411,47 @@ def test_render_problem_is_canonical():
     assert text.splitlines()[0] == "rays = (1,0) (0,1) (-1,-1)"
     assert "hypersurface = 1 (3,0,0) + 1 (0,3,0) + 1 (0,0,3)" in text
     assert "order = 4" in text
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _bench_problems():
+    """The benchmark's problem generator, bench/problems.py."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_problems", BENCH / "problems.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclass looks itself up here
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize(
+    "name, changes, expected",
+    [
+        pytest.param("k3-verify", {}, None, id="k3-verify"),
+        pytest.param(
+            "k3-verify",
+            {"retain_intermediates": True},
+            "bf0806373d76ea1eabe2b6f7cb9585cb46b339924e8b4b0cf263bab0de707dd6",
+            id="k3-order2-retained",
+        ),
+        pytest.param(
+            "ci22-deep",
+            {"order": 6, "retain_intermediates": True},
+            "8ac2e8a9009682f1181d8511713538eac5ce61f5117632f8d0613a1659fd5b39",
+            id="ci22-order6-retained",
+        ),
+    ],
+)
+def test_report_golden_digests(name, changes, expected):
+    # seed-0 problems; retain-intermediates = yes also prints every step input
+    problems = _bench_problems()
+    text = problems.problem_text(problems.WORKLOADS[name], 0)
+    if expected is None:  # the benchmark's own pin
+        pins = json.loads((BENCH / "expected.json").read_text())
+        expected = pins[name]["seed0_sha256"]
+    code, report = cmd_unfold(replace(parse_problem(text), **changes))
+    assert code == 0
+    assert hashlib.sha256(report.encode()).hexdigest() == expected
