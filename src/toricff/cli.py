@@ -8,7 +8,7 @@ the same key/value shape so their tables can be re-ingested bit-exactly.
 
 Exit codes: 0 when every requested check passes, 1 when a check fails, 2 for
 input errors (unreadable, undecodable or unparsable files, torsion class
-groups, non-spanning rays, fans that are not complete, refused non-Calabi-Yau
+groups, rays that do not span or do not positively span, refused non-Calabi-Yau
 input, an unwritable ``--out``, and the like), 3 for an internal error: any
 other exception from the engine, whose traceback is printed.
 """
@@ -31,8 +31,8 @@ from .ffverify import (
     check_fqm2,
     check_weight_homogeneity,
 )
-from .intlattice import TorsionClassGroup, UnboundedPolytope
-from .jacobired import BasisIncomplete, NonFiniteQuotient, jacobian_basis
+from .intlattice import TorsionClassGroup
+from .jacobired import BasisIncomplete, jacobian_basis
 from .polyalg import Poly, parse_poly, render_poly
 from .supercomplex import parse_super, render_super
 from .toricring import (
@@ -76,9 +76,7 @@ _INPUT_ERRORS = (
     RaysDoNotSpan,
     NotCalabiYau,
     InhomogeneousHypersurface,
-    NonFiniteQuotient,
     BasisIncomplete,
-    UnboundedPolytope,
 )
 
 

@@ -24,7 +24,6 @@ from .supercomplex import (
 )
 from .unfolding import (
     TruncatedSeries,
-    _expvec,
     _vanishes,
     gamma_partial,
     gamma_series,
@@ -53,9 +52,16 @@ class VerificationReport:
     failure: Failure | None
 
 
+def _expvec(multi, dim):
+    """The exponent vector of the t-monomial keyed by the sorted tuple multi."""
+    return tuple(multi.count(j) for j in range(dim))
+
+
 def _first_residual(left, right):
-    keys = sorted(set(left.coefficients) | set(right.coefficients))
-    for key in keys:
+    """The first key where the sides differ, with the difference there, or
+    None. Keys go in exponent-vector order, which is that of negated keys."""
+    keys = left.coefficients.keys() | right.coefficients.keys()
+    for key in sorted(keys, key=lambda multi: tuple(-j for j in multi)):
         a = left.coefficients.get(key)
         b = right.coefficients.get(key)
         if a is None:
@@ -93,8 +99,8 @@ def _verdict(check, truncation, outcomes, total=None):
 
 def _compared(ring, cases):
     """Outcomes of lazy (site, left, right) series cases: None where the sides
-    agree, else a Failure naming the site, the first t-exponent (in sorted
-    order) where the sides differ, and their difference there."""
+    agree, else a Failure naming the site, the exponent vector of the first
+    t-monomial where the sides differ, and their difference there."""
     for site, left, right in cases:
         hit = _first_residual(left, right)
         if hit is None:
@@ -106,7 +112,7 @@ def _compared(ring, cases):
             residual = render_poly(value, ring.names)
         else:  # a rational coefficient of the structure constants
             weight, residual = None, str(value)
-        yield Failure(site, tuple(key), weight, residual)
+        yield Failure(site, _expvec(key, left.dim), weight, residual)
 
 
 def _q_total(ring, gamma, series):
@@ -119,13 +125,12 @@ def _q_total(ring, gamma, series):
 
 def _entry_cases(state, dim):
     for multi in sorted(state.lam_table):
-        key = _expvec(multi, dim)
         yield (
             f"u vs Delta(lambda) at multiset {multi}",
             TruncatedSeries(
-                dim, state.order, {key: delta(state.lam_table[multi]).to_poly()}
+                dim, state.order, {multi: delta(state.lam_table[multi]).to_poly()}
             ),
-            TruncatedSeries(dim, state.order, {key: state.u_table[multi]}),
+            TruncatedSeries(dim, state.order, {multi: state.u_table[multi]}),
         )
 
 
@@ -191,8 +196,8 @@ def _potentiality_cases(index, zero):
     for (alpha, beta), row in index.items():
         for sigma, series in row.items():
             for key in series.coefficients:
-                for gamma_idx, count in enumerate(key):
-                    if count and gamma_idx != alpha:
+                for gamma_idx in set(key):
+                    if gamma_idx != alpha:
                         low, high = sorted((alpha, gamma_idx))
                         hits.add((low, high, beta, sigma))
     for alpha, gamma_idx, beta, sigma in sorted(hits):
@@ -250,7 +255,7 @@ def check_flat_f_axioms(state):
     trunc = state.order - 2
     index = structure_index(state)
     zero = TruncatedSeries(dim, trunc, {})
-    one = TruncatedSeries(dim, trunc, {(0,) * dim: Fraction(1)})
+    one = TruncatedSeries(dim, trunc, {(): Fraction(1)})
     unit = state.basis.index_of[(0,) * ring.nvars]
     strict_pairs = dim * (dim - 1) // 2
     cases = strict_pairs * dim + dim * dim + dim * dim * (dim + 1) // 2 * dim
@@ -339,7 +344,7 @@ def _euler_cases(state, kappa, dim, trunc):
     k = ring.k
     gamma = gamma_series(state)
     e_series = TruncatedSeries(
-        dim, state.order, {(0,) * dim: _euler_weight(ring, ring.S)}
+        dim, state.order, {(): _euler_weight(ring, ring.S)}
     ) + gamma.map(lambda u: _euler_weight(ring, u))
     for alpha in range(dim):
         ga = gamma_partial(state, alpha)

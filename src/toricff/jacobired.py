@@ -38,17 +38,6 @@ class BasisIncomplete(Exception):
         self.weight = weight
 
 
-class NonFiniteQuotient(Exception):
-    """A probe weight above the expected range has a nonzero quotient."""
-
-    def __init__(self, weight, dimension):
-        super().__init__(
-            f"quotient has dimension {dimension} at probe weight {weight}"
-        )
-        self.weight = weight
-        self.dimension = dimension
-
-
 def _axpy(dst, src, scale):
     """dst += scale * src on sparse dicts, dropping exact zeros."""
     for key, value in src.items():
@@ -173,12 +162,11 @@ class JacobianBasis:
         return got
 
 
-def jacobian_basis(ring, allow_non_cy=False, probe_extra_weights=0):
+def jacobian_basis(ring, allow_non_cy=False):
     """Quotient basis at the anticanonical charge, weights 0..n-k.
 
     The quotient of a quasi-smooth system is concentrated in that weight
-    range; probe_extra_weights optionally checks the next few weights are
-    empty and raises NonFiniteQuotient otherwise.
+    range.
     """
     if not allow_non_cy and not is_calabi_yau(ring):
         raise NotCalabiYau(
@@ -198,12 +186,6 @@ def jacobian_basis(ring, allow_non_cy=False, probe_extra_weights=0):
         for m in piece.standard_monomials:
             monomials.append(m)
             weights.append(w)
-    for w in range(max_weight + 1, max_weight + 1 + probe_extra_weights):
-        piece = ideal_piece(ring, charge, w)
-        pieces[w] = piece
-        extra = len(piece.standard_monomials)
-        if extra:
-            raise NonFiniteQuotient(w, extra)
     return JacobianBasis(
         ring=ring,
         charge=charge,

@@ -84,8 +84,15 @@ def build_class_grading(rays):
     snf = smith_normal_form(A)
     if len(snf.divisors()) < n:
         raise RaysDoNotSpan(f"rays span a rank-{len(snf.divisors())} sublattice of Z^{n}")
-    if r == n:
-        raise InvalidInput(f"{r} rays in dimension {n} cannot make a complete fan")
+    # the fan is complete only if the rays positively span: the dual cone
+    # {m : <m, v> >= 0 for every ray v} is {0} exactly when it is bounded
+    dual = LatticePolytope(inequalities=tuple((ray, 0) for ray in rays), dim=n)
+    try:
+        enumerate_lattice_points(dual)
+    except UnboundedPolytope:
+        raise InvalidInput(
+            f"rays do not positively span R^{n}, so the fan is not complete"
+        ) from None
     projection = free_cokernel_projection(A)
     charges = tuple(
         tuple(projection[j][rho] for j in range(r - n)) for rho in range(r)
@@ -101,7 +108,6 @@ class CayleyRing:
     k: int
     r: int
     betas: tuple  # charge of each hypersurface
-    G: tuple  # hypersurfaces embedded into the k+r variables
     S: Poly
     s_partials: tuple
     var_charges: tuple
@@ -185,7 +191,6 @@ def build_cayley_ring(rays, hypersurfaces):
         k=k,
         r=r,
         betas=tuple(betas),
-        G=tuple(embedded),
         S=S,
         s_partials=s_partials,
         var_charges=var_charges,

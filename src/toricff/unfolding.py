@@ -8,7 +8,9 @@ structure constants are the generating series
   Gamma            = sum over multisets C of u_C t^C / C!
   A_alphabeta^rho  = sum over multisets C of a_{(alpha,beta)+C}^rho t^C / C!
 
-so the series produced here carry the already-divided coefficients.
+so the series produced here carry the already-divided coefficients. A series
+keys t^C by the same sorted tuple C as the tables, so no exponent vector is
+built here.
 
 Each new multiset gamma of size m >= 2 is settled by a single reduction: with
 (alpha, beta) the two smallest entries and C the remaining multiset,
@@ -17,10 +19,11 @@ Each new multiset gamma of size m >= 2 is settled by a single reduction: with
     - sum over A+B=C, B nonempty, of W(A,B) sum_rho a_{(alpha,beta)+A}^rho u_{B+rho}
     - sum over A+B=C, A nonempty, of W(A,B) Q_{u_A}(lambda_{(alpha,beta)+B})
 
-with W(A,B) the componentwise binomial split weight. Reducing f against the
-basis defines a_gamma and lambda_gamma, and u_gamma := Delta(lambda_gamma).
-For size 2 this is literally the reduction of u_alpha u_beta. The weight of
-every stored u_gamma is checked to equal 1 - sum of wt(t) over gamma.
+with W(A,B) = C! / (A! B!), a product of binomial coefficients of the counts.
+Reducing f against the basis defines a_gamma and lambda_gamma, and u_gamma :=
+Delta(lambda_gamma). For size 2 this is literally the reduction of u_alpha
+u_beta. The weight of every stored u_gamma is checked to equal 1 - sum of
+wt(t) over gamma.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, groupby, product
 from math import comb, factorial, prod
 
 from .jacobired import reduce_with_witness
@@ -45,9 +48,11 @@ class MissingTableEntry(KeyError):
 class TruncatedSeries:
     """Formal series over t-monomials, cut at a fixed total degree.
 
-    Keys are exponent tuples over the direction set; a key is absent exactly
-    where its coefficient vanishes, so arithmetic may drop vanishing
-    coefficients freely.
+    A t-monomial is keyed as the tables key their entries: the sorted tuple
+    of its directions, each repeated by its exponent, so t0*t2^2 is (0, 2, 2)
+    and the degree of a key is its length. A key is absent exactly where its
+    coefficient vanishes, so arithmetic may drop vanishing coefficients
+    freely.
     """
 
     dim: int
@@ -57,16 +62,18 @@ class TruncatedSeries:
     def __post_init__(self):
         clean = {}
         for key, value in self.coefficients.items():
-            if len(key) != self.dim:
-                raise ValueError(f"key {key} has wrong dimension")
-            if sum(key) > self.order:
+            if len(key) > self.order:
                 raise ValueError(f"key {key} beyond truncation {self.order}")
+            if any(a > b for a, b in zip(key, key[1:])):
+                raise ValueError(f"key {key} is not sorted")
+            if key and not (key[0] >= 0 and key[-1] < self.dim):
+                raise ValueError(f"key {key} leaves directions 0..{self.dim - 1}")
             if not _vanishes(value):
                 clean[key] = value
         object.__setattr__(self, "coefficients", clean)
 
     def truncate(self, order):
-        kept = {k: v for k, v in self.coefficients.items() if sum(k) <= order}
+        kept = {k: v for k, v in self.coefficients.items() if len(k) <= order}
         return TruncatedSeries(self.dim, order, kept)
 
     def map(self, fn):
@@ -82,7 +89,7 @@ class TruncatedSeries:
         out = dict(self.coefficients)
         for key, value in other.coefficients.items():
             out[key] = out[key] + value if key in out else value
-        kept = {k: v for k, v in out.items() if sum(k) <= order}
+        kept = {k: v for k, v in out.items() if len(k) <= order}
         return TruncatedSeries(self.dim, order, kept)
 
     def __sub__(self, other):
@@ -99,10 +106,11 @@ class TruncatedSeries:
         order = min(self.order, other.order)
         out = {}
         for akey, avalue in self.coefficients.items():
+            room = order - len(akey)
             for bkey, bvalue in other.coefficients.items():
-                key = tuple(x + y for x, y in zip(akey, bkey))
-                if sum(key) > order:
+                if len(bkey) > room:
                     continue
+                key = tuple(sorted(akey + bkey))
                 value = pair(avalue, bvalue)
                 out[key] = out[key] + value if key in out else value
         return TruncatedSeries(self.dim, order, out)
@@ -110,12 +118,9 @@ class TruncatedSeries:
     def partial(self, direction):
         out = {}
         for key, value in self.coefficients.items():
-            if key[direction] == 0:
-                continue
-            lowered = (
-                key[:direction] + (key[direction] - 1,) + key[direction + 1 :]
-            )
-            out[lowered] = key[direction] * value
+            count = key.count(direction)
+            if count:
+                out[_remove_one(key, direction)] = count * value
         return TruncatedSeries(self.dim, self.order - 1, out)
 
 
@@ -144,37 +149,29 @@ def _u(state, key):
     return got
 
 
-def _expand(expvec):
-    out = []
-    for index, count in enumerate(expvec):
-        out.extend([index] * count)
-    return tuple(out)
-
-
-def _splits(expvec):
-    """All componentwise decompositions A + B = C with binomial weights."""
-    for avec in product(*(range(c + 1) for c in expvec)):
-        bvec = tuple(c - a for c, a in zip(expvec, avec))
-        weight = prod(comb(c, a) for c, a in zip(expvec, avec))
-        yield avec, bvec, weight
+def _splits(tail):
+    """Every split of the sorted multiset tail into sorted A and B, with the
+    weight W(A, B)."""
+    runs = [(j, len(tuple(run))) for j, run in groupby(tail)]
+    for counts in product(*(range(c + 1) for _, c in runs)):
+        a_part, b_part, weight = (), (), 1
+        for (j, c), a in zip(runs, counts):
+            a_part += (j,) * a
+            b_part += (j,) * (c - a)
+            weight *= comb(c, a)
+        yield a_part, b_part, weight
 
 
 def _assemble_input(state, multi):
-    alpha, beta = multi[0], multi[1]
-    dim = len(state.basis.monomials)
-    tail = [0] * dim
-    for j in multi[2:]:
-        tail[j] += 1
+    # alpha <= beta <= every tail entry, so prefixing them keeps keys sorted
+    alpha, beta, tail = multi[0], multi[1], multi[2:]
     f = Poly({})
-    for avec, bvec, weight in _splits(tuple(tail)):
-        a_part = _expand(avec)
-        b_part = _expand(bvec)
+    for a_part, b_part, weight in _splits(tail):
         f = f + weight * (
-            _u(state, tuple(sorted(a_part + (alpha,))))
-            * _u(state, tuple(sorted(b_part + (beta,))))
+            _u(state, (alpha,) + a_part) * _u(state, (beta,) + b_part)
         )
         if b_part:
-            a_key = tuple(sorted((alpha, beta) + a_part))
+            a_key = (alpha, beta) + a_part
             a_vals = state.a_table.get(a_key)
             if a_vals is None:
                 raise MissingTableEntry(f"a table lacks {a_key}")
@@ -184,7 +181,7 @@ def _assemble_input(state, multi):
                         state, tuple(sorted(b_part + (rho,)))
                     )
         if a_part:
-            lam_key = tuple(sorted((alpha, beta) + b_part))
+            lam_key = (alpha, beta) + b_part
             lam = state.lam_table.get(lam_key)
             if lam is None:
                 raise MissingTableEntry(f"lambda table lacks {lam_key}")
@@ -242,8 +239,9 @@ def run(ring, basis, order, debug=False):
     return state
 
 
-def _factorial_of(expvec):
-    return prod(map(factorial, expvec))
+def _factorial_of(multi):
+    """C! of the multiset C: the product of the factorials of its counts."""
+    return prod(factorial(len(tuple(run))) for _, run in groupby(multi))
 
 
 def _remove_one(multi, value):
@@ -251,22 +249,13 @@ def _remove_one(multi, value):
     return multi[:pos] + multi[pos + 1 :]
 
 
-def _expvec(multi, dim):
-    out = [0] * dim
-    for j in multi:
-        out[j] += 1
-    return tuple(out)
-
-
 def gamma_series(state):
     """Gamma as a series of weight-homogeneous polynomials, degree <= order."""
-    dim = len(state.basis.monomials)
     coeffs = {}
     for multi, u in state.u_table.items():
-        key = _expvec(multi, dim)
-        scale = _factorial_of(key)
-        coeffs[key] = u if scale == 1 else Fraction(1, scale) * u
-    return TruncatedSeries(dim, state.order, coeffs)
+        scale = _factorial_of(multi)
+        coeffs[multi] = u if scale == 1 else Fraction(1, scale) * u
+    return TruncatedSeries(len(state.basis.monomials), state.order, coeffs)
 
 
 def gamma_partial(state, alpha):
@@ -274,10 +263,10 @@ def gamma_partial(state, alpha):
     return gamma_series(state).partial(alpha)
 
 
-def _split_pair(multi, alpha, beta, dim):
+def _split_pair(multi, alpha, beta):
     """(C, 1/C!) with multi = (alpha, beta) + C as multisets, or None.
 
-    C is returned as its t-exponent vector; this is the coefficient walk
+    C is a sorted tuple, the series key of t^C; this is the coefficient walk
     shared by every series indexed by a pair of directions.
     """
     if alpha not in multi:
@@ -285,7 +274,7 @@ def _split_pair(multi, alpha, beta, dim):
     rest = _remove_one(multi, alpha)
     if beta not in rest:
         return None
-    key = _expvec(_remove_one(rest, beta), dim)
+    key = _remove_one(rest, beta)
     return key, Fraction(1, _factorial_of(key))
 
 
@@ -294,7 +283,7 @@ def structure_series(state, alpha, beta):
     dim = len(state.basis.monomials)
     per_rho = [{} for _ in range(dim)]
     for multi, values in state.a_table.items():
-        split = _split_pair(multi, alpha, beta, dim)
+        split = _split_pair(multi, alpha, beta)
         if split is None:
             continue
         key, scale = split
@@ -322,7 +311,7 @@ def structure_index(state):
             continue
         for alpha in set(multi):
             for beta in set(_remove_one(multi, alpha)):
-                key, scale = _split_pair(multi, alpha, beta, dim)
+                key, scale = _split_pair(multi, alpha, beta)
                 per_rho = coeffs.setdefault((alpha, beta), {})
                 for rho, value in support:
                     per_rho.setdefault(rho, {})[key] = scale * value
@@ -340,7 +329,7 @@ def lambda_series(state, alpha, beta):
     dim = len(state.basis.monomials)
     coeffs = {}
     for multi, lam in state.lam_table.items():
-        split = _split_pair(multi, alpha, beta, dim)
+        split = _split_pair(multi, alpha, beta)
         if split is None:
             continue
         key, scale = split

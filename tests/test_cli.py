@@ -152,6 +152,22 @@ def test_grading_torsion(tmp_path, capsys):
     assert "TorsionClassGroup" in err
 
 
+def test_grading_rejects_incomplete_fan(tmp_path, capsys):
+    text = (
+        "rays = (1,0) (0,1) (1,1)\n"
+        "hypersurface = 1 (1,0,0) + 1 (0,1,0)\n"
+        "order = 1\n"
+    )
+    code = main(["grading", problem_path(tmp_path, text)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == (
+        "error: InvalidInput: rays do not positively span R^2, "
+        "so the fan is not complete\n"
+    )
+    assert captured.out == ""
+
+
 def test_basis_cubic(tmp_path, capsys):
     code = main(["basis", problem_path(tmp_path, CUBIC_PROBLEM)])
     out = capsys.readouterr().out
@@ -299,13 +315,13 @@ def test_unfold_reports_check_failure(tmp_path, capsys, monkeypatch):
         (
             "rays = (1,0) (0,1)\nhypersurface = 1 (1,0) + 1 (0,1)\norder = 1\n",
             [],
-            "InvalidInput: 2 rays in dimension 2 cannot make a complete fan",
+            "InvalidInput: rays do not positively span R^2, so the fan is not complete",
         ),
         (
             "rays = (1,0) (0,1) (1,1)\n"
             "hypersurface = 1 (1,0,0) + 1 (0,1,0)\norder = 1\n",
             [],
-            "UnboundedPolytope: ",
+            "InvalidInput: rays do not positively span R^2, so the fan is not complete",
         ),
     ],
 )

@@ -95,6 +95,10 @@ def with_a_entry(state, multi, rho, value):
     return bad
 
 
+def exponent_vector(multi, dim):
+    return tuple(multi.count(j) for j in range(dim))
+
+
 def dense_axioms_failure(state):
     """First failing (site, monomial, residual) of the four axiom families,
     expanded over every case on the dense table of structure series."""
@@ -104,7 +108,7 @@ def dense_axioms_failure(state):
         [structure_series(state, a, b) for b in range(dim)] for a in range(dim)
     ]
     zero = TruncatedSeries(dim, trunc, {})
-    one = TruncatedSeries(dim, trunc, {(0,) * dim: Fraction(1)})
+    one = TruncatedSeries(dim, trunc, {(): Fraction(1)})
     unit = state.basis.index_of[(0,) * state.ring.nvars]
     r = range(dim)
     cases = [
@@ -136,7 +140,7 @@ def dense_axioms_failure(state):
     for site, left, right in cases:
         hit = _first_residual(left, right)
         if hit is not None:
-            return site, hit[0], str(hit[1])
+            return site, exponent_vector(hit[0], dim), str(hit[1])
     return None
 
 
@@ -161,6 +165,35 @@ def test_axioms_match_dense_reference(p1p1_ring, p1p1_basis):
             assert (fail.site, fail.monomial, fail.residual) == expected
             seen.add(fail.site.split()[0])
     assert seen == {"unit", "associativity"}
+
+
+def test_first_residual_in_exponent_vector_order():
+    # t2, t0*t1, t1^2 and t0^2*t2 differ; t2 has the least exponent vector,
+    # though (2,) is the greatest of the four key tuples
+    keys = [(2,), (0, 1), (1, 1), (0, 0, 2)]
+    left = TruncatedSeries(3, 3, {key: Fraction(1) for key in keys})
+    assert _first_residual(left, TruncatedSeries(3, 3, {})) == ((2,), 1)
+    rng = random.Random(5)
+    for _ in range(200):
+        dim = rng.randint(1, 4)
+        keys = {
+            tuple(sorted(rng.randrange(dim) for _ in range(rng.randint(0, 4))))
+            for _ in range(6)
+        }
+        left, right = (
+            TruncatedSeries(dim, 4, {k: Fraction(rng.randint(-1, 1)) for k in keys})
+            for _ in range(2)
+        )
+        diff = {
+            k: left.coefficients.get(k, 0) - right.coefficients.get(k, 0)
+            for k in keys
+        }
+        differing = [k for k in keys if diff[k]]
+        expected = None
+        if differing:
+            first = min(differing, key=lambda k: exponent_vector(k, dim))
+            expected = (first, diff[first])
+        assert _first_residual(left, right) == expected
 
 
 def test_axioms_pass_on_k3(k3_state2, k3_state3):
@@ -219,7 +252,7 @@ def test_unit_rows_at_origin(cubic_state4):
         series = structure_series(cubic_state4, 0, beta)
         for rho in (0, 1):
             expect = Fraction(1 if rho == beta else 0)
-            assert series[rho].coefficients.get((0, 0), 0) == expect
+            assert series[rho].coefficients.get((), 0) == expect
     assert all(tuple(sorted(k)) == k for k in cubic_state4.a_table)
 
 

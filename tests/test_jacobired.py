@@ -15,7 +15,6 @@ from toricff.toricring import (
 )
 from toricff.jacobired import (
     BasisIncomplete,
-    NonFiniteQuotient,
     NotCharge0,
     ideal_piece,
     jacobian_basis,
@@ -155,16 +154,6 @@ def test_degenerate_basis_incomplete():
     with pytest.raises(BasisIncomplete) as info:
         reduce_with_witness(ring, basis, f)
     assert info.value.weight == 2
-
-
-def test_degenerate_probe_detects_non_finite():
-    ring = degenerate_ring()
-    with pytest.raises(NonFiniteQuotient):
-        jacobian_basis(ring, probe_extra_weights=1)
-    smooth = jacobian_basis(
-        build_cayley_ring(P2_RAYS, [fermat(3, 3)]), probe_extra_weights=2
-    )
-    assert smooth.dims == (1, 1)
 
 
 def test_reduction_identity_seeded(cubic_ring, ci22_ring):

@@ -84,7 +84,7 @@ def test_delta_pins():
 
 
 def test_q_s_pins(cubic_ring):
-    g = cubic_ring.G[0]
+    g = cubic_ring.S.partial(0)
     assert q_s(eta(0), cubic_ring) == SuperElement.from_poly(g)
     assert q_s(eta(1), cubic_ring) == SuperElement.from_poly(
         3 * Poly.monomial((1, 2, 0, 0))
@@ -330,3 +330,24 @@ def test_render_parse_super(cubic_ring):
         v = random_super(rng, cubic_ring)
         text = render_super(v, cubic_ring.names, cubic_ring.eta_names)
         assert parse_super(text, cubic_ring.names, cubic_ring.eta_names) == v
+
+
+def test_render_super_ignores_term_order(cubic_ring):
+    # terms sort by eta tuple, then by descending grevlex; no two keys tie,
+    # so terms that share a monomial print the same in any insertion order
+    names, eta_names = cubic_ring.names, cubic_ring.eta_names
+    w = Y * X1 * eta(2) + X1 * X1 * eta(0) - Y * X1 * eta(0) + 3 * (Y * X1)
+    assert render_super(w, names, eta_names) == (
+        "3*y1*x1 - y1*x1*eta1 + x1^2*eta1 + y1*x1*eta3"
+    )
+    rng = random.Random(11)
+    shared = [((1, 1, 0, 0), etas) for etas in ((), (0,), (1,), (0, 2), (1, 3))]
+    for _ in range(20):
+        terms = dict(random_super(rng, cubic_ring, max_terms=8).terms)
+        for key in shared:
+            terms[key] = Fraction(rng.randint(-5, 5) or 1)
+        items = list(terms.items())
+        expected = render_super(SuperElement(dict(items)), names, eta_names)
+        for _ in range(5):
+            rng.shuffle(items)
+            assert render_super(SuperElement(dict(items)), names, eta_names) == expected

@@ -99,13 +99,24 @@ def test_run_rejects_non_calabi_yau():
 def test_gamma_series_pins(cubic_state4):
     series = gamma_series(cubic_state4)
     assert series.order == 4
-    assert series.coefficients[(1, 0)] == Poly.monomial((0,) * 4)
-    assert (1, 1) not in series.coefficients
+    assert series.coefficients[(0,)] == Poly.monomial((0,) * 4)
+    assert (0, 1) not in series.coefficients
     for multi, scale in (((1, 1), 2), ((1, 1, 1), 6), ((1, 1, 1, 1), 24)):
-        got = series.coefficients.get((0, len(multi)), Poly({}))
+        got = series.coefficients.get(multi, Poly({}))
         assert got == Fraction(1, scale) * cubic_state4.u_table[multi]
-    with pytest.raises(ValueError):
-        TruncatedSeries(2, 4, {(0, 5): Poly.monomial((0,) * 4)})
+
+
+@pytest.mark.parametrize(
+    "key, reason",
+    [
+        ((1, 0), "not sorted"),
+        ((0, 2), "leaves directions"),
+        ((1, 1, 1, 1, 1), "beyond truncation"),
+    ],
+)
+def test_truncated_series_rejects_key(key, reason):
+    with pytest.raises(ValueError, match=reason):
+        TruncatedSeries(2, 4, {key: Poly.monomial((0,) * 4)})
 
 
 def test_gamma_partial_matches_series(cubic_state4):
@@ -118,14 +129,14 @@ def test_gamma_partial_matches_series(cubic_state4):
 
 
 def test_structure_series_pins(cubic_state4):
-    zero = (0, 0)
+    zero = ()
     unit = structure_series(cubic_state4, 0, 0)
     assert unit[0].coefficients[zero] == 1
     assert zero not in unit[1].coefficients
     assert unit[0].order == 2
     mixed = structure_series(cubic_state4, 0, 1)
     assert mixed[0].coefficients == {}
-    assert mixed[1].coefficients == {(0, 0): Fraction(1)}
+    assert mixed[1].coefficients == {(): Fraction(1)}
     heavy = structure_series(cubic_state4, 1, 1)
     for rho in (0, 1):
         assert zero not in heavy[rho].coefficients
@@ -155,24 +166,24 @@ def test_lambda_series_matches_table(cubic_state4):
     lam = lambda_series(cubic_state4, 1, 1)
     assert lam.order == 2
     for multi, scale in (((1, 1), 1), ((1, 1, 1), 1), ((1, 1, 1, 1), 2)):
-        got = lam.coefficients.get((0, len(multi) - 2), SuperElement({}))
+        got = lam.coefficients.get(multi[2:], SuperElement({}))
         assert got == Fraction(1, scale) * cubic_state4.lam_table[multi]
 
 
 def test_truncated_series_arithmetic():
-    f = TruncatedSeries(1, 2, {(0,): Fraction(1), (1,): Fraction(2), (2,): Fraction(3)})
-    g = TruncatedSeries(1, 2, {(1,): Fraction(1)})
+    f = TruncatedSeries(1, 2, {(): Fraction(1), (0,): Fraction(2), (0, 0): Fraction(3)})
+    g = TruncatedSeries(1, 2, {(0,): Fraction(1)})
     prod = f * g
     assert prod.order == 2
-    assert prod.coefficients == {(1,): 1, (2,): 2}
-    assert (f + g).coefficients == {(0,): 1, (1,): 3, (2,): 3}
-    assert (f - g).coefficients == {(0,): 1, (1,): 1, (2,): 3}
+    assert prod.coefficients == {(0,): 1, (0, 0): 2}
+    assert (f + g).coefficients == {(): 1, (0,): 3, (0, 0): 3}
+    assert (f - g).coefficients == {(): 1, (0,): 1, (0, 0): 3}
     assert (g - g).coefficients == {}
-    assert (f + g.truncate(1)).coefficients == {(0,): 1, (1,): 3}
-    assert f.map(lambda c: 2 * c).coefficients == {(0,): 2, (1,): 4, (2,): 6}
+    assert (f + g.truncate(1)).coefficients == {(): 1, (0,): 3}
+    assert f.map(lambda c: 2 * c).coefficients == {(): 2, (0,): 4, (0, 0): 6}
     d = f.partial(0)
     assert d.order == 1
-    assert d.coefficients == {(0,): 2, (1,): 6}
+    assert d.coefficients == {(): 2, (0,): 6}
 
 
 def test_ci22_state_smoke(ci22_state3):
