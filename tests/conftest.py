@@ -1,11 +1,14 @@
-"""Shared example rings: three Calabi-Yau fixtures plus a rank-2 charge lattice."""
+"""Shared example rings: three Calabi-Yau fixtures plus a rank-2 charge lattice,
+and a per-pair table scan that the pair-indexed series are compared against."""
 
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
 
 from toricff.polyalg import Poly
 from toricff.toricring import build_cayley_ring
+from toricff.unfolding import TruncatedSeries
 
 P2_RAYS = ((1, 0), (0, 1), (-1, -1))
 P4_RAYS = (
@@ -145,3 +148,45 @@ def k3_state3(k3_ring, k3_basis):
     from toricff.unfolding import run
 
     return run(k3_ring, k3_basis, 3)
+
+
+def pair_scan(table, alpha, beta):
+    """{C: (1/C!, entry)} over every key of table that is (alpha, beta) + C as
+    multisets, C a sorted tuple; one full scan of the table per pair."""
+    out = {}
+    for multi, entry in table.items():
+        rest = list(multi)
+        if alpha not in rest:
+            continue
+        rest.remove(alpha)
+        if beta not in rest:
+            continue
+        rest.remove(beta)
+        key = tuple(rest)
+        scale = prod(factorial(key.count(j)) for j in set(key))
+        out[key] = (Fraction(1, scale), entry)
+    return out
+
+
+def scanned_structure_series(state, alpha, beta):
+    """A_{alpha beta}^rho for every rho, zero series included, by pair_scan."""
+    dim = len(state.basis.monomials)
+    scan = pair_scan(state.a_table, alpha, beta)
+    return tuple(
+        TruncatedSeries(
+            dim,
+            state.order - 2,
+            {key: scale * values[rho] for key, (scale, values) in scan.items()},
+        )
+        for rho in range(dim)
+    )
+
+
+def scanned_lambda_series(state, alpha, beta):
+    """Lambda_{alpha beta} by pair_scan."""
+    scan = pair_scan(state.lam_table, alpha, beta)
+    return TruncatedSeries(
+        len(state.basis.monomials),
+        state.order - 2,
+        {key: scale * lam for key, (scale, lam) in scan.items()},
+    )

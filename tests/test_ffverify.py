@@ -5,17 +5,22 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import scanned_lambda_series, scanned_structure_series
+
 from toricff.polyalg import Poly
-from toricff.supercomplex import SuperElement
+from toricff.supercomplex import SuperElement, delta, q_f, q_s
 from toricff.unfolding import (
     TruncatedSeries,
     UnfoldingState,
+    gamma_series,
     run,
     structure_series,
 )
 from toricff.ffverify import (
     Failure,
+    _compared,
     _first_residual,
+    _verdict,
     check_euler_identity,
     check_flat_f_axioms,
     check_fqm2,
@@ -165,6 +170,64 @@ def test_axioms_match_dense_reference(p1p1_ring, p1p1_basis):
             assert (fail.site, fail.monomial, fail.residual) == expected
             seen.add(fail.site.split()[0])
     assert seen == {"unit", "associativity"}
+
+
+def dense_fqm2_report(state):
+    """check_fqm2 expanded over every rho, with one table scan per pair."""
+    ring = state.ring
+    dim = len(state.basis.monomials)
+    trunc = state.order - 2
+    gamma = gamma_series(state)
+    partials = [gamma.partial(a) for a in range(dim)]
+    cases = [
+        (
+            f"u vs Delta(lambda) at multiset {multi}",
+            TruncatedSeries(
+                dim, state.order, {multi: delta(state.lam_table[multi]).to_poly()}
+            ),
+            TruncatedSeries(dim, state.order, {multi: state.u_table[multi]}),
+        )
+        for multi in sorted(state.lam_table)
+    ]
+    for alpha in range(dim):
+        for beta in range(alpha, dim):
+            lhs = (partials[alpha] * partials[beta]).truncate(trunc)
+            rhs = TruncatedSeries(dim, trunc, {})
+            a_series = scanned_structure_series(state, alpha, beta)
+            for rho in range(dim):
+                rhs = rhs + a_series[rho] * partials[rho]
+            lam = scanned_lambda_series(state, alpha, beta)
+            rhs = rhs + lam.map(lambda w: q_s(w, ring).to_poly())
+            rhs = rhs + gamma.convolve(lam, lambda u, w: q_f(w, u).to_poly())
+            cases.append((f"pair ({alpha},{beta})", lhs, rhs))
+    return _verdict("fqm2", trunc, _compared(ring, cases))
+
+
+def test_fqm2_matches_dense_reference(p1p1_ring, p1p1_basis):
+    state = run(p1p1_ring, p1p1_basis, 4)
+    # the clean state, a nonzero entry zeroed, a zero entry made nonzero
+    corruptions = [[], [((0, 1), 1, Fraction(0))], [((1, 1, 2), 0, Fraction(1, 3))]]
+    rng = random.Random(7)
+    keys = sorted(state.a_table)
+    for _ in range(10):
+        changes = []
+        for _ in range(rng.randint(1, 2)):
+            multi, rho = rng.choice(keys), rng.randrange(3)
+            shift = Fraction(rng.choice((1, -2)), 3)
+            changes.append((multi, rho, state.a_table[multi][rho] + shift))
+        corruptions.append(changes)
+    sites = []
+    for changes in corruptions:
+        bad = state
+        for multi, rho, value in changes:
+            bad = with_a_entry(bad, multi, rho, value)
+        report = check_fqm2(bad)
+        assert report == dense_fqm2_report(bad)
+        sites.append(report.failure.site)
+    assert sites[:3] == ["pair (1,2)", "pair (0,1)", "pair (1,1)"]
+    assert set(sites) == {
+        "pair (0,0)", "pair (0,1)", "pair (0,2)", "pair (1,1)", "pair (1,2)"
+    }
 
 
 def test_first_residual_in_exponent_vector_order():
