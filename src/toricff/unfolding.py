@@ -107,6 +107,8 @@ class TruncatedSeries:
         out = {}
         for akey, avalue in self.coefficients.items():
             room = order - len(akey)
+            if room < 0:
+                continue
             for bkey, bvalue in other.coefficients.items():
                 if len(bkey) > room:
                     continue
@@ -258,80 +260,58 @@ def gamma_series(state):
     return TruncatedSeries(len(state.basis.monomials), state.order, coeffs)
 
 
-def gamma_partial(state, alpha):
-    """The alpha-derivative of gamma, complete to degree order - 1."""
-    return gamma_series(state).partial(alpha)
+def gamma_partial(gamma):
+    """dGamma_alpha for every direction alpha, each complete to degree one
+    below gamma's."""
+    return tuple(gamma.partial(alpha) for alpha in range(gamma.dim))
 
 
-def _split_pair(multi, alpha, beta):
-    """(C, 1/C!) with multi = (alpha, beta) + C as multisets, or None.
+def _by_pair(table):
+    """(alpha, beta, C, 1/C!, entry) for every entry of the table and every
+    ordered pair with the entry's multiset (alpha, beta) + C.
 
     C is a sorted tuple, the series key of t^C; this is the coefficient walk
     shared by every series indexed by a pair of directions.
     """
-    if alpha not in multi:
-        return None
-    rest = _remove_one(multi, alpha)
-    if beta not in rest:
-        return None
-    key = _remove_one(rest, beta)
-    return key, Fraction(1, _factorial_of(key))
+    for multi, entry in table.items():
+        for alpha in set(multi):
+            rest = _remove_one(multi, alpha)
+            for beta in set(rest):
+                key = _remove_one(rest, beta)
+                yield alpha, beta, key, Fraction(1, _factorial_of(key)), entry
 
 
-def structure_series(state, alpha, beta):
-    """Structure constants toward each basis direction, degree <= order - 2."""
-    dim = len(state.basis.monomials)
-    per_rho = [{} for _ in range(dim)]
-    for multi, values in state.a_table.items():
-        split = _split_pair(multi, alpha, beta)
-        if split is None:
-            continue
-        key, scale = split
-        for rho, value in enumerate(values):
-            if value:
-                per_rho[rho][key] = scale * value
-    return tuple(
-        TruncatedSeries(dim, state.order - 2, coeffs)
-        for coeffs in per_rho
-    )
-
-
-def structure_index(state):
+def structure_series(state):
     """Every nonzero structure-constant series, keyed by (alpha, beta), then rho.
 
-    Built in one pass over the a table: index[(alpha, beta)][rho] is
-    structure_series(state, alpha, beta)[rho] wherever that series is
-    nonzero, and a missing pair or rho reads as the zero series.
+    The entry at [(alpha, beta)][rho] is A_alphabeta^rho to degree
+    order - 2; a missing pair or rho reads as the zero series.
     """
     dim = len(state.basis.monomials)
     coeffs = {}
-    for multi, values in state.a_table.items():
-        support = [(rho, value) for rho, value in enumerate(values) if value]
-        if not support:
-            continue
-        for alpha in set(multi):
-            for beta in set(_remove_one(multi, alpha)):
-                key, scale = _split_pair(multi, alpha, beta)
-                per_rho = coeffs.setdefault((alpha, beta), {})
-                for rho, value in support:
-                    per_rho.setdefault(rho, {})[key] = scale * value
+    for alpha, beta, key, scale, values in _by_pair(state.a_table):
+        for rho, value in enumerate(values):
+            if value:
+                row = coeffs.setdefault((alpha, beta), {})
+                row.setdefault(rho, {})[key] = scale * value
     return {
         pair: {
             rho: TruncatedSeries(dim, state.order - 2, c)
-            for rho, c in per_rho.items()
+            for rho, c in row.items()
         }
-        for pair, per_rho in coeffs.items()
+        for pair, row in coeffs.items()
     }
 
 
-def lambda_series(state, alpha, beta):
-    """The witness series paired with (alpha, beta), degree <= order - 2."""
+def lambda_series(state):
+    """Every nonzero witness series Lambda_alphabeta, keyed by (alpha, beta),
+    degree <= order - 2; a missing pair reads as the zero series."""
     dim = len(state.basis.monomials)
     coeffs = {}
-    for multi, lam in state.lam_table.items():
-        split = _split_pair(multi, alpha, beta)
-        if split is None:
-            continue
-        key, scale = split
-        coeffs[key] = scale * lam
-    return TruncatedSeries(dim, state.order - 2, coeffs)
+    for alpha, beta, key, scale, lam in _by_pair(state.lam_table):
+        if not lam.is_zero():
+            coeffs.setdefault((alpha, beta), {})[key] = scale * lam
+    return {
+        pair: TruncatedSeries(dim, state.order - 2, c)
+        for pair, c in coeffs.items()
+    }

@@ -4,13 +4,16 @@ engine, and the engine checks its invariants without `assert`.
 A definition that only tests call is a second way to do a job, or dead code.
 The allowlist holds the few names that are public on purpose although no
 other engine code calls them. An `assert` vanishes under `python -O`, so an
-invariant raises an explicit exception instead.
+invariant raises an explicit exception instead. Every function the benchmark
+tracer wraps is defined where the tracer looks for it.
 """
 
 import ast
+import importlib.util
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "toricff"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "toricff"
 
 ALLOWED = {
     "ingest_report": "documented read-back of a report into an unfolding state",
@@ -104,3 +107,18 @@ def test_engine_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_tracer_targets_are_defined():
+    """A renamed or moved target would crash tracer.install on every run."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracer", ROOT / "bench" / "tracer.py"
+    )
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for module, func, _ in tracer.TARGETS:
+        tree = ast.parse((SRC / f"{module}.py").read_text())
+        if func not in {node.name for node in _definitions(tree)}:
+            missing.append(f"{module}.{func}")
+    assert missing == []

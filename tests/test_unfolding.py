@@ -4,7 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import P2_RAYS, fermat
+from conftest import (
+    P2_RAYS,
+    fermat,
+    scanned_lambda_series,
+    scanned_structure_series,
+)
 
 from toricff.jacobired import jacobian_basis
 from toricff.polyalg import Poly
@@ -18,7 +23,6 @@ from toricff.unfolding import (
     lambda_series,
     run,
     step,
-    structure_index,
     structure_series,
 )
 
@@ -121,8 +125,9 @@ def test_truncated_series_rejects_key(key, reason):
 
 def test_gamma_partial_matches_series(cubic_state4):
     series = gamma_series(cubic_state4)
-    for alpha in (0, 1):
-        partial = gamma_partial(cubic_state4, alpha)
+    partials = gamma_partial(series)
+    assert len(partials) == 2
+    for alpha, partial in enumerate(partials):
         assert partial.order == 3
         shifted = series.partial(alpha)
         assert partial.coefficients == shifted.coefficients
@@ -130,44 +135,65 @@ def test_gamma_partial_matches_series(cubic_state4):
 
 def test_structure_series_pins(cubic_state4):
     zero = ()
-    unit = structure_series(cubic_state4, 0, 0)
+    index = structure_series(cubic_state4)
+    unit = index[(0, 0)]
     assert unit[0].coefficients[zero] == 1
-    assert zero not in unit[1].coefficients
+    assert 1 not in unit
     assert unit[0].order == 2
-    mixed = structure_series(cubic_state4, 0, 1)
-    assert mixed[0].coefficients == {}
+    mixed = index[(0, 1)]
+    assert 0 not in mixed
     assert mixed[1].coefficients == {(): Fraction(1)}
-    heavy = structure_series(cubic_state4, 1, 1)
-    for rho in (0, 1):
-        assert zero not in heavy[rho].coefficients
+    # A_11 vanishes on the cubic
+    assert (1, 1) not in index
 
 
-def test_structure_index_matches_series(cubic_state4, k3_state3):
-    for state in (cubic_state4, k3_state3):
+@pytest.fixture(scope="module")
+def pair_states(cubic_state4, k3_state3, ci22_state3, p1p1_ring, p1p1_basis):
+    return (cubic_state4, k3_state3, ci22_state3, run(p1p1_ring, p1p1_basis, 4))
+
+
+def test_structure_series_matches_pair_scan(pair_states, k3_state3):
+    for state in pair_states:
         dim = len(state.basis.monomials)
-        index = structure_index(state)
-        for alpha in range(dim):
-            for beta in range(dim):
-                row = index.get((alpha, beta), {})
-                dense = structure_series(state, alpha, beta)
-                for rho in range(dim):
-                    if rho in row:
-                        assert row[rho].coefficients
-                        assert row[rho].order == dense[rho].order
-                        got = row[rho].coefficients
-                    else:
-                        got = {}
-                    assert got == dense[rho].coefficients
+        index = structure_series(state)
+        pairs = {(a, b) for a in range(dim) for b in range(dim)}
+        assert set(index) <= pairs
+        for alpha, beta in sorted(pairs):
+            row = index.get((alpha, beta), {})
+            dense = scanned_structure_series(state, alpha, beta)
+            assert set(row) <= set(range(dim))
+            for rho in range(dim):
+                if rho in row:
+                    assert row[rho].coefficients
+                    assert row[rho].order == dense[rho].order
+                    got = row[rho].coefficients
+                else:
+                    got = {}
+                assert got == dense[rho].coefficients
     # only 60 of the 21^3 K3 series are nonzero
-    assert sum(map(len, structure_index(k3_state3).values())) == 60
+    assert sum(map(len, structure_series(k3_state3).values())) == 60
 
 
-def test_lambda_series_matches_table(cubic_state4):
-    lam = lambda_series(cubic_state4, 1, 1)
+def test_lambda_series_matches_table(cubic_state4, pair_states):
+    lam = lambda_series(cubic_state4)[(1, 1)]
     assert lam.order == 2
     for multi, scale in (((1, 1), 1), ((1, 1, 1), 1), ((1, 1, 1, 1), 2)):
         got = lam.coefficients.get(multi[2:], SuperElement({}))
         assert got == Fraction(1, scale) * cubic_state4.lam_table[multi]
+    for state in pair_states:
+        dim = len(state.basis.monomials)
+        witnesses = lambda_series(state)
+        pairs = {(a, b) for a in range(dim) for b in range(dim)}
+        assert set(witnesses) <= pairs
+        for alpha, beta in sorted(pairs):
+            dense = scanned_lambda_series(state, alpha, beta)
+            got = witnesses.get((alpha, beta))
+            if got is None:
+                assert dense.coefficients == {}
+            else:
+                assert got.coefficients
+                assert got.order == dense.order
+                assert got.coefficients == dense.coefficients
 
 
 def test_truncated_series_arithmetic():
