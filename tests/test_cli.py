@@ -13,6 +13,7 @@ import pytest
 from toricff.cli import (
     ProblemFile,
     ProblemFormatError,
+    cmd_basis,
     cmd_unfold,
     ingest_report,
     main,
@@ -459,15 +460,18 @@ def _bench_problems():
             "8ac2e8a9009682f1181d8511713538eac5ce61f5117632f8d0613a1659fd5b39",
             id="ci22-order6-retained",
         ),
+        pytest.param("cy33-basis", {}, None, id="cy33-basis"),
     ],
 )
 def test_report_golden_digests(name, changes, expected):
     # seed-0 problems; retain-intermediates = yes also prints every step input
     problems = _bench_problems()
-    text = problems.problem_text(problems.WORKLOADS[name], 0)
+    workload = problems.WORKLOADS[name]
+    text = problems.problem_text(workload, 0)
     if expected is None:  # the benchmark's own pin
         pins = json.loads((BENCH / "expected.json").read_text())
         expected = pins[name]["seed0_sha256"]
-    code, report = cmd_unfold(replace(parse_problem(text), **changes))
+    command = {"basis": cmd_basis, "unfold": cmd_unfold}[workload.command]
+    code, report = command(replace(parse_problem(text), **changes))
     assert code == 0
     assert hashlib.sha256(report.encode()).hexdigest() == expected
