@@ -31,6 +31,13 @@ hypersurface = 1 (3,0,0) + 1 (0,3,0) + 1 (0,0,3)
 order = 4
 """
 
+# a Hesse-type cubic whose partials have non-integer coefficients
+RATIONAL_HESSE_PROBLEM = """\
+rays = (1,0) (0,1) (-1,-1)
+hypersurface = 1/2 (3,0,0) + 2/3 (0,3,0) + 5/7 (0,0,3) + 3/4 (1,1,1)
+order = 6
+"""
+
 CI22_PROBLEM = """\
 rays = (1,0,0) (0,1,0) (0,0,1) (-1,-1,-1)
 hypersurface = 1 (2,0,0,0) + 1 (0,2,0,0) + 1 (0,0,2,0) + 1 (0,0,0,2)
@@ -461,17 +468,27 @@ def _bench_problems():
             id="ci22-order6-retained",
         ),
         pytest.param("cy33-basis", {}, None, id="cy33-basis"),
+        pytest.param(
+            "rational-hesse",
+            {"retain_intermediates": True},
+            "88a8b07fc17da69fe50277428f63e4df72d79540d979339c672934c8d2b81d13",
+            id="rational-hesse-order6-retained",
+        ),
     ],
 )
 def test_report_golden_digests(name, changes, expected):
-    # seed-0 problems; retain-intermediates = yes also prints every step input
+    # seed-0 bench problems and the rational Hesse cubic; retain-intermediates
+    # = yes also prints every step input
     problems = _bench_problems()
-    workload = problems.WORKLOADS[name]
-    text = problems.problem_text(workload, 0)
+    workload = problems.WORKLOADS.get(name)
+    if workload is None:
+        command, text = cmd_unfold, RATIONAL_HESSE_PROBLEM
+    else:
+        command = {"basis": cmd_basis, "unfold": cmd_unfold}[workload.command]
+        text = problems.problem_text(workload, 0)
     if expected is None:  # the benchmark's own pin
         pins = json.loads((BENCH / "expected.json").read_text())
         expected = pins[name]["seed0_sha256"]
-    command = {"basis": cmd_basis, "unfold": cmd_unfold}[workload.command]
     code, report = command(replace(parse_problem(text), **changes))
     assert code == 0
     assert hashlib.sha256(report.encode()).hexdigest() == expected

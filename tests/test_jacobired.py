@@ -204,8 +204,14 @@ def _axpy(dst, src, scale):
 
 
 def _rref_pivots(piece):
-    """Reference: back-substitute a copy of the stored rows into rref."""
-    pivots = {col: (dict(row), dict(wit)) for col, (row, wit) in piece.pivots.items()}
+    """Reference: back-substitute unit-lead copies of the stored rows into rref."""
+    pivots = {}
+    for col, (row, wit) in piece.pivots.items():
+        inv = Fraction(1) / row[col]
+        pivots[col] = (
+            {c: v * inv for c, v in row.items()},
+            {g: v * inv for g, v in wit.items()},
+        )
     for col in sorted(pivots, reverse=True):
         crow, cwit = pivots[col]
         for other, (row, wit) in pivots.items():
@@ -240,6 +246,16 @@ def _generator_row(ring, piece, gen_idx):
 # Fermat plus the product of all variables, so the x partials have two terms
 HESSE_CUBIC = fermat(3, 3) + Poly.monomial((1, 1, 1))
 DWORK_QUARTIC = fermat(4, 4) + Poly.monomial((1, 1, 1, 1))
+# a Hesse-type cubic whose partials have non-integer coefficients
+RATIONAL_HESSE_CUBIC = xpoly(
+    3,
+    {
+        (3, 0, 0): Fraction(1, 2),
+        (0, 3, 0): Fraction(2, 3),
+        (0, 0, 3): Fraction(5, 7),
+        (1, 1, 1): Fraction(3, 4),
+    },
+)
 
 
 @pytest.fixture(scope="module")
@@ -252,10 +268,16 @@ def dwork_ring():
     return build_cayley_ring(P3_RAYS, [DWORK_QUARTIC])
 
 
+@pytest.fixture(scope="module")
+def rational_hesse_ring():
+    return build_cayley_ring(P2_RAYS, [RATIONAL_HESSE_CUBIC])
+
+
 @pytest.mark.parametrize(
     "name, weights",
     [
         ("hesse", (1, 2, 3)),
+        ("rational_hesse", (1, 2, 3)),
         ("ci22", (1, 2, 3)),
         ("dwork", (2, 3)),
         ("p1p1", (1, 2)),
@@ -286,3 +308,36 @@ def test_echelon_reduction_matches_rref_reference(request, name, weights):
             }
             assert piece.reduce_vector(vec) == _rref_reduce(rref, vec)
     assert multi_term
+
+
+@pytest.mark.parametrize(
+    "name, weight", [("rational_hesse", 1), ("ci22", 1), ("dwork", 2)]
+)
+def test_reduce_vector_edge_cases(request, name, weight):
+    """Empty, row-space and mixed-denominator inputs against the reference."""
+    ring = request.getfixturevalue(name + "_ring")
+    piece = ideal_piece(ring, ring.c_B, weight)
+    rref = _rref_pivots(piece)
+    assert piece.reduce_vector({}) == ({}, {})
+    rng = random.Random(name)
+    in_span = {}
+    for gen_idx in rng.sample(range(len(piece.generators)), 4):
+        coeff = Fraction(rng.randint(1, 9), rng.randint(2, 9))
+        _axpy(in_span, _generator_row(ring, piece, gen_idx), coeff)
+    assert in_span
+    residue, combo = piece.reduce_vector(in_span)
+    assert residue == {}
+    assert (residue, combo) == _rref_reduce(rref, in_span)
+    rebuilt = {}
+    for gen_idx, coeff in combo.items():
+        _axpy(rebuilt, _generator_row(ring, piece, gen_idx), coeff)
+    assert rebuilt == in_span
+    standard = next(c for c in range(len(piece.monomials)) if c not in piece.pivots)
+    cols = [standard] + rng.sample(sorted(piece.pivots), 5)
+    mixed = {
+        col: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), denom)
+        for col, denom in zip(cols, (2, 3, 5, 7, 11, 13))
+    }
+    got = piece.reduce_vector(mixed)
+    assert got == _rref_reduce(rref, mixed)
+    assert got[0] and got[1]  # a residue survives and generators are used
