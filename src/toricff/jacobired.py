@@ -14,12 +14,19 @@ guarantees flow from that fixed order. Rows are not back-substituted: a
 residue is the normal form modulo the row space, and its combination is the
 unique one over the generators independent in that order, so both equal
 those of the reduced row echelon form.
+
+Elimination is fraction-free. Every stored row and its generator combination
+form one primitive vector of Python ints, with the row's lead at its pivot
+column; a partial with non-integer coefficients enters with its row and its
+witness scaled by the lcm of its denominators. Fractions appear only where
+reduce_vector emits a residue entry and the final combination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 
 from .polyalg import Poly, monomial_mul
 from .supercomplex import SuperElement, q_s
@@ -38,29 +45,49 @@ class BasisIncomplete(Exception):
         self.weight = weight
 
 
-def _axpy(dst, src, scale):
-    """dst += scale * src on sparse dicts, dropping exact zeros."""
+def _cleared(coeffs):
+    """(d, d * coeffs) with d the lcm of the denominators; the values are ints."""
+    d = lcm(*(v.denominator for v in coeffs.values()))
+    return d, {key: v.numerator * (d // v.denominator) for key, v in coeffs.items()}
+
+
+def _axpy(p, dst, c, src):
+    """dst := p*dst - c*src on sparse int dicts, dropping exact zeros."""
+    if p != 1:
+        for key, value in dst.items():
+            dst[key] = value * p
     for key, value in src.items():
-        new = dst.get(key, Fraction(0)) + scale * value
-        if new == 0:
-            dst.pop(key, None)
-        else:
+        new = dst.get(key, 0) - c * value
+        if new:
             dst[key] = new
+        else:
+            del dst[key]
 
 
 def _reduce_lead(row, wit, pivots):
     """Cancel the leading pivot columns of row, carrying wit along.
 
-    Returns the first leading column with no pivot, or None once row is zero.
+    Each step is fraction-free: row := (p/g)*row - (c/g)*pivot with p the
+    pivot's lead, c the row's and g = gcd(p, c); then the content shared by
+    row and wit is divided out. Returns the first leading column with no
+    pivot, or None once row is zero.
     """
     while row:
         lead = min(row)
         hit = pivots.get(lead)
         if hit is None:
             return lead
-        coeff = row[lead]
-        _axpy(row, hit[0], -coeff)
-        _axpy(wit, hit[1], -coeff)
+        prow, pwit = hit
+        p, c = prow[lead], row[lead]
+        g = gcd(p, c)
+        p, c = p // g, c // g
+        _axpy(p, row, c, prow)
+        _axpy(p, wit, c, pwit)
+        g = gcd(*row.values(), *wit.values())
+        if g != 1:
+            for part in (row, wit):
+                for key, value in part.items():
+                    part[key] = value // g
     return None
 
 
@@ -68,8 +95,9 @@ def _reduce_lead(row, wit, pivots):
 class GradedIdealPiece:
     """One graded piece, its echelonized generators, and the quotient data.
 
-    pivots maps each pivot column to (row, wit): an echelon row with a unit
-    lead there, not back-substituted, equal to the generator combination wit.
+    pivots maps each pivot column to (row, wit): an echelon row of ints with
+    lead row[col], not back-substituted, equal to the combination wit of the
+    generators as given. row and wit together have content 1.
     """
 
     charge: tuple
@@ -87,12 +115,14 @@ class GradedIdealPiece:
         The input is sum(residue) over standard columns plus the combination
         of original generators, both as the reduced row echelon form gives.
         """
-        row = dict(vec)
-        wit = {}
+        denom, row = _cleared(vec)
+        # generator -1 is the input itself, so wit[-1] tracks the running scale
+        wit = {-1: 1}
         residue = {}
         while (lead := _reduce_lead(row, wit, self.pivots)) is not None:
-            residue[lead] = row.pop(lead)
-        return residue, {g: -v for g, v in wit.items()}  # wit was subtracted
+            residue[lead] = Fraction(row.pop(lead), denom * wit[-1])
+        scale = -denom * wit.pop(-1)  # wit was subtracted
+        return residue, {g: Fraction(v, scale) for g, v in wit.items()}
 
 
 def ideal_piece(ring, charge, weight):
@@ -114,19 +144,15 @@ def ideal_piece(ring, charge, weight):
         )
         if mult_degree[1] < 0:
             continue
+        # clear the partial's denominators in its rows and their witnesses
+        scale, terms = _cleared(part.terms)
         for mult in enumerate_graded_piece(ring, mult_degree):
-            row = {}
-            for exps, coeff in part.terms.items():
-                row[col_index[monomial_mul(mult, exps)]] = coeff
-            wit = {len(generators): Fraction(1)}
+            row = {col_index[monomial_mul(mult, e)]: v for e, v in terms.items()}
+            wit = {len(generators): scale}
             generators.append((mult, i))
             lead = _reduce_lead(row, wit, pivots)
             if lead is not None:
-                inv = Fraction(1) / row[lead]
-                pivots[lead] = (
-                    {c: v * inv for c, v in row.items()},
-                    {g: v * inv for g, v in wit.items()},
-                )
+                pivots[lead] = (row, wit)
     # columns run in descending grevlex order
     standard = tuple(m for c, m in enumerate(monomials) if c not in pivots)[::-1]
     return GradedIdealPiece(

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -292,7 +293,10 @@ def test_echelon_reduction_matches_rref_reference(request, name, weights):
         piece = ideal_piece(ring, ring.c_B, w)
         multi_term += sum(len(row) > 1 for row, _ in piece.pivots.values())
         for col, (row, wit) in piece.pivots.items():
-            assert min(row) == col and row[col] == 1
+            assert min(row) == col
+            entries = [*row.values(), *wit.values()]
+            assert all(type(v) is int for v in entries)
+            assert gcd(*entries) == 1
             rebuilt = {}
             for gen_idx, coeff in wit.items():
                 _axpy(rebuilt, _generator_row(ring, piece, gen_idx), coeff)
