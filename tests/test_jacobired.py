@@ -278,10 +278,10 @@ def rational_hesse_ring():
     "name, weights",
     [
         ("hesse", (1, 2, 3)),
-        ("rational_hesse", (1, 2, 3)),
         ("ci22", (1, 2, 3)),
         ("dwork", (2, 3)),
         ("p1p1", (1, 2)),
+        ("rational_hesse", (1, 2, 3)),
     ],
 )
 def test_echelon_reduction_matches_rref_reference(request, name, weights):
