@@ -325,10 +325,11 @@ def _table_lines(state):
     for multi in sorted(state.u_table, key=sort_key):
         rendered = render_poly(state.u_table[multi], ring.names)
         lines.append(f"u.{_t_monomial(multi)} = {rendered}")
+    # a rows hold nonzero values only; the report format prints every rho
     for multi in sorted(state.a_table, key=sort_key):
         row = state.a_table[multi]
         for rho in range(dim):
-            lines.append(f"a.{_t_monomial(multi)}.{rho} = {row[rho]}")
+            lines.append(f"a.{_t_monomial(multi)}.{rho} = {row.get(rho, 0)}")
     for multi in sorted(state.lam_table, key=sort_key):
         rendered = render_super(
             state.lam_table[multi], ring.names, ring.eta_names
@@ -441,44 +442,48 @@ def ingest_report(text):
     basis = jacobian_basis(ring, allow_non_cy=True)
     dim = len(basis.monomials)
     order = None
-    u_table = {}
-    a_rows = {}
-    lam_table = {}
-    inputs = {}
+    tables = {"u": {}, "a": {}, "lambda": {}, "input": {}}
+    seen = set()
     for line in sections["tables"]:
         key, sep, value = line.partition(" = ")
         if not sep:
             raise ValueError(f"bad table line {line!r}")
-        if key == "order":
-            order = int(value)
-        elif key.startswith("u."):
-            u_table[_parse_t_monomial(key[2:])] = parse_poly(value, ring.names)
-        elif key.startswith("a."):
-            body, _, rho = key[2:].rpartition(".")
-            a_rows.setdefault(_parse_t_monomial(body), {})[int(rho)] = Fraction(value)
-        elif key.startswith("lambda."):
-            lam_table[_parse_t_monomial(key[7:])] = parse_super(
-                value, ring.names, ring.eta_names
-            )
-        elif key.startswith("input."):
-            inputs[_parse_t_monomial(key[6:])] = parse_poly(value, ring.names)
-        else:
+        name, _, body = key.partition(".")
+        if key != "order" and name not in tables:
             raise ValueError(f"unknown table key {key!r}")
+        rho = None
+        if name == "a":
+            body, _, rho = body.rpartition(".")
+            rho = int(rho)
+            if rho not in range(dim):
+                raise ValueError(f"a index outside 0..{dim - 1} in {line!r}")
+        multi = () if key == "order" else _parse_t_monomial(body)
+        if any(j >= dim for j in multi):
+            raise ValueError(f"direction outside t0..t{dim - 1} in {line!r}")
+        if (name, multi, rho) in seen:
+            raise ValueError(f"repeated table key in {line!r}")
+        seen.add((name, multi, rho))
+        if name == "order":
+            order = int(value)
+        elif name == "a":
+            row = tables["a"].setdefault(multi, {})
+            if coeff := Fraction(value):
+                row[rho] = coeff
+        elif name == "lambda":
+            tables[name][multi] = parse_super(value, ring.names, ring.eta_names)
+        else:
+            tables[name][multi] = parse_poly(value, ring.names)
     if order is None:
         raise ValueError("report tables lack an order line")
-    a_table = {
-        multi: tuple(row.get(rho, Fraction(0)) for rho in range(dim))
-        for multi, row in a_rows.items()
-    }
     return UnfoldingState(
         ring=ring,
         basis=basis,
         order=order,
         t_weights=tuple(1 - w for w in basis.weights),
-        u_table=u_table,
-        a_table=a_table,
-        lam_table=lam_table,
-        inputs=inputs or None,
+        u_table=tables["u"],
+        a_table=tables["a"],
+        lam_table=tables["lambda"],
+        inputs=tables["input"] or None,
     )
 
 

@@ -226,9 +226,12 @@ def jacobian_basis(ring, allow_non_cy=False):
 
 @dataclass(frozen=True)
 class ReductionWitness:
-    """Coefficients over the basis plus the odd cochain closing the identity."""
+    """Coefficients over the basis plus the odd cochain closing the identity.
 
-    coefficients: tuple
+    coefficients is {basis index: nonzero Fraction}: an absent index reads as zero.
+    """
+
+    coefficients: dict
     witness: SuperElement
 
 
@@ -247,7 +250,7 @@ def reduce_with_witness(ring, basis, f):
                 f"monomial {exps} has charge {mcharge}, expected {basis.charge}"
             )
         by_weight.setdefault(mweight, {})[exps] = coeff
-    coefficients = [Fraction(0)] * len(basis.monomials)
+    coefficients = {}
     lam_terms = {}
     for w in sorted(by_weight):
         piece = basis.piece(w)
@@ -263,10 +266,9 @@ def reduce_with_witness(ring, basis, f):
             key = (mult, (i,))
             lam_terms[key] = lam_terms.get(key, Fraction(0)) + coeff
     witness = SuperElement(lam_terms)
-    rebuilt = q_s(witness, ring).to_poly()
-    for coeff, mono in zip(coefficients, basis.monomials):
-        if coeff:
-            rebuilt = rebuilt + Poly.monomial(mono, coeff)
+    rebuilt = q_s(witness, ring).to_poly() + Poly(
+        {basis.monomials[i]: coeff for i, coeff in coefficients.items()}
+    )
     if rebuilt != f:
         raise ArithmeticError("reduction identity failed to close")
-    return ReductionWitness(tuple(coefficients), witness)
+    return ReductionWitness(coefficients, witness)

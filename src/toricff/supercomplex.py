@@ -236,18 +236,6 @@ def epsilon_w_s(omega, ring):
     )
 
 
-def form_scale(f, omega):
-    """Multiply a form by an even polynomial or scalar."""
-    if isinstance(f, Poly):
-        out = {}
-        for (exps, dqs), coeff in omega.terms.items():
-            for pe, pc in f.terms.items():
-                key = (monomial_mul(exps, pe), dqs)
-                out[key] = out.get(key, Fraction(0)) + coeff * pc
-        return FormElement(out)
-    return omega * f
-
-
 def super_weight(ring, exps, etas):
     """Weight of one super term; each eta_i weighs 1 - weight(q_i)."""
     wts = ring.var_weights

@@ -132,7 +132,10 @@ def _vanishes(value):
 
 @dataclass(eq=False)
 class UnfoldingState:
-    """All tables of one unfolding run, complete through the given order."""
+    """All tables of one unfolding run, complete through the given order.
+
+    An a_table row is {rho: nonzero Fraction}: an absent rho reads as zero.
+    """
 
     ring: object
     basis: object
@@ -144,10 +147,10 @@ class UnfoldingState:
     inputs: dict | None = None
 
 
-def _u(state, key):
-    got = state.u_table.get(key)
+def _entry(table, name, key):
+    got = table.get(key)
     if got is None:
-        raise MissingTableEntry(f"u table lacks {key}")
+        raise MissingTableEntry(f"{name} table lacks {key}")
     return got
 
 
@@ -167,29 +170,26 @@ def _splits(tail):
 def _assemble_input(state, multi):
     # alpha <= beta <= every tail entry, so prefixing them keeps keys sorted
     alpha, beta, tail = multi[0], multi[1], multi[2:]
-    f = Poly({})
+    u_table = state.u_table
+    terms = {}
+
+    def add(scale, poly):
+        for exps, coeff in poly.terms.items():
+            terms[exps] = terms.get(exps, 0) + scale * coeff
+
     for a_part, b_part, weight in _splits(tail):
-        f = f + weight * (
-            _u(state, (alpha,) + a_part) * _u(state, (beta,) + b_part)
-        )
+        u_a = _entry(u_table, "u", (alpha,) + a_part)
+        add(weight, u_a * _entry(u_table, "u", (beta,) + b_part))
         if b_part:
-            a_key = (alpha, beta) + a_part
-            a_vals = state.a_table.get(a_key)
-            if a_vals is None:
-                raise MissingTableEntry(f"a table lacks {a_key}")
-            for rho, value in enumerate(a_vals):
-                if value:
-                    f = f - (weight * value) * _u(
-                        state, tuple(sorted(b_part + (rho,)))
-                    )
+            row = _entry(state.a_table, "a", (alpha, beta) + a_part)
+            for rho, value in row.items():
+                u_key = tuple(sorted(b_part + (rho,)))
+                add(-weight * value, _entry(u_table, "u", u_key))
         if a_part:
-            lam_key = (alpha, beta) + b_part
-            lam = state.lam_table.get(lam_key)
-            if lam is None:
-                raise MissingTableEntry(f"lambda table lacks {lam_key}")
+            lam = _entry(state.lam_table, "lambda", (alpha, beta) + b_part)
             if not lam.is_zero():
-                f = f - weight * q_f(lam, _u(state, a_part)).to_poly()
-    return f
+                add(-weight, q_f(lam, _entry(u_table, "u", a_part)).to_poly())
+    return Poly(terms)
 
 
 def step(state, multi):
@@ -289,11 +289,10 @@ def structure_series(state):
     """
     dim = len(state.basis.monomials)
     coeffs = {}
-    for alpha, beta, key, scale, values in _by_pair(state.a_table):
-        for rho, value in enumerate(values):
-            if value:
-                row = coeffs.setdefault((alpha, beta), {})
-                row.setdefault(rho, {})[key] = scale * value
+    for alpha, beta, key, scale, row in _by_pair(state.a_table):
+        for rho, value in row.items():
+            by_rho = coeffs.setdefault((alpha, beta), {})
+            by_rho.setdefault(rho, {})[key] = scale * value
     return {
         pair: {
             rho: TruncatedSeries(dim, state.order - 2, c)

@@ -176,7 +176,7 @@ def scanned_structure_series(state, alpha, beta):
         TruncatedSeries(
             dim,
             state.order - 2,
-            {key: scale * values[rho] for key, (scale, values) in scan.items()},
+            {key: scale * row.get(rho, 0) for key, (scale, row) in scan.items()},
         )
         for rho in range(dim)
     )

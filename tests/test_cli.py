@@ -420,6 +420,24 @@ def test_report_reingestion(tmp_path):
     assert rebuilt.lam_table == fresh.lam_table
 
 
+@pytest.mark.parametrize(
+    "line, reason",
+    [
+        ("a.t1^2.7 = 5", "a index outside 0..1"),
+        ("u.t9^2 = 0", "direction outside t0..t1"),
+        ("a.t1*t0.1 = 0", "repeated table key"),
+    ],
+    ids=["a-index", "direction", "repeated-key"],
+)
+def test_ingest_rejects_bad_table_line(line, reason):
+    # the cubic has two directions; the line goes last in [tables]
+    _, report = cmd_unfold(replace(parse_problem(CUBIC_PROBLEM), order=2))
+    text = report.replace("[verification]\n", f"{line}\n[verification]\n")
+    with pytest.raises(ValueError, match=reason) as info:
+        ingest_report(text)
+    assert repr(line) in str(info.value)
+
+
 def test_render_problem_is_canonical():
     problem = ProblemFile(
         rays=((1, 0), (0, 1), (-1, -1)),

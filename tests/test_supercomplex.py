@@ -13,7 +13,6 @@ from toricff.supercomplex import (
     delta,
     epsilon_w_s,
     form_d,
-    form_scale,
     k_s,
     mu,
     mu_inverse,
@@ -151,9 +150,7 @@ def test_form_d_pins(cubic_ring):
     ds = wedge_ds(fterm((0, 0, 0, 0), ()), cubic_ring)
     expect = FormElement({})
     for i in range(NV):
-        expect = expect + form_scale(
-            cubic_ring.s_partials[i], fterm((0, 0, 0, 0), (i,))
-        )
+        expect = expect + fterm((0, 0, 0, 0), (i,)) * cubic_ring.s_partials[i]
     assert ds == expect
     assert twisted_d(fterm((0, 0, 0, 0), ()), cubic_ring) == ds
 
@@ -214,10 +211,8 @@ def test_homotopy_identity_seeded(cubic_ring, p1p1_ring):
                 lhs = d_lf(contract_euler(xi, phi)) + contract_euler(
                     d_lf(xi), phi
                 )
-                rhs = form_scale(
-                    Poly.monomial((0,) * ring.nvars, lam * degxi)
-                    + degf * f,
-                    xi,
+                rhs = xi * (
+                    Poly.monomial((0,) * ring.nvars, lam * degxi) + degf * f
                 )
                 assert lhs == rhs
 
@@ -232,9 +227,7 @@ def test_epsilon_closed_form(cubic_ring, p1p1_ring):
         for _ in range(10):
             xi, w = weight_homogeneous_form(rng, ring)
             got = epsilon_w_s(xi, ring)
-            expect = form_scale(
-                Poly.monomial((0,) * ring.nvars, w) + ring.S, xi
-            )
+            expect = xi * (Poly.monomial((0,) * ring.nvars, w) + ring.S)
             assert got == expect
             if not xi.is_zero():
                 assert not got.is_zero()  # injectivity on homogeneous input
@@ -250,7 +243,7 @@ def test_epsilon_telescoping(cubic_ring):
         for i in (1, 2, 3):
             # epsilon(S^{i-1} xi) = (w + i - 1) S^{i-1} xi + S^i xi
             lhs = epsilon_w_s(power, cubic_ring)
-            s_power = form_scale(cubic_ring.S, power)
+            s_power = power * cubic_ring.S
             rhs = (w + i - 1) * power + s_power
             assert lhs == rhs
             power = s_power

@@ -1,5 +1,6 @@
 """Order-by-order unfolding: step results and series assembly."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -50,12 +51,12 @@ def test_run_order_one(cubic_ring, cubic_basis):
 
 def test_step_pairs(cubic_ring, cubic_basis):
     state = run(cubic_ring, cubic_basis, 2)
-    assert state.a_table[(0, 0)] == (1, 0)
+    assert state.a_table[(0, 0)] == {0: 1}
     assert state.lam_table[(0, 0)] == SuperElement({})
     assert state.u_table[(0, 0)] == Poly({})
-    assert state.a_table[(0, 1)] == (0, 1)
+    assert state.a_table[(0, 1)] == {1: 1}
     assert state.u_table[(0, 1)] == Poly({})
-    assert state.a_table[(1, 1)] == (0, 0)
+    assert state.a_table[(1, 1)] == {}
     lam = state.lam_table[(1, 1)]
     assert not lam.is_zero()
     assert q_s(lam, cubic_ring).to_poly() == Poly.monomial((2, 2, 2, 2))
@@ -67,7 +68,7 @@ def test_unit_direction_tables_vanish(cubic_ring, cubic_basis):
     for multi in ((0, 0, 0), (0, 0, 1), (0, 1, 1)):
         assert state.inputs[multi] == Poly({})
         assert state.u_table[multi] == Poly({})
-        assert state.a_table[multi] == (0, 0)
+        assert state.a_table[multi] == {}
         assert state.lam_table[multi] == SuperElement({})
     assert state.inputs[(1, 1)] == Poly.monomial((2, 2, 2, 2))
 
@@ -152,8 +153,22 @@ def pair_states(cubic_state4, k3_state3, ci22_state3, p1p1_ring, p1p1_basis):
     return (cubic_state4, k3_state3, ci22_state3, run(p1p1_ring, p1p1_basis, 4))
 
 
-def test_structure_series_matches_pair_scan(pair_states, k3_state3):
+def test_a_rows_store_only_nonzero_values(pair_states):
     for state in pair_states:
+        dim = len(state.basis.monomials)
+        for row in state.a_table.values():
+            assert type(row) is dict
+            assert all(rho in range(dim) and value != 0 for rho, value in row.items())
+
+
+def test_structure_series_matches_pair_scan(pair_states, cubic_state4, k3_state3):
+    # after the pair (1, 1) the remainder of (1, 1, 1, 1) is (1, 1), so C! = 2;
+    # no entry of the fixtures has a nonzero value at a remainder with C! > 1
+    scaled = replace(
+        cubic_state4,
+        a_table={**cubic_state4.a_table, (1, 1, 1, 1): {0: Fraction(1)}},
+    )
+    for state in pair_states + (scaled,):
         dim = len(state.basis.monomials)
         index = structure_series(state)
         pairs = {(a, b) for a in range(dim) for b in range(dim)}
@@ -216,6 +231,6 @@ def test_ci22_state_smoke(ci22_state3):
     state = ci22_state3
     assert state.order == 3
     assert state.t_weights == (1, 0)
-    assert state.a_table[(0, 0)] == (1, 0)
-    assert state.a_table[(0, 1)] == (0, 1)
+    assert state.a_table[(0, 0)] == {0: 1}
+    assert state.a_table[(0, 1)] == {1: 1}
     assert len(state.u_table) == 2 + 3 + 4
