@@ -9,6 +9,7 @@ states are located, not just flagged.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -325,56 +326,49 @@ def check_weight_homogeneity(state):
     return _verdict("weight-homogeneity", state.order, _weight_outcomes(state))
 
 
-def _euler_weight(ring, f):
-    """Apply the weight Euler operator sum wt(q_a) q_a d/dq_a to f."""
-    out = {}
-    for exps, coeff in f.terms.items():
-        scale = ring.degree_of_monomial(exps)[1]
-        if scale:
-            out[exps] = coeff * scale
-    return Poly(out)
+def _euler_image(series, t_weights, weigh):
+    """The series with its coefficient c at t^C replaced by weigh(c, w), where
+    w = sum of d_j over C is the eigenvalue of E_t on t^C."""
+    coeffs = series.coefficients.items()
+    weighed = {k: weigh(c, sum(t_weights[j] for j in k)) for k, c in coeffs}
+    return TruncatedSeries(series.dim, series.order, weighed)
 
 
-def default_kappa(ring):
-    """The odd weight Euler element: sum of wt(q_a) q_a eta_a."""
-    nvars = ring.nvars
-    terms = {}
-    for a, wt in enumerate(ring.var_weights):
-        if wt:
-            exps = tuple(1 if i == a else 0 for i in range(nvars))
-            terms[(exps, (a,))] = Fraction(wt)
-    return SuperElement(terms)
+def _euler_outcomes(state):
+    ring, d = state.ring, state.t_weights
+
+    def total_weight(u, w):  # (E_t + E_wt)(u t^C), w the t-weight of t^C
+        wt = ring.degree_of_monomial
+        return Poly({e: (wt(e)[1] + w) * c for e, c in u.terms.items()})
+
+    structure = structure_series(state)
+    for alpha, part in enumerate(gamma_partial(gamma_series(state))):
+        left = _euler_image(part, d, total_weight)
+        right = part.map(lambda u: (1 - d[alpha]) * u)
+        yield from _compared(ring, [(f"Gamma direction {alpha}", left, right)])
+        a_cases = (
+            (
+                f"a weight ({alpha},{beta})->{rho}",
+                _euler_image(series, d, operator.mul),
+                series.map(lambda v: (1 - d[alpha] - d[beta] + d[rho]) * v),
+            )
+            for beta in range(part.dim)
+            for rho, series in sorted(structure.get((alpha, beta), {}).items())
+        )
+        # one case for the whole direction: its first failing (beta, rho)
+        yield next(filter(None, _compared(ring, a_cases)), None)
 
 
-def _euler_cases(state, kappa, dim, trunc):
-    ring = state.ring
-    k = ring.k
-    gamma = gamma_series(state)
-    e_series = TruncatedSeries(
-        dim, state.order, {(): _euler_weight(ring, ring.S)}
-    ) + gamma.map(lambda u: _euler_weight(ring, u))
-    for alpha, ga in enumerate(gamma_partial(gamma)):
-        gk = ga.map(lambda u: SuperElement.from_poly(u) * kappa)
-        lhs1 = ga.map(lambda u: _euler_weight(ring, u))
-        rhs1 = gk.map(lambda w: delta(w).to_poly()) - ga.map(lambda u: k * u)
-        yield f"hbar^1 direction {alpha}", lhs1, rhs1
-        lhs0 = (e_series * ga).truncate(trunc)
-        yield f"hbar^0 direction {alpha}", lhs0, _q_total(ring, gamma, gk)
+def check_euler_identity(state):
+    """Two cases per direction alpha for the Euler field
+    E = sum_alpha d_alpha t_alpha d/dt_alpha, d_alpha the t-weight:
 
-
-def check_euler_identity(state, kappa=None):
-    """Both hbar-slices of the Euler-field compatibility, per direction.
-
-    hbar^0: E_wt(S + Gamma) * dGamma_alpha = Q_{S+Gamma}(dGamma_alpha * kappa);
-    hbar^1: E_wt(dGamma_alpha) = Delta(dGamma_alpha * kappa) - k dGamma_alpha.
-    A kappa override exists so a corrupted Euler element demonstrably fails.
+    Gamma, to t-degree order - 1, with E_wt scaling a term by its weight:
+      (E_t + E_wt) dGamma_alpha = (1 - d_alpha) dGamma_alpha;
+    structure constants, for every beta and rho, to t-degree order - 2:
+      E_t A_alphabeta^rho = (1 - d_alpha - d_beta + d_rho) A_alphabeta^rho.
     """
     if state.order < 2:
         raise ValueError("check_euler_identity needs an order >= 2 state")
-    ring = state.ring
-    dim = len(state.basis.monomials)
-    trunc = state.order - 1
-    if kappa is None:
-        kappa = default_kappa(ring)
-    cases = _euler_cases(state, kappa, dim, trunc)
-    return _verdict("euler-identity", trunc, _compared(ring, cases))
+    outcomes = _euler_outcomes(state)
+    return _verdict("euler-identity", state.order - 1, outcomes)

@@ -176,7 +176,12 @@ def form_d(omega):
     return FormElement(out)
 
 
-def _wedge_parts(omega, partials):
+def wedge_df(f, omega):
+    """Left wedge by the exact one-form df."""
+    if f.is_zero() or omega.is_zero():
+        return FormElement({})
+    nvars = len(next(iter(f.terms)))
+    partials = [f.partial(i) for i in range(nvars)]
     out = {}
     for (exps, dqs), coeff in omega.terms.items():
         present = set(dqs)
@@ -191,22 +196,9 @@ def _wedge_parts(omega, partials):
     return FormElement(out)
 
 
-def wedge_df(f, omega):
-    """Left wedge by the exact one-form df."""
-    if f.is_zero() or omega.is_zero():
-        return FormElement({})
-    nvars = len(next(iter(f.terms)))
-    return _wedge_parts(omega, [f.partial(i) for i in range(nvars)])
-
-
-def wedge_ds(omega, ring):
-    """Left wedge by dS, partials cached on the ring."""
-    return _wedge_parts(omega, ring.s_partials)
-
-
 def twisted_d(omega, ring):
     """Differential d + dS wedge, conjugate to the twisted Laplacian."""
-    return form_d(omega) + wedge_ds(omega, ring)
+    return form_d(omega) + wedge_df(ring.S, omega)
 
 
 def contract_euler(omega, phi):

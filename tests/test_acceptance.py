@@ -18,7 +18,6 @@ from toricff.ffverify import (
     check_flat_f_axioms,
     check_fqm2,
     check_weight_homogeneity,
-    default_kappa,
 )
 from toricff.jacobired import jacobian_basis
 from toricff.polyalg import Poly
@@ -35,7 +34,6 @@ from toricff.supercomplex import (
     q_s,
     twisted_d,
     wedge_df,
-    wedge_ds,
 )
 from toricff.toricring import build_cayley_ring
 from toricff.unfolding import UnfoldingState, run
@@ -131,7 +129,7 @@ def test_operator_identity_suite(cubic_ring, ci22_ring, p1p1_ring):
             elements += 1
             ok = ok and twisted_d(twisted_d(omega, ring), ring).is_zero()
             ok = ok and form_d(form_d(omega)).is_zero()
-            ok = ok and wedge_ds(wedge_ds(omega, ring), ring).is_zero()
+            ok = ok and wedge_df(ring.S, wedge_df(ring.S, omega)).is_zero()
     elapsed = time.perf_counter() - start
     ok = ok and elements >= 200 and len(rings) >= 3
     conclude(
@@ -295,8 +293,10 @@ def test_flat_f_axioms_and_negative_controls(cubic_state4, ci22_state3):
     bad_u.u_table[(1, 1)] = bad_u.u_table[(1, 1)] + Poly.monomial((0,) * 4)
     ok = ok and not check_weight_homogeneity(bad_u).passed
 
-    doubled_kappa = 2 * default_kappa(cubic_state4.ring)
-    ok = ok and not check_euler_identity(cubic_state4, kappa=doubled_kappa).passed
+    # A_11^1 = 1 has t-weight 0, where 1 - d_1 - d_1 + d_1 = 1 is due
+    bad_weight = copy_state(cubic_state4)
+    bad_weight.a_table[(1, 1)] = {1: Fraction(1)}
+    ok = ok and not check_euler_identity(bad_weight).passed
 
     conclude(
         "flat F-manifold axioms pass (cubic order 4, (2,2) order 3); "
@@ -320,8 +320,8 @@ def test_euler_identity_cubic_order_three(cubic_ring, cubic_basis):
     report = check_euler_identity(state)
     ok = report.passed and report.truncation == 2 and report.cases >= 2
     conclude(
-        f"Euler-field identity per hbar power, cubic order 3 "
-        f"({report.cases} slices)",
+        f"Euler weights of Gamma and of the structure constants, cubic "
+        f"order 3 ({report.cases} cases, two per direction)",
         ok,
     )
 

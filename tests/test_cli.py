@@ -485,6 +485,7 @@ def _bench_problems():
             "8ac2e8a9009682f1181d8511713538eac5ce61f5117632f8d0613a1659fd5b39",
             id="ci22-order6-retained",
         ),
+        pytest.param("ci22-deep", {}, None, id="ci22-deep"),
         pytest.param("cy33-basis", {}, None, id="cy33-basis"),
         pytest.param(
             "rational-hesse",

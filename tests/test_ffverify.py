@@ -373,27 +373,61 @@ def test_euler_identity_cubic(cubic_ring, cubic_basis):
     report = check_euler_identity(state)
     assert report.passed
     assert report.truncation == 2
-    broken = check_euler_identity(state, kappa=SuperElement({}))
-    assert not broken.passed
-    assert broken.cases == 1
-    assert broken.failure == Failure("hbar^1 direction 0", (0, 0), 0, "1")
+    # d_1 = 1 instead of 0: u_1 t_1 then has total weight 2, not 1
+    broken = copy_state(state)
+    broken.t_weights = (1, 1)
+    report = check_euler_identity(broken)
+    assert not report.passed
+    assert report.cases == 3
+    assert report.failure == Failure(
+        "Gamma direction 1", (0, 0), 1, "y1*x1*x2*x3"
+    )
 
 
 def test_euler_identity_ci22(ci22_state3):
     report = check_euler_identity(ci22_state3)
     assert report.passed
-    dropped = SuperElement({((1, 0, 0, 0, 0, 0), (0,)): Fraction(1)})
-    broken = check_euler_identity(ci22_state3, kappa=dropped)
+    # a_{(1,1,1)}^0 sits at t_1 in A_11^0, whose t-weight must be
+    # 1 - d_1 - d_1 + d_0 = 2, but d_1 = 0
+    broken = check_euler_identity(with_a_entry(ci22_state3, (1, 1, 1), 0, 1))
     assert not broken.passed
-    assert "hbar" in broken.failure.site
+    assert broken.cases == 4
+    assert broken.failure == Failure("a weight (1,1)->0", (0, 1), None, "-2")
 
 
-# Known defect: both hbar slices hold for every Gamma. Since the weights of
-# the q_a sum to k, Delta(u kappa) - k u = E_wt(u), and Q_f(u kappa) =
-# u E_wt(f); the check never reads the t-weights, so a wrong u table passes.
-# This passes once the check ties Gamma to the unfolding.
-@pytest.mark.xfail(strict=True, reason="the Euler check passes every Gamma")
 def test_euler_identity_detects_corrupt_u(cubic_ring, cubic_basis):
     bad = copy_state(run(cubic_ring, cubic_basis, 3))
     bad.u_table[(1, 1)] = bad.u_table[(1, 1)] + Poly.monomial((2, 2, 2, 2))
-    assert not check_euler_identity(bad).passed
+    report = check_euler_identity(bad)
+    assert not report.passed
+    assert report.failure == Failure(
+        "Gamma direction 1", (0, 1), 2, "y1^2*x1^2*x2^2*x3^2"
+    )
+
+
+@pytest.mark.parametrize(
+    "fixture, order",
+    [
+        ("cubic", 2),
+        ("cubic", 6),
+        ("cubic", 8),
+        ("ci22_state3", None),
+        ("p1p1", 2),
+        ("p1p1", 3),
+        ("p1p1", 4),
+        ("p1p1", 5),
+        ("k3_state2", None),
+        ("k3_state3", None),
+    ],
+)
+def test_euler_identity_case_count(request, fixture, order):
+    # bench/gate.py expects 2 * dim cases, truncated at order - 1
+    if order is None:
+        state = request.getfixturevalue(fixture)
+    else:
+        ring = request.getfixturevalue(f"{fixture}_ring")
+        state = run(ring, request.getfixturevalue(f"{fixture}_basis"), order)
+    report = check_euler_identity(state)
+    assert report.passed
+    assert report.cases == 2 * len(state.basis.monomials)
+    assert report.truncation == state.order - 1

@@ -20,7 +20,6 @@ ALLOWED = {
     "k_s": "twisted Laplacian, which the acceptance gate compares with twisted_d",
     "mu": "form-side calculus checked by the acceptance gate",
     "mu_inverse": "form-side calculus checked by the acceptance gate",
-    "wedge_df": "form-side calculus checked by the acceptance gate",
     "epsilon_w_s": "form-side calculus checked by the acceptance gate",
 }
 
