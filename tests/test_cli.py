@@ -129,6 +129,156 @@ def test_parse_rejects_bad_input():
         parse_problem(CUBIC_PROBLEM + "mystery = 1\n")
 
 
+CUBIC_RAYS = "rays = (1,0) (0,1) (-1,-1)\n"
+CUBIC_SURFACE = "hypersurface = 1 (3,0,0) + 1 (0,3,0) + 1 (0,0,3)\n"
+
+
+def _with_line(key, value):
+    """The cubic problem with its key line replaced, or a new line appended."""
+    lines = CUBIC_PROBLEM.splitlines(keepends=True)
+    for i, line in enumerate(lines):
+        if line.startswith(key + " ="):
+            lines[i] = f"{key} = {value}\n"
+            return "".join(lines)
+    return CUBIC_PROBLEM + f"{key} = {value}\n"
+
+
+@pytest.mark.parametrize(
+    "text, lineno, message",
+    [
+        pytest.param(
+            _with_line("rays", "1,0 (0,1) (-1,-1)"),
+            1,
+            "rays: expected a (…) tuple, got '1,0'",
+            id="rays-not-a-tuple",
+        ),
+        pytest.param(
+            _with_line("rays", "() (0,1) (-1,-1)"), 1, "rays: empty tuple", id="rays-empty-tuple"
+        ),
+        pytest.param(
+            _with_line("rays", "(1,a) (0,1) (-1,-1)"),
+            1,
+            "rays: bad integer tuple '(1,a)'",
+            id="rays-bad-integer",
+        ),
+        pytest.param(_with_line("rays", ""), 1, "rays: no tuples given", id="rays-none"),
+        pytest.param(
+            _with_line("rays", "(1,0) (0,1,0)"), 1, "rays: mixed dimensions", id="rays-mixed"
+        ),
+        pytest.param(
+            CUBIC_PROBLEM + CUBIC_RAYS, 4, "duplicate rays line", id="rays-duplicate"
+        ),
+        pytest.param(
+            CUBIC_SURFACE + CUBIC_RAYS + "order = 2\n",
+            1,
+            "hypersurface given before rays",
+            id="hypersurface-before-rays",
+        ),
+        pytest.param(
+            _with_line("hypersurface", "1 (3,0,0) + x"),
+            2,
+            "hypersurface 1: expected 'coeff (exponents)', got 'x'",
+            id="hypersurface-term",
+        ),
+        pytest.param(
+            CUBIC_PROBLEM + "hypersurface = 1/0 (3,0,0)\n",
+            4,
+            "hypersurface 2: zero denominator in '1/0 (3,0,0)'",
+            id="hypersurface-zero-denominator",
+        ),
+        pytest.param(
+            _with_line("hypersurface", "1 (3,0)"),
+            2,
+            "hypersurface 1: expected 3 exponents, got 2",
+            id="hypersurface-exponent-count",
+        ),
+        pytest.param(
+            _with_line("hypersurface", "1 (3,0,-1)"),
+            2,
+            "hypersurface 1: negative exponent in '1 (3,0,-1)'",
+            id="hypersurface-negative-exponent",
+        ),
+        pytest.param(
+            _with_line("hypersurface", "1 ()"),
+            2,
+            "hypersurface 1: empty tuple",
+            id="hypersurface-empty-tuple",
+        ),
+        pytest.param(
+            _with_line("hypersurface", "1 (3,a,0)"),
+            2,
+            "hypersurface 1: bad integer tuple '(3,a,0)'",
+            id="hypersurface-bad-integer",
+        ),
+        pytest.param(
+            _with_line("order", "two"), 3, "order: not an integer: 'two'", id="order-not-integer"
+        ),
+        pytest.param(_with_line("order", "0"), 3, "order must be at least 1", id="order-zero"),
+        pytest.param(
+            CUBIC_PROBLEM + "order = 4\n", 4, "duplicate order line", id="order-duplicate"
+        ),
+        pytest.param(
+            _with_line("monomial-order", "lex"),
+            4,
+            "monomial-order: only grevlex is supported, got 'lex'",
+            id="monomial-order-value",
+        ),
+        pytest.param(
+            _with_line("monomial-order", "grevlex") + "monomial-order = grevlex\n",
+            5,
+            "duplicate monomial-order line",
+            id="monomial-order-duplicate",
+        ),
+        pytest.param(
+            _with_line("checks", "everything"),
+            4,
+            "checks: expected one of all, fqm2, axioms, weights, euler, got 'everything'",
+            id="checks-value",
+        ),
+        pytest.param(
+            _with_line("checks", "all") + "checks = fqm2\n",
+            5,
+            "duplicate checks line",
+            id="checks-duplicate",
+        ),
+        pytest.param(
+            _with_line("retain-intermediates", "maybe"),
+            4,
+            "retain-intermediates: expected yes or no, got 'maybe'",
+            id="retain-intermediates-value",
+        ),
+        pytest.param(
+            _with_line("retain-intermediates", "no") + "retain-intermediates = yes\n",
+            5,
+            "duplicate retain-intermediates line",
+            id="retain-intermediates-duplicate",
+        ),
+        pytest.param(
+            CUBIC_PROBLEM + "rays\n", 4, "expected 'key = value', got 'rays'", id="no-equals"
+        ),
+        pytest.param(
+            CUBIC_PROBLEM + "mystery = 1\n", 4, "unknown key 'mystery'", id="unknown-key"
+        ),
+        pytest.param("# empty\norder = 2\n", 3, "missing rays line", id="missing-rays"),
+        pytest.param(
+            CUBIC_RAYS + "order = 2\n", 3, "missing hypersurface lines", id="missing-hypersurface"
+        ),
+        pytest.param(
+            CUBIC_RAYS + CUBIC_SURFACE, 3, "missing order line", id="missing-order"
+        ),
+    ],
+)
+def test_parse_errors_name_their_line(tmp_path, capsys, text, lineno, message):
+    with pytest.raises(ProblemFormatError) as info:
+        parse_problem(text)
+    assert info.value.lineno == lineno
+    assert str(info.value) == f"line {lineno}: {message}"
+    assert main(["unfold", problem_path(tmp_path, text)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: ProblemFormatError: line {lineno}: {message}\n"
+    assert captured.out == ""
+
+
 def test_grading_cubic(tmp_path, capsys):
     code = main(["grading", problem_path(tmp_path, CUBIC_PROBLEM)])
     out = capsys.readouterr().out
