@@ -93,137 +93,131 @@ class ProblemFile:
 
 
 _TERM = re.compile(r"(-?\d+(?:/\d+)?)\s*\(([^()]*)\)")
-_T_FACTOR = re.compile(r"t(\d+)(?:\^(\d+))?")
+_T_FACTOR = re.compile(r"t(\d+)(?:\^([1-9]\d*))?")
 
 
-def _parse_ivec(token, lineno, what):
+def _parse_ivec(token, what):
     token = token.strip()
     if not (token.startswith("(") and token.endswith(")")):
-        raise ProblemFormatError(lineno, f"{what}: expected a (…) tuple, got {token!r}")
+        raise ValueError(f"{what}: expected a (…) tuple, got {token!r}")
     body = token[1:-1].replace(" ", "")
     if not body:
-        raise ProblemFormatError(lineno, f"{what}: empty tuple")
+        raise ValueError(f"{what}: empty tuple")
     try:
         return tuple(int(part) for part in body.split(","))
     except ValueError:
-        raise ProblemFormatError(lineno, f"{what}: bad integer tuple {token!r}") from None
+        raise ValueError(f"{what}: bad integer tuple {token!r}") from None
 
 
-def _parse_hypersurface(value, index, lineno, r):
+def _parse_hypersurface(value, index, r):
+    what = f"hypersurface {index}"
     terms = []
     for chunk in value.split("+"):
         chunk = chunk.strip()
         match = _TERM.fullmatch(chunk)
         if not match:
-            raise ProblemFormatError(
-                lineno, f"hypersurface {index}: expected 'coeff (exponents)', got {chunk!r}"
-            )
+            raise ValueError(f"{what}: expected 'coeff (exponents)', got {chunk!r}")
         try:
             coeff = Fraction(match.group(1))
         except ZeroDivisionError:
-            raise ProblemFormatError(
-                lineno, f"hypersurface {index}: zero denominator in {chunk!r}"
-            ) from None
-        exps = _parse_ivec("(" + match.group(2) + ")", lineno, f"hypersurface {index}")
+            raise ValueError(f"{what}: zero denominator in {chunk!r}") from None
+        exps = _parse_ivec("(" + match.group(2) + ")", what)
         if len(exps) != r:
-            raise ProblemFormatError(
-                lineno,
-                f"hypersurface {index}: expected {r} exponents, got {len(exps)}",
-            )
+            raise ValueError(f"{what}: expected {r} exponents, got {len(exps)}")
         if any(e < 0 for e in exps):
-            raise ProblemFormatError(
-                lineno, f"hypersurface {index}: negative exponent in {chunk!r}"
-            )
+            raise ValueError(f"{what}: negative exponent in {chunk!r}")
         terms.append((coeff, exps))
     return tuple(terms)
 
 
+def _parse_rays(value):
+    rays = tuple(_parse_ivec(token, "rays") for token in value.split())
+    if not rays:
+        raise ValueError("rays: no tuples given")
+    if len({len(ray) for ray in rays}) > 1:
+        raise ValueError("rays: mixed dimensions")
+    return rays
+
+
+def _parse_order(value):
+    try:
+        order = int(value)
+    except ValueError:
+        raise ValueError(f"order: not an integer: {value!r}") from None
+    if order < 1:
+        raise ValueError("order must be at least 1")
+    return order
+
+
+def _one_of(key, values):
+    """Parser of a value that must be a key of values; returns its entry."""
+
+    def parse(value):
+        if value not in values:
+            raise ValueError(
+                f"{key}: expected one of {', '.join(values)}, got {value!r}"
+            )
+        return values[value]
+
+    return parse
+
+
+# single-valued problem keys: ProblemFile field and value parser; the one
+# repeatable key, hypersurface, is parsed on its own
+_KEYS = {
+    "rays": ("rays", _parse_rays),
+    "order": ("order", _parse_order),
+    "monomial-order": (
+        "monomial_order",
+        _one_of("monomial-order", {"grevlex": "grevlex"}),
+    ),
+    "checks": ("checks", _one_of("checks", {c: c for c in CHECK_CHOICES})),
+    "retain-intermediates": (
+        "retain_intermediates",
+        _one_of("retain-intermediates", {"yes": True, "no": False}),
+    ),
+}
+
+
 def parse_problem(text):
     """Parse problem text; raise ProblemFormatError with a line number."""
-    rays = None
+    fields = {}
     hypersurfaces = []
-    order = None
-    monomial_order = None
-    checks = None
-    retain = None
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    lines = text.splitlines()
+    for lineno, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         key, sep, value = line.partition("=")
-        if not sep:
-            raise ProblemFormatError(lineno, f"expected 'key = value', got {line!r}")
-        key = key.strip()
-        value = value.strip()
-        if key == "rays":
-            if rays is not None:
-                raise ProblemFormatError(lineno, "duplicate rays line")
-            rays = tuple(
-                _parse_ivec(token, lineno, "rays") for token in value.split()
-            )
-            if not rays:
-                raise ProblemFormatError(lineno, "rays: no tuples given")
-            if len({len(ray) for ray in rays}) > 1:
-                raise ProblemFormatError(lineno, "rays: mixed dimensions")
-        elif key == "hypersurface":
-            if rays is None:
-                raise ProblemFormatError(lineno, "hypersurface given before rays")
-            hypersurfaces.append(
-                _parse_hypersurface(
-                    value, len(hypersurfaces) + 1, lineno, len(rays)
+        key, value = key.strip(), value.strip()
+        try:
+            if not sep:
+                raise ValueError(f"expected 'key = value', got {line!r}")
+            if key == "hypersurface":
+                if "rays" not in fields:
+                    raise ValueError("hypersurface given before rays")
+                hypersurfaces.append(
+                    _parse_hypersurface(
+                        value, len(hypersurfaces) + 1, len(fields["rays"])
+                    )
                 )
-            )
-        elif key == "order":
-            if order is not None:
-                raise ProblemFormatError(lineno, "duplicate order line")
-            try:
-                order = int(value)
-            except ValueError:
-                raise ProblemFormatError(lineno, f"order: not an integer: {value!r}") from None
-            if order < 1:
-                raise ProblemFormatError(lineno, "order must be at least 1")
-        elif key == "monomial-order":
-            if monomial_order is not None:
-                raise ProblemFormatError(lineno, "duplicate monomial-order line")
-            if value != "grevlex":
-                raise ProblemFormatError(
-                    lineno, f"monomial-order: only grevlex is supported, got {value!r}"
-                )
-            monomial_order = value
-        elif key == "checks":
-            if checks is not None:
-                raise ProblemFormatError(lineno, "duplicate checks line")
-            if value not in CHECK_CHOICES:
-                raise ProblemFormatError(
-                    lineno,
-                    f"checks: expected one of {', '.join(CHECK_CHOICES)}, got {value!r}",
-                )
-            checks = value
-        elif key == "retain-intermediates":
-            if retain is not None:
-                raise ProblemFormatError(lineno, "duplicate retain-intermediates line")
-            if value not in ("yes", "no"):
-                raise ProblemFormatError(
-                    lineno, f"retain-intermediates: expected yes or no, got {value!r}"
-                )
-            retain = value == "yes"
-        else:
-            raise ProblemFormatError(lineno, f"unknown key {key!r}")
-    last = len(text.splitlines()) + 1
-    if rays is None:
+            elif key in _KEYS:
+                field, parse = _KEYS[key]
+                if field in fields:
+                    raise ValueError(f"duplicate {key} line")
+                fields[field] = parse(value)
+            else:
+                raise ValueError(f"unknown key {key!r}")
+        except ValueError as exc:
+            raise ProblemFormatError(lineno, str(exc)) from None
+    last = len(lines) + 1
+    if "rays" not in fields:
         raise ProblemFormatError(last, "missing rays line")
     if not hypersurfaces:
         raise ProblemFormatError(last, "missing hypersurface lines")
-    if order is None:
+    if "order" not in fields:
         raise ProblemFormatError(last, "missing order line")
-    return ProblemFile(
-        rays=rays,
-        hypersurfaces=tuple(hypersurfaces),
-        order=order,
-        monomial_order=monomial_order or "grevlex",
-        checks=checks or "all",
-        retain_intermediates=bool(retain),
-    )
+    return ProblemFile(hypersurfaces=tuple(hypersurfaces), **fields)
 
 
 def _render_ivec(vec):
@@ -342,26 +336,16 @@ def _table_lines(state):
     return lines
 
 
-def _run_checks(state, selection):
-    selected = tuple(CHECKS) if selection == "all" else (selection,)
-    results = []
-    for key in selected:
-        _, needs_order_two = CHECK_LABELS[key]
-        if needs_order_two and state.order < 2:
-            results.append((key, None))
-        else:
-            results.append((key, CHECKS[key](state)))
-    return results
-
-
-def _verification_lines(results):
+def _verification_lines(state, selection):
+    """Run each selected check, or skip it below order 2; lines and status."""
     lines = ["[verification]"]
     passed = True
-    for key, report in results:
-        label, _ = CHECK_LABELS[key]
-        if report is None:
+    for key in CHECKS if selection == "all" else (selection,):
+        label, needs_order_two = CHECK_LABELS[key]
+        if needs_order_two and state.order < 2:
             lines.append(f"check.{label} = skipped (needs order >= 2)")
             continue
+        report = CHECKS[key](state)
         lines.append(f"check.{label} = " + ("pass" if report.passed else "fail"))
         lines.append(f"check.{label}.truncation = {report.truncation}")
         lines.append(f"check.{label}.cases = {report.cases}")
@@ -404,8 +388,7 @@ def cmd_unfold(problem):
     ring = _build_ring(problem)
     basis = jacobian_basis(ring)
     state = run(ring, basis, problem.order, debug=problem.retain_intermediates)
-    results = _run_checks(state, problem.checks)
-    check_lines, passed = _verification_lines(results)
+    check_lines, passed = _verification_lines(state, problem.checks)
     lines = (
         _header_lines("unfolding")
         + _problem_lines(problem)
@@ -445,34 +428,37 @@ def ingest_report(text):
     tables = {"u": {}, "a": {}, "lambda": {}, "input": {}}
     seen = set()
     for line in sections["tables"]:
-        key, sep, value = line.partition(" = ")
-        if not sep:
-            raise ValueError(f"bad table line {line!r}")
-        name, _, body = key.partition(".")
-        if key != "order" and name not in tables:
-            raise ValueError(f"unknown table key {key!r}")
-        rho = None
-        if name == "a":
-            body, _, rho = body.rpartition(".")
-            rho = int(rho)
-            if rho not in range(dim):
-                raise ValueError(f"a index outside 0..{dim - 1} in {line!r}")
-        multi = () if key == "order" else _parse_t_monomial(body)
-        if any(j >= dim for j in multi):
-            raise ValueError(f"direction outside t0..t{dim - 1} in {line!r}")
-        if (name, multi, rho) in seen:
-            raise ValueError(f"repeated table key in {line!r}")
-        seen.add((name, multi, rho))
-        if name == "order":
-            order = int(value)
-        elif name == "a":
-            row = tables["a"].setdefault(multi, {})
-            if coeff := Fraction(value):
-                row[rho] = coeff
-        elif name == "lambda":
-            tables[name][multi] = parse_super(value, ring.names, ring.eta_names)
-        else:
-            tables[name][multi] = parse_poly(value, ring.names)
+        try:
+            key, sep, value = line.partition(" = ")
+            if not sep:
+                raise ValueError("expected 'key = value'")
+            name, _, body = key.partition(".")
+            if key != "order" and name not in tables:
+                raise ValueError(f"unknown table key {key!r}")
+            rho = None
+            if name == "a":
+                body, _, rho = body.rpartition(".")
+                rho = int(rho)
+                if rho not in range(dim):
+                    raise ValueError(f"a index outside 0..{dim - 1}")
+            multi = () if key == "order" else _parse_t_monomial(body)
+            if any(j >= dim for j in multi):
+                raise ValueError(f"direction outside t0..t{dim - 1}")
+            if (name, multi, rho) in seen:
+                raise ValueError("repeated table key")
+            seen.add((name, multi, rho))
+            if name == "order":
+                order = int(value)
+            elif name == "a":
+                row = tables["a"].setdefault(multi, {})
+                if coeff := Fraction(value):
+                    row[rho] = coeff
+            elif name == "lambda":
+                tables[name][multi] = parse_super(value, ring.names, ring.eta_names)
+            else:
+                tables[name][multi] = parse_poly(value, ring.names)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"{exc} in {line!r}") from None
     if order is None:
         raise ValueError("report tables lack an order line")
     return UnfoldingState(

@@ -249,35 +249,23 @@ def render_super(w, names, eta_names):
 
 
 def parse_super(text, names, eta_names):
-    """Inverse of render_super; tolerates unsorted eta factors via the sign."""
+    """Inverse of render_super; each term's eta factors distinct and ascending."""
     var_index = {name: i for i, name in enumerate(names)}
     eta_index = {name: i for i, name in enumerate(eta_names)}
     terms = {}
     for coeff, powers in parse_terms(text):
         exps = [0] * len(names)
-        seen = []
-        dead = False
+        etas = []
         for name, e in powers.items():
             if name in var_index:
                 exps[var_index[name]] += e
             elif name in eta_index:
-                idx = eta_index[name]
-                if e > 1 or idx in seen:
-                    dead = True
-                    break
-                seen.append(idx)
+                etas.extend([eta_index[name]] * e)
             else:
                 raise ValueError(f"unknown variable {name!r}")
-        if dead:
-            continue
-        inversions = sum(
-            1
-            for a in range(len(seen))
-            for b in range(a + 1, len(seen))
-            if seen[a] > seen[b]
-        )
-        if inversions % 2:
-            coeff = -coeff
-        key = (tuple(exps), tuple(sorted(seen)))
+        if any(a >= b for a, b in zip(etas, etas[1:])):
+            factors = "*".join(eta_names[i] for i in etas)
+            raise ValueError(f"eta factors {factors} not distinct and ascending")
+        key = (tuple(exps), tuple(etas))
         terms[key] = terms.get(key, Fraction(0)) + coeff
     return SuperElement(terms)

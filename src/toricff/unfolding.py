@@ -92,12 +92,6 @@ class TruncatedSeries:
         kept = {k: v for k, v in out.items() if len(k) <= order}
         return TruncatedSeries(self.dim, order, kept)
 
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return self.map(operator.neg)
-
     def __mul__(self, other):
         return self.convolve(other, operator.mul)
 

@@ -11,6 +11,8 @@ from pathlib import Path
 import pytest
 
 from toricff.cli import (
+    CHECK_LABELS,
+    CHECKS,
     ProblemFile,
     ProblemFormatError,
     cmd_basis,
@@ -116,19 +118,6 @@ def test_parse_error_names_hypersurface_and_line():
     assert "line 3" in str(info.value)
 
 
-def test_parse_rejects_bad_input():
-    with pytest.raises(ProblemFormatError):
-        parse_problem("order = 2\n")  # no rays
-    with pytest.raises(ProblemFormatError):
-        parse_problem(CUBIC_PROBLEM + "monomial-order = lex\n")
-    with pytest.raises(ProblemFormatError):
-        parse_problem(CUBIC_PROBLEM + "checks = everything\n")
-    with pytest.raises(ProblemFormatError):
-        parse_problem(CUBIC_PROBLEM.replace("order = 4", "order = 0"))
-    with pytest.raises(ProblemFormatError):
-        parse_problem(CUBIC_PROBLEM + "mystery = 1\n")
-
-
 CUBIC_RAYS = "rays = (1,0) (0,1) (-1,-1)\n"
 CUBIC_SURFACE = "hypersurface = 1 (3,0,0) + 1 (0,3,0) + 1 (0,0,3)\n"
 
@@ -143,130 +132,61 @@ def _with_line(key, value):
     return CUBIC_PROBLEM + f"{key} = {value}\n"
 
 
+# (id, problem text, line number, message) of every parse error
+PARSE_ERRORS = [
+    ("rays-not-a-tuple", _with_line("rays", "1,0 (0,1) (-1,-1)"), 1,
+     "rays: expected a (…) tuple, got '1,0'"),
+    ("rays-empty-tuple", _with_line("rays", "() (0,1) (-1,-1)"), 1,
+     "rays: empty tuple"),
+    ("rays-bad-integer", _with_line("rays", "(1,a) (0,1) (-1,-1)"), 1,
+     "rays: bad integer tuple '(1,a)'"),
+    ("rays-none", _with_line("rays", ""), 1, "rays: no tuples given"),
+    ("rays-mixed", _with_line("rays", "(1,0) (0,1,0)"), 1, "rays: mixed dimensions"),
+    ("rays-duplicate", CUBIC_PROBLEM + CUBIC_RAYS, 4, "duplicate rays line"),
+    ("hypersurface-before-rays", CUBIC_SURFACE + CUBIC_RAYS + "order = 2\n", 1,
+     "hypersurface given before rays"),
+    ("hypersurface-term", _with_line("hypersurface", "1 (3,0,0) + x"), 2,
+     "hypersurface 1: expected 'coeff (exponents)', got 'x'"),
+    ("hypersurface-zero-denominator", CUBIC_PROBLEM + "hypersurface = 1/0 (3,0,0)\n", 4,
+     "hypersurface 2: zero denominator in '1/0 (3,0,0)'"),
+    ("hypersurface-exponent-count", _with_line("hypersurface", "1 (3,0)"), 2,
+     "hypersurface 1: expected 3 exponents, got 2"),
+    ("hypersurface-negative-exponent", _with_line("hypersurface", "1 (3,0,-1)"), 2,
+     "hypersurface 1: negative exponent in '1 (3,0,-1)'"),
+    ("hypersurface-empty-tuple", _with_line("hypersurface", "1 ()"), 2,
+     "hypersurface 1: empty tuple"),
+    ("hypersurface-bad-integer", _with_line("hypersurface", "1 (3,a,0)"), 2,
+     "hypersurface 1: bad integer tuple '(3,a,0)'"),
+    ("order-not-integer", _with_line("order", "two"), 3,
+     "order: not an integer: 'two'"),
+    ("order-zero", _with_line("order", "0"), 3, "order must be at least 1"),
+    ("order-duplicate", CUBIC_PROBLEM + "order = 4\n", 4, "duplicate order line"),
+    ("monomial-order-value", _with_line("monomial-order", "lex"), 4,
+     "monomial-order: expected one of grevlex, got 'lex'"),
+    ("monomial-order-duplicate",
+     _with_line("monomial-order", "grevlex") + "monomial-order = grevlex\n", 5,
+     "duplicate monomial-order line"),
+    ("checks-value", _with_line("checks", "everything"), 4,
+     "checks: expected one of all, fqm2, axioms, weights, euler, got 'everything'"),
+    ("checks-duplicate", _with_line("checks", "all") + "checks = fqm2\n", 5,
+     "duplicate checks line"),
+    ("retain-intermediates-value", _with_line("retain-intermediates", "maybe"), 4,
+     "retain-intermediates: expected one of yes, no, got 'maybe'"),
+    ("retain-intermediates-duplicate",
+     _with_line("retain-intermediates", "no") + "retain-intermediates = yes\n", 5,
+     "duplicate retain-intermediates line"),
+    ("no-equals", CUBIC_PROBLEM + "rays\n", 4, "expected 'key = value', got 'rays'"),
+    ("unknown-key", CUBIC_PROBLEM + "mystery = 1\n", 4, "unknown key 'mystery'"),
+    ("missing-rays", "# empty\norder = 2\n", 3, "missing rays line"),
+    ("missing-hypersurface", CUBIC_RAYS + "order = 2\n", 3,
+     "missing hypersurface lines"),
+    ("missing-order", CUBIC_RAYS + CUBIC_SURFACE, 3, "missing order line"),
+]
+
+
 @pytest.mark.parametrize(
     "text, lineno, message",
-    [
-        pytest.param(
-            _with_line("rays", "1,0 (0,1) (-1,-1)"),
-            1,
-            "rays: expected a (…) tuple, got '1,0'",
-            id="rays-not-a-tuple",
-        ),
-        pytest.param(
-            _with_line("rays", "() (0,1) (-1,-1)"), 1, "rays: empty tuple", id="rays-empty-tuple"
-        ),
-        pytest.param(
-            _with_line("rays", "(1,a) (0,1) (-1,-1)"),
-            1,
-            "rays: bad integer tuple '(1,a)'",
-            id="rays-bad-integer",
-        ),
-        pytest.param(_with_line("rays", ""), 1, "rays: no tuples given", id="rays-none"),
-        pytest.param(
-            _with_line("rays", "(1,0) (0,1,0)"), 1, "rays: mixed dimensions", id="rays-mixed"
-        ),
-        pytest.param(
-            CUBIC_PROBLEM + CUBIC_RAYS, 4, "duplicate rays line", id="rays-duplicate"
-        ),
-        pytest.param(
-            CUBIC_SURFACE + CUBIC_RAYS + "order = 2\n",
-            1,
-            "hypersurface given before rays",
-            id="hypersurface-before-rays",
-        ),
-        pytest.param(
-            _with_line("hypersurface", "1 (3,0,0) + x"),
-            2,
-            "hypersurface 1: expected 'coeff (exponents)', got 'x'",
-            id="hypersurface-term",
-        ),
-        pytest.param(
-            CUBIC_PROBLEM + "hypersurface = 1/0 (3,0,0)\n",
-            4,
-            "hypersurface 2: zero denominator in '1/0 (3,0,0)'",
-            id="hypersurface-zero-denominator",
-        ),
-        pytest.param(
-            _with_line("hypersurface", "1 (3,0)"),
-            2,
-            "hypersurface 1: expected 3 exponents, got 2",
-            id="hypersurface-exponent-count",
-        ),
-        pytest.param(
-            _with_line("hypersurface", "1 (3,0,-1)"),
-            2,
-            "hypersurface 1: negative exponent in '1 (3,0,-1)'",
-            id="hypersurface-negative-exponent",
-        ),
-        pytest.param(
-            _with_line("hypersurface", "1 ()"),
-            2,
-            "hypersurface 1: empty tuple",
-            id="hypersurface-empty-tuple",
-        ),
-        pytest.param(
-            _with_line("hypersurface", "1 (3,a,0)"),
-            2,
-            "hypersurface 1: bad integer tuple '(3,a,0)'",
-            id="hypersurface-bad-integer",
-        ),
-        pytest.param(
-            _with_line("order", "two"), 3, "order: not an integer: 'two'", id="order-not-integer"
-        ),
-        pytest.param(_with_line("order", "0"), 3, "order must be at least 1", id="order-zero"),
-        pytest.param(
-            CUBIC_PROBLEM + "order = 4\n", 4, "duplicate order line", id="order-duplicate"
-        ),
-        pytest.param(
-            _with_line("monomial-order", "lex"),
-            4,
-            "monomial-order: only grevlex is supported, got 'lex'",
-            id="monomial-order-value",
-        ),
-        pytest.param(
-            _with_line("monomial-order", "grevlex") + "monomial-order = grevlex\n",
-            5,
-            "duplicate monomial-order line",
-            id="monomial-order-duplicate",
-        ),
-        pytest.param(
-            _with_line("checks", "everything"),
-            4,
-            "checks: expected one of all, fqm2, axioms, weights, euler, got 'everything'",
-            id="checks-value",
-        ),
-        pytest.param(
-            _with_line("checks", "all") + "checks = fqm2\n",
-            5,
-            "duplicate checks line",
-            id="checks-duplicate",
-        ),
-        pytest.param(
-            _with_line("retain-intermediates", "maybe"),
-            4,
-            "retain-intermediates: expected yes or no, got 'maybe'",
-            id="retain-intermediates-value",
-        ),
-        pytest.param(
-            _with_line("retain-intermediates", "no") + "retain-intermediates = yes\n",
-            5,
-            "duplicate retain-intermediates line",
-            id="retain-intermediates-duplicate",
-        ),
-        pytest.param(
-            CUBIC_PROBLEM + "rays\n", 4, "expected 'key = value', got 'rays'", id="no-equals"
-        ),
-        pytest.param(
-            CUBIC_PROBLEM + "mystery = 1\n", 4, "unknown key 'mystery'", id="unknown-key"
-        ),
-        pytest.param("# empty\norder = 2\n", 3, "missing rays line", id="missing-rays"),
-        pytest.param(
-            CUBIC_RAYS + "order = 2\n", 3, "missing hypersurface lines", id="missing-hypersurface"
-        ),
-        pytest.param(
-            CUBIC_RAYS + CUBIC_SURFACE, 3, "missing order line", id="missing-order"
-        ),
-    ],
+    [pytest.param(*case, id=name) for name, *case in PARSE_ERRORS],
 )
 def test_parse_errors_name_their_line(tmp_path, capsys, text, lineno, message):
     with pytest.raises(ProblemFormatError) as info:
@@ -543,6 +463,22 @@ def test_unfold_internal_errors_exit_three(tmp_path, capsys, monkeypatch, error)
     assert captured.out == ""
 
 
+def test_check_labels_match_the_checks(cubic_ring, cubic_basis):
+    # CHECK_LABELS restates each check's report label and its order guard
+    order_two = run(cubic_ring, cubic_basis, 2)
+    order_one = run(cubic_ring, cubic_basis, 1)
+    assert CHECK_LABELS.keys() == CHECKS.keys()
+    refused = set()
+    for key, check in CHECKS.items():
+        assert check(order_two).check == CHECK_LABELS[key][0]
+        try:
+            check(order_one)
+        except ValueError:
+            refused.add(key)
+    flagged = {key for key, (_, needs_two) in CHECK_LABELS.items() if needs_two}
+    assert refused == flagged
+
+
 def test_reports_byte_stable(tmp_path):
     path = problem_path(tmp_path, CUBIC_PROBLEM)
     first = tmp_path / "a.txt"
@@ -576,13 +512,28 @@ def test_report_reingestion(tmp_path):
         ("a.t1^2.7 = 5", "a index outside 0..1"),
         ("u.t9^2 = 0", "direction outside t0..t1"),
         ("a.t1*t0.1 = 0", "repeated table key"),
+        ("u.t1^0 = y1", "bad t-monomial 't1\\^0'"),
+        ("lambda.t1^2 = y1*eta2*eta1", r"eta factors eta2\*eta1 not distinct"),
+        ("lambda.t1^2 = y1*eta1^2", r"eta factors eta1\*eta1 not distinct"),
+        ("a.t0^2.1 = 1/0", r"Fraction\(1, 0\)"),
     ],
-    ids=["a-index", "direction", "repeated-key"],
+    ids=[
+        "a-index",
+        "direction",
+        "repeated-key",
+        "zero-exponent",
+        "descending-etas",
+        "repeated-eta",
+        "zero-denominator",
+    ],
 )
 def test_ingest_rejects_bad_table_line(line, reason):
-    # the cubic has two directions; the line goes last in [tables]
+    # the cubic has two directions and every key of size <= 2 at order 2; the
+    # line replaces the line of the same key, if any, and goes last in [tables]
     _, report = cmd_unfold(replace(parse_problem(CUBIC_PROBLEM), order=2))
-    text = report.replace("[verification]\n", f"{line}\n[verification]\n")
+    key = line.partition(" = ")[0]
+    kept = [row for row in report.splitlines(True) if not row.startswith(key + " = ")]
+    text = "".join(kept).replace("[verification]\n", f"{line}\n[verification]\n")
     with pytest.raises(ValueError, match=reason) as info:
         ingest_report(text)
     assert repr(line) in str(info.value)
