@@ -427,6 +427,7 @@ def ingest_report(text):
     order = None
     tables = {"u": {}, "a": {}, "lambda": {}, "input": {}}
     seen = set()
+    sizes = []  # (multiset size, line) of every table entry
     for line in sections["tables"]:
         try:
             key, sep, value = line.partition(" = ")
@@ -447,6 +448,7 @@ def ingest_report(text):
             if (name, multi, rho) in seen:
                 raise ValueError("repeated table key")
             seen.add((name, multi, rho))
+            sizes.append((len(multi), line))
             if name == "order":
                 order = int(value)
             elif name == "a":
@@ -461,6 +463,9 @@ def ingest_report(text):
             raise ValueError(f"{exc} in {line!r}") from None
     if order is None:
         raise ValueError("report tables lack an order line")
+    for size, line in sizes:
+        if size > order:
+            raise ValueError(f"multiset beyond order {order} in {line!r}")
     return UnfoldingState(
         ring=ring,
         basis=basis,

@@ -18,17 +18,19 @@ those of the reduced row echelon form.
 Elimination is fraction-free. Every stored row and its generator combination
 form one primitive vector of Python ints, with the row's lead at its pivot
 column; a partial with non-integer coefficients enters with its row and its
-witness scaled by the lcm of its denominators. Fractions appear only where
-reduce_vector emits a residue entry and the final combination.
+witness scaled by the lcm of its denominators, cleared by polyalg._cleared,
+the helper that the polynomial and odd-element products share. Fractions
+appear only where reduce_vector emits a residue entry and the final
+combination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
-from .polyalg import Poly, monomial_mul
+from .polyalg import Poly, _cleared, monomial_mul
 from .supercomplex import SuperElement, q_s
 from .toricring import NotCalabiYau, enumerate_graded_piece, is_calabi_yau
 
@@ -43,12 +45,6 @@ class BasisIncomplete(Exception):
     def __init__(self, weight):
         super().__init__(f"nonzero quotient residue at weight {weight}")
         self.weight = weight
-
-
-def _cleared(coeffs):
-    """(d, d * coeffs) with d the lcm of the denominators; the values are ints."""
-    d = lcm(*(v.denominator for v in coeffs.values()))
-    return d, {key: v.numerator * (d // v.denominator) for key, v in coeffs.items()}
 
 
 def _axpy(p, dst, c, src):

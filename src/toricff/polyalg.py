@@ -2,13 +2,20 @@
 
 A monomial is a tuple of nonnegative exponents; variable order is fixed by the
 caller (Cayley rings put the y variables first). Polynomials are immutable
-once built and all arithmetic stays in fractions.Fraction.
+once built and every stored coefficient is an exact fractions.Fraction.
+
+Products run over integers: each factor's coefficients are cleared to Python
+int numerators over the lcm of their denominators (_cleared, the one
+denominator-clearing helper of the package), the numerators are multiplied
+and summed, and one Fraction is built per output term.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
+from math import lcm
 
 
 def grevlex_key(exps):
@@ -22,7 +29,13 @@ def grevlex_key(exps):
 
 
 def monomial_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
+
+
+def _cleared(coeffs):
+    """(d, d * coeffs) with d the lcm of the denominators; the values are ints."""
+    d = lcm(*(v.denominator for v in coeffs.values()))
+    return d, {key: v.numerator * (d // v.denominator) for key, v in coeffs.items()}
 
 
 class _SparseTerms:
@@ -41,6 +54,13 @@ class _SparseTerms:
             if c != 0:
                 clean[key] = c
         self.terms = clean
+
+    @classmethod
+    def _over(cls, numerators, denom):
+        """The element {key: n / denom} of int numerators n; zeros are dropped."""
+        out = cls.__new__(cls)
+        out.terms = {k: Fraction(n, denom) for k, n in numerators.items() if n}
+        return out
 
     def is_zero(self):
         return not self.terms
@@ -81,12 +101,14 @@ class Poly(_SparseTerms):
 
     def __mul__(self, other):
         if isinstance(other, Poly):
+            d1, n1 = _cleared(self.terms)
+            d2, n2 = _cleared(other.terms)
             out = {}
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
+            for e1, c1 in n1.items():
+                for e2, c2 in n2.items():
                     key = monomial_mul(e1, e2)
-                    out[key] = out.get(key, Fraction(0)) + c1 * c2
-            return Poly(out)
+                    out[key] = out.get(key, 0) + c1 * c2
+            return Poly._over(out, d1 * d2)
         return Poly({e: c * Fraction(other) for e, c in self.terms.items()})
 
     __rmul__ = __mul__
@@ -98,6 +120,23 @@ class Poly(_SparseTerms):
                 lowered = exps[:i] + (exps[i] - 1,) + exps[i + 1 :]
                 out[lowered] = out.get(lowered, Fraction(0)) + coeff * exps[i]
         return Poly(out)
+
+
+def combination(pairs):
+    """The Poly sum of scale * f over (scale, f) pairs, summed over int
+    numerators; a scale is an int or a Fraction."""
+    cleared = []
+    for scale, f in pairs:
+        d, numerators = _cleared(f.terms)
+        scale = Fraction(scale)
+        cleared.append((scale.numerator, scale.denominator * d, numerators))
+    denom = lcm(*(d for _, d, _ in cleared))
+    out = {}
+    for num, d, numerators in cleared:
+        scale = num * (denom // d)
+        for key, n in numerators.items():
+            out[key] = out.get(key, 0) + scale * n
+    return Poly._over(out, denom)
 
 
 def _render_term(exps, coeff, names, odd=()):

@@ -18,6 +18,7 @@ from fractions import Fraction
 
 from .polyalg import (
     Poly,
+    _cleared,
     _SparseTerms,
     _join_terms,
     _render_term,
@@ -107,32 +108,39 @@ def delta(w):
     return SuperElement(out)
 
 
-def _q_parts(w, partials):
+def _q_parts(w, denom, parts):
+    """Sum over the terms of w and their eta_i of the sign of eta_i times the
+    term with eta_i dropped times the partial parts[i], given as a list of
+    (exponents, int numerator) over the common denominator denom, as
+    CayleyRing.s_parts gives them."""
+    dw, cleared = _cleared(w.terms)
     out = {}
-    for (exps, etas), coeff in w.terms.items():
+    for (exps, etas), coeff in cleared.items():
         for pos, i in enumerate(etas):
-            part = partials[i]
-            if part.is_zero():
-                continue
-            sign = -1 if pos % 2 else 1
+            signed = -coeff if pos % 2 else coeff
             dropped = _sorted_drop(etas, pos)
-            for pe, pc in part.terms.items():
+            for pe, pc in parts[i]:
                 key = (monomial_mul(exps, pe), dropped)
-                out[key] = out.get(key, Fraction(0)) + sign * coeff * pc
-    return SuperElement(out)
+                out[key] = out.get(key, 0) + signed * pc
+    return SuperElement._over(out, dw * denom)
 
 
 def q_f(w, f):
     """Contraction against the partials of an arbitrary even potential f."""
     if w.is_zero() or f.is_zero():
         return SuperElement({})
-    nvars = len(next(iter(f.terms)))
-    return _q_parts(w, [f.partial(i) for i in range(nvars)])
+    denom, cleared = _cleared(f.terms)
+    parts = [[] for _ in next(iter(cleared))]
+    for exps, n in cleared.items():
+        for i, e in enumerate(exps):
+            if e:
+                parts[i].append((exps[:i] + (e - 1,) + exps[i + 1 :], n * e))
+    return _q_parts(w, denom, parts)
 
 
 def q_s(w, ring):
     """Contraction against the partials of the ring potential S."""
-    return _q_parts(w, ring.s_partials)
+    return _q_parts(w, *ring.s_parts)
 
 
 def k_s(w, ring):

@@ -9,6 +9,7 @@ of G_i, and carries the potential S = sum y_i G_i of degree (0, 1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .intlattice import (
     LatticePolytope,
@@ -18,7 +19,7 @@ from .intlattice import (
     free_cokernel_projection,
     smith_normal_form,
 )
-from .polyalg import Poly, grevlex_key
+from .polyalg import Poly, _cleared, grevlex_key
 
 __all__ = [
     "RaysDoNotSpan",
@@ -129,6 +130,22 @@ class CayleyRing:
     @property
     def nvars(self):
         return self.k + self.r
+
+    @cached_property
+    def s_parts(self):
+        """(d, parts): parts[i] lists the terms of d * s_partials[i] as
+        (exponents, int numerator) pairs, d the lcm of all denominators."""
+        d, cleared = _cleared(
+            {
+                (i, exps): coeff
+                for i, part in enumerate(self.s_partials)
+                for exps, coeff in part.terms.items()
+            }
+        )
+        parts = [[] for _ in self.s_partials]
+        for (i, exps), n in cleared.items():
+            parts[i].append((exps, n))
+        return d, parts
 
     def degree_of_monomial(self, exps):
         charge = tuple(

@@ -1,8 +1,10 @@
 """Shared example rings: three Calabi-Yau fixtures plus a rank-2 charge lattice,
-and a per-pair table scan that the pair-indexed series are compared against."""
+a per-pair table scan that the pair-indexed series are compared against, and
+plain Fraction references for the product kernels and the unfolding input."""
 
 from fractions import Fraction
-from math import factorial, prod
+from itertools import product
+from math import comb, factorial, prod
 
 import pytest
 
@@ -190,3 +192,60 @@ def scanned_lambda_series(state, alpha, beta):
         state.order - 2,
         {key: scale * lam for key, (scale, lam) in scan.items()},
     )
+
+
+def reference_mul(f, g):
+    """Term-by-term product of two Polys in Fraction arithmetic, as
+    {exponents: Fraction}; a coefficient that cancels stays, as 0."""
+    out = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            key = tuple(a + b for a, b in zip(e1, e2))
+            out[key] = out.get(key, Fraction(0)) + c1 * c2
+    return out
+
+
+def reference_q(w, partials):
+    """Contraction of a SuperElement against a list of partials in Fraction
+    arithmetic, as {(exponents, etas): Fraction}; cancelled coefficients stay."""
+    out = {}
+    for (exps, etas), coeff in w.terms.items():
+        for pos, i in enumerate(etas):
+            for pe, pc in partials[i].terms.items():
+                grown = tuple(a + b for a, b in zip(exps, pe))
+                key = (grown, etas[:pos] + etas[pos + 1 :])
+                out[key] = out.get(key, Fraction(0)) + (-1) ** pos * coeff * pc
+    return out
+
+
+def dense_input(state, multi):
+    """The reduction input f of a sorted multiset of size >= 2, by the dense
+    split walk: every split of the tail and every table entry it names, in
+    plain Fraction arithmetic. The state must hold every lower entry."""
+    alpha, beta, tail = multi[0], multi[1], multi[2:]
+    runs = [(j, tail.count(j)) for j in sorted(set(tail))]
+    nvars = state.ring.nvars
+    out = {}
+
+    def add(scale, terms):
+        for exps, coeff in terms.items():
+            out[exps] = out.get(exps, Fraction(0)) + scale * coeff
+
+    for counts in product(*(range(c + 1) for _, c in runs)):
+        a_part = tuple(j for (j, _), a in zip(runs, counts) for _ in range(a))
+        b_part = tuple(j for (j, c), a in zip(runs, counts) for _ in range(c - a))
+        weight = prod(comb(c, a) for (_, c), a in zip(runs, counts))
+        u_a = state.u_table[(alpha,) + a_part]
+        add(weight, reference_mul(u_a, state.u_table[(beta,) + b_part]))
+        if b_part:
+            for rho, value in state.a_table[(alpha, beta) + a_part].items():
+                u = state.u_table[tuple(sorted(b_part + (rho,)))]
+                add(-weight * value, u.terms)
+        if a_part:
+            lam = state.lam_table[(alpha, beta) + b_part]
+            u = state.u_table[a_part]
+            q = reference_q(lam, [u.partial(i) for i in range(nvars)])
+            if any(etas for _, etas in q):
+                raise ValueError(f"odd input term at {multi}")
+            add(-weight, {exps: c for (exps, _), c in q.items()})
+    return Poly(out)

@@ -516,6 +516,7 @@ def test_report_reingestion(tmp_path):
         ("lambda.t1^2 = y1*eta2*eta1", r"eta factors eta2\*eta1 not distinct"),
         ("lambda.t1^2 = y1*eta1^2", r"eta factors eta1\*eta1 not distinct"),
         ("a.t0^2.1 = 1/0", r"Fraction\(1, 0\)"),
+        ("u.t1^3 = y1", "multiset beyond order 2"),
     ],
     ids=[
         "a-index",
@@ -525,6 +526,7 @@ def test_report_reingestion(tmp_path):
         "descending-etas",
         "repeated-eta",
         "zero-denominator",
+        "beyond-order",
     ],
 )
 def test_ingest_rejects_bad_table_line(line, reason):
@@ -535,6 +537,17 @@ def test_ingest_rejects_bad_table_line(line, reason):
     kept = [row for row in report.splitlines(True) if not row.startswith(key + " = ")]
     text = "".join(kept).replace("[verification]\n", f"{line}\n[verification]\n")
     with pytest.raises(ValueError, match=reason) as info:
+        ingest_report(text)
+    assert repr(line) in str(info.value)
+
+
+def test_ingest_rejects_entry_beyond_a_later_order_line():
+    _, report = cmd_unfold(replace(parse_problem(CUBIC_PROBLEM), order=2))
+    line = "lambda.t0*t1^2 = 0"
+    text = report.replace("[tables]\n", f"[tables]\n{line}\n")
+    tables = text.index("[tables]\n")
+    assert text.index(line) < text.index("\norder = 2\n", tables)
+    with pytest.raises(ValueError, match="multiset beyond order 2") as info:
         ingest_report(text)
     assert repr(line) in str(info.value)
 

@@ -5,8 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import reference_mul
+
 from toricff.polyalg import (
     Poly,
+    combination,
     grevlex_key,
     parse_poly,
     render_poly,
@@ -64,6 +67,51 @@ def test_ring_axioms_seeded():
         c = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
         assert c * (f + g) == c * f + c * g
         assert (f * g).partial(1) == f.partial(1) * g + f * g.partial(1)
+
+
+def _stored(f):
+    """f's terms, after checking that each is a nonzero Fraction."""
+    assert all(type(c) is Fraction and c != 0 for c in f.terms.values())
+    return f.terms
+
+
+def test_mul_matches_fraction_reference_seeded():
+    rng = random.Random(4242)
+    cancelled = 0
+    for _ in range(60):
+        f1, f2 = random_poly(rng), random_poly(rng)
+        # (f1 + f2)(f1 - f2) cancels its cross terms exactly
+        for f, g in ((f1, f2), (f1 + f2, f1 - f2)):
+            raw = reference_mul(f, g)
+            assert _stored(f * g) == {k: v for k, v in raw.items() if v}
+            cancelled += sum(1 for v in raw.values() if v == 0)
+    assert cancelled > 0
+    # the x1*x2 terms cancel over mixed denominators
+    f = Fraction(1, 2) * X1 + Fraction(1, 3) * X2
+    g = Fraction(2, 5) * X1 - Fraction(4, 15) * X2
+    assert reference_mul(f, g)[(0, 1, 1, 0)] == 0
+    expected = {(0, 2, 0, 0): Fraction(1, 5), (0, 0, 2, 0): Fraction(-4, 45)}
+    assert _stored(f * g) == expected
+
+
+def test_combination_matches_fraction_sum_seeded():
+    rng = random.Random(77)
+    for _ in range(40):
+        pairs = []
+        for _ in range(rng.randint(0, 4)):
+            scale = Fraction(rng.randint(-4, 4), rng.choice([1, rng.randint(1, 6)]))
+            # int and Fraction scales both occur
+            scale = scale if scale.denominator > 1 else int(scale)
+            pairs.append((scale, random_poly(rng)))
+        # the last pair cancels the first exactly
+        if pairs:
+            pairs.append((-pairs[0][0], pairs[0][1]))
+        expected = {}
+        for scale, f in pairs:
+            for k, v in f.terms.items():
+                expected[k] = expected.get(k, Fraction(0)) + scale * v
+        assert _stored(combination(pairs)) == {k: v for k, v in expected.items() if v}
+    assert combination([]).is_zero()
 
 
 def test_grevlex_order_pinned():

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import P2_RAYS, reference_q, xpoly
+
 from toricff.polyalg import Poly
 from toricff.supercomplex import (
     FormElement,
@@ -23,6 +25,7 @@ from toricff.supercomplex import (
     twisted_d,
     wedge_df,
 )
+from toricff.toricring import build_cayley_ring
 
 NV = 4  # cubic ring variables y1, x1, x2, x3
 
@@ -309,6 +312,53 @@ def test_q_f_matches_q_s(cubic_ring):
     assert q_f(eta(1), Poly({})).is_zero()
     assert wedge_df(cubic_ring.S, FormElement({})).is_zero()
     assert wedge_df(Poly({}), fterm((1, 0, 0, 0), (1,))).is_zero()
+
+
+def _nonzero(raw):
+    return {k: v for k, v in raw.items() if v}
+
+
+def _stored(w):
+    """w's terms, after checking that each is a nonzero Fraction."""
+    assert all(type(c) is Fraction and c != 0 for c in w.terms.values())
+    return w.terms
+
+
+def test_q_kernels_match_fraction_reference_seeded(cubic_ring, p1p1_ring):
+    # a Hesse cubic whose partials have mixed denominators
+    terms = {
+        (3, 0, 0): Fraction(1, 2),
+        (0, 3, 0): Fraction(2, 3),
+        (1, 1, 1): Fraction(3, 4),
+    }
+    hesse = build_cayley_ring(P2_RAYS, [xpoly(3, terms)])
+    rng = random.Random(31)
+    cancelled = 0
+    for ring in (cubic_ring, p1p1_ring, hesse):
+        nv = ring.nvars
+        for _ in range(15):
+            w = random_super(rng, ring)
+            f = Poly(
+                {
+                    tuple(rng.randint(0, 2) for _ in range(nv)): Fraction(
+                        rng.randint(-5, 5), rng.randint(1, 4)
+                    )
+                    for _ in range(rng.randint(1, 4))
+                }
+            )
+            f_parts = [f.partial(i) for i in range(nv)]
+            # Q_f and Q_S square to zero, so contracting twice cancels exactly
+            for v in (w, q_f(w, f), w + q_f(w, f)):
+                raw = reference_q(v, f_parts)
+                assert _stored(q_f(v, f)) == _nonzero(raw)
+                cancelled += sum(1 for c in raw.values() if c == 0)
+            for v in (w, q_s(w, ring), w + q_s(w, ring)):
+                raw = reference_q(v, ring.s_partials)
+                assert _stored(q_s(v, ring)) == _nonzero(raw)
+                cancelled += sum(1 for c in raw.values() if c == 0)
+            assert q_f(q_f(w, f), f).is_zero()
+            assert q_s(q_s(w, ring), ring).is_zero()
+    assert cancelled > 0
 
 
 def test_render_parse_super(cubic_ring):

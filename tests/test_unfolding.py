@@ -2,16 +2,19 @@
 
 from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
 from conftest import (
     P2_RAYS,
+    dense_input,
     fermat,
     scanned_lambda_series,
     scanned_structure_series,
 )
 
+from toricff.cli import cmd_unfold, ingest_report, parse_problem
 from toricff.jacobired import jacobian_basis
 from toricff.polyalg import Poly
 from toricff.supercomplex import SuperElement, delta, q_s
@@ -29,13 +32,92 @@ from toricff.unfolding import (
 
 
 @pytest.mark.parametrize(
-    "table, multi", [("u_table", (1, 1)), ("a_table", (0, 1)), ("lam_table", (0, 1))]
+    "table, multi",
+    [
+        ("u_table", (1, 1)),
+        ("a_table", (0, 1)),
+        ("lam_table", (0, 1)),
+        ("u_table", (0, 1)),
+    ],
 )
 def test_step_reports_a_missing_lower_entry(cubic_ring, cubic_basis, table, multi):
+    # u_table[(0, 1)] is zero, so the split walk never reads it
     state = run(cubic_ring, cubic_basis, 2)
     del getattr(state, table)[multi]
     with pytest.raises(MissingTableEntry, match=str(multi)):
         step(state, (0, 1, 1))
+
+
+def test_step_reports_an_unsettled_lower_size(cubic_ring, cubic_basis):
+    # no multiset of size 3 is settled at order 2
+    with pytest.raises(MissingTableEntry, match=r"u table lacks \(0, 0, 0\)"):
+        step(run(cubic_ring, cubic_basis, 2), (0, 1, 1, 1))
+    # (0, 0, 1) holds zero entries only; a state made without them must not
+    # step on as if they were zero
+    state = run(cubic_ring, cubic_basis, 3)
+    for table in ("u_table", "a_table", "lam_table"):
+        kept = {k: v for k, v in getattr(state, table).items() if k != (0, 0, 1)}
+        with pytest.raises(MissingTableEntry, match=r"\(0, 0, 1\)"):
+            step(replace(state, **{table: kept}), (0, 1, 1, 1))
+    step(state, (0, 1, 1, 1))
+    assert state.u_table[(0, 1, 1, 1)] == Poly({})
+    # settling a multiset again leaves the guard working
+    step(state, (1, 1, 1))
+    del state.u_table[(0, 0, 1)]
+    with pytest.raises(MissingTableEntry, match=r"\(0, 0, 1\)"):
+        step(state, (1, 1, 1, 1))
+
+
+@pytest.mark.parametrize(
+    "ring, basis, order",
+    [
+        ("cubic_ring", "cubic_basis", 8),
+        ("p1p1_ring", "p1p1_basis", 5),
+        ("k3_ring", "k3_basis", 3),
+        ("ci22_ring", "ci22_basis", 12),
+    ],
+    ids=["cubic", "p1p1", "k3", "ci22"],
+)
+def test_inputs_match_dense_split_walk(request, ring, basis, order):
+    state = run(
+        request.getfixturevalue(ring), request.getfixturevalue(basis), order, debug=True
+    )
+    dim = len(state.basis.monomials)
+    expected = {
+        multi
+        for size in range(2, order + 1)
+        for multi in combinations_with_replacement(range(dim), size)
+    }
+    assert set(state.inputs) == expected
+    for multi, f in state.inputs.items():
+        assert f == dense_input(state, multi), multi
+
+
+P1P1_PROBLEM = """\
+rays = (1,0) (-1,0) (0,1) (0,-1)
+hypersurface = 1 (2,0,2,0) + 1 (2,0,0,2) + 1 (0,2,2,0) + 1 (0,2,0,2) + 1 (1,1,1,1)
+order = 3
+"""
+
+CI22_PROBLEM = """\
+rays = (1,0,0) (0,1,0) (0,0,1) (-1,-1,-1)
+hypersurface = 1 (2,0,0,0) + 1 (0,2,0,0) + 1 (0,0,2,0) + 1 (0,0,0,2)
+hypersurface = 1 (2,0,0,0) + 2 (0,2,0,0) + 3 (0,0,2,0) + 4 (0,0,0,2)
+order = 3
+"""
+
+
+@pytest.mark.parametrize("text", [P1P1_PROBLEM, CI22_PROBLEM], ids=["p1p1", "ci22"])
+def test_read_back_state_steps_on_like_run(text):
+    _, report = cmd_unfold(parse_problem(text))
+    state = ingest_report(report)
+    dim = len(state.basis.monomials)
+    for multi in combinations_with_replacement(range(dim), 4):
+        step(state, multi)
+    fresh = run(state.ring, state.basis, 4)
+    assert state.u_table == fresh.u_table
+    assert state.a_table == fresh.a_table
+    assert state.lam_table == fresh.lam_table
 
 
 def test_run_order_one(cubic_ring, cubic_basis):
