@@ -113,6 +113,17 @@ class Poly(_SparseTerms):
 
     __rmul__ = __mul__
 
+    def cleared_partials(self):
+        """(d, parts) for a nonzero polynomial: parts[i] lists the terms of
+        d times the i-th partial as (exponents, int numerator) pairs."""
+        d, cleared = _cleared(self.terms)
+        parts = [[] for _ in next(iter(cleared))]
+        for exps, n in cleared.items():
+            for i, e in enumerate(exps):
+                if e:
+                    parts[i].append((exps[:i] + (e - 1,) + exps[i + 1 :], n * e))
+        return d, parts
+
     def partial(self, i):
         out = {}
         for exps, coeff in self.terms.items():

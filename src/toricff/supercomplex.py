@@ -112,7 +112,7 @@ def _q_parts(w, denom, parts):
     """Sum over the terms of w and their eta_i of the sign of eta_i times the
     term with eta_i dropped times the partial parts[i], given as a list of
     (exponents, int numerator) over the common denominator denom, as
-    CayleyRing.s_parts gives them."""
+    Poly.cleared_partials gives them."""
     dw, cleared = _cleared(w.terms)
     out = {}
     for (exps, etas), coeff in cleared.items():
@@ -129,13 +129,7 @@ def q_f(w, f):
     """Contraction against the partials of an arbitrary even potential f."""
     if w.is_zero() or f.is_zero():
         return SuperElement({})
-    denom, cleared = _cleared(f.terms)
-    parts = [[] for _ in next(iter(cleared))]
-    for exps, n in cleared.items():
-        for i, e in enumerate(exps):
-            if e:
-                parts[i].append((exps[:i] + (e - 1,) + exps[i + 1 :], n * e))
-    return _q_parts(w, denom, parts)
+    return _q_parts(w, *f.cleared_partials())
 
 
 def q_s(w, ring):

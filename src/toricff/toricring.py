@@ -19,7 +19,7 @@ from .intlattice import (
     free_cokernel_projection,
     smith_normal_form,
 )
-from .polyalg import Poly, _cleared, grevlex_key
+from .polyalg import Poly, grevlex_key
 
 __all__ = [
     "RaysDoNotSpan",
@@ -133,19 +133,9 @@ class CayleyRing:
 
     @cached_property
     def s_parts(self):
-        """(d, parts): parts[i] lists the terms of d * s_partials[i] as
-        (exponents, int numerator) pairs, d the lcm of all denominators."""
-        d, cleared = _cleared(
-            {
-                (i, exps): coeff
-                for i, part in enumerate(self.s_partials)
-                for exps, coeff in part.terms.items()
-            }
-        )
-        parts = [[] for _ in self.s_partials]
-        for (i, exps), n in cleared.items():
-            parts[i].append((exps, n))
-        return d, parts
+        """S.cleared_partials(), computed once: the partials of S as q_s
+        takes them."""
+        return self.S.cleared_partials()
 
     def degree_of_monomial(self, exps):
         charge = tuple(
