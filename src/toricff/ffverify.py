@@ -5,6 +5,13 @@ polynomials and compares coefficient by coefficient; a pass means the
 residual is identically zero through the stated truncation degree. Failures
 carry the first offending t-monomial and the rendered residual, so corrupted
 states are located, not just flagged.
+
+The pair cases of check_fqm2, its bulk, run over int numerators: the check
+clears the series of Gamma, its partials and Lambda itself (it shares no
+cache with the unfolding step), sums the products of each t-monomial with
+Cleared.sum, and compares the two sides by cross-multiplication. Fractions
+are built only for the residual of a failing case. The entry cases
+(u = Delta(lambda)) and the other checks compare Fraction polynomials.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
-from .polyalg import Poly, render_poly
+from .polyalg import Cleared, ClearedSum, Poly, render_poly
 from .supercomplex import (
     SuperElement,
     delta,
@@ -25,7 +32,6 @@ from .supercomplex import (
 )
 from .unfolding import (
     TruncatedSeries,
-    _vanishes,
     gamma_partial,
     gamma_series,
     lambda_series,
@@ -59,19 +65,19 @@ def _expvec(multi, dim):
 
 def _first_residual(left, right):
     """The first key where the sides differ, with the difference there, or
-    None. Keys go in exponent-vector order, which is that of negated keys."""
+    None. Keys go in exponent-vector order, which is that of negated keys.
+    Coefficients are compared with ==, and only the first difference is
+    computed."""
     keys = left.coefficients.keys() | right.coefficients.keys()
     for key in sorted(keys, key=lambda multi: tuple(-j for j in multi)):
         a = left.coefficients.get(key)
         b = right.coefficients.get(key)
         if a is None:
-            diff = -b
-        elif b is None:
-            diff = a
-        else:
-            diff = a - b
-        if not _vanishes(diff):
-            return key, diff
+            return key, -b
+        if b is None:
+            return key, a
+        if a != b:
+            return key, a - b
     return None
 
 
@@ -107,20 +113,14 @@ def _compared(ring, cases):
             yield None
             continue
         key, value = hit
+        if isinstance(value, Cleared):  # a polynomial form, from fqm2
+            value = Poly.from_cleared(value)
         if isinstance(value, Poly):
             weight = ring.degree_of_monomial(min(value.terms))[1]
             residual = render_poly(value, ring.names)
         else:  # a rational coefficient of the structure constants
             weight, residual = None, str(value)
         yield Failure(site, _expvec(key, left.dim), weight, residual)
-
-
-def _q_total(ring, gamma, series):
-    """Q_{S+Gamma} applied to a series of odd elements, as a series of
-    polynomials truncated at the lower of the two orders."""
-    return series.map(lambda w: q_s(w, ring).to_poly()) + gamma.convolve(
-        series, lambda u, w: q_f(w, u).to_poly()
-    )
 
 
 def _entry_cases(state, dim):
@@ -134,22 +134,68 @@ def _entry_cases(state, dim):
         )
 
 
+def _add(sums, key, scale, term):
+    """Add scale * term to the ClearedSum of the t-monomial key in sums."""
+    total = sums.get(key)
+    if total is None:
+        total = sums[key] = ClearedSum()
+    total.add(scale, term)
+
+
+def _add_pairings(sums, left, right, pair):
+    """Add the (scale, Cleared) pair(a, b) of every product of a term of left
+    and a term of right to the sum of its t-monomial in sums."""
+    for key, (scale, term) in left.pairings(right, pair):
+        _add(sums, key, scale, term)
+
+
+def _summed(sums, dim, trunc):
+    """The series of the Cleared forms of the sums in sums."""
+    return TruncatedSeries(
+        dim, trunc, {key: total.cleared() for key, total in sums.items()}
+    )
+
+
 def _pair_cases(state, dim, trunc):
+    # every series coefficient is a Cleared form, cleared here from the
+    # tables once; each side adds its products into one ClearedSum per
+    # t-monomial, and _first_residual compares the sides by
+    # cross-multiplication
+    ring = state.ring
     gamma = gamma_series(state)
-    partials = [p.truncate(trunc) for p in gamma_partial(gamma)]
-    gamma = gamma.truncate(trunc)
+    partials = [p.truncate(trunc).map(Cleared.of) for p in gamma_partial(gamma)]
+    gamma = gamma.truncate(trunc).map(Cleared.of)
     structure = structure_series(state)
     witnesses = lambda_series(state)
-    zero = TruncatedSeries(dim, trunc, {})
     for alpha in range(dim):
         for beta in range(alpha, dim):
-            lhs = partials[alpha] * partials[beta]
-            rhs = zero
+            lhs, rhs = {}, {}
+            _add_pairings(lhs, partials[alpha], partials[beta], _product)
             for rho, series in structure.get((alpha, beta), {}).items():
-                rhs = rhs + series * partials[rho]
-            lam = witnesses.get((alpha, beta), zero)
-            rhs = rhs + _q_total(state.ring, gamma, lam)
-            yield f"pair ({alpha},{beta})", lhs, rhs
+                _add_pairings(rhs, series, partials[rho], _scaled)
+            lam = witnesses.get((alpha, beta))
+            if lam is not None:
+                lam = lam.map(Cleared.of)
+                for key, w in lam.coefficients.items():
+                    _add(rhs, key, 1, q_s(w, ring).without_etas())
+                _add_pairings(rhs, gamma, lam, _q_term)
+            yield (
+                f"pair ({alpha},{beta})",
+                _summed(lhs, dim, trunc),
+                _summed(rhs, dim, trunc),
+            )
+
+
+def _product(a, b):
+    return 1, a * b
+
+
+def _scaled(scale, a):
+    return scale, a
+
+
+def _q_term(u, w):
+    return 1, q_f(w, u).without_etas()
 
 
 def check_fqm2(state):

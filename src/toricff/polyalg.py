@@ -4,10 +4,15 @@ A monomial is a tuple of nonnegative exponents; variable order is fixed by the
 caller (Cayley rings put the y variables first). Polynomials are immutable
 once built and every stored coefficient is an exact fractions.Fraction.
 
-Products run over integers: each factor's coefficients are cleared to Python
-int numerators over the lcm of their denominators (_cleared, the one
-denominator-clearing helper of the package), the numerators are multiplied
-and summed, and one Fraction is built per output term.
+The arithmetic runs over integers. Cleared is the int-numerator form of an
+element: Python int numerators over one denominator, built by _cleared, the
+one denominator-clearing helper of the package. Each operation has one
+kernel on that form: the polynomial product (Cleared.__mul__), the linear
+combination (ClearedSum, which Cleared.sum drives) and, in supercomplex, the
+Q_f contraction. The unfolding step and the fqm2 check clear each table
+entry once and sum their products there. Fractions are built only where a
+Fraction element is asked for: Poly.__mul__ and combination clear their
+operands, run the kernel and build one Fraction per output term.
 """
 
 from __future__ import annotations
@@ -38,6 +43,129 @@ def _cleared(coeffs):
     return d, {key: v.numerator * (d // v.denominator) for key, v in coeffs.items()}
 
 
+def _nonzero(numerators):
+    return {key: n for key, n in numerators.items() if n}
+
+
+class Cleared:
+    """Int-numerator form of a sparse element: the coefficient at a key is
+    nums[key] / denom. No zero numerator is stored, and denom need not be the
+    least common denominator, so two forms of one element compare equal by
+    cross-multiplication.
+
+    Keys are those of the element: exponent tuples for a polynomial,
+    (exponents, etas) pairs for a SuperElement. A form is not changed once
+    built; its partials are computed on first use and kept.
+    """
+
+    __slots__ = ("denom", "nums", "_partials")
+
+    def __init__(self, denom, nums):
+        self.denom = denom
+        self.nums = nums
+        self._partials = None
+
+    @classmethod
+    def of(cls, x):
+        """x if it is a Cleared form already, else the Cleared form of the
+        element x."""
+        return x if isinstance(x, Cleared) else cls(*_cleared(x.terms))
+
+    def is_zero(self):
+        return not self.nums
+
+    def __eq__(self, other):
+        if not isinstance(other, Cleared):
+            return NotImplemented
+        d1, d2, n2 = self.denom, other.denom, other.nums
+        return self.nums.keys() == n2.keys() and all(
+            n * d2 == n2[key] * d1 for key, n in self.nums.items()
+        )
+
+    __hash__ = None
+
+    def __neg__(self):
+        return Cleared(self.denom, {key: -n for key, n in self.nums.items()})
+
+    def __sub__(self, other):
+        return Cleared.sum(((1, self), (-1, other)))
+
+    def __mul__(self, other):
+        """The product of two polynomial forms, over the product of their
+        denominators."""
+        out = {}
+        get, add = out.get, operator.add
+        for e1, c1 in self.nums.items():
+            for e2, c2 in other.nums.items():
+                key = tuple(map(add, e1, e2))  # monomial_mul, inlined: hot loop
+                out[key] = get(key, 0) + c1 * c2
+        return Cleared(self.denom * other.denom, _nonzero(out))
+
+    @staticmethod
+    def sum(pairs):
+        """The form of the sum of scale * c over (scale, c) pairs, a scale an
+        int or a Fraction."""
+        total = ClearedSum()
+        for scale, c in pairs:
+            total.add(scale, c)
+        return total.cleared()
+
+    def cleared_partials(self):
+        """(d, parts) for a polynomial form: parts[i] lists the terms of d
+        times the i-th partial as (exponents, int numerator) pairs, and a
+        variable without terms has no entry. Computed once per form."""
+        if self._partials is None:
+            parts = {}
+            for exps, n in self.nums.items():
+                for i, e in enumerate(exps):
+                    if e:
+                        lowered = exps[:i] + (e - 1,) + exps[i + 1 :]
+                        parts.setdefault(i, []).append((lowered, n * e))
+            self._partials = (self.denom, parts)
+        return self._partials
+
+    def without_etas(self):
+        """The polynomial form of a form keyed by (exponents, etas) whose
+        terms carry no eta; raises ValueError on a term with one."""
+        out = {}
+        for (exps, etas), n in self.nums.items():
+            if etas:
+                raise ValueError("element carries odd factors")
+            out[exps] = n
+        return Cleared(self.denom, out)
+
+
+class ClearedSum:
+    """A running sum of scale * c over Cleared forms c, a scale an int or a
+    Fraction: int numerators over the lcm of the scaled denominators added so
+    far. The numerators are rescaled when a term's denominator does not
+    divide that lcm, so the sum holds no term once it is added."""
+
+    __slots__ = ("denom", "nums")
+
+    def __init__(self):
+        self.denom = 1
+        self.nums = {}
+
+    def add(self, scale, c):
+        if not scale:
+            return
+        d = scale.denominator * c.denom
+        if self.denom % d:
+            grown = lcm(self.denom, d)
+            k = grown // self.denom
+            self.nums = {key: n * k for key, n in self.nums.items()}
+            self.denom = grown
+        factor = scale.numerator * (self.denom // d)
+        nums = self.nums
+        get = nums.get
+        for key, n in c.nums.items():
+            nums[key] = get(key, 0) + factor * n
+
+    def cleared(self):
+        return Cleared(self.denom, _nonzero(self.nums))
+
+
 class _SparseTerms:
     """Immutable sparse map {key: nonzero Fraction} with its additive structure.
 
@@ -56,10 +184,11 @@ class _SparseTerms:
         self.terms = clean
 
     @classmethod
-    def _over(cls, numerators, denom):
-        """The element {key: n / denom} of int numerators n; zeros are dropped."""
+    def from_cleared(cls, cleared):
+        """The element of a Cleared form: one Fraction per term."""
         out = cls.__new__(cls)
-        out.terms = {k: Fraction(n, denom) for k, n in numerators.items() if n}
+        d = cleared.denom
+        out.terms = {k: Fraction(n, d) for k, n in cleared.nums.items()}
         return out
 
     def is_zero(self):
@@ -101,28 +230,10 @@ class Poly(_SparseTerms):
 
     def __mul__(self, other):
         if isinstance(other, Poly):
-            d1, n1 = _cleared(self.terms)
-            d2, n2 = _cleared(other.terms)
-            out = {}
-            for e1, c1 in n1.items():
-                for e2, c2 in n2.items():
-                    key = monomial_mul(e1, e2)
-                    out[key] = out.get(key, 0) + c1 * c2
-            return Poly._over(out, d1 * d2)
+            return Poly.from_cleared(Cleared.of(self) * Cleared.of(other))
         return Poly({e: c * Fraction(other) for e, c in self.terms.items()})
 
     __rmul__ = __mul__
-
-    def cleared_partials(self):
-        """(d, parts) for a nonzero polynomial: parts[i] lists the terms of
-        d times the i-th partial as (exponents, int numerator) pairs."""
-        d, cleared = _cleared(self.terms)
-        parts = [[] for _ in next(iter(cleared))]
-        for exps, n in cleared.items():
-            for i, e in enumerate(exps):
-                if e:
-                    parts[i].append((exps[:i] + (e - 1,) + exps[i + 1 :], n * e))
-        return d, parts
 
     def partial(self, i):
         out = {}
@@ -134,20 +245,9 @@ class Poly(_SparseTerms):
 
 
 def combination(pairs):
-    """The Poly sum of scale * f over (scale, f) pairs, summed over int
-    numerators; a scale is an int or a Fraction."""
-    cleared = []
-    for scale, f in pairs:
-        d, numerators = _cleared(f.terms)
-        scale = Fraction(scale)
-        cleared.append((scale.numerator, scale.denominator * d, numerators))
-    denom = lcm(*(d for _, d, _ in cleared))
-    out = {}
-    for num, d, numerators in cleared:
-        scale = num * (denom // d)
-        for key, n in numerators.items():
-            out[key] = out.get(key, 0) + scale * n
-    return Poly._over(out, denom)
+    """The Poly sum of scale * f over (scale, f) pairs, f a Poly or its
+    Cleared form and a scale an int or a Fraction, summed by Cleared.sum."""
+    return Poly.from_cleared(Cleared.sum((s, Cleared.of(f)) for s, f in pairs))
 
 
 def _render_term(exps, coeff, names, odd=()):

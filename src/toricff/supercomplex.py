@@ -14,11 +14,13 @@ Sign conventions, with all indices zero based:
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from .polyalg import (
+    Cleared,
     Poly,
-    _cleared,
+    _nonzero,
     _SparseTerms,
     _join_terms,
     _render_term,
@@ -109,31 +111,42 @@ def delta(w):
 
 
 def _q_parts(w, denom, parts):
-    """Sum over the terms of w and their eta_i of the sign of eta_i times the
-    term with eta_i dropped times the partial parts[i], given as a list of
-    (exponents, int numerator) over the common denominator denom, as
-    Poly.cleared_partials gives them."""
-    dw, cleared = _cleared(w.terms)
+    """The Q contraction kernel: the sum over the terms of w and their eta_i
+    of the sign of eta_i times the term with eta_i dropped times the i-th
+    partial, parts[i]: its (exponents, int numerator) terms over the common
+    denominator denom, absent for a zero partial, as Cleared.cleared_partials
+    gives them.
+
+    w is a SuperElement or its Cleared form, and the result is of the same
+    kind: the sum is taken over int numerators either way, and a SuperElement
+    gets one Fraction per output term.
+    """
+    cleared = Cleared.of(w)
     out = {}
-    for (exps, etas), coeff in cleared.items():
+    get, add = out.get, operator.add
+    for (exps, etas), coeff in cleared.nums.items():
         for pos, i in enumerate(etas):
+            row = parts.get(i)
+            if row is None:
+                continue
             signed = -coeff if pos % 2 else coeff
             dropped = _sorted_drop(etas, pos)
-            for pe, pc in parts[i]:
-                key = (monomial_mul(exps, pe), dropped)
-                out[key] = out.get(key, 0) + signed * pc
-    return SuperElement._over(out, dw * denom)
+            for pe, pc in row:
+                key = (tuple(map(add, exps, pe)), dropped)  # monomial_mul, inlined
+                out[key] = get(key, 0) + signed * pc
+    result = Cleared(cleared.denom * denom, _nonzero(out))
+    return result if cleared is w else SuperElement.from_cleared(result)
 
 
 def q_f(w, f):
-    """Contraction against the partials of an arbitrary even potential f."""
-    if w.is_zero() or f.is_zero():
-        return SuperElement({})
-    return _q_parts(w, *f.cleared_partials())
+    """Contraction against the partials of an arbitrary even potential f, a
+    Poly or its Cleared form; w and the result as in _q_parts."""
+    return _q_parts(w, *Cleared.of(f).cleared_partials())
 
 
 def q_s(w, ring):
-    """Contraction against the partials of the ring potential S."""
+    """Contraction against the partials of the ring potential S; w and the
+    result as in _q_parts."""
     return _q_parts(w, *ring.s_parts)
 
 

@@ -19,7 +19,7 @@ from .intlattice import (
     free_cokernel_projection,
     smith_normal_form,
 )
-from .polyalg import Poly, grevlex_key
+from .polyalg import Cleared, Poly, grevlex_key
 
 __all__ = [
     "RaysDoNotSpan",
@@ -133,9 +133,9 @@ class CayleyRing:
 
     @cached_property
     def s_parts(self):
-        """S.cleared_partials(), computed once: the partials of S as q_s
-        takes them."""
-        return self.S.cleared_partials()
+        """The Cleared partials of S, computed once: the partials of S as
+        q_s takes them."""
+        return Cleared.of(self.S).cleared_partials()
 
     def degree_of_monomial(self, exps):
         charge = tuple(

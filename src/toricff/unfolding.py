@@ -33,6 +33,12 @@ and _splits cuts a run of splits at the first prefix outside it. A pruned
 split reads no entry, so a missing one would pass for zero: step first
 checks that every table holds every multiset of every lower size, and raises
 MissingTableEntry naming the first one missing.
+
+The three sums run over int numerators: step reads each u and lambda entry
+in its Cleared form (polyalg), cleared once per stored entry together with
+its partials, feeds the products u*u, a*u and Q_{u_A}(lambda) to one
+Cleared.sum, and builds Fractions only for the terms of f. The reduction,
+its re-verification and the stored entries stay in Fractions.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ from itertools import combinations_with_replacement, groupby
 from math import comb, factorial, prod
 
 from .jacobired import reduce_with_witness
-from .polyalg import Poly, combination
+from .polyalg import Cleared, Poly, combination
 from .supercomplex import delta, q_f
 from .toricring import NotCalabiYau, is_calabi_yau
 
@@ -102,23 +108,22 @@ class TruncatedSeries:
         return TruncatedSeries(self.dim, order, kept)
 
     def __mul__(self, other):
-        return self.convolve(other, operator.mul)
-
-    def convolve(self, other, pair):
-        """Product with a caller-chosen coefficient pairing."""
-        order = min(self.order, other.order)
         out = {}
+        for key, value in self.pairings(other, operator.mul):
+            out[key] = out[key] + value if key in out else value
+        return TruncatedSeries(self.dim, min(self.order, other.order), out)
+
+    def pairings(self, other, pair):
+        """(A + B, pair(a, b)) for every term a t^A of self and b t^B of
+        other whose product t^(A+B) lies within the lower of the two orders."""
+        order = min(self.order, other.order)
         for akey, avalue in self.coefficients.items():
             room = order - len(akey)
             if room < 0:
                 continue
             for bkey, bvalue in other.coefficients.items():
-                if len(bkey) > room:
-                    continue
-                key = tuple(sorted(akey + bkey))
-                value = pair(avalue, bvalue)
-                out[key] = out[key] + value if key in out else value
-        return TruncatedSeries(self.dim, order, out)
+                if len(bkey) <= room:
+                    yield tuple(sorted(akey + bkey)), pair(avalue, bvalue)
 
     def partial(self, direction):
         out = {}
@@ -144,8 +149,14 @@ class UnfoldingState:
     read back from a report, made by dataclasses.replace or by hand starts
     with a current index. step keeps it current as it stores entries, and
     rebuilds it when a table's size differs from the count of keys it has
-    indexed; an entry replaced in place outside step goes unseen, so change
-    a table through dataclasses.replace before stepping on.
+    indexed. The index records which entries are nonzero, so an entry
+    replaced in place outside step by one that is zero where the old one was
+    not, or the other way round, goes unseen: change a table through
+    dataclasses.replace before stepping on.
+
+    step reads the u and lambda entries in their Cleared form, made once per
+    stored entry (_cleared_entry): the cache keeps the entry it cleared and
+    clears again when the table holds another object under the key.
     """
 
     ring: object
@@ -157,9 +168,11 @@ class UnfoldingState:
     lam_table: dict
     inputs: dict | None = None
     _index: dict = field(init=False, repr=False)
+    _cleared: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         self._index = {name: _TableIndex(self, name) for name in _TABLES}
+        self._cleared = {}
 
     def table(self, name):
         return getattr(self, _TABLES[name][0])
@@ -221,6 +234,18 @@ def _entry(table, name, key):
     return got
 
 
+def _cleared_entry(state, name, key):
+    """The Cleared form of the stored entry, cleared once per entry object;
+    a zero entry, which most are, is not kept."""
+    entry = _entry(state.table(name), name, key)
+    if entry.is_zero():
+        return Cleared(1, {})
+    hit = state._cleared.get((name, key))
+    if hit is None or hit[0] is not entry:
+        hit = state._cleared[(name, key)] = (entry, Cleared.of(entry))
+    return hit[1]
+
+
 def _settled_below(state, size):
     """Raise MissingTableEntry, naming the first multiset missing, unless
     every table holds every multiset of every size below size."""
@@ -263,14 +288,15 @@ def _splits(tail, head, support):
 
 def _assemble_input(state, multi):
     # alpha <= beta <= every tail entry, so prefixing them keeps keys sorted;
-    # each sum walks only the splits where its first factor can be nonzero
+    # each sum walks only the splits where its first factor can be nonzero,
+    # and every term is a Cleared form, so the sum runs over int numerators
     alpha, beta, tail = multi[0], multi[1], multi[2:]
     pair = (alpha, beta)
-    u_table, index = state.u_table, state._index
+    index = state._index
     pairs = []
     for a_part, b_part, weight in _splits(tail, (alpha,), index["u"].support):
-        u_a = _entry(u_table, "u", (alpha,) + a_part)
-        u_b = _entry(u_table, "u", (beta,) + b_part)
+        u_a = _cleared_entry(state, "u", (alpha,) + a_part)
+        u_b = _cleared_entry(state, "u", (beta,) + b_part)
         if not (u_a.is_zero() or u_b.is_zero()):
             pairs.append((weight, u_a * u_b))
     for a_part, b_part, weight in _splits(tail, pair, index["a"].support):
@@ -278,14 +304,14 @@ def _assemble_input(state, multi):
             row = _entry(state.a_table, "a", pair + a_part)
             for rho, value in row.items():
                 u_key = tuple(sorted(b_part + (rho,)))
-                pairs.append((-weight * value, _entry(u_table, "u", u_key)))
+                pairs.append((-weight * value, _cleared_entry(state, "u", u_key)))
     # this sum is driven by lambda, so _splits hands B out first
     for b_part, a_part, weight in _splits(tail, pair, index["lambda"].support):
         if a_part:
-            lam = _entry(state.lam_table, "lambda", pair + b_part)
+            lam = _cleared_entry(state, "lambda", pair + b_part)
             if not lam.is_zero():
-                q = q_f(lam, _entry(u_table, "u", a_part)).to_poly()
-                pairs.append((-weight, q))
+                q = q_f(lam, _cleared_entry(state, "u", a_part))
+                pairs.append((-weight, q.without_etas()))
     return combination(pairs)
 
 
@@ -373,14 +399,21 @@ def _by_pair(table):
     ordered pair with the entry's multiset (alpha, beta) + C.
 
     C is a sorted tuple, the series key of t^C; this is the coefficient walk
-    shared by every series indexed by a pair of directions.
+    shared by every series indexed by a pair of directions. With m_j the
+    count of j in the entry's multiset M, C! = M! / (m_alpha * m'_beta),
+    m'_beta the count of beta left once alpha is removed.
     """
     for multi, entry in table.items():
-        for alpha in set(multi):
+        counts = {j: len(tuple(run)) for j, run in groupby(multi)}
+        full = prod(factorial(m) for m in counts.values())
+        for alpha, m_alpha in counts.items():
             rest = _remove_one(multi, alpha)
-            for beta in set(rest):
-                key = _remove_one(rest, beta)
-                yield alpha, beta, key, Fraction(1, _factorial_of(key)), entry
+            for beta, m_beta in counts.items():
+                m_beta -= alpha == beta
+                if m_beta:
+                    key = _remove_one(rest, beta)
+                    scale = Fraction(m_alpha * m_beta, full)
+                    yield alpha, beta, key, scale, entry
 
 
 def structure_series(state):

@@ -8,6 +8,7 @@ import pytest
 from conftest import reference_mul
 
 from toricff.polyalg import (
+    Cleared,
     Poly,
     combination,
     grevlex_key,
@@ -112,6 +113,49 @@ def test_combination_matches_fraction_sum_seeded():
                 expected[k] = expected.get(k, Fraction(0)) + scale * v
         assert _stored(combination(pairs)) == {k: v for k, v in expected.items() if v}
     assert combination([]).is_zero()
+
+
+def test_cleared_kernels_match_fraction_reference_seeded():
+    # the int-numerator kernels under Poly.__mul__ and combination, on
+    # Cleared forms directly: product, sum, difference and equality
+    rng = random.Random(1213)
+    rescaled = 0
+    for _ in range(60):
+        f, g = random_poly(rng), random_poly(rng)
+        cf, cg = Cleared.of(f), Cleared.of(g)
+        assert Cleared.of(cf) is cf
+        product = Poly.from_cleared(cf * cg)
+        assert _stored(product) == {
+            k: v for k, v in reference_mul(f, g).items() if v
+        }
+        s1 = Fraction(rng.randint(-4, 4), rng.randint(1, 6))
+        s2 = rng.randint(-3, 3)
+        # the third pair cancels the first exactly
+        total = Cleared.sum([(s1, cf), (s2, cg), (-s1, cf)])
+        expected = {k: s2 * v for k, v in g.terms.items() if s2}
+        assert _stored(Poly.from_cleared(total)) == expected
+        assert (cf - cf).is_zero() and Cleared.sum([]).is_zero()
+        assert Poly.from_cleared(cf - cg) == f - g
+        assert Poly.from_cleared(-cf) == -f
+        # equal as rationals over another denominator: equal forms
+        k = rng.randint(2, 9)
+        scaled = Cleared(cf.denom * k, {e: n * k for e, n in cf.nums.items()})
+        assert scaled == cf and scaled == Cleared.of(f)
+        if cf.nums:
+            rescaled += scaled.nums != cf.nums
+            e = next(iter(cf.nums))
+            nudged = dict(scaled.nums)
+            nudged[e] += 1
+            assert Cleared(scaled.denom, nudged) != cf
+            assert Cleared(cf.denom, {**cf.nums, (9,) * 4: 1}) != cf
+    assert rescaled > 0
+    # mixed denominators whose cross terms cancel to zero
+    f = Fraction(1, 2) * X1 + Fraction(1, 3) * X2
+    g = Fraction(2, 5) * X1 - Fraction(4, 15) * X2
+    product = Cleared.of(f) * Cleared.of(g)
+    assert product.denom == 6 * 15
+    assert product == Cleared.of(f * g)
+    assert set(product.nums) == {(0, 2, 0, 0), (0, 0, 2, 0)}
 
 
 def test_grevlex_order_pinned():

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import P2_RAYS, reference_q, xpoly
 
-from toricff.polyalg import Poly
+from toricff.polyalg import Cleared, Poly
 from toricff.supercomplex import (
     FormElement,
     SuperElement,
@@ -359,6 +359,49 @@ def test_q_kernels_match_fraction_reference_seeded(cubic_ring, p1p1_ring):
             assert q_f(q_f(w, f), f).is_zero()
             assert q_s(q_s(w, ring), ring).is_zero()
     assert cancelled > 0
+
+
+def test_q_kernel_on_cleared_forms_seeded(cubic_ring, p1p1_ring):
+    # q_f and q_s on Cleared forms return Cleared forms equal to the Fraction
+    # reference; the witnesses carry two or three etas, so a dropped eta sits
+    # at odd and at even positions
+    rng = random.Random(57)
+    for ring in (cubic_ring, p1p1_ring):
+        nv = ring.nvars
+        for _ in range(20):
+            terms = {}
+            for _ in range(rng.randint(1, 4)):
+                exps = tuple(rng.randint(0, 2) for _ in range(nv))
+                etas = tuple(sorted(rng.sample(range(nv), rng.randint(2, 3))))
+                terms[(exps, etas)] = Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+            w = SuperElement(terms)
+            f = Poly(
+                {
+                    tuple(rng.randint(0, 2) for _ in range(nv)): Fraction(
+                        rng.randint(-5, 5), rng.randint(1, 4)
+                    )
+                    for _ in range(rng.randint(1, 3))
+                }
+            )
+            cw = Cleared.of(w)
+            got = q_f(cw, Cleared.of(f))
+            assert isinstance(got, Cleared)
+            raw = reference_q(w, [f.partial(i) for i in range(nv)])
+            assert _stored(SuperElement.from_cleared(got)) == _nonzero(raw)
+            assert got == Cleared.of(q_f(w, f))
+            got = q_s(cw, ring)
+            assert _stored(SuperElement.from_cleared(got)) == _nonzero(
+                reference_q(w, ring.s_partials)
+            )
+            # Q_f squares to zero: the second contraction cancels exactly
+            assert q_f(q_f(cw, f), f).is_zero()
+    # one eta left after the contraction: not a polynomial
+    w = Cleared.of(eta(0) * eta(1))
+    with pytest.raises(ValueError):
+        q_s(w, cubic_ring).without_etas()
+    assert q_s(Cleared.of(eta(0)), cubic_ring).without_etas() == Cleared.of(
+        cubic_ring.s_partials[0]
+    )
 
 
 def test_render_parse_super(cubic_ring):

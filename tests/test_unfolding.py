@@ -93,6 +93,35 @@ def test_inputs_match_dense_split_walk(request, ring, basis, order):
         assert f == dense_input(state, multi), multi
 
 
+def test_step_clears_an_entry_replaced_in_place(p1p1_ring, p1p1_basis):
+    # step keeps the Cleared form of every entry it reads; an entry replaced
+    # in place by another nonzero one (so the support index still holds) must
+    # be cleared again, not served from that cache
+    base = run(p1p1_ring, p1p1_basis, 3)
+    state = replace(
+        base,
+        u_table=dict(base.u_table),
+        a_table=dict(base.a_table),
+        lam_table=dict(base.lam_table),
+        inputs={},
+    )
+    quartics = list(combinations_with_replacement(range(3), 4))
+    for multi in quartics:
+        step(state, multi)
+    before = dict(state.inputs)
+    for table, key, scale in (
+        (state.u_table, (1, 2), Fraction(-3, 7)),
+        (state.u_table, (1, 1, 2), Fraction(5, 2)),
+        (state.lam_table, (1, 2), Fraction(2, 3)),
+    ):
+        assert not table[key].is_zero()
+        table[key] = scale * table[key]
+    for multi in quartics:
+        step(state, multi)
+        assert state.inputs[multi] == dense_input(state, multi), multi
+    assert sum(state.inputs[m] != before[m] for m in quartics) > 1
+
+
 P1P1_PROBLEM = """\
 rays = (1,0) (-1,0) (0,1) (0,-1)
 hypersurface = 1 (2,0,2,0) + 1 (2,0,0,2) + 1 (0,2,2,0) + 1 (0,2,0,2) + 1 (1,1,1,1)
