@@ -6,12 +6,10 @@ residual is identically zero through the stated truncation degree. Failures
 carry the first offending t-monomial and the rendered residual, so corrupted
 states are located, not just flagged.
 
-The pair cases of check_fqm2, its bulk, run over int numerators: the check
-clears the series of Gamma, its partials and Lambda itself (it shares no
-cache with the unfolding step), sums the products of each t-monomial with
-Cleared.sum, and compares the two sides by cross-multiplication. Fractions
-are built only for the residual of a failing case. The entry cases
-(u = Delta(lambda)) and the other checks compare Fraction polynomials.
+Every coefficient is compared with ==, which on the int form of polyalg
+compares the stored numerators. The pair cases of check_fqm2, its bulk, add
+the products of each t-monomial into one LinearSum per side; Fractions are
+built only for the residual of a failing case.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
-from .polyalg import Cleared, ClearedSum, Poly, render_poly
+from .polyalg import LinearSum, Poly, render_poly
 from .supercomplex import (
     SuperElement,
     delta,
@@ -113,10 +111,8 @@ def _compared(ring, cases):
             yield None
             continue
         key, value = hit
-        if isinstance(value, Cleared):  # a polynomial form, from fqm2
-            value = Poly.from_cleared(value)
         if isinstance(value, Poly):
-            weight = ring.degree_of_monomial(min(value.terms))[1]
+            weight = ring.degree_of_monomial(min(value.nums))[1]
             residual = render_poly(value, ring.names)
         else:  # a rational coefficient of the structure constants
             weight, residual = None, str(value)
@@ -135,36 +131,33 @@ def _entry_cases(state, dim):
 
 
 def _add(sums, key, scale, term):
-    """Add scale * term to the ClearedSum of the t-monomial key in sums."""
+    """Add scale * term to the LinearSum of the t-monomial key in sums."""
     total = sums.get(key)
     if total is None:
-        total = sums[key] = ClearedSum()
+        total = sums[key] = LinearSum(Poly)
     total.add(scale, term)
 
 
 def _add_pairings(sums, left, right, pair):
-    """Add the (scale, Cleared) pair(a, b) of every product of a term of left
+    """Add the (scale, Poly) pair(a, b) of every product of a term of left
     and a term of right to the sum of its t-monomial in sums."""
     for key, (scale, term) in left.pairings(right, pair):
         _add(sums, key, scale, term)
 
 
 def _summed(sums, dim, trunc):
-    """The series of the Cleared forms of the sums in sums."""
+    """The series of the sums in sums."""
     return TruncatedSeries(
-        dim, trunc, {key: total.cleared() for key, total in sums.items()}
+        dim, trunc, {key: total.element() for key, total in sums.items()}
     )
 
 
 def _pair_cases(state, dim, trunc):
-    # every series coefficient is a Cleared form, cleared here from the
-    # tables once; each side adds its products into one ClearedSum per
-    # t-monomial, and _first_residual compares the sides by
-    # cross-multiplication
+    # each side adds its products into one LinearSum per t-monomial
     ring = state.ring
     gamma = gamma_series(state)
-    partials = [p.truncate(trunc).map(Cleared.of) for p in gamma_partial(gamma)]
-    gamma = gamma.truncate(trunc).map(Cleared.of)
+    partials = [p.truncate(trunc) for p in gamma_partial(gamma)]
+    gamma = gamma.truncate(trunc)
     structure = structure_series(state)
     witnesses = lambda_series(state)
     for alpha in range(dim):
@@ -175,9 +168,8 @@ def _pair_cases(state, dim, trunc):
                 _add_pairings(rhs, series, partials[rho], _scaled)
             lam = witnesses.get((alpha, beta))
             if lam is not None:
-                lam = lam.map(Cleared.of)
                 for key, w in lam.coefficients.items():
-                    _add(rhs, key, 1, q_s(w, ring).without_etas())
+                    _add(rhs, key, 1, q_s(w, ring).to_poly())
                 _add_pairings(rhs, gamma, lam, _q_term)
             yield (
                 f"pair ({alpha},{beta})",
@@ -195,7 +187,7 @@ def _scaled(scale, a):
 
 
 def _q_term(u, w):
-    return 1, q_f(w, u).without_etas()
+    return 1, q_f(w, u).to_poly()
 
 
 def check_fqm2(state):
@@ -339,7 +331,7 @@ def _weight_outcomes(state):
         )
     for multi in sorted(state.u_table):
         target = 1 - sum(state.t_weights[j] for j in multi)
-        for exps in state.u_table[multi].terms:
+        for exps in state.u_table[multi].nums:
             found = ring.degree_of_monomial(exps)[1]
             yield None if found == target else Failure(
                 f"u[{multi}]",
@@ -349,7 +341,7 @@ def _weight_outcomes(state):
             )
     for multi in sorted(state.lam_table):
         target = 2 - sum(state.t_weights[j] for j in multi)
-        for exps, etas in state.lam_table[multi].terms:
+        for exps, etas in state.lam_table[multi].nums:
             found = super_weight(ring, exps, etas)
             yield None if found == target else Failure(
                 f"lambda[{multi}]",
@@ -385,7 +377,8 @@ def _euler_outcomes(state):
 
     def total_weight(u, w):  # (E_t + E_wt)(u t^C), w the t-weight of t^C
         wt = ring.degree_of_monomial
-        return Poly({e: (wt(e)[1] + w) * c for e, c in u.terms.items()})
+        nums = {e: (wt(e)[1] + w) * n for e, n in u.nums.items()}
+        return Poly.from_nums(u.denom, nums)
 
     structure = structure_series(state)
     for alpha, part in enumerate(gamma_partial(gamma_series(state))):

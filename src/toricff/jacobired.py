@@ -17,11 +17,11 @@ those of the reduced row echelon form.
 
 Elimination is fraction-free. Every stored row and its generator combination
 form one primitive vector of Python ints, with the row's lead at its pivot
-column; a partial with non-integer coefficients enters with its row and its
-witness scaled by the lcm of its denominators, cleared by polyalg._cleared,
-the helper that the polynomial and odd-element products share. Fractions
-appear only where reduce_vector emits a residue entry and the final
-combination.
+column; a partial of S enters with its int numerators as its row and its
+denominator as its witness scale, both read off the partial's int form
+(polyalg). reduce_with_witness hands each weight component of f over as its
+int numerators; Fractions appear only where reduce_vector emits a residue
+entry and the final combination, and where f's denominator divides them out.
 """
 
 from __future__ import annotations
@@ -133,18 +133,17 @@ def ideal_piece(ring, charge, weight):
         part = ring.s_partials[i]
         if part.is_zero():
             continue
-        pcharge, pweight = ring.degree_of_monomial(next(iter(part.terms)))
+        pcharge, pweight = ring.degree_of_monomial(next(iter(part.nums)))
         mult_degree = (
             tuple(a - b for a, b in zip(charge, pcharge)),
             weight - pweight,
         )
         if mult_degree[1] < 0:
             continue
-        # clear the partial's denominators in its rows and their witnesses
-        scale, terms = _cleared(part.terms)
+        # the row is the partial's numerators, its witness its denominator
         for mult in enumerate_graded_piece(ring, mult_degree):
-            row = {col_index[monomial_mul(mult, e)]: v for e, v in terms.items()}
-            wit = {len(generators): scale}
+            row = {col_index[monomial_mul(mult, e)]: n for e, n in part.nums.items()}
+            wit = {len(generators): part.denom}
             generators.append((mult, i))
             lead = _reduce_lead(row, wit, pivots)
             if lead is not None:
@@ -239,29 +238,30 @@ def reduce_with_witness(ring, basis, f):
     before returning.
     """
     by_weight = {}
-    for exps, coeff in f.terms.items():
+    for exps, n in f.nums.items():
         mcharge, mweight = ring.degree_of_monomial(exps)
         if mcharge != basis.charge:
             raise NotCharge0(
                 f"monomial {exps} has charge {mcharge}, expected {basis.charge}"
             )
-        by_weight.setdefault(mweight, {})[exps] = coeff
+        by_weight.setdefault(mweight, {})[exps] = n
+    # each weight component enters as its int numerators, that is f.denom
+    # times itself, so the residue and the witness are divided by f.denom
     coefficients = {}
     lam_terms = {}
     for w in sorted(by_weight):
         piece = basis.piece(w)
-        vec = {piece.col_index[m]: c for m, c in by_weight[w].items()}
+        vec = {piece.col_index[m]: n for m, n in by_weight[w].items()}
         residue, combo = piece.reduce_vector(vec)
         if w <= basis.max_weight:
             for col, coeff in residue.items():
-                coefficients[basis.index_of[piece.monomials[col]]] = coeff
+                coefficients[basis.index_of[piece.monomials[col]]] = coeff / f.denom
         elif residue:
             raise BasisIncomplete(w)
         for gen_idx, coeff in combo.items():
             mult, i = piece.generators[gen_idx]
-            key = (mult, (i,))
-            lam_terms[key] = lam_terms.get(key, Fraction(0)) + coeff
-    witness = SuperElement(lam_terms)
+            lam_terms[(mult, (i,))] = coeff
+    witness = SuperElement(lam_terms) * Fraction(1, f.denom)
     rebuilt = q_s(witness, ring).to_poly() + Poly(
         {basis.monomials[i]: coeff for i, coeff in coefficients.items()}
     )

@@ -2,17 +2,19 @@
 
 A monomial is a tuple of nonnegative exponents; variable order is fixed by the
 caller (Cayley rings put the y variables first). Polynomials are immutable
-once built and every stored coefficient is an exact fractions.Fraction.
+once built.
 
-The arithmetic runs over integers. Cleared is the int-numerator form of an
-element: Python int numerators over one denominator, built by _cleared, the
-one denominator-clearing helper of the package. Each operation has one
-kernel on that form: the polynomial product (Cleared.__mul__), the linear
-combination (ClearedSum, which Cleared.sum drives) and, in supercomplex, the
-Q_f contraction. The unfolding step and the fqm2 check clear each table
-entry once and sum their products there. Fractions are built only where a
-Fraction element is asked for: Poly.__mul__ and combination clear their
-operands, run the kernel and build one Fraction per output term.
+Every element (a Poly here, a SuperElement or FormElement in supercomplex)
+is stored in one exact form: Python int numerators over one denominator, the
+coefficient at a key being nums[key] / denom. The form is canonical: denom
+is positive, no zero numerator is stored and gcd(denom, *nums) == 1, so ==
+and hash compare the stored ints. Every kernel runs on that form and builds
+no Fraction: the products, the linear combination (LinearSum, which the sum
+and difference of elements drive), the partials and, in supercomplex, delta
+and the Q contraction. Fractions enter through the constructor, which
+clears them with _cleared, the one denominator-clearing helper of the
+package, and leave through the terms view, a new dict of Fractions, which
+rendering and the tests read.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import operator
 import re
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 
 def grevlex_key(exps):
@@ -43,114 +45,34 @@ def _cleared(coeffs):
     return d, {key: v.numerator * (d // v.denominator) for key, v in coeffs.items()}
 
 
-def _nonzero(numerators):
-    return {key: n for key, n in numerators.items() if n}
+def _canonical(denom, nums):
+    """(denom, nums) with the zero numerators dropped and the gcd of denom
+    and the numerators divided out; denom is positive."""
+    if 0 in nums.values():
+        nums = {key: n for key, n in nums.items() if n}
+    g = gcd(denom, *nums.values())
+    if g == 1:
+        return denom, nums
+    return denom // g, {key: n // g for key, n in nums.items()}
 
 
-class Cleared:
-    """Int-numerator form of a sparse element: the coefficient at a key is
-    nums[key] / denom. No zero numerator is stored, and denom need not be the
-    least common denominator, so two forms of one element compare equal by
-    cross-multiplication.
+class LinearSum:
+    """A running sum of scale * x over elements x of one class, a scale an int
+    or a Fraction: int numerators over the lcm of the scaled denominators
+    added so far. The numerators are rescaled when a term's denominator does
+    not divide that lcm, so the sum holds no term once it is added."""
 
-    Keys are those of the element: exponent tuples for a polynomial,
-    (exponents, etas) pairs for a SuperElement. A form is not changed once
-    built; its partials are computed on first use and kept.
-    """
+    __slots__ = ("cls", "denom", "nums")
 
-    __slots__ = ("denom", "nums", "_partials")
-
-    def __init__(self, denom, nums):
-        self.denom = denom
-        self.nums = nums
-        self._partials = None
-
-    @classmethod
-    def of(cls, x):
-        """x if it is a Cleared form already, else the Cleared form of the
-        element x."""
-        return x if isinstance(x, Cleared) else cls(*_cleared(x.terms))
-
-    def is_zero(self):
-        return not self.nums
-
-    def __eq__(self, other):
-        if not isinstance(other, Cleared):
-            return NotImplemented
-        d1, d2, n2 = self.denom, other.denom, other.nums
-        return self.nums.keys() == n2.keys() and all(
-            n * d2 == n2[key] * d1 for key, n in self.nums.items()
-        )
-
-    __hash__ = None
-
-    def __neg__(self):
-        return Cleared(self.denom, {key: -n for key, n in self.nums.items()})
-
-    def __sub__(self, other):
-        return Cleared.sum(((1, self), (-1, other)))
-
-    def __mul__(self, other):
-        """The product of two polynomial forms, over the product of their
-        denominators."""
-        out = {}
-        get, add = out.get, operator.add
-        for e1, c1 in self.nums.items():
-            for e2, c2 in other.nums.items():
-                key = tuple(map(add, e1, e2))  # monomial_mul, inlined: hot loop
-                out[key] = get(key, 0) + c1 * c2
-        return Cleared(self.denom * other.denom, _nonzero(out))
-
-    @staticmethod
-    def sum(pairs):
-        """The form of the sum of scale * c over (scale, c) pairs, a scale an
-        int or a Fraction."""
-        total = ClearedSum()
-        for scale, c in pairs:
-            total.add(scale, c)
-        return total.cleared()
-
-    def cleared_partials(self):
-        """(d, parts) for a polynomial form: parts[i] lists the terms of d
-        times the i-th partial as (exponents, int numerator) pairs, and a
-        variable without terms has no entry. Computed once per form."""
-        if self._partials is None:
-            parts = {}
-            for exps, n in self.nums.items():
-                for i, e in enumerate(exps):
-                    if e:
-                        lowered = exps[:i] + (e - 1,) + exps[i + 1 :]
-                        parts.setdefault(i, []).append((lowered, n * e))
-            self._partials = (self.denom, parts)
-        return self._partials
-
-    def without_etas(self):
-        """The polynomial form of a form keyed by (exponents, etas) whose
-        terms carry no eta; raises ValueError on a term with one."""
-        out = {}
-        for (exps, etas), n in self.nums.items():
-            if etas:
-                raise ValueError("element carries odd factors")
-            out[exps] = n
-        return Cleared(self.denom, out)
-
-
-class ClearedSum:
-    """A running sum of scale * c over Cleared forms c, a scale an int or a
-    Fraction: int numerators over the lcm of the scaled denominators added so
-    far. The numerators are rescaled when a term's denominator does not
-    divide that lcm, so the sum holds no term once it is added."""
-
-    __slots__ = ("denom", "nums")
-
-    def __init__(self):
+    def __init__(self, cls):
+        self.cls = cls
         self.denom = 1
         self.nums = {}
 
-    def add(self, scale, c):
+    def add(self, scale, x):
         if not scale:
             return
-        d = scale.denominator * c.denom
+        d = scale.denominator * x.denom
         if self.denom % d:
             grown = lcm(self.denom, d)
             k = grown // self.denom
@@ -159,61 +81,94 @@ class ClearedSum:
         factor = scale.numerator * (self.denom // d)
         nums = self.nums
         get = nums.get
-        for key, n in c.nums.items():
+        for key, n in x.nums.items():
             nums[key] = get(key, 0) + factor * n
 
-    def cleared(self):
-        return Cleared(self.denom, _nonzero(self.nums))
+    def element(self):
+        """The sum as an element of its class; adding on leaves it as it is."""
+        return self.cls.from_nums(self.denom, dict(self.nums))
 
 
 class _SparseTerms:
-    """Immutable sparse map {key: nonzero Fraction} with its additive structure.
+    """Immutable sparse element in the canonical int form of the module
+    docstring: the coefficient at a key is nums[key] / denom.
 
-    Keys are stored as given. Subclasses supply the products; values of
-    different subclasses never compare equal.
+    Keys are stored as given. Subclasses supply the products (_times);
+    values of different subclasses never compare equal.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("denom", "nums")
 
     def __init__(self, terms):
-        clean = {}
-        for key, coeff in terms.items():
-            c = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
-            if c != 0:
-                clean[key] = c
-        self.terms = clean
+        """The element of {key: int or Fraction}; zero values are dropped."""
+        self.denom, self.nums = _canonical(*_cleared(terms))
 
     @classmethod
-    def from_cleared(cls, cleared):
-        """The element of a Cleared form: one Fraction per term."""
+    def from_nums(cls, denom, nums):
+        """The element nums / denom, for int numerators and a positive denom.
+        The element may keep nums itself, so the caller hands over a dict it
+        no longer changes."""
         out = cls.__new__(cls)
-        d = cleared.denom
-        out.terms = {k: Fraction(n, d) for k, n in cleared.nums.items()}
+        out.denom, out.nums = _canonical(denom, nums)
         return out
 
+    @classmethod
+    def sum(cls, pairs):
+        """The sum of scale * x over (scale, x) pairs, x of this class and a
+        scale an int or a Fraction."""
+        total = LinearSum(cls)
+        for scale, x in pairs:
+            total.add(scale, x)
+        return total.element()
+
+    @property
+    def terms(self):
+        """The coefficients as a new {key: Fraction} dict; changing it leaves
+        the element as it is."""
+        d = self.denom
+        return {key: Fraction(n, d) for key, n in self.nums.items()}
+
     def is_zero(self):
-        return not self.terms
+        return not self.nums
 
     def __eq__(self, other):
-        return type(self) is type(other) and self.terms == other.terms
+        return (
+            type(self) is type(other)
+            and self.denom == other.denom
+            and self.nums == other.nums
+        )
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((self.denom, frozenset(self.nums.items())))
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            out[key] = out.get(key, Fraction(0)) + coeff
-        return type(self)(out)
+        if type(other) is not type(self):
+            return NotImplemented
+        return type(self).sum(((1, self), (1, other)))
 
     def __sub__(self, other):
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            out[key] = out.get(key, Fraction(0)) - coeff
-        return type(self)(out)
+        if type(other) is not type(self):
+            return NotImplemented
+        return type(self).sum(((1, self), (-1, other)))
 
     def __neg__(self):
-        return type(self)({k: -c for k, c in self.terms.items()})
+        return type(self).from_nums(
+            self.denom, {k: -n for k, n in self.nums.items()}
+        )
+
+    def __mul__(self, other):
+        """The product with an int, a Fraction or an element of a compatible
+        kind; NotImplemented for anything else, floats included."""
+        if isinstance(other, (int, Fraction)):
+            num = other.numerator
+            return type(self).from_nums(
+                self.denom * other.denominator,
+                {k: n * num for k, n in self.nums.items()},
+            )
+        return self._times(other)
+
+    # scalars and polynomials are even, so no sign appears
+    __rmul__ = __mul__
 
     def __repr__(self):
         return f"{type(self).__name__}({self.terms!r})"
@@ -222,32 +177,40 @@ class _SparseTerms:
 class Poly(_SparseTerms):
     """Keys are exponent tuples."""
 
-    __slots__ = ()
+    __slots__ = ("_partials",)
 
     @classmethod
     def monomial(cls, exps, coeff=1):
-        return cls({tuple(exps): Fraction(coeff)})
+        return cls({tuple(exps): coeff})
 
-    def __mul__(self, other):
-        if isinstance(other, Poly):
-            return Poly.from_cleared(Cleared.of(self) * Cleared.of(other))
-        return Poly({e: c * Fraction(other) for e, c in self.terms.items()})
-
-    __rmul__ = __mul__
+    def _times(self, other):
+        if not isinstance(other, Poly):
+            return NotImplemented
+        out = {}
+        get, add = out.get, operator.add
+        for e1, c1 in self.nums.items():
+            for e2, c2 in other.nums.items():
+                key = tuple(map(add, e1, e2))  # monomial_mul, inlined: hot loop
+                out[key] = get(key, 0) + c1 * c2
+        return Poly.from_nums(self.denom * other.denom, out)
 
     def partial(self, i):
         out = {}
-        for exps, coeff in self.terms.items():
-            if exps[i] > 0:
+        for exps, n in self.nums.items():
+            if exps[i]:
                 lowered = exps[:i] + (exps[i] - 1,) + exps[i + 1 :]
-                out[lowered] = out.get(lowered, Fraction(0)) + coeff * exps[i]
-        return Poly(out)
+                out[lowered] = n * exps[i]
+        return Poly.from_nums(self.denom, out)
 
-
-def combination(pairs):
-    """The Poly sum of scale * f over (scale, f) pairs, f a Poly or its
-    Cleared form and a scale an int or a Fraction, summed by Cleared.sum."""
-    return Poly.from_cleared(Cleared.sum((s, Cleared.of(f)) for s, f in pairs))
+    def partials(self):
+        """The partial in every variable, computed once per polynomial; the
+        zero polynomial has none."""
+        try:
+            return self._partials
+        except AttributeError:
+            nvars = len(next(iter(self.nums), ()))
+            self._partials = tuple(self.partial(i) for i in range(nvars))
+            return self._partials
 
 
 def _render_term(exps, coeff, names, odd=()):
@@ -284,10 +247,11 @@ def _join_terms(parts):
 
 def render_poly(f, names):
     """Canonical text form: terms in descending grevlex order."""
+    terms = f.terms
     return _join_terms(
         [
-            _render_term(exps, f.terms[exps], names)
-            for exps in sorted(f.terms, key=grevlex_key, reverse=True)
+            _render_term(exps, terms[exps], names)
+            for exps in sorted(terms, key=grevlex_key, reverse=True)
         ]
     )
 

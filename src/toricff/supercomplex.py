@@ -2,9 +2,11 @@
 
 Every ring variable q_i gets an odd partner eta_i. Elements live in two
 isomorphic pictures: SuperElement carries sorted eta index tuples, FormElement
-carries sorted dq index tuples, and mu translates between them. The operators
-below (odd Laplacian, potential contraction, twisted differential, Euler
-contraction) all preserve exact rational coefficients.
+carries sorted dq index tuples, and mu translates between them. Both hold
+the int-numerator form of polyalg, and the operators below (odd Laplacian,
+potential contraction, twisted differential, Euler contraction) run on the
+numerators: each result is built over the denominator of its input, times
+the lcm of the partials' denominators where a potential enters.
 
 Sign conventions, with all indices zero based:
   * removing eta_i from a sorted tuple E costs (-1)^(position of i in E),
@@ -16,11 +18,10 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from math import lcm
 
 from .polyalg import (
-    Cleared,
     Poly,
-    _nonzero,
     _SparseTerms,
     _join_terms,
     _render_term,
@@ -52,40 +53,39 @@ def _insert_sign(i, indices):
 
 
 class _OddTerms(_SparseTerms):
-    """Shared container: {(exponent tuple, sorted odd index tuple): Fraction}."""
+    """Shared container: keys are (exponent tuple, sorted odd index tuple)."""
 
     __slots__ = ()
 
     @classmethod
     def from_poly(cls, f):
-        return cls({(exps, ()): c for exps, c in f.terms.items()})
+        return cls.from_nums(f.denom, {(exps, ()): n for exps, n in f.nums.items()})
 
-    def __mul__(self, other):
-        if type(other) is type(self):
-            out = {}
-            for (e1, o1), c1 in self.terms.items():
-                for (e2, o2), c2 in other.terms.items():
-                    odd, sign = _merge(o1, o2)
-                    if odd is None:
-                        continue
-                    key = (monomial_mul(e1, e2), odd)
-                    out[key] = out.get(key, Fraction(0)) + sign * c1 * c2
-            return type(self)(out)
+    def _times(self, other):
         if isinstance(other, Poly):
-            return self * type(self).from_poly(other)
-        scale = Fraction(other)
-        return type(self)({k: c * scale for k, c in self.terms.items()})
-
-    # scalars and polynomials are even, so no sign appears
-    __rmul__ = __mul__
+            other = type(self).from_poly(other)
+        elif type(other) is not type(self):
+            return NotImplemented
+        out = {}
+        get = out.get
+        for (e1, o1), c1 in self.nums.items():
+            for (e2, o2), c2 in other.nums.items():
+                odd, sign = _merge(o1, o2)
+                if odd is None:
+                    continue
+                key = (monomial_mul(e1, e2), odd)
+                out[key] = get(key, 0) + sign * c1 * c2
+        return type(self).from_nums(self.denom * other.denom, out)
 
     def to_poly(self):
+        """The polynomial of an element without odd factors; raises
+        ValueError on a term with one."""
         out = {}
-        for (exps, odd), coeff in self.terms.items():
+        for (exps, odd), n in self.nums.items():
             if odd:
                 raise ValueError("element carries odd factors")
-            out[exps] = coeff
-        return Poly(out)
+            out[exps] = n
+        return Poly.from_nums(self.denom, out)
 
 
 class SuperElement(_OddTerms):
@@ -99,55 +99,58 @@ class FormElement(_OddTerms):
 def delta(w):
     """Odd Laplacian: sum over i of d/dq_i d/eta_i."""
     out = {}
-    for (exps, etas), coeff in w.terms.items():
+    get = out.get
+    for (exps, etas), n in w.nums.items():
         for pos, i in enumerate(etas):
             if exps[i] == 0:
                 continue
-            sign = -1 if pos % 2 else 1
+            signed = -n if pos % 2 else n
             lowered = exps[:i] + (exps[i] - 1,) + exps[i + 1 :]
             key = (lowered, _sorted_drop(etas, pos))
-            out[key] = out.get(key, Fraction(0)) + sign * coeff * exps[i]
-    return SuperElement(out)
+            out[key] = get(key, 0) + signed * exps[i]
+    return SuperElement.from_nums(w.denom, out)
 
 
-def _q_parts(w, denom, parts):
+def _over_lcm(partials):
+    """(d, rows) for the partials of a potential, as Poly.partials gives them:
+    d is the lcm of their denominators and rows[i] is (d / the denominator
+    of partials[i], the (exponents, numerator) items of partials[i]) for
+    every nonzero partial, so the rows sum over int numerators with d as
+    their one denominator."""
+    d = lcm(*[p.denom for p in partials])
+    rows = enumerate(partials)
+    return d, {i: (d // p.denom, p.nums.items()) for i, p in rows if p.nums}
+
+
+def _q_parts(w, partials):
     """The Q contraction kernel: the sum over the terms of w and their eta_i
     of the sign of eta_i times the term with eta_i dropped times the i-th
-    partial, parts[i]: its (exponents, int numerator) terms over the common
-    denominator denom, absent for a zero partial, as Cleared.cleared_partials
-    gives them.
-
-    w is a SuperElement or its Cleared form, and the result is of the same
-    kind: the sum is taken over int numerators either way, and a SuperElement
-    gets one Fraction per output term.
-    """
-    cleared = Cleared.of(w)
+    partial of the potential."""
+    denom, rows = _over_lcm(partials)
     out = {}
     get, add = out.get, operator.add
-    for (exps, etas), coeff in cleared.nums.items():
+    for (exps, etas), coeff in w.nums.items():
         for pos, i in enumerate(etas):
-            row = parts.get(i)
+            row = rows.get(i)
             if row is None:
                 continue
-            signed = -coeff if pos % 2 else coeff
+            k, items = row
+            signed = -coeff * k if pos % 2 else coeff * k
             dropped = _sorted_drop(etas, pos)
-            for pe, pc in row:
+            for pe, pc in items:
                 key = (tuple(map(add, exps, pe)), dropped)  # monomial_mul, inlined
                 out[key] = get(key, 0) + signed * pc
-    result = Cleared(cleared.denom * denom, _nonzero(out))
-    return result if cleared is w else SuperElement.from_cleared(result)
+    return SuperElement.from_nums(w.denom * denom, out)
 
 
 def q_f(w, f):
-    """Contraction against the partials of an arbitrary even potential f, a
-    Poly or its Cleared form; w and the result as in _q_parts."""
-    return _q_parts(w, *Cleared.of(f).cleared_partials())
+    """Contraction against the partials of an arbitrary even potential f."""
+    return _q_parts(w, f.partials())
 
 
 def q_s(w, ring):
-    """Contraction against the partials of the ring potential S; w and the
-    result as in _q_parts."""
-    return _q_parts(w, *ring.s_parts)
+    """Contraction against the partials of the ring potential S."""
+    return _q_parts(w, ring.s_partials)
 
 
 def k_s(w, ring):
@@ -158,28 +161,26 @@ def k_s(w, ring):
 def mu(w):
     """Isomorphism onto forms: (m, E) goes to signed (m, complement of E)."""
     out = {}
-    for (exps, etas), coeff in w.terms.items():
+    for (exps, etas), n in w.nums.items():
         present = set(etas)
         dqs = tuple(i for i in range(len(exps)) if i not in present)
-        sign = -1 if sum(etas) % 2 else 1
-        out[(exps, dqs)] = sign * coeff
-    return FormElement(out)
+        out[(exps, dqs)] = -n if sum(etas) % 2 else n
+    return FormElement.from_nums(w.denom, out)
 
 
 def mu_inverse(omega):
     out = {}
-    for (exps, dqs), coeff in omega.terms.items():
+    for (exps, dqs), n in omega.nums.items():
         present = set(dqs)
         etas = tuple(i for i in range(len(exps)) if i not in present)
-        sign = -1 if sum(etas) % 2 else 1
-        out[(exps, etas)] = sign * coeff
-    return SuperElement(out)
+        out[(exps, etas)] = -n if sum(etas) % 2 else n
+    return SuperElement.from_nums(omega.denom, out)
 
 
 def form_d(omega):
     """Exterior derivative on polynomial-coefficient forms."""
     out = {}
-    for (exps, dqs), coeff in omega.terms.items():
+    for (exps, dqs), n in omega.nums.items():
         present = set(dqs)
         for i in range(len(exps)):
             if exps[i] == 0 or i in present:
@@ -187,28 +188,25 @@ def form_d(omega):
             sign = _insert_sign(i, dqs)
             lowered = exps[:i] + (exps[i] - 1,) + exps[i + 1 :]
             key = (lowered, tuple(sorted(dqs + (i,))))
-            out[key] = out.get(key, Fraction(0)) + sign * coeff * exps[i]
-    return FormElement(out)
+            out[key] = out.get(key, 0) + sign * n * exps[i]
+    return FormElement.from_nums(omega.denom, out)
 
 
 def wedge_df(f, omega):
     """Left wedge by the exact one-form df."""
-    if f.is_zero() or omega.is_zero():
-        return FormElement({})
-    nvars = len(next(iter(f.terms)))
-    partials = [f.partial(i) for i in range(nvars)]
+    denom, rows = _over_lcm(f.partials())
     out = {}
-    for (exps, dqs), coeff in omega.terms.items():
+    for (exps, dqs), n in omega.nums.items():
         present = set(dqs)
-        for i, part in enumerate(partials):
-            if i in present or part.is_zero():
+        for i, (k, items) in rows.items():
+            if i in present:
                 continue
-            sign = _insert_sign(i, dqs)
+            signed = _insert_sign(i, dqs) * n * k
             grown = tuple(sorted(dqs + (i,)))
-            for pe, pc in part.terms.items():
+            for pe, pc in items:
                 key = (monomial_mul(exps, pe), grown)
-                out[key] = out.get(key, Fraction(0)) + sign * coeff * pc
-    return FormElement(out)
+                out[key] = out.get(key, 0) + signed * pc
+    return FormElement.from_nums(omega.denom * denom, out)
 
 
 def twisted_d(omega, ring):
@@ -219,15 +217,15 @@ def twisted_d(omega, ring):
 def contract_euler(omega, phi):
     """Contraction with the Euler field of an integer weight functional phi."""
     out = {}
-    for (exps, dqs), coeff in omega.terms.items():
+    for (exps, dqs), n in omega.nums.items():
         for pos, j in enumerate(dqs):
             if phi[j] == 0:
                 continue
             sign = -1 if pos % 2 else 1
             raised = exps[:j] + (exps[j] + 1,) + exps[j + 1 :]
             key = (raised, _sorted_drop(dqs, pos))
-            out[key] = out.get(key, Fraction(0)) + sign * coeff * phi[j]
-    return FormElement(out)
+            out[key] = out.get(key, 0) + sign * n * phi[j]
+    return FormElement.from_nums(omega.denom, out)
 
 
 def epsilon_w_s(omega, ring):
@@ -251,12 +249,13 @@ def super_weight(ring, exps, etas):
 
 def render_super(w, names, eta_names):
     """Canonical text form: eta groups ascending, then descending grevlex."""
-    keys = sorted(w.terms, key=lambda k: grevlex_key(k[0]), reverse=True)
+    terms = w.terms
+    keys = sorted(terms, key=lambda k: grevlex_key(k[0]), reverse=True)
     keys.sort(key=lambda k: k[1])
     return _join_terms(
         [
             _render_term(
-                exps, w.terms[(exps, etas)], names, [eta_names[i] for i in etas]
+                exps, terms[(exps, etas)], names, [eta_names[i] for i in etas]
             )
             for exps, etas in keys
         ]

@@ -9,7 +9,6 @@ of G_i, and carries the potential S = sum y_i G_i of degree (0, 1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .intlattice import (
     LatticePolytope,
@@ -19,7 +18,7 @@ from .intlattice import (
     free_cokernel_projection,
     smith_normal_form,
 )
-from .polyalg import Cleared, Poly, grevlex_key
+from .polyalg import Poly, grevlex_key
 
 __all__ = [
     "RaysDoNotSpan",
@@ -131,12 +130,6 @@ class CayleyRing:
     def nvars(self):
         return self.k + self.r
 
-    @cached_property
-    def s_parts(self):
-        """The Cleared partials of S, computed once: the partials of S as
-        q_s takes them."""
-        return Cleared.of(self.S).cleared_partials()
-
     def degree_of_monomial(self, exps):
         charge = tuple(
             sum(self.var_charges[i][j] * exps[i] for i in range(len(exps)))
@@ -158,7 +151,7 @@ def build_cayley_ring(rays, hypersurfaces):
         if poly.is_zero():
             raise InvalidInput(f"hypersurface {i} is zero")
         beta = None
-        for exps in poly.terms:
+        for exps in poly.nums:
             if len(exps) != r:
                 raise ValueError(
                     f"hypersurface {i} has exponent tuples of length {len(exps)}, expected {r}"
@@ -173,7 +166,9 @@ def build_cayley_ring(rays, hypersurfaces):
                 raise InhomogeneousHypersurface(i, beta, charge)
         betas.append(beta)
         embedded.append(
-            Poly({(0,) * k + exps: c for exps, c in poly.terms.items()})
+            Poly.from_nums(
+                poly.denom, {(0,) * k + e: n for e, n in poly.nums.items()}
+            )
         )
     var_charges = tuple(
         tuple(-b for b in betas[i]) for i in range(k)
@@ -184,7 +179,6 @@ def build_cayley_ring(rays, hypersurfaces):
         y = Poly.monomial(tuple(1 if t == i else 0 for t in range(k)) + (0,) * r)
         S = S + y * g
     nvars = k + r
-    s_partials = tuple(S.partial(i) for i in range(nvars))
     c_B = tuple(
         -sum(var_charges[i][j] for i in range(nvars))
         for j in range(grading.rank)
@@ -199,7 +193,7 @@ def build_cayley_ring(rays, hypersurfaces):
         r=r,
         betas=tuple(betas),
         S=S,
-        s_partials=s_partials,
+        s_partials=S.partials(),
         var_charges=var_charges,
         var_weights=var_weights,
         c_B=c_B,

@@ -35,10 +35,9 @@ checks that every table holds every multiset of every lower size, and raises
 MissingTableEntry naming the first one missing.
 
 The three sums run over int numerators: step reads each u and lambda entry
-in its Cleared form (polyalg), cleared once per stored entry together with
-its partials, feeds the products u*u, a*u and Q_{u_A}(lambda) to one
-Cleared.sum, and builds Fractions only for the terms of f. The reduction,
-its re-verification and the stored entries stay in Fractions.
+straight from its table, in the int form every element holds (polyalg),
+and feeds the products u*u, a*u and Q_{u_A}(lambda) to one Poly.sum. A u
+entry keeps its partials once Q has asked for them.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ from itertools import combinations_with_replacement, groupby
 from math import comb, factorial, prod
 
 from .jacobired import reduce_with_witness
-from .polyalg import Cleared, Poly, combination
+from .polyalg import Poly
 from .supercomplex import delta, q_f
 from .toricring import NotCalabiYau, is_calabi_yau
 
@@ -153,10 +152,6 @@ class UnfoldingState:
     replaced in place outside step by one that is zero where the old one was
     not, or the other way round, goes unseen: change a table through
     dataclasses.replace before stepping on.
-
-    step reads the u and lambda entries in their Cleared form, made once per
-    stored entry (_cleared_entry): the cache keeps the entry it cleared and
-    clears again when the table holds another object under the key.
     """
 
     ring: object
@@ -168,11 +163,9 @@ class UnfoldingState:
     lam_table: dict
     inputs: dict | None = None
     _index: dict = field(init=False, repr=False)
-    _cleared: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         self._index = {name: _TableIndex(self, name) for name in _TABLES}
-        self._cleared = {}
 
     def table(self, name):
         return getattr(self, _TABLES[name][0])
@@ -234,18 +227,6 @@ def _entry(table, name, key):
     return got
 
 
-def _cleared_entry(state, name, key):
-    """The Cleared form of the stored entry, cleared once per entry object;
-    a zero entry, which most are, is not kept."""
-    entry = _entry(state.table(name), name, key)
-    if entry.is_zero():
-        return Cleared(1, {})
-    hit = state._cleared.get((name, key))
-    if hit is None or hit[0] is not entry:
-        hit = state._cleared[(name, key)] = (entry, Cleared.of(entry))
-    return hit[1]
-
-
 def _settled_below(state, size):
     """Raise MissingTableEntry, naming the first multiset missing, unless
     every table holds every multiset of every size below size."""
@@ -288,15 +269,14 @@ def _splits(tail, head, support):
 
 def _assemble_input(state, multi):
     # alpha <= beta <= every tail entry, so prefixing them keeps keys sorted;
-    # each sum walks only the splits where its first factor can be nonzero,
-    # and every term is a Cleared form, so the sum runs over int numerators
+    # each sum walks only the splits where its first factor can be nonzero
     alpha, beta, tail = multi[0], multi[1], multi[2:]
     pair = (alpha, beta)
-    index = state._index
+    index, u_table = state._index, state.u_table
     pairs = []
     for a_part, b_part, weight in _splits(tail, (alpha,), index["u"].support):
-        u_a = _cleared_entry(state, "u", (alpha,) + a_part)
-        u_b = _cleared_entry(state, "u", (beta,) + b_part)
+        u_a = _entry(u_table, "u", (alpha,) + a_part)
+        u_b = _entry(u_table, "u", (beta,) + b_part)
         if not (u_a.is_zero() or u_b.is_zero()):
             pairs.append((weight, u_a * u_b))
     for a_part, b_part, weight in _splits(tail, pair, index["a"].support):
@@ -304,15 +284,15 @@ def _assemble_input(state, multi):
             row = _entry(state.a_table, "a", pair + a_part)
             for rho, value in row.items():
                 u_key = tuple(sorted(b_part + (rho,)))
-                pairs.append((-weight * value, _cleared_entry(state, "u", u_key)))
+                pairs.append((-weight * value, _entry(u_table, "u", u_key)))
     # this sum is driven by lambda, so _splits hands B out first
     for b_part, a_part, weight in _splits(tail, pair, index["lambda"].support):
         if a_part:
-            lam = _cleared_entry(state, "lambda", pair + b_part)
+            lam = _entry(state.lam_table, "lambda", pair + b_part)
             if not lam.is_zero():
-                q = q_f(lam, _cleared_entry(state, "u", a_part))
-                pairs.append((-weight, q.without_etas()))
-    return combination(pairs)
+                q = q_f(lam, _entry(u_table, "u", a_part))
+                pairs.append((-weight, q.to_poly()))
+    return Poly.sum(pairs)
 
 
 def step(state, multi):
@@ -327,7 +307,7 @@ def step(state, multi):
     reduced = reduce_with_witness(state.ring, state.basis, f)
     u_new = delta(reduced.witness).to_poly()
     target = 1 - sum(state.t_weights[j] for j in multi)
-    for exps in u_new.terms:
+    for exps in u_new.nums:
         if state.ring.degree_of_monomial(exps)[1] != target:
             raise ArithmeticError(
                 f"u entry for {multi} breaks weight homogeneity"

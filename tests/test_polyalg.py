@@ -8,9 +8,7 @@ import pytest
 from conftest import reference_mul
 
 from toricff.polyalg import (
-    Cleared,
     Poly,
-    combination,
     grevlex_key,
     parse_poly,
     render_poly,
@@ -111,51 +109,67 @@ def test_combination_matches_fraction_sum_seeded():
         for scale, f in pairs:
             for k, v in f.terms.items():
                 expected[k] = expected.get(k, Fraction(0)) + scale * v
-        assert _stored(combination(pairs)) == {k: v for k, v in expected.items() if v}
-    assert combination([]).is_zero()
+        assert _stored(Poly.sum(pairs)) == {k: v for k, v in expected.items() if v}
+    assert Poly.sum([]).is_zero()
 
 
 def test_cleared_kernels_match_fraction_reference_seeded():
-    # the int-numerator kernels under Poly.__mul__ and combination, on
-    # Cleared forms directly: product, sum, difference and equality
+    # the int-numerator kernels of Poly: product, sum, difference, negation
+    # and equality, against Fraction arithmetic on the terms view
     rng = random.Random(1213)
     rescaled = 0
     for _ in range(60):
         f, g = random_poly(rng), random_poly(rng)
-        cf, cg = Cleared.of(f), Cleared.of(g)
-        assert Cleared.of(cf) is cf
-        product = Poly.from_cleared(cf * cg)
-        assert _stored(product) == {
+        assert _stored(f * g) == {
             k: v for k, v in reference_mul(f, g).items() if v
         }
         s1 = Fraction(rng.randint(-4, 4), rng.randint(1, 6))
         s2 = rng.randint(-3, 3)
         # the third pair cancels the first exactly
-        total = Cleared.sum([(s1, cf), (s2, cg), (-s1, cf)])
+        total = Poly.sum([(s1, f), (s2, g), (-s1, f)])
         expected = {k: s2 * v for k, v in g.terms.items() if s2}
-        assert _stored(Poly.from_cleared(total)) == expected
-        assert (cf - cf).is_zero() and Cleared.sum([]).is_zero()
-        assert Poly.from_cleared(cf - cg) == f - g
-        assert Poly.from_cleared(-cf) == -f
-        # equal as rationals over another denominator: equal forms
+        assert _stored(total) == expected
+        assert (f - f).is_zero() and Poly.sum([]).is_zero()
+        difference = dict(f.terms)
+        for k, v in g.terms.items():
+            difference[k] = difference.get(k, Fraction(0)) - v
+        assert _stored(f - g) == {k: v for k, v in difference.items() if v}
+        assert _stored(-f) == {k: -v for k, v in f.terms.items()}
+        # equal as rationals over another denominator: the same element
         k = rng.randint(2, 9)
-        scaled = Cleared(cf.denom * k, {e: n * k for e, n in cf.nums.items()})
-        assert scaled == cf and scaled == Cleared.of(f)
-        if cf.nums:
-            rescaled += scaled.nums != cf.nums
-            e = next(iter(cf.nums))
-            nudged = dict(scaled.nums)
+        scaled = Poly.from_nums(f.denom * k, {e: n * k for e, n in f.nums.items()})
+        assert scaled == f and hash(scaled) == hash(f)
+        assert (scaled.denom, scaled.nums) == (f.denom, f.nums)
+        if f.nums:
+            rescaled += 1
+            e = next(iter(f.nums))
+            nudged = {e2: n * k for e2, n in f.nums.items()}
             nudged[e] += 1
-            assert Cleared(scaled.denom, nudged) != cf
-            assert Cleared(cf.denom, {**cf.nums, (9,) * 4: 1}) != cf
+            assert Poly.from_nums(f.denom * k, nudged) != f
+            assert Poly.from_nums(f.denom, {**f.nums, (9,) * 4: 1}) != f
     assert rescaled > 0
-    # mixed denominators whose cross terms cancel to zero
+    # mixed denominators whose cross terms cancel to zero: 18/90 and -8/90
+    # share the factor 2 with 90, so the product is stored over 45
     f = Fraction(1, 2) * X1 + Fraction(1, 3) * X2
     g = Fraction(2, 5) * X1 - Fraction(4, 15) * X2
-    product = Cleared.of(f) * Cleared.of(g)
-    assert product.denom == 6 * 15
-    assert product == Cleared.of(f * g)
-    assert set(product.nums) == {(0, 2, 0, 0), (0, 0, 2, 0)}
+    product = f * g
+    assert (f.denom, g.denom) == (6, 15)
+    assert product.denom == 45
+    assert product.nums == {(0, 2, 0, 0): 9, (0, 0, 2, 0): -4}
+
+
+def test_float_operands_raise_type_error():
+    # the package promises no floating point: 1.5 is not read as 3/2, nor
+    # 0.1 as 3602879701896397/36028797018963968
+    for value in (1.5, 0.1):
+        with pytest.raises(TypeError):
+            X1 * value
+        with pytest.raises(TypeError):
+            value * X1
+    with pytest.raises(TypeError):
+        X1 * "2"
+    assert X1 * Fraction(3, 2) == 3 * X1 * Fraction(1, 2)
+    assert (X1 * 0).is_zero() and (X1 * 0).denom == 1
 
 
 def test_grevlex_order_pinned():

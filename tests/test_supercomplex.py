@@ -2,12 +2,13 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from conftest import P2_RAYS, reference_q, xpoly
+from conftest import P2_RAYS, reference_mul, reference_q, xpoly
 
-from toricff.polyalg import Cleared, Poly
+from toricff.polyalg import Poly, parse_poly, render_poly
 from toricff.supercomplex import (
     FormElement,
     SuperElement,
@@ -362,7 +363,7 @@ def test_q_kernels_match_fraction_reference_seeded(cubic_ring, p1p1_ring):
 
 
 def test_q_kernel_on_cleared_forms_seeded(cubic_ring, p1p1_ring):
-    # q_f and q_s on Cleared forms return Cleared forms equal to the Fraction
+    # q_f and q_s on the int numerators of a SuperElement equal the Fraction
     # reference; the witnesses carry two or three etas, so a dropped eta sits
     # at odd and at even positions
     rng = random.Random(57)
@@ -383,25 +384,117 @@ def test_q_kernel_on_cleared_forms_seeded(cubic_ring, p1p1_ring):
                     for _ in range(rng.randint(1, 3))
                 }
             )
-            cw = Cleared.of(w)
-            got = q_f(cw, Cleared.of(f))
-            assert isinstance(got, Cleared)
+            got = q_f(w, f)
+            assert isinstance(got, SuperElement)
             raw = reference_q(w, [f.partial(i) for i in range(nv)])
-            assert _stored(SuperElement.from_cleared(got)) == _nonzero(raw)
-            assert got == Cleared.of(q_f(w, f))
-            got = q_s(cw, ring)
-            assert _stored(SuperElement.from_cleared(got)) == _nonzero(
+            assert _stored(got) == _nonzero(raw)
+            assert _stored(q_s(w, ring)) == _nonzero(
                 reference_q(w, ring.s_partials)
             )
             # Q_f squares to zero: the second contraction cancels exactly
-            assert q_f(q_f(cw, f), f).is_zero()
+            assert q_f(q_f(w, f), f).is_zero()
     # one eta left after the contraction: not a polynomial
-    w = Cleared.of(eta(0) * eta(1))
     with pytest.raises(ValueError):
-        q_s(w, cubic_ring).without_etas()
-    assert q_s(Cleared.of(eta(0)), cubic_ring).without_etas() == Cleared.of(
-        cubic_ring.s_partials[0]
-    )
+        q_s(eta(0) * eta(1), cubic_ring).to_poly()
+    assert q_s(eta(0), cubic_ring).to_poly() == cubic_ring.s_partials[0]
+
+
+def test_poly_times_super_element_commutes():
+    # a polynomial is even, so it multiplies a SuperElement from either side
+    x = Poly.monomial((1, 0, 0, 0), Fraction(2, 3))
+    xi = sterm((0, 1, 0, 0), (2,), Fraction(3, 4))
+    expected = sterm((1, 1, 0, 0), (2,), Fraction(1, 2))
+    assert x * xi == expected and xi * x == expected
+    form = fterm((0, 0, 0, 1), (0, 3))
+    assert x * form == form * x == fterm((1, 0, 0, 1), (0, 3), Fraction(2, 3))
+    for value in (1.5, fterm((0,) * NV, ())):
+        with pytest.raises(TypeError):
+            xi * value
+        with pytest.raises(TypeError):
+            value * xi
+
+
+def _reference_delta(w):
+    """delta of a SuperElement in Fraction arithmetic on its terms view."""
+    out = {}
+    for (exps, etas), coeff in w.terms.items():
+        for pos, i in enumerate(etas):
+            if exps[i]:
+                lowered = exps[:i] + (exps[i] - 1,) + exps[i + 1 :]
+                key = (lowered, etas[:pos] + etas[pos + 1 :])
+                out[key] = out.get(key, Fraction(0)) + (-1) ** pos * coeff * exps[i]
+    return out
+
+
+def _assert_canonical(x, reference):
+    """x holds its canonical int form, and x and the element built from the
+    Fraction map reference are == with equal hashes, as is x over a larger
+    denominator."""
+    assert x.denom > 0
+    assert all(type(n) is int and n != 0 for n in x.nums.values())
+    assert gcd(x.denom, *x.nums.values()) == 1
+    for other in (
+        type(x)(reference),
+        type(x).from_nums(7 * x.denom, {k: 7 * n for k, n in x.nums.items()}),
+    ):
+        assert other == x and hash(other) == hash(x)
+        assert (other.denom, other.nums) == (x.denom, x.nums)
+
+
+def test_every_kernel_keeps_the_canonical_form_seeded(cubic_ring, p1p1_ring):
+    # product, scale, sum, partial, delta, q_f, q_s and both parsers; the
+    # random coefficients share factors with their denominators, so many
+    # outputs need a gcd divided out
+    rng = random.Random(606)
+    for ring in (cubic_ring, p1p1_ring):
+        nv = ring.nvars
+        names, eta_names = ring.names, ring.eta_names
+        for _ in range(15):
+            f, g = (
+                Poly(
+                    {
+                        tuple(rng.randint(0, 2) for _ in range(nv)): Fraction(
+                            rng.randint(-6, 6), rng.choice([1, 2, 4, 6])
+                        )
+                        for _ in range(rng.randint(0, 4))
+                    }
+                )
+                for _ in range(2)
+            )
+            w = random_super(rng, ring)
+            c = Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+            _assert_canonical(f * g, reference_mul(f, g))
+            _assert_canonical(c * f, {k: c * a for k, a in f.terms.items()})
+            _assert_canonical(c * w, {k: c * a for k, a in w.terms.items()})
+            total = {}
+            for scale, x in ((c, f), (-2, g), (Fraction(1, 3), f)):
+                for k, a in x.terms.items():
+                    total[k] = total.get(k, Fraction(0)) + scale * a
+            _assert_canonical(Poly.sum([(c, f), (-2, g), (Fraction(1, 3), f)]), total)
+            _assert_canonical(f - f, {})
+            for i in range(nv):
+                part = {}
+                for exps, a in f.terms.items():
+                    if exps[i]:
+                        lowered = exps[:i] + (exps[i] - 1,) + exps[i + 1 :]
+                        part[lowered] = a * exps[i]
+                _assert_canonical(f.partial(i), part)
+            _assert_canonical(delta(w), _reference_delta(w))
+            f_parts = [f.partial(i) for i in range(nv)] if f.nums else []
+            if f_parts:
+                _assert_canonical(q_f(w, f), reference_q(w, f_parts))
+            _assert_canonical(q_s(w, ring), reference_q(w, ring.s_partials))
+            _assert_canonical(
+                parse_poly(render_poly(f, names), names), dict(f.terms)
+            )
+            _assert_canonical(
+                parse_super(render_super(w, names, eta_names), names, eta_names),
+                dict(w.terms),
+            )
+    # one rational written two ways parses to one element
+    a = parse_poly("2/4*x1 + 3/9*x2", cubic_ring.names)
+    b = parse_poly("1/2*x1 + 1/3*x2", cubic_ring.names)
+    assert a == b and hash(a) == hash(b) and a.denom == 6
 
 
 def test_render_parse_super(cubic_ring):

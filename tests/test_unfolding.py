@@ -94,9 +94,9 @@ def test_inputs_match_dense_split_walk(request, ring, basis, order):
 
 
 def test_step_clears_an_entry_replaced_in_place(p1p1_ring, p1p1_basis):
-    # step keeps the Cleared form of every entry it reads; an entry replaced
-    # in place by another nonzero one (so the support index still holds) must
-    # be cleared again, not served from that cache
+    # an entry replaced in place by another nonzero one (so the support index
+    # still holds) must be read as it now stands: step reads every entry, in
+    # its int form, straight from its table and keeps no copy of it
     base = run(p1p1_ring, p1p1_basis, 3)
     state = replace(
         base,
