@@ -19,6 +19,7 @@ from .ffverify import (
 from .jacobired import jacobian_basis, reduce_with_witness
 from .toricring import build_cayley_ring, build_class_grading, is_calabi_yau
 from .unfolding import (
+    check_series,
     gamma_series,
     lambda_series,
     run,
@@ -33,6 +34,7 @@ __all__ = [
     "jacobian_basis",
     "reduce_with_witness",
     "run",
+    "check_series",
     "gamma_series",
     "structure_series",
     "lambda_series",

@@ -43,7 +43,7 @@ from .toricring import (
     build_cayley_ring,
     is_calabi_yau,
 )
-from .unfolding import UnfoldingState, run
+from .unfolding import UnfoldingState, check_series, run
 
 CHECKS = {
     "fqm2": check_fqm2,
@@ -51,7 +51,8 @@ CHECKS = {
     "weights": check_weight_homogeneity,
     "euler": check_euler_identity,
 }
-# report label of each check, and whether it needs an order >= 2 state
+# report label of each check, and whether it needs an order >= 2 state (and
+# then takes the report's one check_series)
 CHECK_LABELS = {
     "fqm2": ("fqm2", True),
     "axioms": ("flat-f-axioms", True),
@@ -340,12 +341,17 @@ def _verification_lines(state, selection):
     """Run each selected check, or skip it below order 2; lines and status."""
     lines = ["[verification]"]
     passed = True
+    series = None
     for key in CHECKS if selection == "all" else (selection,):
         label, needs_order_two = CHECK_LABELS[key]
-        if needs_order_two and state.order < 2:
-            lines.append(f"check.{label} = skipped (needs order >= 2)")
-            continue
-        report = CHECKS[key](state)
+        args = (state,)
+        if needs_order_two:
+            if state.order < 2:
+                lines.append(f"check.{label} = skipped (needs order >= 2)")
+                continue
+            series = series or check_series(state)
+            args = (state, series)
+        report = CHECKS[key](*args)
         lines.append(f"check.{label} = " + ("pass" if report.passed else "fail"))
         lines.append(f"check.{label}.truncation = {report.truncation}")
         lines.append(f"check.{label}.cases = {report.cases}")

@@ -6,6 +6,9 @@ residual is identically zero through the stated truncation degree. Failures
 carry the first offending t-monomial and the rendered residual, so corrupted
 states are located, not just flagged.
 
+The checks of an order >= 2 state read the one unfolding.check_series of
+that state, which the caller builds and hands to each; none builds a series.
+
 Every coefficient is compared with ==, which on the int form of polyalg
 compares the stored numerators. The pair cases of check_fqm2, its bulk, add
 the products of each t-monomial into one LinearSum per side; Fractions are
@@ -15,6 +18,7 @@ built only for the residual of a failing case.
 from __future__ import annotations
 
 import operator
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -28,13 +32,7 @@ from .supercomplex import (
     render_super,
     super_weight,
 )
-from .unfolding import (
-    TruncatedSeries,
-    gamma_partial,
-    gamma_series,
-    lambda_series,
-    structure_series,
-)
+from .unfolding import TruncatedSeries
 
 
 @dataclass(frozen=True)
@@ -101,48 +99,33 @@ def _verdict(check, truncation, outcomes, total=None):
     )
 
 
+def _failure(ring, site, dim, key, value):
+    """The Failure at the t-monomial key whose two sides differ by value."""
+    if isinstance(value, Poly):
+        weight = ring.degree_of_monomial(min(value.nums))[1]
+        residual = render_poly(value, ring.names)
+    else:  # a rational coefficient of the structure constants
+        weight, residual = None, str(value)
+    return Failure(site, _expvec(key, dim), weight, residual)
+
+
 def _compared(ring, cases):
     """Outcomes of lazy (site, left, right) series cases: None where the sides
     agree, else a Failure naming the site, the exponent vector of the first
     t-monomial where the sides differ, and their difference there."""
     for site, left, right in cases:
         hit = _first_residual(left, right)
-        if hit is None:
-            yield None
-            continue
-        key, value = hit
-        if isinstance(value, Poly):
-            weight = ring.degree_of_monomial(min(value.nums))[1]
-            residual = render_poly(value, ring.names)
-        else:  # a rational coefficient of the structure constants
-            weight, residual = None, str(value)
-        yield Failure(site, _expvec(key, left.dim), weight, residual)
+        yield None if hit is None else _failure(ring, site, left.dim, *hit)
 
 
-def _entry_cases(state, dim):
+def _entry_outcomes(state, dim):
+    # u = Delta(lambda); the difference is built only where the sides differ
     for multi in sorted(state.lam_table):
-        yield (
-            f"u vs Delta(lambda) at multiset {multi}",
-            TruncatedSeries(
-                dim, state.order, {multi: delta(state.lam_table[multi]).to_poly()}
-            ),
-            TruncatedSeries(dim, state.order, {multi: state.u_table[multi]}),
+        left, right = delta(state.lam_table[multi]).to_poly(), state.u_table[multi]
+        site = f"u vs Delta(lambda) at multiset {multi}"
+        yield None if left == right else _failure(
+            state.ring, site, dim, multi, left - right
         )
-
-
-def _add(sums, key, scale, term):
-    """Add scale * term to the LinearSum of the t-monomial key in sums."""
-    total = sums.get(key)
-    if total is None:
-        total = sums[key] = LinearSum(Poly)
-    total.add(scale, term)
-
-
-def _add_pairings(sums, left, right, pair):
-    """Add the (scale, Poly) pair(a, b) of every product of a term of left
-    and a term of right to the sum of its t-monomial in sums."""
-    for key, (scale, term) in left.pairings(right, pair):
-        _add(sums, key, scale, term)
 
 
 def _summed(sums, dim, trunc):
@@ -152,25 +135,27 @@ def _summed(sums, dim, trunc):
     )
 
 
-def _pair_cases(state, dim, trunc):
-    # each side adds its products into one LinearSum per t-monomial
+def _pair_cases(state, series, dim, trunc):
+    # each side adds its products into one LinearSum per t-monomial; Gamma
+    # and its partials are cut to trunc before any pairing walks them
     ring = state.ring
-    gamma = gamma_series(state)
-    partials = [p.truncate(trunc) for p in gamma_partial(gamma)]
-    gamma = gamma.truncate(trunc)
-    structure = structure_series(state)
-    witnesses = lambda_series(state)
+    gamma = series.gamma.truncate(trunc)
+    partials = [p.truncate(trunc) for p in series.partials]
     for alpha in range(dim):
         for beta in range(alpha, dim):
-            lhs, rhs = {}, {}
-            _add_pairings(lhs, partials[alpha], partials[beta], _product)
-            for rho, series in structure.get((alpha, beta), {}).items():
-                _add_pairings(rhs, series, partials[rho], _scaled)
-            lam = witnesses.get((alpha, beta))
+            lhs = defaultdict(lambda: LinearSum(Poly))
+            rhs = defaultdict(lambda: LinearSum(Poly))
+            for key, a, b in partials[alpha].pairings(partials[beta]):
+                lhs[key].add(1, a * b)
+            for rho, a_series in series.structure.get((alpha, beta), {}).items():
+                for key, scale, u in a_series.pairings(partials[rho]):
+                    rhs[key].add(scale, u)
+            lam = series.witnesses.get((alpha, beta))
             if lam is not None:
                 for key, w in lam.coefficients.items():
-                    _add(rhs, key, 1, q_s(w, ring).to_poly())
-                _add_pairings(rhs, gamma, lam, _q_term)
+                    rhs[key].add(1, q_s(w, ring).to_poly())
+                for key, u, w in gamma.pairings(lam):
+                    rhs[key].add(1, q_f(w, u).to_poly())
             yield (
                 f"pair ({alpha},{beta})",
                 _summed(lhs, dim, trunc),
@@ -178,19 +163,7 @@ def _pair_cases(state, dim, trunc):
             )
 
 
-def _product(a, b):
-    return 1, a * b
-
-
-def _scaled(scale, a):
-    return scale, a
-
-
-def _q_term(u, w):
-    return 1, q_f(w, u).to_poly()
-
-
-def check_fqm2(state):
+def check_fqm2(state, series):
     """Re-expand both displays of the structure-constant equation.
 
     First display: dGamma_alpha * dGamma_beta = sum_rho A^rho dGamma_rho
@@ -202,8 +175,8 @@ def check_fqm2(state):
         raise ValueError("check_fqm2 needs an order >= 2 state")
     dim = len(state.basis.monomials)
     trunc = state.order - 2
-    cases = chain(_entry_cases(state, dim), _pair_cases(state, dim, trunc))
-    return _verdict("fqm2", trunc, _compared(state.ring, cases))
+    pairs = _compared(state.ring, _pair_cases(state, series, dim, trunc))
+    return _verdict("fqm2", trunc, chain(_entry_outcomes(state, dim), pairs))
 
 
 def _commutativity_cases(index, zero):
@@ -250,16 +223,18 @@ def _potentiality_cases(index, zero):
 
 
 def _compose(index, row, right):
-    """sigma -> sum over rho of row[rho] * A_{rho right}^sigma, nonzero terms only."""
+    """sigma -> the coefficients of sum over rho of row[rho] * A_{rho right}^sigma,
+    summed over nonzero terms only; a coefficient that cancels stays, as 0."""
     out = {}
     for rho, outer in row.items():
         for sigma, inner in index.get((rho, right), {}).items():
-            term = outer * inner
-            out[sigma] = out[sigma] + term if sigma in out else term
+            sums = out.setdefault(sigma, {})
+            for key, a, b in outer.pairings(inner):
+                sums[key] = sums.get(key, 0) + a * b
     return out
 
 
-def _associativity_cases(index, dim, zero):
+def _associativity_cases(index, dim, trunc):
     for alpha in range(dim):
         for beta in range(dim):
             first = index.get((alpha, beta), {})
@@ -273,12 +248,12 @@ def _associativity_cases(index, dim, zero):
                     yield (
                         "associativity "
                         f"({alpha},{beta},{gamma_idx})->{sigma}",
-                        lhs.get(sigma, zero),
-                        rhs.get(sigma, zero),
+                        TruncatedSeries(dim, trunc, lhs.get(sigma, {})),
+                        TruncatedSeries(dim, trunc, rhs.get(sigma, {})),
                     )
 
 
-def check_flat_f_axioms(state):
+def check_flat_f_axioms(state, series):
     """Commutativity, unit row, potentiality, and associativity of A.
 
     `cases` counts every identity of the four families, including those
@@ -299,7 +274,7 @@ def check_flat_f_axioms(state):
     ring = state.ring
     dim = len(state.basis.monomials)
     trunc = state.order - 2
-    index = structure_series(state)
+    index = series.structure
     zero = TruncatedSeries(dim, trunc, {})
     one = TruncatedSeries(dim, trunc, {(): Fraction(1)})
     unit = state.basis.index_of[(0,) * ring.nvars]
@@ -312,7 +287,7 @@ def check_flat_f_axioms(state):
     if state.order >= 3:
         cases += strict_pairs * dim * dim
         families.append(_potentiality_cases(index, zero))
-    families.append(_associativity_cases(index, dim, zero))
+    families.append(_associativity_cases(index, dim, trunc))
     outcomes = _compared(ring, chain.from_iterable(families))
     return _verdict("flat-f-axioms", trunc, outcomes, cases)
 
@@ -372,7 +347,7 @@ def _euler_image(series, t_weights, weigh):
     return TruncatedSeries(series.dim, series.order, weighed)
 
 
-def _euler_outcomes(state):
+def _euler_outcomes(state, series):
     ring, d = state.ring, state.t_weights
 
     def total_weight(u, w):  # (E_t + E_wt)(u t^C), w the t-weight of t^C
@@ -380,25 +355,25 @@ def _euler_outcomes(state):
         nums = {e: (wt(e)[1] + w) * n for e, n in u.nums.items()}
         return Poly.from_nums(u.denom, nums)
 
-    structure = structure_series(state)
-    for alpha, part in enumerate(gamma_partial(gamma_series(state))):
+    structure = series.structure
+    for alpha, part in enumerate(series.partials):
         left = _euler_image(part, d, total_weight)
         right = part.map(lambda u: (1 - d[alpha]) * u)
         yield from _compared(ring, [(f"Gamma direction {alpha}", left, right)])
         a_cases = (
             (
                 f"a weight ({alpha},{beta})->{rho}",
-                _euler_image(series, d, operator.mul),
-                series.map(lambda v: (1 - d[alpha] - d[beta] + d[rho]) * v),
+                _euler_image(a_series, d, operator.mul),
+                a_series.map(lambda v: (1 - d[alpha] - d[beta] + d[rho]) * v),
             )
             for beta in range(part.dim)
-            for rho, series in sorted(structure.get((alpha, beta), {}).items())
+            for rho, a_series in sorted(structure.get((alpha, beta), {}).items())
         )
         # one case for the whole direction: its first failing (beta, rho)
         yield next(filter(None, _compared(ring, a_cases)), None)
 
 
-def check_euler_identity(state):
+def check_euler_identity(state, series):
     """Two cases per direction alpha for the Euler field
     E = sum_alpha d_alpha t_alpha d/dt_alpha, d_alpha the t-weight:
 
@@ -409,5 +384,5 @@ def check_euler_identity(state):
     """
     if state.order < 2:
         raise ValueError("check_euler_identity needs an order >= 2 state")
-    outcomes = _euler_outcomes(state)
+    outcomes = _euler_outcomes(state, series)
     return _verdict("euler-identity", state.order - 1, outcomes)

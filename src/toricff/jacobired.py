@@ -235,8 +235,11 @@ def reduce_with_witness(ring, basis, f):
 
     Every monomial of f must sit at the basis charge; the weight components
     are reduced independently. The defining identity is re-verified exactly
-    before returning.
+    before returning. A zero f has the zero reduction, which is returned at
+    once.
     """
+    if f.is_zero():
+        return ReductionWitness({}, SuperElement({}))
     by_weight = {}
     for exps, n in f.nums.items():
         mcharge, mweight = ring.degree_of_monomial(exps)

@@ -40,8 +40,13 @@ def monomial_mul(a, b):
 
 
 def _cleared(coeffs):
-    """(d, d * coeffs) with d the lcm of the denominators; the values are ints."""
-    d = lcm(*(v.denominator for v in coeffs.values()))
+    """(d, d * coeffs) with d the lcm of the denominators; the values are ints.
+    Any value but an int or a Fraction, a float say, raises TypeError."""
+    try:
+        d = lcm(*(v.denominator for v in coeffs.values()))
+    except AttributeError:
+        bad = next(v for v in coeffs.values() if not hasattr(v, "denominator"))
+        raise TypeError(f"coefficient {bad!r} is not an int or a Fraction") from None
     return d, {key: v.numerator * (d // v.denominator) for key, v in coeffs.items()}
 
 

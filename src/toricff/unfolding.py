@@ -42,7 +42,6 @@ entry keeps its partials once Q has asked for them.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement, groupby
@@ -98,23 +97,9 @@ class TruncatedSeries:
             {key: fn(value) for key, value in self.coefficients.items()},
         )
 
-    def __add__(self, other):
-        order = min(self.order, other.order)
-        out = dict(self.coefficients)
-        for key, value in other.coefficients.items():
-            out[key] = out[key] + value if key in out else value
-        kept = {k: v for k, v in out.items() if len(k) <= order}
-        return TruncatedSeries(self.dim, order, kept)
-
-    def __mul__(self, other):
-        out = {}
-        for key, value in self.pairings(other, operator.mul):
-            out[key] = out[key] + value if key in out else value
-        return TruncatedSeries(self.dim, min(self.order, other.order), out)
-
-    def pairings(self, other, pair):
-        """(A + B, pair(a, b)) for every term a t^A of self and b t^B of
-        other whose product t^(A+B) lies within the lower of the two orders."""
+    def pairings(self, other):
+        """(A + B, a, b) for every term a t^A of self and b t^B of other
+        whose product t^(A+B) lies within the lower of the two orders."""
         order = min(self.order, other.order)
         for akey, avalue in self.coefficients.items():
             room = order - len(akey)
@@ -122,7 +107,7 @@ class TruncatedSeries:
                 continue
             for bkey, bvalue in other.coefficients.items():
                 if len(bkey) <= room:
-                    yield tuple(sorted(akey + bkey)), pair(avalue, bvalue)
+                    yield tuple(sorted(akey + bkey)), avalue, bvalue
 
     def partial(self, direction):
         out = {}
@@ -429,3 +414,22 @@ def lambda_series(state):
         pair: TruncatedSeries(dim, state.order - 2, c)
         for pair, c in coeffs.items()
     }
+
+
+@dataclass(frozen=True)
+class CheckSeries:
+    """Every series the order >= 2 checks read, from one state: Gamma and
+    its partials untruncated, structure_series and lambda_series."""
+
+    gamma: TruncatedSeries
+    partials: tuple
+    structure: dict
+    witnesses: dict
+
+
+def check_series(state):
+    """Build every series the checks read, each once."""
+    gamma = gamma_series(state)
+    return CheckSeries(
+        gamma, gamma_partial(gamma), structure_series(state), lambda_series(state)
+    )

@@ -36,7 +36,7 @@ from toricff.supercomplex import (
     wedge_df,
 )
 from toricff.toricring import build_cayley_ring
-from toricff.unfolding import UnfoldingState, run
+from toricff.unfolding import UnfoldingState, check_series, run
 
 CUBIC_PROBLEM = """\
 rays = (1,0) (0,1) (-1,-1)
@@ -261,7 +261,7 @@ def test_unfolding_self_consistency_cubic():
     start = time.perf_counter()
     ring = build_cayley_ring(P2_RAYS, [CUBIC])
     state = run(ring, jacobian_basis(ring), 4)
-    report = check_fqm2(state)
+    report = check_fqm2(state, check_series(state))
     elapsed = time.perf_counter() - start
     ok = report.passed and report.truncation == 2 and report.cases > 0
     conclude(
@@ -276,18 +276,18 @@ def test_unfolding_self_consistency_cubic():
 def test_flat_f_axioms_and_negative_controls(cubic_state4, ci22_state3):
     ok = True
     for state in (cubic_state4, ci22_state3):
-        report = check_flat_f_axioms(state)
+        report = check_flat_f_axioms(state, check_series(state))
         ok = ok and report.passed and report.cases > 0
 
     bad_a = copy_state(cubic_state4)
     bad_a.a_table[(0, 1, 1)] = {1: Fraction(1)}
-    ok = ok and not check_flat_f_axioms(bad_a).passed
+    ok = ok and not check_flat_f_axioms(bad_a, check_series(bad_a)).passed
 
     bad_lam = copy_state(cubic_state4)
     bad_lam.lam_table[(1, 1)] = bad_lam.lam_table[(1, 1)] + SuperElement(
         {((0, 0, 0, 2), (1,)): Fraction(1)}
     )
-    ok = ok and not check_fqm2(bad_lam).passed
+    ok = ok and not check_fqm2(bad_lam, check_series(bad_lam)).passed
 
     bad_u = copy_state(cubic_state4)
     bad_u.u_table[(1, 1)] = bad_u.u_table[(1, 1)] + Poly.monomial((0,) * 4)
@@ -296,7 +296,7 @@ def test_flat_f_axioms_and_negative_controls(cubic_state4, ci22_state3):
     # A_11^1 = 1 has t-weight 0, where 1 - d_1 - d_1 + d_1 = 1 is due
     bad_weight = copy_state(cubic_state4)
     bad_weight.a_table[(1, 1)] = {1: Fraction(1)}
-    ok = ok and not check_euler_identity(bad_weight).passed
+    ok = ok and not check_euler_identity(bad_weight, check_series(bad_weight)).passed
 
     conclude(
         "flat F-manifold axioms pass (cubic order 4, (2,2) order 3); "
@@ -317,7 +317,7 @@ def test_weight_homogeneity_of_runs(cubic_state4, ci22_state3):
 
 def test_euler_identity_cubic_order_three(cubic_ring, cubic_basis):
     state = run(cubic_ring, cubic_basis, 3)
-    report = check_euler_identity(state)
+    report = check_euler_identity(state, check_series(state))
     ok = report.passed and report.truncation == 2 and report.cases >= 2
     conclude(
         f"Euler weights of Gamma and of the structure constants, cubic "

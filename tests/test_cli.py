@@ -2,6 +2,7 @@
 
 import hashlib
 import importlib.util
+import inspect
 import json
 import sys
 from dataclasses import replace
@@ -25,7 +26,7 @@ from toricff.cli import (
 from toricff.ffverify import Failure, VerificationReport
 from toricff.jacobired import jacobian_basis
 from toricff.toricring import build_cayley_ring
-from toricff.unfolding import run
+from toricff.unfolding import check_series, run
 
 CUBIC_PROBLEM = """\
 rays = (1,0) (0,1) (-1,-1)
@@ -345,7 +346,7 @@ def test_unfold_rejects_non_cy(tmp_path, capsys):
 def test_unfold_reports_check_failure(tmp_path, capsys, monkeypatch):
     import toricff.cli as cli
 
-    def broken(state):
+    def broken(state, series):
         return VerificationReport(
             "fqm2",
             False,
@@ -449,7 +450,7 @@ def test_unwritable_out_exits_two(tmp_path, capsys):
 def test_unfold_internal_errors_exit_three(tmp_path, capsys, monkeypatch, error):
     import toricff.cli as cli
 
-    def broken(state):
+    def broken(state, series):
         raise error
 
     monkeypatch.setitem(cli.CHECKS, "fqm2", broken)
@@ -464,19 +465,57 @@ def test_unfold_internal_errors_exit_three(tmp_path, capsys, monkeypatch, error)
 
 
 def test_check_labels_match_the_checks(cubic_ring, cubic_basis):
-    # CHECK_LABELS restates each check's report label and its order guard
+    # CHECK_LABELS restates each check's report label and its order guard;
+    # exactly the guarded checks take the series as a second argument
     order_two = run(cubic_ring, cubic_basis, 2)
     order_one = run(cubic_ring, cubic_basis, 1)
     assert CHECK_LABELS.keys() == CHECKS.keys()
-    refused = set()
+    refused, take_series = set(), set()
     for key, check in CHECKS.items():
-        assert check(order_two).check == CHECK_LABELS[key][0]
+        takes_series = len(inspect.signature(check).parameters) == 2
+        if takes_series:
+            take_series.add(key)
+
+        def call(state):
+            return check(state, check_series(state)) if takes_series else check(state)
+
+        assert call(order_two).check == CHECK_LABELS[key][0]
         try:
-            check(order_one)
+            call(order_one)
         except ValueError:
             refused.add(key)
     flagged = {key for key, (_, needs_two) in CHECK_LABELS.items() if needs_two}
     assert refused == flagged
+    assert take_series == flagged
+
+
+def test_unfold_builds_each_series_once(monkeypatch):
+    # every binding of a series function in the package counts, imported copies too
+    import toricff.unfolding as unfolding
+
+    calls = {}
+    modules = [m for key, m in sys.modules.items() if key.startswith("toricff")]
+    for name in ("gamma_series", "gamma_partial", "structure_series", "lambda_series"):
+        build = getattr(unfolding, name)
+
+        def counted(*args, _fn=build, _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args)
+
+        for module in modules:
+            if getattr(module, name, None) is build:
+                monkeypatch.setattr(module, name, counted)
+    problem = replace(parse_problem(CUBIC_PROBLEM), order=4)
+    assert cmd_unfold(problem)[0] == 0
+    assert calls == {
+        "gamma_series": 1,
+        "gamma_partial": 1,
+        "structure_series": 1,
+        "lambda_series": 1,
+    }
+    calls.clear()
+    assert cmd_unfold(replace(problem, checks="weights"))[0] == 0
+    assert calls == {}
 
 
 def test_reports_byte_stable(tmp_path):

@@ -109,6 +109,9 @@ def test_reduce_basis_idempotent(cubic_ring):
     unit = reduce_with_witness(cubic_ring, basis, Poly.monomial((0,) * 4))
     assert unit.coefficients == {0: 1}
     assert unit.witness == SuperElement({})
+    zero = reduce_with_witness(cubic_ring, basis, Poly({}))
+    assert zero.coefficients == {}
+    assert zero.witness == SuperElement({})
 
 
 def test_reduce_euler_multiple(cubic_ring):

@@ -5,7 +5,9 @@ A definition that only tests call is a second way to do a job, or dead code.
 The allowlist holds the few names that are public on purpose although no
 other engine code calls them. An `assert` vanishes under `python -O`, so an
 invariant raises an explicit exception instead. Every function the benchmark
-tracer wraps is defined where the tracer looks for it.
+tracer wraps is defined where the tracer looks for it. Only
+unfolding.check_series calls the series functions, so every check reads the
+series of one build.
 """
 
 import ast
@@ -120,3 +122,32 @@ def test_tracer_targets_are_defined():
         if func not in {node.name for node in _definitions(tree)}:
             missing.append(f"{module}.{func}")
     assert missing == []
+
+
+SERIES_FUNCTIONS = {"gamma_series", "gamma_partial", "structure_series", "lambda_series"}
+
+
+def _series_calls(node, owner=None):
+    """(innermost enclosing function or None, function) for every call of a
+    series function under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            func = child.func
+            called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if called in SERIES_FUNCTIONS:
+                yield owner, called
+        inner = child.name if isinstance(child, ast.FunctionDef) else owner
+        yield from _series_calls(child, inner)
+
+
+def test_only_check_series_calls_the_series_functions():
+    """Every check reads the one bundle that unfolding.check_series builds,
+    so no other engine code calls a series function, and it calls each once."""
+    calls = [
+        (path.name, owner, called)
+        for path in sorted(SRC.glob("*.py"))
+        for owner, called in _series_calls(ast.parse(path.read_text()))
+    ]
+    assert sorted(calls) == sorted(
+        ("unfolding.py", "check_series", name) for name in SERIES_FUNCTIONS
+    )

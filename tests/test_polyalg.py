@@ -172,6 +172,18 @@ def test_float_operands_raise_type_error():
     assert (X1 * 0).is_zero() and (X1 * 0).denom == 1
 
 
+def test_float_coefficients_raise_type_error():
+    # the constructors refuse a float as * does, naming it
+    for value in (1.5, 0.1):
+        with pytest.raises(TypeError, match=repr(value)):
+            Poly({(1,): value})
+        with pytest.raises(TypeError, match=repr(value)):
+            Poly.monomial((1,), value)
+    with pytest.raises(TypeError, match="1.5"):
+        Poly({(0,): Fraction(1, 2), (1,): 1.5})
+    assert Poly.monomial((1,), Fraction(3, 2)).terms == {(1,): Fraction(3, 2)}
+
+
 def test_grevlex_order_pinned():
     # at equal total degree: x1^3 > x1*x2*x3 > x3^3, and y-positions dominate
     x1cubed = (0, 3, 0, 0)
