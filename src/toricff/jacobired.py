@@ -22,15 +22,27 @@ denominator as its witness scale, both read off the partial's int form
 (polyalg). reduce_with_witness hands each weight component of f over as its
 int numerators; Fractions appear only where reduce_vector emits a residue
 entry and the final combination, and where f's denominator divides them out.
+
+Most generators of a large piece reduce to zero and add no pivot, so
+ideal_piece first reduces a copy of each generator row alone, dividing out
+only the row's own content, and only once its lead outgrows a machine word.
+That row is a nonzero multiple of the one reduced with its witness at every
+step, so it reaches zero exactly when the full reduction does; only a
+generator whose row does not is reduced again with its witness and stored.
+Pivots, witnesses and generator indices are those of reducing every
+generator with its witness. The multiplier monomials come from
+toricring.enumerate_graded_piece, which enumerates each x-fiber once per
+ring.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from .polyalg import Poly, _cleared, monomial_mul
+from .polyalg import Poly, _cleared
 from .supercomplex import SuperElement, q_s
 from .toricring import NotCalabiYau, enumerate_graded_piece, is_calabi_yau
 
@@ -121,6 +133,33 @@ class GradedIdealPiece:
         return residue, {g: Fraction(v, scale) for g, v in wit.items()}
 
 
+def _reaches_zero(row, pivots):
+    """Whether row reduces to zero against pivots; row is consumed.
+
+    The steps are those of _reduce_lead with no witness, and only the row's
+    own content is divided out, so at every step the row is a nonzero
+    multiple of the one _reduce_lead carries: both meet the same leads and
+    reach zero together. Since any such multiple will do, the content is
+    divided out only once a lead outgrows a machine word; on sparse pieces
+    the entries stay small and the gcd would cost more than it saves.
+    """
+    while row:
+        lead = min(row)
+        hit = pivots.get(lead)
+        if hit is None:
+            return False
+        prow = hit[0]
+        p, c = prow[lead], row[lead]
+        g = gcd(p, c)
+        _axpy(p // g, row, c // g, prow)
+        if c.bit_length() > 62:
+            g = gcd(*row.values())
+            if g != 1:
+                for key, value in row.items():
+                    row[key] = value // g
+    return True
+
+
 def ideal_piece(ring, charge, weight):
     """Echelonize the Jacobian ideal in degree (charge, weight)."""
     charge = tuple(charge)
@@ -128,6 +167,7 @@ def ideal_piece(ring, charge, weight):
     col_index = {m: i for i, m in enumerate(monomials)}
     generators = []
     pivots = {}
+    add = operator.add
     order = list(range(ring.k, ring.nvars)) + list(range(ring.k))
     for i in order:
         part = ring.s_partials[i]
@@ -140,14 +180,18 @@ def ideal_piece(ring, charge, weight):
         )
         if mult_degree[1] < 0:
             continue
-        # the row is the partial's numerators, its witness its denominator
+        items = tuple(part.nums.items())
+        # the row is the partial's numerators, its witness its denominator;
+        # a generator whose row reaches zero adds no pivot, so its witness
+        # is never built
         for mult in enumerate_graded_piece(ring, mult_degree):
-            row = {col_index[monomial_mul(mult, e)]: n for e, n in part.nums.items()}
-            wit = {len(generators): part.denom}
+            row = {col_index[tuple(map(add, mult, e))]: n for e, n in items}
+            index = len(generators)
             generators.append((mult, i))
-            lead = _reduce_lead(row, wit, pivots)
-            if lead is not None:
-                pivots[lead] = (row, wit)
+            if _reaches_zero(dict(row), pivots):
+                continue
+            wit = {index: part.denom}
+            pivots[_reduce_lead(row, wit, pivots)] = (row, wit)
     # columns run in descending grevlex order
     standard = tuple(m for c, m in enumerate(monomials) if c not in pivots)[::-1]
     return GradedIdealPiece(

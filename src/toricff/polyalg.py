@@ -182,7 +182,7 @@ class _SparseTerms:
 class Poly(_SparseTerms):
     """Keys are exponent tuples."""
 
-    __slots__ = ("_partials",)
+    __slots__ = ("_partials", "_partial_rows")
 
     @classmethod
     def monomial(cls, exps, coeff=1):
@@ -216,6 +216,24 @@ class Poly(_SparseTerms):
             nvars = len(next(iter(self.nums), ()))
             self._partials = tuple(self.partial(i) for i in range(nvars))
             return self._partials
+
+    def partial_rows(self):
+        """(d, rows) for the partials, computed once per polynomial: d is
+        the lcm of their denominators and rows maps the index i of every
+        nonzero partial to (d / its denominator, its (exponents, numerator)
+        pairs), so the partials sum over int numerators with d as their one
+        denominator."""
+        try:
+            return self._partial_rows
+        except AttributeError:
+            partials = self.partials()
+            d = lcm(*[p.denom for p in partials])
+            self._partial_rows = d, {
+                i: (d // p.denom, tuple(p.nums.items()))
+                for i, p in enumerate(partials)
+                if p.nums
+            }
+            return self._partial_rows
 
 
 def _render_term(exps, coeff, names, odd=()):

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from math import lcm
 
 from .polyalg import (
     Poly,
@@ -111,22 +110,11 @@ def delta(w):
     return SuperElement.from_nums(w.denom, out)
 
 
-def _over_lcm(partials):
-    """(d, rows) for the partials of a potential, as Poly.partials gives them:
-    d is the lcm of their denominators and rows[i] is (d / the denominator
-    of partials[i], the (exponents, numerator) items of partials[i]) for
-    every nonzero partial, so the rows sum over int numerators with d as
-    their one denominator."""
-    d = lcm(*[p.denom for p in partials])
-    rows = enumerate(partials)
-    return d, {i: (d // p.denom, p.nums.items()) for i, p in rows if p.nums}
-
-
-def _q_parts(w, partials):
+def _q_parts(w, f):
     """The Q contraction kernel: the sum over the terms of w and their eta_i
     of the sign of eta_i times the term with eta_i dropped times the i-th
-    partial of the potential."""
-    denom, rows = _over_lcm(partials)
+    partial of the potential f."""
+    denom, rows = f.partial_rows()
     out = {}
     get, add = out.get, operator.add
     for (exps, etas), coeff in w.nums.items():
@@ -145,12 +133,12 @@ def _q_parts(w, partials):
 
 def q_f(w, f):
     """Contraction against the partials of an arbitrary even potential f."""
-    return _q_parts(w, f.partials())
+    return _q_parts(w, f)
 
 
 def q_s(w, ring):
     """Contraction against the partials of the ring potential S."""
-    return _q_parts(w, ring.s_partials)
+    return _q_parts(w, ring.S)
 
 
 def k_s(w, ring):
@@ -194,7 +182,7 @@ def form_d(omega):
 
 def wedge_df(f, omega):
     """Left wedge by the exact one-form df."""
-    denom, rows = _over_lcm(f.partials())
+    denom, rows = f.partial_rows()
     out = {}
     for (exps, dqs), n in omega.nums.items():
         present = set(dqs)

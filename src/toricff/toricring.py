@@ -9,6 +9,7 @@ of G_i, and carries the potential S = sum y_i G_i of degree (0, 1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import mul
 
 from .intlattice import (
     LatticePolytope,
@@ -116,6 +117,7 @@ class CayleyRing:
     names: tuple
     eta_names: tuple
     _fiber_solver: tuple = field(repr=False, default=())
+    _fiber_cache: dict = field(repr=False, default_factory=dict)
     _piece_cache: dict = field(repr=False, default_factory=dict)
 
     @property
@@ -241,10 +243,8 @@ def _x_fiber(grading, solver, charge):
         (tuple(kernel[i]), -u0[i]) for i in range(r)
     )
     points = enumerate_lattice_points(LatticePolytope(inequalities=ineqs, dim=ndim))
-    return [
-        tuple(u0[i] + sum(kernel[i][j] * z[j] for j in range(ndim)) for i in range(r))
-        for z in points
-    ]
+    rows = tuple(zip(u0, kernel))
+    return [tuple([a + sum(map(mul, row, z)) for a, row in rows]) for z in points]
 
 
 def _compositions(total, parts):
@@ -257,12 +257,21 @@ def _compositions(total, parts):
 
 
 def enumerate_graded_piece(ring, degree):
-    """Monomials of the given (charge, weight), descending grevlex, cached."""
+    """Monomials of the given (charge, weight), descending grevlex, cached.
+
+    A monomial y^ys x^u of the piece pairs a composition ys of the weight
+    with a point u of the x-fiber {u >= 0 : charge(x^u) = c}, c the charge
+    minus that of y^ys. Each fiber is enumerated once per ring and kept in
+    _fiber_cache by its x-charge, since pieces of different weights and
+    the multiplier pieces of ideal_piece share most of their fibers. A
+    repeated call returns the cached list object itself.
+    """
     charge, weight = tuple(degree[0]), degree[1]
     key = (charge, weight)
     cached = ring._piece_cache.get(key)
     if cached is not None:
         return cached
+    fibers = ring._fiber_cache
     out = []
     if weight >= 0:
         for ys in _compositions(weight, ring.k):
@@ -271,8 +280,11 @@ def enumerate_graded_piece(ring, degree):
                 + sum(ys[i] * ring.betas[i][j] for i in range(ring.k))
                 for j in range(ring.charge_rank)
             )
-            for u in _x_fiber(ring.grading, ring._fiber_solver, xcharge):
-                out.append(ys + u)
+            fiber = fibers.get(xcharge)
+            if fiber is None:
+                fiber = _x_fiber(ring.grading, ring._fiber_solver, xcharge)
+                fibers[xcharge] = fiber
+            out.extend(ys + u for u in fiber)
     out.sort(key=grevlex_key, reverse=True)
     ring._piece_cache[key] = out
     return out

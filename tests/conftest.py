@@ -21,6 +21,7 @@ P4_RAYS = (
     (-1, -1, -1, -1),
 )
 P3_RAYS = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1))
+P5_RAYS = tuple(tuple(int(i == j) for j in range(5)) for i in range(5)) + ((-1,) * 5,)
 P1P1_RAYS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 
 
@@ -62,6 +63,16 @@ BIDEG22 = xpoly(
         (1, 1, 1, 1): 1,
     },
 )
+# a Hesse-type cubic whose partials have non-integer coefficients
+RATIONAL_HESSE_CUBIC = xpoly(
+    3,
+    {
+        (3, 0, 0): Fraction(1, 2),
+        (0, 3, 0): Fraction(2, 3),
+        (0, 0, 3): Fraction(5, 7),
+        (1, 1, 1): Fraction(3, 4),
+    },
+)
 
 
 @pytest.fixture(scope="session")
@@ -82,6 +93,11 @@ def ci22_ring():
 @pytest.fixture(scope="session")
 def p1p1_ring():
     return build_cayley_ring(P1P1_RAYS, [BIDEG22])
+
+
+@pytest.fixture(scope="session")
+def rational_hesse_ring():
+    return build_cayley_ring(P2_RAYS, [RATIONAL_HESSE_CUBIC])
 
 
 @pytest.fixture(scope="session")

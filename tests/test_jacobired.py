@@ -17,12 +17,13 @@ from toricff.toricring import (
 from toricff.jacobired import (
     BasisIncomplete,
     NotCharge0,
+    _reduce_lead,
     ideal_piece,
     jacobian_basis,
     reduce_with_witness,
 )
 
-from conftest import P2_RAYS, P3_RAYS, fermat, xpoly
+from conftest import P2_RAYS, P3_RAYS, P5_RAYS, fermat, xpoly
 
 
 def test_ideal_piece_cubic_weight1(cubic_ring):
@@ -246,14 +247,15 @@ def _generator_row(ring, piece, gen_idx):
 # Fermat plus the product of all variables, so the x partials have two terms
 HESSE_CUBIC = fermat(3, 3) + Poly.monomial((1, 1, 1))
 DWORK_QUARTIC = fermat(4, 4) + Poly.monomial((1, 1, 1, 1))
-# a Hesse-type cubic whose partials have non-integer coefficients
-RATIONAL_HESSE_CUBIC = xpoly(
+# a Hesse-type cubic with coefficients past a machine word, so the rows'
+# leads do too
+WIDE_HESSE_CUBIC = xpoly(
     3,
     {
-        (3, 0, 0): Fraction(1, 2),
-        (0, 3, 0): Fraction(2, 3),
-        (0, 0, 3): Fraction(5, 7),
-        (1, 1, 1): Fraction(3, 4),
+        (3, 0, 0): 3**41,
+        (0, 3, 0): Fraction(5**29, 7**23),
+        (0, 0, 3): 11**19 + 1,
+        (1, 1, 1): 2**67 - 1,
     },
 )
 
@@ -269,8 +271,8 @@ def dwork_ring():
 
 
 @pytest.fixture(scope="module")
-def rational_hesse_ring():
-    return build_cayley_ring(P2_RAYS, [RATIONAL_HESSE_CUBIC])
+def wide_hesse_ring():
+    return build_cayley_ring(P2_RAYS, [WIDE_HESSE_CUBIC])
 
 
 @pytest.mark.parametrize(
@@ -344,3 +346,83 @@ def test_reduce_vector_edge_cases(request, name, weight):
     got = piece.reduce_vector(mixed)
     assert got == _rref_reduce(rref, mixed)
     assert got[0] and got[1]  # a residue survives and generators are used
+
+
+
+
+@pytest.fixture(scope="module")
+def cy33_ring():
+    """A diagonal (3,3) intersection in P5, its ratios a_i/b_i distinct."""
+    rng = random.Random("cy33")
+    first, second, ratios = [], [], set()
+    while len(first) < 6:
+        a, b = rng.randint(1, 9), rng.randint(1, 9)
+        if Fraction(a, b) not in ratios:
+            ratios.add(Fraction(a, b))
+            first.append(a)
+            second.append(b)
+    cubics = [
+        xpoly(6, {tuple(3 * (i == j) for j in range(6)): c for i, c in enumerate(cs)})
+        for cs in (first, second)
+    ]
+    return build_cayley_ring(P5_RAYS, cubics)
+
+
+def _echelon_every_generator(ring, charge, weight):
+    """Reference: reduce every generator with its witness, in the engine's
+    generator order, and keep the rows that do not reach zero."""
+    monomials = enumerate_graded_piece(ring, (charge, weight))
+    col_index = {m: c for c, m in enumerate(monomials)}
+    generators = []
+    pivots = {}
+    for i in [*range(ring.k, ring.nvars), *range(ring.k)]:
+        part = ring.s_partials[i]
+        if part.is_zero():
+            continue
+        pcharge, pweight = ring.degree_of_monomial(next(iter(part.nums)))
+        mult_charge = tuple(a - b for a, b in zip(charge, pcharge))
+        if weight < pweight:
+            continue
+        for mult in enumerate_graded_piece(ring, (mult_charge, weight - pweight)):
+            row = {col_index[monomial_mul(mult, e)]: n for e, n in part.nums.items()}
+            wit = {len(generators): part.denom}
+            generators.append((mult, i))
+            lead = _reduce_lead(row, wit, pivots)
+            if lead is not None:
+                pivots[lead] = (row, wit)
+    standard = [m for c, m in enumerate(monomials) if c not in pivots]
+    return pivots, tuple(generators), len(pivots), tuple(sorted(standard, key=grevlex_key))
+
+
+@pytest.mark.parametrize(
+    "name, weights",
+    [
+        ("hesse", (1, 2, 3)),
+        ("ci22", (1, 2, 3)),
+        ("dwork", (2, 3)),
+        ("p1p1", (1, 2)),
+        ("rational_hesse", (1, 2, 3)),
+        ("cy33", (2,)),
+        ("wide_hesse", (2, 3)),
+    ],
+)
+def test_witness_free_test_keeps_the_echelon_form(request, name, weights):
+    """Generators whose rows reach zero, tested without a witness, leave
+    every pivot, witness, generator and standard monomial as reducing each
+    generator with its witness does."""
+    ring = request.getfixturevalue(name + "_ring")
+    skipped = 0
+    for w in weights:
+        piece = ideal_piece(ring, ring.c_B, w)
+        pivots, generators, rank, standard = _echelon_every_generator(ring, ring.c_B, w)
+        assert piece.pivots == pivots
+        assert all(
+            type(v) is int
+            for row, wit in piece.pivots.values()
+            for v in (*row.values(), *wit.values())
+        )
+        assert piece.generators == generators
+        assert piece.rank == rank
+        assert piece.standard_monomials == standard
+        skipped += len(generators) - rank
+    assert skipped  # some generators did reach zero

@@ -399,6 +399,41 @@ def test_q_kernel_on_cleared_forms_seeded(cubic_ring, p1p1_ring):
     assert q_s(eta(0), cubic_ring).to_poly() == cubic_ring.s_partials[0]
 
 
+def test_partial_rows_are_cached_per_potential(
+    cubic_ring, ci22_ring, rational_hesse_ring
+):
+    # q_f, q_s and wedge_df read (d, rows) from the potential's cache; their
+    # results equal those on a fresh copy of the potential, whose rows are
+    # built anew, and the Fraction reference
+    rng = random.Random(41)
+    for ring in (cubic_ring, ci22_ring, rational_hesse_ring):
+        S = ring.S
+        assert S.partial_rows() is S.partial_rows()
+        nv = ring.nvars
+        for _ in range(10):
+            w = random_super(rng, ring)
+            f = Poly(
+                {
+                    tuple(rng.randint(0, 2) for _ in range(nv)): Fraction(
+                        rng.randint(-5, 5) or 1, rng.randint(1, 4)
+                    )
+                    for _ in range(rng.randint(1, 4))
+                }
+            )
+            fresh_s = Poly(S.terms)
+            expected = _nonzero(reference_q(w, ring.s_partials))
+            for _ in range(2):
+                assert q_s(w, ring) == q_f(w, fresh_s)
+                assert _stored(q_s(w, ring)) == expected
+            raw_f = _nonzero(reference_q(w, [f.partial(i) for i in range(nv)]))
+            omega = mu(w)
+            for _ in range(2):
+                assert q_f(w, f) == q_f(w, Poly(f.terms))
+                assert _stored(q_f(w, f)) == raw_f
+                assert wedge_df(f, omega) == wedge_df(Poly(f.terms), omega)
+            assert twisted_d(omega, ring) == form_d(omega) + wedge_df(fresh_s, omega)
+
+
 def test_poly_times_super_element_commutes():
     # a polynomial is even, so it multiplies a SuperElement from either side
     x = Poly.monomial((1, 0, 0, 0), Fraction(2, 3))

@@ -3,11 +3,14 @@
 import math
 import random
 from dataclasses import replace
+from itertools import product
 
 import pytest
 
-from conftest import CUBIC, P2_RAYS, QUADRIC_P2, fermat, xpoly
-from toricff.polyalg import Poly
+from conftest import CUBIC, P2_RAYS, P5_RAYS, QUADRIC_P2, fermat, xpoly
+from toricff import toricring
+from toricff.jacobired import jacobian_basis
+from toricff.polyalg import Poly, grevlex_key
 from toricff.toricring import (
     GradingInvariantError,
     InhomogeneousHypersurface,
@@ -163,3 +166,83 @@ def test_fiber_solver_invariants_are_internal_errors(cubic_ring):
     no_v = [[0] * len(row) for row in V]
     with pytest.raises(GradingInvariantError, match="misses charge"):
         _x_fiber(grading, (U, no_v, s, kernel), (3,))
+
+
+# P(1,1,1,1,2): x1 = -(x2 + x3 + x4 + 2*x5) in the ray lattice
+WP11112_RAYS = ((-1, -1, -1, -2),) + tuple(
+    tuple(int(i == j) for j in range(4)) for i in range(4)
+)
+
+
+def _brute_piece(ring, degree, bound):
+    """Every monomial with y exponents up to the weight and x exponents up to
+    bound whose degree is the given one, in descending grevlex."""
+    charge, weight = degree
+    ranges = [range(weight + 1)] * ring.k + [range(bound + 1)] * ring.r
+    found = [e for e in product(*ranges) if ring.degree_of_monomial(e) == degree]
+    return sorted(found, key=grevlex_key, reverse=True)
+
+
+def test_graded_piece_matches_brute_force(p1p1_ring):
+    wp = build_cayley_ring(
+        WP11112_RAYS, [xpoly(5, {(6, 0, 0, 0, 0): 1, (0, 6, 0, 0, 0): 1, (0, 0, 0, 0, 3): 1})]
+    )
+    assert wp.grading.ray_charges == ((1,), (1,), (1,), (1,), (2,))
+    assert wp.betas == ((6,),)
+    # each bound is the largest x-charge among the degree's fibers (1 where
+    # there is none); every x variable has a positive charge, so no exponent
+    # passes it
+    cases = [
+        (p1p1_ring, ((0, 0), 1), 2),
+        (p1p1_ring, ((0, 0), 2), 4),
+        (p1p1_ring, ((-1, 0), 1), 2),  # a negative charge
+        (p1p1_ring, ((1, -1), 2), 5),
+        (p1p1_ring, ((-1, 0), 0), 1),  # an empty fiber
+        (wp, ((0,), 1), 6),
+        (wp, ((-1,), 1), 5),  # a negative charge
+        (wp, ((1,), 0), 1),
+        (wp, ((2,), 0), 2),
+        (wp, ((-3,), 0), 1),  # an empty fiber
+    ]
+    for ring, degree, bound in cases:
+        got = enumerate_graded_piece(ring, degree)
+        assert got == _brute_piece(ring, degree, bound), degree
+    assert enumerate_graded_piece(p1p1_ring, ((-1, 0), 0)) == []
+    assert enumerate_graded_piece(wp, ((-3,), 0)) == []
+    assert len(enumerate_graded_piece(wp, ((1,), 0))) == 4  # x5 has charge 2
+    assert len(enumerate_graded_piece(wp, ((2,), 0))) == 11
+
+
+def test_each_x_fiber_is_enumerated_once_per_ring(monkeypatch):
+    fibers = []
+    lattice_calls = []
+    x_fiber = toricring._x_fiber
+    points = toricring.enumerate_lattice_points
+
+    def counted_fiber(grading, solver, charge):
+        fibers.append(tuple(charge))
+        return x_fiber(grading, solver, charge)
+
+    def counted_points(polytope):
+        lattice_calls.append(polytope)
+        return points(polytope)
+
+    monkeypatch.setattr(toricring, "_x_fiber", counted_fiber)
+    monkeypatch.setattr(toricring, "enumerate_lattice_points", counted_points)
+    cubics = [
+        xpoly(6, {tuple(3 * (i == j) for j in range(6)): c for i, c in enumerate(cs)})
+        for cs in ((1,) * 6, (1, 2, 3, 4, 5, 6))
+    ]
+    ring = build_cayley_ring(P5_RAYS, cubics)
+    basis = jacobian_basis(ring)
+    assert basis.dims == (1, 73, 73, 1)
+    # the pieces of weights 0..3 and their multiplier pieces take 26 fibers
+    # at 8 distinct x-charges; each is enumerated once
+    assert len(fibers) == len(set(fibers)) == 8
+    assert sorted(fibers) == [(c,) for c in (-3, 0, 1, 3, 4, 6, 7, 9)]
+    assert set(ring._fiber_cache) == set(fibers)
+    # the fan's completeness check plus one lattice enumeration per fiber
+    assert len(lattice_calls) == 9
+    # a repeated call returns the cached list itself
+    for key, piece in ring._piece_cache.items():
+        assert enumerate_graded_piece(ring, key) is piece
