@@ -23,10 +23,18 @@ denominator as its witness scale, both read off the partial's int form
 int numerators; Fractions appear only where reduce_vector emits a residue
 entry and the final combination, and where f's denominator divides them out.
 
-Most generators of a large piece reduce to zero and add no pivot, so
-ideal_piece first reduces a copy of each generator row alone, dividing out
-only the row's own content, and only once its lead outgrows a machine word.
-That row is a nonzero multiple of the one reduced with its witness at every
+Most generators of a large piece reduce to zero and add no pivot. Many
+are named in advance by Faugere's F5 criterion: a multiplier divisible by
+the grevlex-least monomial t_j of an earlier partial dS_j gives a row that
+the trivial Koszul syzygy dS_j * dS_i = dS_i * dS_j writes over rows that
+come earlier in the fixed generator order (ideal_piece gives the proof).
+Such a generator keeps its index, but its row is never built. The
+criterion relies on that order: partials in turn, multipliers in
+descending grevlex. Its multipliers are read off the cached x-fibers
+through toricring.graded_monomials, unsorted. Of the generators left,
+ideal_piece first reduces a copy of each row alone, dividing out only the
+row's own content, and only once its lead outgrows a machine word. That
+row is a nonzero multiple of the one reduced with its witness at every
 step, so it reaches zero exactly when the full reduction does; only a
 generator whose row does not is reduced again with its witness and stored.
 Pivots, witnesses and generator indices are those of reducing every
@@ -42,9 +50,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from .polyalg import Poly, _cleared
+from .polyalg import Poly, _cleared, grevlex_key
 from .supercomplex import SuperElement, q_s
-from .toricring import NotCalabiYau, enumerate_graded_piece, is_calabi_yau
+from .toricring import (
+    NotCalabiYau,
+    enumerate_graded_piece,
+    graded_monomials,
+    is_calabi_yau,
+)
 
 
 class NotCharge0(Exception):
@@ -160,13 +173,43 @@ def _reaches_zero(row, pivots):
     return True
 
 
+def _koszul_multiples(ring, mult_degree, trails):
+    """The multipliers of mult_degree that one of the monomials trails divides.
+
+    Each is t*m for a trail t and a monomial m of the complementary degree,
+    read off the cached x-fibers unsorted.
+    """
+    charge, weight = mult_degree
+    add, sub = operator.add, operator.sub
+    multiples = set()
+    for t in trails:
+        tcharge, tweight = ring.degree_of_monomial(t)
+        rest = (tuple(map(sub, charge, tcharge)), weight - tweight)
+        multiples.update(tuple(map(add, t, m)) for m in graded_monomials(ring, rest))
+    return multiples
+
+
 def ideal_piece(ring, charge, weight):
-    """Echelonize the Jacobian ideal in degree (charge, weight)."""
+    """Echelonize the Jacobian ideal in degree (charge, weight).
+
+    A generator mult * dS_i whose multiplier is divisible by the trail
+    (grevlex-least monomial) t_j of an earlier partial dS_j is Koszul
+    redundant: with mult = m * t_j, the syzygy dS_j * dS_i = dS_i * dS_j
+    writes its row, times the coefficient of t_j, as the rows of
+    (m * s) * dS_j over the monomials s of dS_i minus those of
+    (m * t') * dS_i over the other monomials t' of dS_j. Each of those is
+    an earlier generator in the fixed order: every multiplier of dS_j comes
+    before those of dS_i, and m * t' is grevlex-larger than mult. By
+    induction the row lies in the span of the rows built before it, so the
+    generator keeps its index but no row is built, and the pivots are those
+    of reducing every generator.
+    """
     charge = tuple(charge)
     monomials = tuple(enumerate_graded_piece(ring, (charge, weight)))
     col_index = {m: i for i, m in enumerate(monomials)}
     generators = []
     pivots = {}
+    trails = []
     add = operator.add
     order = list(range(ring.k, ring.nvars)) + list(range(ring.k))
     for i in order:
@@ -180,18 +223,23 @@ def ideal_piece(ring, charge, weight):
         )
         if mult_degree[1] < 0:
             continue
+        redundant = _koszul_multiples(ring, mult_degree, trails)
         items = tuple(part.nums.items())
         # the row is the partial's numerators, its witness its denominator;
         # a generator whose row reaches zero adds no pivot, so its witness
         # is never built
         for mult in enumerate_graded_piece(ring, mult_degree):
-            row = {col_index[tuple(map(add, mult, e))]: n for e, n in items}
             index = len(generators)
             generators.append((mult, i))
+            if mult in redundant:
+                continue
+            row = {col_index[tuple(map(add, mult, e))]: n for e, n in items}
             if _reaches_zero(dict(row), pivots):
                 continue
             wit = {index: part.denom}
             pivots[_reduce_lead(row, wit, pivots)] = (row, wit)
+        trails.append(min(part.nums, key=grevlex_key))
+        del redundant  # before the next partial's set is built
     # columns run in descending grevlex order
     standard = tuple(m for c, m in enumerate(monomials) if c not in pivots)[::-1]
     return GradedIdealPiece(

@@ -32,7 +32,7 @@ def grevlex_key(exps):
     exponent difference is negative is the larger one. Earlier positions are
     the more significant variables.
     """
-    return (sum(exps), tuple(-e for e in reversed(exps)))
+    return (sum(exps), tuple(map(operator.neg, reversed(exps))))
 
 
 def monomial_mul(a, b):

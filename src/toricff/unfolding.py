@@ -66,6 +66,11 @@ class TruncatedSeries:
     and the degree of a key is its length. A key is absent exactly where its
     coefficient vanishes, so arithmetic may drop vanishing coefficients
     freely.
+
+    The constructor checks every key. The series the package builds itself
+    come through of_checked, which skips that check: their keys are read
+    off tables that run or ingest_report has already checked, or off the
+    keys of such series.
     """
 
     dim: int
@@ -73,25 +78,32 @@ class TruncatedSeries:
     coefficients: dict = field(repr=False)
 
     def __post_init__(self):
-        clean = {}
-        for key, value in self.coefficients.items():
+        for key in self.coefficients:
             if len(key) > self.order:
                 raise ValueError(f"key {key} beyond truncation {self.order}")
             if any(a > b for a, b in zip(key, key[1:])):
                 raise ValueError(f"key {key} is not sorted")
             if key and not (key[0] >= 0 and key[-1] < self.dim):
                 raise ValueError(f"key {key} leaves directions 0..{self.dim - 1}")
-            if not _vanishes(value):
-                clean[key] = value
-        object.__setattr__(self, "coefficients", clean)
+        object.__setattr__(self, "coefficients", _nonvanishing(self.coefficients))
+
+    @classmethod
+    def of_checked(cls, dim, order, coefficients):
+        """The series over keys known to be sorted, within the order and
+        within the directions; only the vanishing coefficients are dropped."""
+        series = object.__new__(cls)
+        object.__setattr__(series, "dim", dim)
+        object.__setattr__(series, "order", order)
+        object.__setattr__(series, "coefficients", _nonvanishing(coefficients))
+        return series
 
     def truncate(self, order):
         kept = {k: v for k, v in self.coefficients.items() if len(k) <= order}
-        return TruncatedSeries(self.dim, order, kept)
+        return TruncatedSeries.of_checked(self.dim, order, kept)
 
     def map(self, fn):
         """The coefficient-wise image under fn, on the same domain."""
-        return TruncatedSeries(
+        return TruncatedSeries.of_checked(
             self.dim,
             self.order,
             {key: fn(value) for key, value in self.coefficients.items()},
@@ -115,11 +127,15 @@ class TruncatedSeries:
             count = key.count(direction)
             if count:
                 out[_remove_one(key, direction)] = count * value
-        return TruncatedSeries(self.dim, self.order - 1, out)
+        return TruncatedSeries.of_checked(self.dim, self.order - 1, out)
 
 
 def _vanishes(value):
     return value.is_zero() if hasattr(value, "is_zero") else not value
+
+
+def _nonvanishing(coefficients):
+    return {key: v for key, v in coefficients.items() if not _vanishes(v)}
 
 
 @dataclass(eq=False)
@@ -350,7 +366,7 @@ def gamma_series(state):
     for multi, u in state.u_table.items():
         scale = _factorial_of(multi)
         coeffs[multi] = u if scale == 1 else Fraction(1, scale) * u
-    return TruncatedSeries(len(state.basis.monomials), state.order, coeffs)
+    return TruncatedSeries.of_checked(len(state.basis.monomials), state.order, coeffs)
 
 
 def gamma_partial(gamma):
@@ -395,7 +411,7 @@ def structure_series(state):
             by_rho.setdefault(rho, {})[key] = scale * value
     return {
         pair: {
-            rho: TruncatedSeries(dim, state.order - 2, c)
+            rho: TruncatedSeries.of_checked(dim, state.order - 2, c)
             for rho, c in row.items()
         }
         for pair, row in coeffs.items()
@@ -411,7 +427,7 @@ def lambda_series(state):
         if not lam.is_zero():
             coeffs.setdefault((alpha, beta), {})[key] = scale * lam
     return {
-        pair: TruncatedSeries(dim, state.order - 2, c)
+        pair: TruncatedSeries.of_checked(dim, state.order - 2, c)
         for pair, c in coeffs.items()
     }
 

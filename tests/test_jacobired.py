@@ -1,7 +1,9 @@
 """Graded Jacobian pieces, quotient bases, and reduction with exact witnesses."""
 
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import gcd
 
 import pytest
@@ -14,6 +16,7 @@ from toricff.toricring import (
     build_cayley_ring,
     enumerate_graded_piece,
 )
+from toricff import jacobired
 from toricff.jacobired import (
     BasisIncomplete,
     NotCharge0,
@@ -260,6 +263,33 @@ WIDE_HESSE_CUBIC = xpoly(
 )
 
 
+# P(1,1,1,2,1): x5 = -(x1 + x2 + x3 + 2*x4) in the ray lattice
+WP11121_RAYS = tuple(tuple(int(i == j) for j in range(4)) for i in range(4)) + (
+    (-1, -1, -1, -2),
+)
+# the Fermat sextic there, x4 of weight 2
+WEIGHTED_SEXTIC = xpoly(
+    5,
+    {
+        (6, 0, 0, 0, 0): 1,
+        (0, 6, 0, 0, 0): 1,
+        (0, 0, 6, 0, 0): 1,
+        (0, 0, 0, 3, 0): 1,
+        (0, 0, 0, 0, 6): 1,
+    },
+)
+
+
+def _dense_quartic():
+    """28 of the 35 quartic monomials in four variables, coefficients 1..9."""
+    rng = random.Random("dense-k3")
+    monomials = [
+        tuple(Counter(c)[i] for i in range(4))
+        for c in combinations_with_replacement(range(4), 4)
+    ]
+    return xpoly(4, {m: rng.randint(1, 9) for m in rng.sample(monomials, 28)})
+
+
 @pytest.fixture(scope="module")
 def hesse_ring():
     return build_cayley_ring(P2_RAYS, [HESSE_CUBIC])
@@ -273,6 +303,18 @@ def dwork_ring():
 @pytest.fixture(scope="module")
 def wide_hesse_ring():
     return build_cayley_ring(P2_RAYS, [WIDE_HESSE_CUBIC])
+
+
+@pytest.fixture(scope="module")
+def sextic_ring():
+    ring = build_cayley_ring(WP11121_RAYS, [WEIGHTED_SEXTIC])
+    assert ring.grading.ray_charges == ((1,), (1,), (1,), (2,), (1,))
+    return ring
+
+
+@pytest.fixture(scope="module")
+def dense_k3_ring():
+    return build_cayley_ring(P3_RAYS, [_dense_quartic()])
 
 
 @pytest.mark.parametrize(
@@ -404,6 +446,7 @@ def _echelon_every_generator(ring, charge, weight):
         ("rational_hesse", (1, 2, 3)),
         ("cy33", (2,)),
         ("wide_hesse", (2, 3)),
+        ("sextic", (1, 2, 3)),
     ],
 )
 def test_witness_free_test_keeps_the_echelon_form(request, name, weights):
@@ -426,3 +469,69 @@ def test_witness_free_test_keeps_the_echelon_form(request, name, weights):
         assert piece.standard_monomials == standard
         skipped += len(generators) - rank
     assert skipped  # some generators did reach zero
+
+
+@pytest.mark.parametrize(
+    "name, weights",
+    [
+        ("p1p1", (1, 2)),
+        ("sextic", (1, 2, 3)),
+        ("dense_k3", (2,)),
+        ("cy33", (2, 3)),
+        ("quintic", (4,)),
+    ],
+)
+def test_koszul_skipped_generators_reach_zero(request, monkeypatch, name, weights):
+    """Every generator ideal_piece skips as Koszul redundant has a multiplier
+    divisible by the grevlex-least monomial of an earlier partial, and its
+    row, built here, reduces to zero against the pivots of the generators
+    before it."""
+    ring = request.getfixturevalue(name + "_ring")
+    build = jacobired._koszul_multiples
+    recorded = []
+
+    def recording(ring, mult_degree, trails):
+        multiples = build(ring, mult_degree, trails)
+        recorded.append((mult_degree, multiples))
+        return multiples
+
+    monkeypatch.setattr(jacobired, "_koszul_multiples", recording)
+    skipped = 0
+    for w in weights:
+        recorded.clear()
+        piece = ideal_piece(ring, ring.c_B, w)
+        sets = iter(recorded)
+        generators = []
+        pivots = {}
+        trails = []
+        for i in [*range(ring.k, ring.nvars), *range(ring.k)]:
+            part = ring.s_partials[i]
+            if part.is_zero():
+                continue
+            pcharge, pweight = ring.degree_of_monomial(next(iter(part.nums)))
+            if w < pweight:
+                continue
+            mult_degree, redundant = next(sets)
+            mult_charge = tuple(a - b for a, b in zip(ring.c_B, pcharge))
+            assert mult_degree == (mult_charge, w - pweight)
+            mults = enumerate_graded_piece(ring, mult_degree)
+            assert redundant == {
+                m for m in mults if any(all(map(int.__ge__, m, t)) for t in trails)
+            }
+            for mult in mults:
+                generators.append((mult, i))
+                row = {
+                    piece.col_index[monomial_mul(mult, e)]: n
+                    for e, n in part.nums.items()
+                }
+                lead = _reduce_lead(row, {}, pivots)
+                if mult in redundant:
+                    assert lead is None, (mult, i)
+                    skipped += 1
+                elif lead is not None:
+                    pivots[lead] = (row, {})
+            trails.append(min(part.nums, key=grevlex_key))
+        assert next(sets, None) is None
+        assert piece.generators == tuple(generators)
+        assert piece.pivots.keys() == pivots.keys()
+    assert skipped  # the criterion skips some generators
