@@ -323,8 +323,9 @@ def _table_lines(state):
     # a rows hold nonzero values only; the report format prints every rho
     for multi in sorted(state.a_table, key=sort_key):
         row = state.a_table[multi]
+        prefix = f"a.{_t_monomial(multi)}."
         for rho in range(dim):
-            lines.append(f"a.{_t_monomial(multi)}.{rho} = {row.get(rho, 0)}")
+            lines.append(f"{prefix}{rho} = {row.get(rho, 0)}")
     for multi in sorted(state.lam_table, key=sort_key):
         rendered = render_super(
             state.lam_table[multi], ring.names, ring.eta_names

@@ -222,35 +222,50 @@ def _potentiality_cases(index, zero):
         )
 
 
-def _compose(index, row, right):
-    """sigma -> the coefficients of sum over rho of row[rho] * A_{rho right}^sigma,
-    summed over nonzero terms only; a coefficient that cancels stays, as 0."""
-    out = {}
-    for rho, outer in row.items():
-        for sigma, inner in index.get((rho, right), {}).items():
-            sums = out.setdefault(sigma, {})
-            for key, a, b in outer.pairings(inner):
-                sums[key] = sums.get(key, 0) + a * b
-    return out
+def _add_products(sums, outer, row):
+    """Add outer * row[sigma] into sums[sigma] for every sigma of row; a
+    coefficient that cancels stays, as 0."""
+    for sigma, inner in row.items():
+        acc = sums.setdefault(sigma, {})
+        for key, a, b in outer.pairings(inner):
+            acc[key] = acc.get(key, 0) + a * b
 
 
 def _associativity_cases(index, dim, trunc):
+    # for each alpha, both sides of every (beta, gamma) at once, walking only
+    # the nonzero products: the left side sum_rho A_{alpha beta}^rho
+    # A_{rho gamma} over the pairs (rho, gamma) present in the index, the
+    # right side sum_rho A_{beta gamma}^rho A_{rho alpha} over the entries
+    # A_{beta gamma}^rho whose pair (rho, alpha) is present. A (beta, gamma)
+    # with no product is never drawn; the cases go in (alpha, beta, gamma,
+    # sigma) order, so the first failure is that of the full walk.
+    by_left, by_right = defaultdict(dict), defaultdict(dict)
+    entries = defaultdict(list)  # rho -> (i, j, A_{ij}^rho) for every entry
+    for (i, j), row in index.items():
+        by_left[i][j] = row
+        by_right[j][i] = row
+        for rho, value in row.items():
+            entries[rho].append((i, j, value))
     for alpha in range(dim):
-        for beta in range(dim):
-            first = index.get((alpha, beta), {})
-            for gamma_idx in range(alpha, dim):
-                second = index.get((beta, gamma_idx), {})
-                if not first and not second:
-                    continue
-                lhs = _compose(index, first, gamma_idx)
-                rhs = _compose(index, second, alpha)
-                for sigma in sorted(lhs.keys() | rhs.keys()):
-                    yield (
-                        "associativity "
-                        f"({alpha},{beta},{gamma_idx})->{sigma}",
-                        TruncatedSeries.of_checked(dim, trunc, lhs.get(sigma, {})),
-                        TruncatedSeries.of_checked(dim, trunc, rhs.get(sigma, {})),
-                    )
+        lhs, rhs = defaultdict(dict), defaultdict(dict)
+        for beta, first in by_left[alpha].items():
+            for rho, outer in first.items():
+                for gamma_idx, row in by_left[rho].items():
+                    if gamma_idx >= alpha:
+                        _add_products(lhs[beta, gamma_idx], outer, row)
+        for rho, row in by_right[alpha].items():
+            for beta, gamma_idx, outer in entries[rho]:
+                if gamma_idx >= alpha:
+                    _add_products(rhs[beta, gamma_idx], outer, row)
+        for beta, gamma_idx in sorted(lhs.keys() | rhs.keys()):
+            left = lhs.get((beta, gamma_idx), {})
+            right = rhs.get((beta, gamma_idx), {})
+            for sigma in sorted(left.keys() | right.keys()):
+                yield (
+                    f"associativity ({alpha},{beta},{gamma_idx})->{sigma}",
+                    TruncatedSeries.of_checked(dim, trunc, left.get(sigma, {})),
+                    TruncatedSeries.of_checked(dim, trunc, right.get(sigma, {})),
+                )
 
 
 def check_flat_f_axioms(state, series):

@@ -41,6 +41,18 @@ Pivots, witnesses and generator indices are those of reducing every
 generator with its witness. The multiplier monomials come from
 toricring.enumerate_graded_piece, which enumerates each x-fiber once per
 ring.
+
+No piece above weight w* = n-k+1 is built unless a monomial needs it. The
+quotient of a quasi-smooth system vanishes above weight n-k, so every
+monomial m0 of the weight-w* piece reduces to zero there, with witness
+lambda(m0). A monomial m above w* is written m = h * m0 with m0 the first
+monomial of that piece, in descending grevlex, that divides m and reduces
+to zero (JacobianBasis.lift, memoized per monomial). Then h * lambda(m0) is
+a witness for m with zero basis part, exactly: h carries no odd factor, so
+Q_S(h * lambda(m0)) = h * Q_S(lambda(m0)) = h * m0 = m, and h has charge 0
+because m and m0 both sit at the basis charge. A monomial with no such m0,
+on degenerate input or on a polytope without the integer decomposition
+property, is reduced against its own piece, which is built for it.
 """
 
 from __future__ import annotations
@@ -266,6 +278,7 @@ class JacobianBasis:
     dims: tuple
     index_of: dict = field(repr=False)
     _pieces: dict = field(repr=False)
+    _lifts: dict = field(default_factory=dict, repr=False)
 
     def piece(self, weight):
         got = self._pieces.get(weight)
@@ -273,6 +286,32 @@ class JacobianBasis:
             got = ideal_piece(self.ring, self.charge, weight)
             self._pieces[weight] = got
         return got
+
+    def lift(self, m):
+        """(h, terms) with m = h * m0, m0 a monomial of the weight
+        max_weight + 1 piece that reduces to zero there, and terms its
+        combination as (mult, i, coeff) per generator mult * dS_i; None
+        where m has no such m0. A monomial of that piece is its own m0;
+        above it, m0 is the first one in descending grevlex that divides
+        m and reduces to zero. Memoized per monomial."""
+        if m not in self._lifts:
+            self._lifts[m] = self._find_lift(m)
+        return self._lifts[m]
+
+    def _find_lift(self, m):
+        piece = self.piece(self.max_weight + 1)
+        col = piece.col_index.get(m)
+        if col is not None:
+            residue, combo = piece.reduce_vector({col: 1})
+            if residue:
+                return None
+            terms = tuple((*piece.generators[g], c) for g, c in combo.items())
+            return (0,) * len(m), terms
+        le = operator.le
+        for m0 in piece.monomials:
+            if all(map(le, m0, m)) and (got := self.lift(m0)) is not None:
+                return tuple(map(operator.sub, m, m0)), got[1]
+        return None
 
 
 def jacobian_basis(ring, allow_non_cy=False):
@@ -326,9 +365,14 @@ def reduce_with_witness(ring, basis, f):
     """Express f as basis combination plus Q_S(lambda), with lambda returned.
 
     Every monomial of f must sit at the basis charge; the weight components
-    are reduced independently. The defining identity is re-verified exactly
-    before returning. A zero f has the zero reduction, which is returned at
-    once.
+    are reduced independently. A component at weight n-k+1 or below is
+    reduced against its piece. Above n-k+1 each monomial m is lifted: with
+    basis.lift(m) = (h, combination of m0), m = h * m0, its witness is
+    h * lambda(m0) and its basis part zero (the module docstring has the
+    proof). The monomials that do not lift are reduced against their own
+    piece; a residue there raises BasisIncomplete. The defining identity is
+    re-verified exactly before returning. A zero f has the zero reduction,
+    which is returned at once.
     """
     if f.is_zero():
         return ReductionWitness({}, SuperElement({}))
@@ -344,9 +388,26 @@ def reduce_with_witness(ring, basis, f):
     # times itself, so the residue and the witness are divided by f.denom
     coefficients = {}
     lam_terms = {}
+    lifted = {}  # the witness terms of the lifted monomials, summed
+    get, add = lifted.get, operator.add
     for w in sorted(by_weight):
+        component = by_weight[w]
+        if w > basis.max_weight + 1:
+            rest = {}  # the monomials that do not lift
+            for m, n in component.items():
+                got = basis.lift(m)
+                if got is None:
+                    rest[m] = n
+                    continue
+                h, terms = got
+                for mult, i, coeff in terms:
+                    key = (tuple(map(add, h, mult)), (i,))
+                    lifted[key] = get(key, 0) + n * coeff
+            component = rest
+            if not component:
+                continue
         piece = basis.piece(w)
-        vec = {piece.col_index[m]: n for m, n in by_weight[w].items()}
+        vec = {piece.col_index[m]: n for m, n in component.items()}
         residue, combo = piece.reduce_vector(vec)
         if w <= basis.max_weight:
             for col, coeff in residue.items():
@@ -356,6 +417,8 @@ def reduce_with_witness(ring, basis, f):
         for gen_idx, coeff in combo.items():
             mult, i = piece.generators[gen_idx]
             lam_terms[(mult, (i,))] = coeff
+    for key, coeff in lifted.items():
+        lam_terms[key] = lam_terms.get(key, 0) + coeff
     witness = SuperElement(lam_terms) * Fraction(1, f.denom)
     rebuilt = q_s(witness, ring).to_poly() + Poly(
         {basis.monomials[i]: coeff for i, coeff in coefficients.items()}

@@ -41,6 +41,20 @@ hypersurface = 1/2 (3,0,0) + 2/3 (0,3,0) + 5/7 (0,0,3) + 3/4 (1,1,1)
 order = 6
 """
 
+# the Fermat quartic K3 plus x1*x2*x3*x4, at order 2
+DWORK_K3_PROBLEM = """\
+rays = (1,0,0) (0,1,0) (0,0,1) (-1,-1,-1)
+hypersurface = 1 (4,0,0,0) + 1 (0,4,0,0) + 1 (0,0,4,0) + 1 (0,0,0,4) + 1 (1,1,1,1)
+order = 2
+"""
+
+# the Fermat sextic K3 in P(1,1,1,3), at order 2
+SEXTIC_K3_PROBLEM = """\
+rays = (1,0,0) (0,1,0) (-1,-1,-3) (0,0,1)
+hypersurface = 1 (6,0,0,0) + 1 (0,6,0,0) + 1 (0,0,6,0) + 1 (0,0,0,2)
+order = 2
+"""
+
 CI22_PROBLEM = """\
 rays = (1,0,0) (0,1,0) (0,0,1) (-1,-1,-1)
 hypersurface = 1 (2,0,0,0) + 1 (0,2,0,0) + 1 (0,0,2,0) + 1 (0,0,0,2)
@@ -646,15 +660,33 @@ def _bench_problems():
             "88a8b07fc17da69fe50277428f63e4df72d79540d979339c672934c8d2b81d13",
             id="rational-hesse-order6-retained",
         ),
+        pytest.param(
+            "dwork-k3",
+            {},
+            "83dc20cfdbaf9f234cc738b2d1f0057aa1d872291953848c3455ac9233af6205",
+            id="dwork-k3-order2",
+        ),
+        pytest.param(
+            "sextic-k3",
+            {},
+            "67faeda7fb84cb574a0c327173a7590c60990c7eb2fb33105eaaa813a361b614",
+            id="sextic-k3-order2",
+        ),
     ],
 )
 def test_report_golden_digests(name, changes, expected):
-    # seed-0 bench problems and the rational Hesse cubic; retain-intermediates
-    # = yes also prints every step input
+    # seed-0 bench problems, the rational Hesse cubic and two non-diagonal or
+    # weighted K3 surfaces; retain-intermediates = yes also prints every step
+    # input
     problems = _bench_problems()
     workload = problems.WORKLOADS.get(name)
     if workload is None:
-        command, text = cmd_unfold, RATIONAL_HESSE_PROBLEM
+        command = cmd_unfold
+        text = {
+            "rational-hesse": RATIONAL_HESSE_PROBLEM,
+            "dwork-k3": DWORK_K3_PROBLEM,
+            "sextic-k3": SEXTIC_K3_PROBLEM,
+        }[name]
     else:
         command = {"basis": cmd_basis, "unfold": cmd_unfold}[workload.command]
         text = problems.problem_text(workload, 0)

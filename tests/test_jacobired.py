@@ -25,6 +25,7 @@ from toricff.jacobired import (
     jacobian_basis,
     reduce_with_witness,
 )
+from toricff.unfolding import run
 
 from conftest import P2_RAYS, P3_RAYS, P5_RAYS, fermat, xpoly
 
@@ -158,10 +159,13 @@ def test_degenerate_basis_incomplete():
     ring = degenerate_ring()
     basis = jacobian_basis(ring)
     assert basis.dims == (1, 4)
-    f = Poly.monomial((2, 0, 0, 6))  # y^2 x3^6 survives every reduction
-    with pytest.raises(BasisIncomplete) as info:
-        reduce_with_witness(ring, basis, f)
-    assert info.value.weight == 2
+    # y^2 x3^6 survives every reduction; y^3 x3^9 has no weight-2 divisor
+    # that reduces to zero, so it is reduced against its own piece and
+    # survives there
+    for monomial, weight in (((2, 0, 0, 6), 2), ((3, 0, 0, 9), 3)):
+        with pytest.raises(BasisIncomplete) as info:
+            reduce_with_witness(ring, basis, Poly.monomial(monomial))
+        assert info.value.weight == weight
 
 
 def test_reduction_identity_seeded(cubic_ring, ci22_ring):
@@ -535,3 +539,112 @@ def test_koszul_skipped_generators_reach_zero(request, monkeypatch, name, weight
         assert piece.generators == tuple(generators)
         assert piece.pivots.keys() == pivots.keys()
     assert skipped  # the criterion skips some generators
+
+
+def _closes(ring, basis, f, coefficients, witness):
+    """Whether f = sum of coefficients times basis monomials + Q_S(witness)."""
+    rebuilt = q_s(witness, ring).to_poly()
+    for i, coeff in coefficients.items():
+        rebuilt = rebuilt + Poly.monomial(basis.monomials[i], coeff)
+    return rebuilt == f
+
+
+@pytest.mark.parametrize("name", ["k3", "dwork", "degenerate"])
+def test_lift_takes_the_first_divisor_that_reduces_to_zero(request, name):
+    """A monomial m above weight n-k+1 lifts from the first monomial m0 of the
+    weight n-k+1 piece, in descending grevlex, that divides m and reduces to
+    zero there; h * lambda(m0), h = m / m0, closes the identity for m."""
+    if name == "degenerate":
+        ring = degenerate_ring()
+    else:
+        ring = request.getfixturevalue(name + "_ring")
+    basis = jacobian_basis(ring)
+    lift_weight = basis.max_weight + 1
+    piece = basis.piece(lift_weight)
+    rng = random.Random(f"lift/{name}")
+    lifted = unlifted = 0
+    for extra in (1, 2):
+        monos = enumerate_graded_piece(ring, (basis.charge, lift_weight + extra))
+        for m in rng.sample(monos, min(12, len(monos))):
+            first = next(
+                (
+                    m0
+                    for m0 in piece.monomials
+                    if all(map(int.__le__, m0, m))
+                    and not piece.reduce_vector({piece.col_index[m0]: 1})[0]
+                ),
+                None,
+            )
+            got = basis.lift(m)
+            if first is None:
+                assert got is None
+                unlifted += 1
+                continue
+            h, terms = got
+            assert monomial_mul(h, first) == m
+            assert ring.degree_of_monomial(h) == (basis.charge, extra)
+            witness = SuperElement(
+                {(monomial_mul(h, mult), (i,)): coeff for mult, i, coeff in terms}
+            )
+            assert q_s(witness, ring).to_poly() == Poly.monomial(m)
+            lifted += 1
+    assert lifted
+    assert (unlifted > 0) == (name == "degenerate")
+
+
+def test_run_builds_no_piece_above_lift_weight(monkeypatch, k3_ring):
+    """On the K3 at order 3 the step inputs reach weight 2(n-k) = 4, but no
+    piece above weight n-k+1 = 3 is built."""
+    built = []
+    build = jacobired.ideal_piece
+
+    def recording(ring, charge, weight):
+        built.append(weight)
+        return build(ring, charge, weight)
+
+    monkeypatch.setattr(jacobired, "ideal_piece", recording)
+    basis = jacobian_basis(k3_ring)
+    state = run(k3_ring, basis, 3, debug=True)
+    weights = {
+        k3_ring.degree_of_monomial(m)[1] for f in state.inputs.values() for m in f.nums
+    }
+    assert max(weights) == 4
+    assert sorted(built) == [0, 1, 2, 3]
+
+
+def test_lifted_witnesses_keep_the_a_rows_dwork(dwork_ring):
+    """A gauge check on the Dwork K3 at order 2: reducing every step input
+    against its own fully built pieces, as with no lift, gives the same a
+    rows; both witnesses close the identity, and they differ only where the
+    input reaches above weight n-k+1."""
+    ring = dwork_ring
+    basis = jacobian_basis(ring)
+    state = run(ring, basis, 2, debug=True)
+    pieces = {}
+    changed = []
+    for multi, f in state.inputs.items():
+        by_weight = {}
+        for exps, coeff in f.terms.items():
+            by_weight.setdefault(ring.degree_of_monomial(exps)[1], {})[exps] = coeff
+        coefficients, lam = {}, {}
+        for w, component in by_weight.items():
+            if w not in pieces:
+                pieces[w] = ideal_piece(ring, basis.charge, w)
+            piece = pieces[w]
+            residue, combo = piece.reduce_vector(
+                {piece.col_index[m]: coeff for m, coeff in component.items()}
+            )
+            for col, coeff in residue.items():
+                coefficients[basis.index_of[piece.monomials[col]]] = coeff
+            for g, coeff in combo.items():
+                mult, i = piece.generators[g]
+                lam[(mult, (i,))] = coeff
+        witness = SuperElement(lam)
+        assert state.a_table[multi] == coefficients, multi
+        assert _closes(ring, basis, f, coefficients, witness)
+        assert _closes(ring, basis, f, state.a_table[multi], state.lam_table[multi])
+        if witness != state.lam_table[multi]:
+            assert max(by_weight) > basis.max_weight + 1
+            changed.append(multi)
+    assert max(pieces) == 2 * basis.max_weight
+    assert changed  # the lift is a change of gauge here, not a no-op
