@@ -258,6 +258,10 @@ def _enumerate(ineqs, dim):
 def enumerate_lattice_points(poly):
     """All integer points of a bounded LatticePolytope, lexicographically.
 
+    _enumerate emits them in that order already: by induction on the
+    dimension, each point of the projection in turn, in lexicographic
+    order, extended by its last coordinate ascending.
+
     An inequality-free system yields no points by convention. Raises
     UnboundedPolytope when a coordinate has no finite bound over a nonempty
     feasible region.
@@ -269,4 +273,4 @@ def enumerate_lattice_points(poly):
             raise ValueError(
                 f"normal {normal} does not match dimension {poly.dim}"
             )
-    return sorted(_enumerate(list(poly.inequalities), poly.dim))
+    return _enumerate(list(poly.inequalities), poly.dim)

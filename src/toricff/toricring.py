@@ -34,7 +34,6 @@ __all__ = [
     "build_cayley_ring",
     "is_calabi_yau",
     "enumerate_graded_piece",
-    "graded_monomials",
 ]
 
 
@@ -257,16 +256,21 @@ def _compositions(total, parts):
             yield (head,) + tail
 
 
-def graded_monomials(ring, degree):
-    """A new list of the monomials of the given (charge, weight), unsorted.
+def enumerate_graded_piece(ring, degree):
+    """Monomials of the given (charge, weight), descending grevlex, cached.
 
     A monomial y^ys x^u of the piece pairs a composition ys of the weight
     with a point u of the x-fiber {u >= 0 : charge(x^u) = c}, c the charge
     minus that of y^ys. Each fiber is enumerated once per ring and kept in
     _fiber_cache by its x-charge, since pieces of different weights and
-    the multiplier pieces of ideal_piece share most of their fibers.
+    the multiplier pieces of ideal_piece share most of their fibers. The
+    sorted list is kept in _piece_cache; a repeated call returns the cached
+    list object itself.
     """
-    charge, weight = degree
+    charge, weight = key = (tuple(degree[0]), degree[1])
+    cached = ring._piece_cache.get(key)
+    if cached is not None:
+        return cached
     fibers = ring._fiber_cache
     out = []
     if weight >= 0:
@@ -281,20 +285,6 @@ def graded_monomials(ring, degree):
                 fiber = _x_fiber(ring.grading, ring._fiber_solver, xcharge)
                 fibers[xcharge] = fiber
             out.extend(ys + u for u in fiber)
-    return out
-
-
-def enumerate_graded_piece(ring, degree):
-    """Monomials of the given (charge, weight), descending grevlex, cached.
-
-    The monomials are those of graded_monomials, sorted once and kept in
-    _piece_cache. A repeated call returns the cached list object itself.
-    """
-    key = (tuple(degree[0]), degree[1])
-    cached = ring._piece_cache.get(key)
-    if cached is not None:
-        return cached
-    out = graded_monomials(ring, key)
     out.sort(key=grevlex_key, reverse=True)
     ring._piece_cache[key] = out
     return out

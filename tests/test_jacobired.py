@@ -486,26 +486,25 @@ def test_witness_free_test_keeps_the_echelon_form(request, name, weights):
     ],
 )
 def test_koszul_skipped_generators_reach_zero(request, monkeypatch, name, weights):
-    """Every generator ideal_piece skips as Koszul redundant has a multiplier
-    divisible by the grevlex-least monomial of an earlier partial, and its
-    row, built here, reduces to zero against the pivots of the generators
-    before it."""
+    """ideal_piece builds a row for exactly the generators whose multiplier
+    no grevlex-least monomial (trail) of an earlier partial divides, and
+    each skipped row, built here, reduces to zero against the pivots of the
+    generators before it."""
     ring = request.getfixturevalue(name + "_ring")
-    build = jacobired._koszul_multiples
-    recorded = []
+    reaches_zero = jacobired._reaches_zero
+    built = []
 
-    def recording(ring, mult_degree, trails):
-        multiples = build(ring, mult_degree, trails)
-        recorded.append((mult_degree, multiples))
-        return multiples
+    def recording(row, pivots):
+        built.append(dict(row))
+        return reaches_zero(row, pivots)
 
-    monkeypatch.setattr(jacobired, "_koszul_multiples", recording)
+    monkeypatch.setattr(jacobired, "_reaches_zero", recording)
     skipped = 0
     for w in weights:
-        recorded.clear()
+        built.clear()
         piece = ideal_piece(ring, ring.c_B, w)
-        sets = iter(recorded)
         generators = []
+        rows = []  # the rows of the generators no trail skips, in order
         pivots = {}
         trails = []
         for i in [*range(ring.k, ring.nvars), *range(ring.k)]:
@@ -515,29 +514,27 @@ def test_koszul_skipped_generators_reach_zero(request, monkeypatch, name, weight
             pcharge, pweight = ring.degree_of_monomial(next(iter(part.nums)))
             if w < pweight:
                 continue
-            mult_degree, redundant = next(sets)
             mult_charge = tuple(a - b for a, b in zip(ring.c_B, pcharge))
-            assert mult_degree == (mult_charge, w - pweight)
-            mults = enumerate_graded_piece(ring, mult_degree)
-            assert redundant == {
-                m for m in mults if any(all(map(int.__ge__, m, t)) for t in trails)
-            }
-            for mult in mults:
-                generators.append((mult, i))
+            for mult in enumerate_graded_piece(ring, (mult_charge, w - pweight)):
                 row = {
                     piece.col_index[monomial_mul(mult, e)]: n
                     for e, n in part.nums.items()
                 }
-                lead = _reduce_lead(row, {}, pivots)
-                if mult in redundant:
+                wit = {len(generators): part.denom}
+                generators.append((mult, i))
+                redundant = any(all(map(int.__ge__, mult, t)) for t in trails)
+                if not redundant:
+                    rows.append(dict(row))
+                lead = _reduce_lead(row, wit, pivots)
+                if redundant:
                     assert lead is None, (mult, i)
                     skipped += 1
                 elif lead is not None:
-                    pivots[lead] = (row, {})
+                    pivots[lead] = (row, wit)
             trails.append(min(part.nums, key=grevlex_key))
-        assert next(sets, None) is None
+        assert built == rows
         assert piece.generators == tuple(generators)
-        assert piece.pivots.keys() == pivots.keys()
+        assert piece.pivots == pivots
     assert skipped  # the criterion skips some generators
 
 

@@ -7,7 +7,7 @@ other engine code calls them. An `assert` vanishes under `python -O`, so an
 invariant raises an explicit exception instead. Every function the benchmark
 tracer wraps is defined where the tracer looks for it. Only
 unfolding.check_series calls the series functions, so every check reads the
-series of one build.
+series of one build. Every name a module lists in `__all__` is bound there.
 """
 
 import ast
@@ -97,6 +97,45 @@ def test_allowlist_names_existing_definitions():
         defined |= {node.name for node in _definitions(tree)}
         defined |= {node.name for _, node in _methods(tree)}
     assert set(ALLOWED) <= defined
+
+
+def _bound_names(tree):
+    """Names a module binds at top level: definitions, assignments, imports."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                yield from (n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
+def _exports(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    return None
+
+
+def test_every_export_is_defined_in_its_module():
+    """A name in a module's __all__ that the module no longer binds breaks
+    `from toricff.<module> import *`; a removed function leaves one behind."""
+    stale = []
+    exporting = 0
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        exports = _exports(tree)
+        if exports is None:
+            continue
+        exporting += 1
+        bound = set(_bound_names(tree))
+        stale += [f"{path.name} {name}" for name in exports if name not in bound]
+    assert exporting  # the package and toricring declare __all__
+    assert stale == []
 
 
 def test_engine_has_no_assert_statements():

@@ -1,5 +1,6 @@
 """Order-by-order unfolding: step results and series assembly."""
 
+import random
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -298,6 +299,49 @@ def test_structure_series_matches_pair_scan(pair_states, cubic_state4, k3_state3
                 assert got == dense[rho].coefficients
     # only 60 of the 21^3 K3 series are nonzero
     assert sum(map(len, structure_series(k3_state3).values())) == 60
+
+
+def test_structure_series_is_symmetric_and_potential(k3_state3, pair_states):
+    """The pair index holds (alpha, beta) exactly when it holds (beta, alpha),
+    with equal series, and d_gamma A_{alpha beta}^sigma equals
+    d_alpha A_{gamma beta}^sigma: the commutativity and potentiality
+    identities that check_flat_f_axioms counts without expanding. Every
+    structure series of the two runs is constant, so each run is also
+    checked with seeded entries of full length added to its a table: the
+    identities hold for any table."""
+    rng = random.Random("pair-symmetry")
+    states = []
+    for state in (k3_state3, pair_states[-1]):  # K3 order 3, p1p1 order 4
+        dim = len(state.basis.monomials)
+        extra = {
+            tuple(sorted(rng.randrange(dim) for _ in range(state.order))): {
+                rng.randrange(dim): Fraction(rng.randint(1, 9), rng.randint(1, 3))
+            }
+            for _ in range(8)
+        }
+        states += [state, replace(state, a_table={**state.a_table, **extra})]
+    derivatives = 0
+    for state in states:
+        dim = len(state.basis.monomials)
+        index = structure_series(state)
+        assert any(alpha != beta for alpha, beta in index)
+        for (alpha, beta), row in index.items():
+            mirror = index.get((beta, alpha))
+            assert mirror is not None and mirror.keys() == row.keys()
+            for sigma, series in row.items():
+                assert mirror[sigma].order == series.order
+                assert mirror[sigma].coefficients == series.coefficients
+        zero = TruncatedSeries(dim, state.order - 3, {})
+        for (alpha, beta), row in index.items():
+            for sigma, series in row.items():
+                for gamma in range(dim):
+                    left = series.partial(gamma)
+                    other = index.get((gamma, beta), {}).get(sigma)
+                    right = zero if other is None else other.partial(alpha)
+                    assert left.order == right.order
+                    assert left.coefficients == right.coefficients
+                    derivatives += bool(left.coefficients) and gamma != alpha
+    assert derivatives  # some identities have two nonzero sides
 
 
 def test_lambda_series_matches_table(cubic_state4, pair_states):
