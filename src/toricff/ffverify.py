@@ -11,7 +11,10 @@ that state, which the caller builds and hands to each; none builds a series.
 
 Every coefficient is compared with ==, which on the int form of polyalg
 compares the stored numerators. The pair cases of check_fqm2, its bulk, add
-the products of each t-monomial into one LinearSum per side; Fractions are
+the terms of each t-monomial straight into the numerators of one LinearSum
+per side: dGamma_alpha * dGamma_beta through LinearSum.add_product, each
+unordered pair of terms once when alpha == beta, and Q_Gamma(Lambda)
+through q_f with the sum, so no product element is built. Fractions are
 built only for the residual of a failing case.
 """
 
@@ -145,8 +148,13 @@ def _pair_cases(state, series, dim, trunc):
         for beta in range(alpha, dim):
             lhs = defaultdict(lambda: LinearSum(Poly))
             rhs = defaultdict(lambda: LinearSum(Poly))
-            for key, a, b in partials[alpha].pairings(partials[beta]):
-                lhs[key].add(1, a * b)
+            if alpha == beta:
+                products = partials[alpha].square_pairings()
+            else:
+                pairs = partials[alpha].pairings(partials[beta])
+                products = ((key, 1, a, b) for key, a, b in pairs)
+            for key, weight, a, b in products:
+                lhs[key].add_product(weight, a, b)
             for rho, a_series in series.structure.get((alpha, beta), {}).items():
                 for key, scale, u in a_series.pairings(partials[rho]):
                     rhs[key].add(scale, u)
@@ -155,7 +163,7 @@ def _pair_cases(state, series, dim, trunc):
                 for key, w in lam.coefficients.items():
                     rhs[key].add(1, q_s(w, ring).to_poly())
                 for key, u, w in gamma.pairings(lam):
-                    rhs[key].add(1, q_f(w, u).to_poly())
+                    q_f(w, u, rhs[key])
             yield (
                 f"pair ({alpha},{beta})",
                 _summed(lhs, dim, trunc),

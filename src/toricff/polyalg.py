@@ -11,7 +11,9 @@ is positive, no zero numerator is stored and gcd(denom, *nums) == 1, so ==
 and hash compare the stored ints. Every kernel runs on that form and builds
 no Fraction: the products, the linear combination (LinearSum, which the sum
 and difference of elements drive), the partials and, in supercomplex, delta
-and the Q contraction. Fractions enter through the constructor, which
+and the Q contraction. The hot sums add products and Q contractions straight
+into a LinearSum's numerators (LinearSum.add_product, supercomplex.q_f),
+building no product element. Fractions enter through the constructor, which
 clears them with _cleared, the one denominator-clearing helper of the
 package, and leave through the terms view, a new dict of Fractions, which
 rendering and the tests read.
@@ -65,7 +67,9 @@ class LinearSum:
     """A running sum of scale * x over elements x of one class, a scale an int
     or a Fraction: int numerators over the lcm of the scaled denominators
     added so far. The numerators are rescaled when a term's denominator does
-    not divide that lcm, so the sum holds no term once it is added."""
+    not divide that lcm, so the sum holds no term once it is added.
+    add_product, and supercomplex.q_f given a LinearSum, add a product or a
+    Q contraction without building it."""
 
     __slots__ = ("cls", "denom", "nums")
 
@@ -74,20 +78,40 @@ class LinearSum:
         self.denom = 1
         self.nums = {}
 
-    def add(self, scale, x):
-        if not scale:
-            return
-        d = scale.denominator * x.denom
+    def admit(self, scale, denom):
+        """Grow the denominator to admit scale times numerators over denom,
+        and return the int that carries such numerators onto it."""
+        d = scale.denominator * denom
         if self.denom % d:
             grown = lcm(self.denom, d)
             k = grown // self.denom
             self.nums = {key: n * k for key, n in self.nums.items()}
             self.denom = grown
-        factor = scale.numerator * (self.denom // d)
+        return scale.numerator * (self.denom // d)
+
+    def add(self, scale, x):
+        if not (scale and x.nums):
+            return
+        factor = self.admit(scale, x.denom)
         nums = self.nums
         get = nums.get
         for key, n in x.nums.items():
             nums[key] = get(key, 0) + factor * n
+
+    def add_product(self, scale, x, y):
+        """Add scale * x * y for Polys x and y, straight into the numerators:
+        no product is built."""
+        if not (scale and x.nums and y.nums):
+            return
+        factor = self.admit(scale, x.denom * y.denom)
+        nums = self.nums
+        get, add = nums.get, operator.add
+        ys = tuple(y.nums.items())
+        for e1, c1 in x.nums.items():
+            c1 *= factor
+            for e2, c2 in ys:
+                key = tuple(map(add, e1, e2))  # monomial_mul, inlined: hot loop
+                nums[key] = get(key, 0) + c1 * c2
 
     def element(self):
         """The sum as an element of its class; adding on leaves it as it is."""

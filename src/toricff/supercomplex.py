@@ -131,9 +131,34 @@ def _q_parts(w, f):
     return SuperElement.from_nums(w.denom * denom, out)
 
 
-def q_f(w, f):
-    """Contraction against the partials of an arbitrary even potential f."""
-    return _q_parts(w, f)
+def q_f(w, f, into=None, scale=1):
+    """Contraction against the partials of an arbitrary even potential f.
+
+    With into, a polyalg.LinearSum of Polys, scale * Q_f(w) is added to it
+    in place and None returned: a term of w with one eta goes straight into
+    the sum's numerators. Like to_poly, this raises ValueError, leaving into
+    as it was, when an odd factor survives: when the terms of w with two or
+    more etas contract to a nonzero element.
+    """
+    if into is None:
+        return _q_parts(w, f)
+    odd = {key: n for key, n in w.nums.items() if len(key[1]) > 1}
+    if odd and not _q_parts(SuperElement.from_nums(w.denom, odd), f).is_zero():
+        raise ValueError("element carries odd factors")
+    denom, rows = f.partial_rows()
+    if not (scale and rows and w.nums):
+        return None
+    factor = into.admit(scale, w.denom * denom)
+    nums = into.nums
+    get, add = nums.get, operator.add
+    for (exps, etas), coeff in w.nums.items():
+        if len(etas) == 1 and (row := rows.get(etas[0])) is not None:
+            k, items = row
+            c = coeff * k * factor
+            for pe, pc in items:
+                key = tuple(map(add, exps, pe))  # monomial_mul, inlined
+                nums[key] = get(key, 0) + c * pc
+    return None
 
 
 def q_s(w, ring):

@@ -119,6 +119,11 @@ class CayleyRing:
     _fiber_solver: tuple = field(repr=False, default=())
     _fiber_cache: dict = field(repr=False, default_factory=dict)
     _piece_cache: dict = field(repr=False, default_factory=dict)
+    _charge_rows: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # charge component j of every variable, one row per j
+        self._charge_rows = tuple(zip(*self.var_charges))
 
     @property
     def n(self):
@@ -133,12 +138,12 @@ class CayleyRing:
         return self.k + self.r
 
     def degree_of_monomial(self, exps):
-        charge = tuple(
-            sum(self.var_charges[i][j] * exps[i] for i in range(len(exps)))
-            for j in range(self.charge_rank)
+        """(charge, weight) of the monomial: each component is the sum of the
+        exponents times that component of the variables' degrees."""
+        return (
+            tuple([sum(map(mul, exps, row)) for row in self._charge_rows]),
+            sum(map(mul, exps, self.var_weights)),
         )
-        weight = sum(self.var_weights[i] * exps[i] for i in range(len(exps)))
-        return charge, weight
 
 
 def build_cayley_ring(rays, hypersurfaces):

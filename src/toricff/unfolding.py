@@ -25,19 +25,31 @@ Delta(lambda_gamma). For size 2 this is literally the reduction of u_alpha
 u_beta. The weight of every stored u_gamma is checked to equal 1 - sum of
 wt(t) over gamma.
 
-Most entries vanish (819 of the 858 u entries of the (2,2) intersection to
-order 40), so each sum walks only the splits where its driving entry can be
+A multiset whose smallest direction is the unit (the constant basis
+monomial, direction 0 on every Calabi-Yau basis) is settled in closed form,
+with no input assembled and no reduction: (unit, beta) gets a = {beta: 1},
+lambda = 0 and u = 0, and every larger such multiset all-zero entries. This
+follows by induction from the formula above, since u_unit = 1, Delta(1) = 0
+and a_(unit,beta) = e_beta; the debug inputs record f = u_beta and f = 0.
+These are 819 of the 858 steps of the (2,2) intersection to order 40, and
+exactly its 819 vanishing u entries.
+
+Every other sum walks only the splits where its driving entry can be
 nonzero: u_{A+alpha}, the row a_{(alpha,beta)+A} and lambda_{(alpha,beta)+B}
 in turn. Every table keeps the prefix-closed support of its nonzero keys,
 and _splits cuts a run of splits at the first prefix outside it. A pruned
 split reads no entry, so a missing one would pass for zero: step first
 checks that every table holds every multiset of every lower size, and raises
-MissingTableEntry naming the first one missing.
+MissingTableEntry naming the first one missing. When alpha == beta the
+splits (A, B) and (B, A) of the first sum give the same product, so each
+mirror pair is taken once with twice its weight.
 
 The three sums run over int numerators: step reads each u and lambda entry
-straight from its table, in the int form every element holds (polyalg),
-and feeds the products u*u, a*u and Q_{u_A}(lambda) to one Poly.sum. A u
-entry keeps its partials once Q has asked for them.
+straight from its table, in the int form every element holds (polyalg), and
+adds u*u (LinearSum.add_product), a*u and Q_{u_A}(lambda) (q_f with a
+LinearSum) straight into the numerators of one LinearSum: no product element
+is built or canonicalised. A u entry keeps its partials once Q has asked for
+them.
 """
 
 from __future__ import annotations
@@ -48,8 +60,8 @@ from itertools import combinations_with_replacement, groupby
 from math import comb, factorial, prod
 
 from .jacobired import reduce_with_witness
-from .polyalg import Poly
-from .supercomplex import delta, q_f
+from .polyalg import LinearSum, Poly
+from .supercomplex import SuperElement, delta, q_f
 from .toricring import NotCalabiYau, is_calabi_yau
 
 
@@ -120,6 +132,20 @@ class TruncatedSeries:
             for bkey, bvalue in other.coefficients.items():
                 if len(bkey) <= room:
                     yield tuple(sorted(akey + bkey)), avalue, bvalue
+
+    def square_pairings(self):
+        """(A + B, weight, a, b) for every unordered pair of terms a t^A and
+        b t^B of self within its order, each once: the weight, 2 for two
+        distinct terms and 1 for a term with itself, counts both orders."""
+        items = list(self.coefficients.items())
+        for i, (akey, avalue) in enumerate(items):
+            room = self.order - len(akey)
+            if room < 0:
+                continue
+            for j in range(i, len(items)):
+                bkey, bvalue = items[j]
+                if len(bkey) <= room:
+                    yield tuple(sorted(akey + bkey)), 2 - (i == j), avalue, bvalue
 
     def partial(self, direction):
         out = {}
@@ -271,29 +297,63 @@ def _splits(tail, head, support):
 def _assemble_input(state, multi):
     # alpha <= beta <= every tail entry, so prefixing them keeps keys sorted;
     # each sum walks only the splits where its first factor can be nonzero
+    # and adds its terms straight into one LinearSum
     alpha, beta, tail = multi[0], multi[1], multi[2:]
     pair = (alpha, beta)
     index, u_table = state._index, state.u_table
-    pairs = []
+    total = LinearSum(Poly)
     for a_part, b_part, weight in _splits(tail, (alpha,), index["u"].support):
+        if alpha == beta:
+            # (A, B) and (B, A) give the same product: add it once, weight x2
+            if a_part > b_part:
+                continue
+            if a_part < b_part:
+                weight *= 2
         u_a = _entry(u_table, "u", (alpha,) + a_part)
-        u_b = _entry(u_table, "u", (beta,) + b_part)
-        if not (u_a.is_zero() or u_b.is_zero()):
-            pairs.append((weight, u_a * u_b))
+        total.add_product(weight, u_a, _entry(u_table, "u", (beta,) + b_part))
     for a_part, b_part, weight in _splits(tail, pair, index["a"].support):
         if b_part:
             row = _entry(state.a_table, "a", pair + a_part)
             for rho, value in row.items():
                 u_key = tuple(sorted(b_part + (rho,)))
-                pairs.append((-weight * value, _entry(u_table, "u", u_key)))
+                total.add(-weight * value, _entry(u_table, "u", u_key))
     # this sum is driven by lambda, so _splits hands B out first
     for b_part, a_part, weight in _splits(tail, pair, index["lambda"].support):
         if a_part:
             lam = _entry(state.lam_table, "lambda", pair + b_part)
-            if not lam.is_zero():
-                q = q_f(lam, _entry(u_table, "u", a_part))
-                pairs.append((-weight, q.to_poly()))
-    return Poly.sum(pairs)
+            q_f(lam, _entry(u_table, "u", a_part), total, -weight)
+    return total.element()
+
+
+def _unit_input(state, multi):
+    """The input f of a multiset whose smallest direction is the unit: u_beta
+    for a pair (unit, beta), since u_unit = 1, and zero for a larger one,
+    whose three sums cancel (see _unit_entries)."""
+    if len(multi) == 2:
+        return _entry(state.u_table, "u", multi[1:])
+    return Poly({})
+
+
+def _unit_entries(multi):
+    """(a, lambda, u) of a multiset whose smallest direction is the unit, in
+    closed form, by induction on the step formula. u_beta reduces to itself,
+    so a pair (unit, beta) has a = {beta: 1}, lambda = 0 and u = 0. On a
+    larger multiset (unit, beta) + C every lower entry led by the unit
+    vanishes but a_(unit,beta) = e_beta, so f = u_(beta)+C - u_(beta)+C = 0
+    and every entry is zero."""
+    a_row = {multi[1]: Fraction(1)} if len(multi) == 2 else {}
+    return a_row, SuperElement({}), Poly({})
+
+
+def _reduced_entries(state, multi, f):
+    """(a, lambda, u) of a multiset from the reduction of its input f."""
+    reduced = reduce_with_witness(state.ring, state.basis, f)
+    u_new = delta(reduced.witness).to_poly()
+    target = 1 - sum(state.t_weights[j] for j in multi)
+    for exps in u_new.nums:
+        if state.ring.degree_of_monomial(exps)[1] != target:
+            raise ArithmeticError(f"u entry for {multi} breaks weight homogeneity")
+    return reduced.coefficients, reduced.witness, u_new
 
 
 def step(state, multi):
@@ -302,22 +362,12 @@ def step(state, multi):
     if len(multi) < 2:
         raise ValueError("step needs a multiset of size at least 2")
     _settled_below(state, len(multi))
-    f = _assemble_input(state, multi)
+    unit = multi[0] == state.basis.index_of.get((0,) * state.ring.nvars)
+    f = _unit_input(state, multi) if unit else _assemble_input(state, multi)
     if state.inputs is not None:
         state.inputs[multi] = f
-    reduced = reduce_with_witness(state.ring, state.basis, f)
-    u_new = delta(reduced.witness).to_poly()
-    target = 1 - sum(state.t_weights[j] for j in multi)
-    for exps in u_new.nums:
-        if state.ring.degree_of_monomial(exps)[1] != target:
-            raise ArithmeticError(
-                f"u entry for {multi} breaks weight homogeneity"
-            )
-    for name, entry in (
-        ("a", reduced.coefficients),
-        ("lambda", reduced.witness),
-        ("u", u_new),
-    ):
+    entries = _unit_entries(multi) if unit else _reduced_entries(state, multi, f)
+    for name, entry in zip(("a", "lambda", "u"), entries):
         state.table(name)[multi] = entry
         state._index[name].add(multi, entry)
 
@@ -376,8 +426,9 @@ def gamma_partial(gamma):
 
 
 def _by_pair(table):
-    """(alpha, beta, C, 1/C!, entry) for every entry of the table and every
-    ordered pair with the entry's multiset (alpha, beta) + C.
+    """(alpha, beta, C, 1/C!, entry) for every nonvanishing entry of the
+    table and every ordered pair with the entry's multiset (alpha, beta) + C;
+    a vanishing entry is skipped before its counts and scales are computed.
 
     C is a sorted tuple, the series key of t^C; this is the coefficient walk
     shared by every series indexed by a pair of directions. With m_j the
@@ -385,6 +436,8 @@ def _by_pair(table):
     m'_beta the count of beta left once alpha is removed.
     """
     for multi, entry in table.items():
+        if _vanishes(entry):
+            continue
         counts = {j: len(tuple(run)) for j, run in groupby(multi)}
         full = prod(factorial(m) for m in counts.values())
         for alpha, m_alpha in counts.items():
@@ -424,8 +477,7 @@ def lambda_series(state):
     dim = len(state.basis.monomials)
     coeffs = {}
     for alpha, beta, key, scale, lam in _by_pair(state.lam_table):
-        if not lam.is_zero():
-            coeffs.setdefault((alpha, beta), {})[key] = scale * lam
+        coeffs.setdefault((alpha, beta), {})[key] = scale * lam
     return {
         pair: TruncatedSeries.of_checked(dim, state.order - 2, c)
         for pair, c in coeffs.items()

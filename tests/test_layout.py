@@ -5,7 +5,8 @@ A definition that only tests call is a second way to do a job, or dead code.
 The allowlist holds the few names that are public on purpose although no
 other engine code calls them. An `assert` vanishes under `python -O`, so an
 invariant raises an explicit exception instead. Every function the benchmark
-tracer wraps is defined where the tracer looks for it. Only
+tracer wraps is defined where the tracer looks for it, and a module that
+calls one by name binds that very function. Only
 unfolding.check_series calls the series functions, so every check reads the
 series of one build. Every name a module lists in `__all__` is bound there.
 """
@@ -161,6 +162,44 @@ def test_tracer_targets_are_defined():
         if func not in {node.name for node in _definitions(tree)}:
             missing.append(f"{module}.{func}")
     assert missing == []
+
+
+def _called_names(tree):
+    return {
+        node.func.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+
+
+def test_tracer_targets_stay_bound_where_they_are_called():
+    """tracer.install wraps a target at every binding of the function, so a
+    module that calls a target by name must bind that very function, not a
+    copy or a wrapper of its own; otherwise a benchmark span goes empty. The
+    unfolding step and check_fqm2 add Q_f in place through supercomplex.q_f,
+    whose span the benchmark reads on ci22-deep."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracer", ROOT / "bench" / "tracer.py"
+    )
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    called = {
+        path.stem: _called_names(ast.parse(path.read_text()))
+        for path in sorted(SRC.glob("*.py"))
+    }
+    unbound = []
+    for module, func, _ in tracer.TARGETS:
+        target = getattr(importlib.import_module(f"toricff.{module}"), func)
+        for stem, names in called.items():
+            caller = importlib.import_module(f"toricff.{stem}")
+            if func in names and vars(caller).get(func) is not target:
+                unbound.append(f"{stem} calls {module}.{func}")
+    assert unbound == []
+    from toricff import ffverify, supercomplex, unfolding
+
+    for caller in (unfolding, ffverify):
+        assert caller.q_f is supercomplex.q_f
+        assert "q_f" in called[caller.__name__.rsplit(".", 1)[1]]
 
 
 SERIES_FUNCTIONS = {"gamma_series", "gamma_partial", "structure_series", "lambda_series"}

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import P2_RAYS, reference_mul, reference_q, xpoly
 
-from toricff.polyalg import Poly, parse_poly, render_poly
+from toricff.polyalg import LinearSum, Poly, parse_poly, render_poly
 from toricff.supercomplex import (
     FormElement,
     SuperElement,
@@ -432,6 +432,73 @@ def test_partial_rows_are_cached_per_potential(
                 assert _stored(q_f(w, f)) == raw_f
                 assert wedge_df(f, omega) == wedge_df(Poly(f.terms), omega)
             assert twisted_d(omega, ring) == form_d(omega) + wedge_df(fresh_s, omega)
+
+
+def _random_poly(rng, nv, max_terms):
+    """A Poly of up to max_terms terms over Fractions; zero now and then."""
+    return Poly(
+        {
+            tuple(rng.randint(0, 2) for _ in range(nv)): Fraction(
+                rng.randint(-5, 5), rng.randint(1, 4)
+            )
+            for _ in range(rng.randint(0, max_terms))
+        }
+    )
+
+
+def test_in_place_sums_match_materialised_seeded(cubic_ring, p1p1_ring):
+    # add_product and q_f with a LinearSum add into the numerators; the sum
+    # equals the one over the materialised x * y and q_f(w, f).to_poly()
+    rng = random.Random(2203)
+    scales = (0, 1, -3, Fraction(3, 4), Fraction(-5, 6))
+    seen = set()
+    for ring in (cubic_ring, p1p1_ring):
+        nv = ring.nvars
+        for _ in range(40):
+            in_place, materialised = LinearSum(Poly), LinearSum(Poly)
+            for _ in range(rng.randint(1, 6)):
+                scale = rng.choice(scales)
+                if rng.random() < 0.5:
+                    x, y = _random_poly(rng, nv, 3), _random_poly(rng, nv, 3)
+                    in_place.add_product(scale, x, y)
+                    materialised.add(scale, x * y)
+                    seen.add(("zero operand", x.is_zero() or y.is_zero()))
+                else:
+                    # terms with one eta or none: Q_f leaves no odd factor
+                    terms = {}
+                    for _ in range(rng.randint(0, 4)):
+                        exps = tuple(rng.randint(0, 2) for _ in range(nv))
+                        etas = tuple(rng.sample(range(nv), rng.randint(0, 1)))
+                        terms[(exps, etas)] = Fraction(
+                            rng.randint(-5, 5), rng.randint(1, 6)
+                        )
+                    w = SuperElement(terms)
+                    f = ring.S if rng.random() < 0.3 else _random_poly(rng, nv, 3)
+                    q_f(w, f, in_place, scale)
+                    materialised.add(scale, q_f(w, f).to_poly())
+                    seen.add(("even term", any(not e for _, e in w.nums)))
+                seen.add(("zero scale", scale == 0))
+                seen.add(("Fraction scale", isinstance(scale, Fraction)))
+            got, expected = in_place.element(), materialised.element()
+            assert (got.denom, got.nums) == (expected.denom, expected.nums)
+    assert all((kind, True) in seen for kind, _ in seen)
+    # two etas: the contraction keeps an odd factor, so q_f raises like
+    # to_poly and leaves the sum as it was
+    S = cubic_ring.S
+    total = LinearSum(Poly)
+    total.add_product(Fraction(2, 3), S, S)
+    before = (total.denom, dict(total.nums))
+    for scale in (1, 0):
+        with pytest.raises(ValueError):
+            q_f(eta(0) * eta(1), S, total, scale)
+        assert (total.denom, total.nums) == before
+    with pytest.raises(ValueError):
+        q_f(eta(0) * eta(1), S).to_poly()
+    # terms with two etas whose contractions cancel leave no odd factor
+    w = q_f(eta(0) * eta(1) * eta(2), S)
+    assert any(len(etas) == 2 for _, etas in w.nums)
+    q_f(w, S, total, 1)
+    assert (total.denom, total.nums) == before
 
 
 def test_poly_times_super_element_commutes():

@@ -152,6 +152,26 @@ def test_degree_of_monomial(cubic_ring):
     assert cubic_ring.degree_of_monomial((2, 0, 0, 1)) == ((-5,), 2)
 
 
+def test_degree_of_monomial_matches_defining_formula_seeded(
+    cubic_ring, ci22_ring, p1p1_ring
+):
+    rng = random.Random(3035)
+    for ring in (cubic_ring, ci22_ring, p1p1_ring):
+        nv = ring.nvars
+        for _ in range(60):
+            exps = tuple(rng.choice((0, 0, 1, 2, 5)) for _ in range(nv))
+            charge = tuple(
+                sum(ring.var_charges[i][j] * exps[i] for i in range(nv))
+                for j in range(ring.charge_rank)
+            )
+            weight = sum(ring.var_weights[i] * exps[i] for i in range(nv))
+            got = ring.degree_of_monomial(exps)
+            assert got == (charge, weight)
+            assert type(got[0]) is tuple and len(got[0]) == ring.charge_rank
+            assert all(type(v) is int for v in got[0] + (got[1],))
+    assert p1p1_ring.charge_rank == 2
+
+
 def test_fiber_solver_invariants_are_internal_errors(cubic_ring):
     # a broken invariant is a bug: the CLI maps ValueError to an input error
     assert not issubclass(GradingInvariantError, ValueError)

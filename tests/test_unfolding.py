@@ -3,7 +3,7 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations
 
 import pytest
 
@@ -16,7 +16,7 @@ from conftest import (
 )
 
 from toricff.cli import cmd_unfold, ingest_report, parse_problem
-from toricff.jacobired import jacobian_basis
+from toricff.jacobired import jacobian_basis, reduce_with_witness
 from toricff.polyalg import Poly
 from toricff.supercomplex import SuperElement, delta, q_s
 from toricff.toricring import NotCalabiYau, build_cayley_ring
@@ -183,6 +183,84 @@ def test_unit_direction_tables_vanish(cubic_ring, cubic_basis):
         assert state.a_table[multi] == {}
         assert state.lam_table[multi] == SuperElement({})
     assert state.inputs[(1, 1)] == Poly.monomial((2, 2, 2, 2))
+
+
+@pytest.mark.parametrize(
+    "ring, basis, order",
+    [
+        ("k3_ring", "k3_basis", 3),
+        ("p1p1_ring", "p1p1_basis", 4),
+        ("ci22_ring", "ci22_basis", 12),
+    ],
+    ids=["k3", "p1p1", "ci22"],
+)
+def test_unit_direction_closed_form_matches_generic_step(request, ring, basis, order):
+    # step settles a multiset led by the unit direction in closed form; the
+    # dense input and its reduction, on the same lower tables, agree
+    ring, basis = request.getfixturevalue(ring), request.getfixturevalue(basis)
+    state = run(ring, basis, order, debug=True)
+    assert basis.index_of[(0,) * ring.nvars] == 0
+    led = [multi for multi in state.a_table if multi[0] == 0]
+    assert len(led) == sum(
+        len(list(combinations_with_replacement(range(len(basis.monomials)), k - 1)))
+        for k in range(2, order + 1)
+    )
+    for multi in led:
+        f = dense_input(state, multi)
+        assert state.inputs[multi] == f, multi
+        reduced = reduce_with_witness(ring, basis, f)
+        assert state.a_table[multi] == reduced.coefficients, multi
+        assert state.lam_table[multi] == reduced.witness, multi
+        assert state.u_table[multi] == delta(reduced.witness).to_poly(), multi
+
+
+def _direction_images(ring, basis):
+    """For every non-identity permutation of the x variables, the permutation
+    of the directions it induces through basis.index_of."""
+    k, index_of = ring.k, basis.index_of
+    return [
+        tuple(index_of[m[:k] + tuple(m[k + p] for p in perm)] for m in basis.monomials)
+        for perm in permutations(range(ring.r))
+        if list(perm) != sorted(perm)
+    ]
+
+
+def _equivariance_break(a_table, images):
+    """The first (multiset, image) whose a row, carried by the direction
+    permutation image, differs from the row of its image; None if none does."""
+    for image in images:
+        for multi, row in a_table.items():
+            moved = tuple(sorted(image[j] for j in multi))
+            if a_table[moved] != {image[rho]: v for rho, v in row.items()}:
+                return multi, image
+    return None
+
+
+def test_a_table_is_equivariant_under_x_permutations(
+    k3_state3, cubic_ring, cubic_basis
+):
+    # a Fermat potential is invariant under permuting its x variables, and
+    # so is its basis; a does not depend on the witnesses, so it follows
+    cubic_state6 = run(cubic_ring, cubic_basis, 6)
+    for state, count in ((k3_state3, 23), (cubic_state6, 5)):
+        images = _direction_images(state.ring, state.basis)
+        assert len(images) == count
+        assert _equivariance_break(state.a_table, images) is None
+    # negative control: one entry changed in a row whose orbit has more than
+    # one element breaks it
+    images = _direction_images(k3_state3.ring, k3_state3.basis)
+    multi = next(
+        multi
+        for multi, row in sorted(k3_state3.a_table.items())
+        if row
+        and len({tuple(sorted(image[j] for j in multi)) for image in images}) > 1
+    )
+    corrupted = dict(k3_state3.a_table)
+    row = dict(corrupted[multi])
+    rho = min(row)
+    row[rho] += 1
+    corrupted[multi] = row
+    assert _equivariance_break(corrupted, images) is not None
 
 
 def test_table_counts_and_determinism(cubic_ring, cubic_basis):
