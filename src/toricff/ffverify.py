@@ -13,9 +13,9 @@ Every coefficient is compared with ==, which on the int form of polyalg
 compares the stored numerators. The pair cases of check_fqm2, its bulk, add
 the terms of each t-monomial straight into the numerators of one LinearSum
 per side: dGamma_alpha * dGamma_beta through LinearSum.add_product, each
-unordered pair of terms once when alpha == beta, and Q_Gamma(Lambda)
-through q_f with the sum, so no product element is built. Fractions are
-built only for the residual of a failing case.
+unordered pair of terms once when alpha == beta, and Q_S(Lambda) and
+Q_Gamma(Lambda) through q_f with the sum, so no product element is built.
+Fractions are built only for the residual of a failing case.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .supercomplex import (
     SuperElement,
     delta,
     q_f,
-    q_s,
     render_super,
     super_weight,
 )
@@ -161,7 +160,7 @@ def _pair_cases(state, series, dim, trunc):
             lam = series.witnesses.get((alpha, beta))
             if lam is not None:
                 for key, w in lam.coefficients.items():
-                    rhs[key].add(1, q_s(w, ring).to_poly())
+                    q_f(w, ring.S, rhs[key])
                 for key, u, w in gamma.pairings(lam):
                     q_f(w, u, rhs[key])
             yield (

@@ -19,9 +19,8 @@ Elimination is fraction-free. Every stored row and its generator combination
 form one primitive vector of Python ints, with the row's lead at its pivot
 column; a partial of S enters with its int numerators as its row and its
 denominator as its witness scale, both read off the partial's int form
-(polyalg). reduce_with_witness hands each weight component of f over as its
-int numerators; Fractions appear only where reduce_vector emits a residue
-entry and the final combination, and where f's denominator divides them out.
+(polyalg). Fractions appear only where reduce_vector emits a residue entry
+and the final combination, and where a reduction sums those over f.
 
 Most generators of a large piece reduce to zero and add no pivot. Many
 are named in advance by Faugere's F5 criterion: a multiplier divisible by
@@ -43,17 +42,22 @@ generator with its witness. The multiplier monomials come from
 toricring.enumerate_graded_piece, which enumerates each x-fiber once per
 ring.
 
-No piece above weight w* = n-k+1 is built unless a monomial needs it. The
-quotient of a quasi-smooth system vanishes above weight n-k, so every
-monomial m0 of the weight-w* piece reduces to zero there, with witness
-lambda(m0). A monomial m above w* is written m = h * m0 with m0 the first
-monomial of that piece, in descending grevlex, that divides m and reduces
-to zero (JacobianBasis.lift, memoized per monomial). Then h * lambda(m0) is
-a witness for m with zero basis part, exactly: h carries no odd factor, so
-Q_S(h * lambda(m0)) = h * Q_S(lambda(m0)) = h * m0 = m, and h has charge 0
-because m and m0 both sit at the basis charge. A monomial with no such m0,
-on degenerate input or on a polytope without the integer decomposition
-property, is reduced against its own piece, which is built for it.
+Reduction goes one monomial at a time, memoized on the basis
+(JacobianBasis.reduction): reduction is linear, so reducing f is summing
+its coefficients times the reductions of its monomials, and the residue and
+combination of that sum are those of reducing f as one vector. A monomial at
+weight w* = n-k+1 or below is reduced against the piece of its own weight.
+Above w* no piece is built unless a monomial needs it. The quotient of a
+quasi-smooth system vanishes above weight n-k, so every monomial m0 of the
+weight-w* piece reduces to zero there, with witness lambda(m0). A monomial
+m above w* is written m = h * m0 with m0 the first monomial of that piece,
+in descending grevlex, that divides m and reduces to zero. Then
+h * lambda(m0) is a witness for m with zero basis part, exactly: h carries
+no odd factor, so Q_S(h * lambda(m0)) = h * Q_S(lambda(m0)) = h * m0 = m,
+and h has charge 0 because m and m0 both sit at the basis charge. A
+monomial with no such m0, on degenerate input or on a polytope without the
+integer decomposition property, is reduced against its own piece, which is
+built for it.
 """
 
 from __future__ import annotations
@@ -259,7 +263,7 @@ class JacobianBasis:
     dims: tuple
     index_of: dict = field(repr=False)
     _pieces: dict = field(repr=False)
-    _lifts: dict = field(default_factory=dict, repr=False)
+    _reductions: dict = field(default_factory=dict, repr=False)
 
     def piece(self, weight):
         got = self._pieces.get(weight)
@@ -268,31 +272,42 @@ class JacobianBasis:
             self._pieces[weight] = got
         return got
 
-    def lift(self, m):
-        """(h, terms) with m = h * m0, m0 a monomial of the weight
-        max_weight + 1 piece that reduces to zero there, and terms its
-        combination as (mult, i, coeff) per generator mult * dS_i; None
-        where m has no such m0. A monomial of that piece is its own m0;
-        above it, m0 is the first one in descending grevlex that divides
-        m and reduces to zero. Memoized per monomial."""
-        if m not in self._lifts:
-            self._lifts[m] = self._find_lift(m)
-        return self._lifts[m]
-
-    def _find_lift(self, m):
-        piece = self.piece(self.max_weight + 1)
-        col = piece.col_index.get(m)
-        if col is not None:
-            residue, combo = piece.reduce_vector({col: 1})
-            if residue:
-                return None
-            terms = tuple((*piece.generators[g], c) for g, c in combo.items())
-            return (0,) * len(m), terms
-        le = operator.le
-        for m0 in piece.monomials:
-            if all(map(le, m0, m)) and (got := self.lift(m0)) is not None:
-                return tuple(map(operator.sub, m, m0)), got[1]
-        return None
+    def reduction(self, m):
+        """(residue, h, terms) of the monomial m, memoized: m is its
+        residue, a {monomial: Fraction} normal form, plus Q_S of h times the
+        witness of its terms, each term (mult, i, coeff) a generator
+        mult * dS_i. Above weight w* = max_weight + 1, m = h * m0 with m0
+        the first monomial of the weight-w* piece, in descending grevlex,
+        that divides m and reduces to zero, and the terms are those of m0.
+        Otherwise, or with no such m0, h is zero and m is reduced against
+        its own piece. Raises NotCharge0 for m off the basis charge."""
+        got = self._reductions.get(m)
+        if got is not None:
+            return got
+        charge, weight = self.ring.degree_of_monomial(m)
+        if charge != self.charge:
+            raise NotCharge0(
+                f"monomial {m} has charge {charge}, expected {self.charge}"
+            )
+        top = self.max_weight + 1
+        if weight > top:
+            le = operator.le
+            for m0 in self.piece(top).monomials:
+                if all(map(le, m0, m)):
+                    residue, _, terms = self.reduction(m0)
+                    if not residue:
+                        got = residue, tuple(map(operator.sub, m, m0)), terms
+                        break
+        if got is None:
+            piece = self.piece(weight)
+            residue, combo = piece.reduce_vector({piece.col_index[m]: 1})
+            got = (
+                {piece.monomials[col]: c for col, c in residue.items()},
+                (0,) * len(m),
+                tuple((*piece.generators[g], c) for g, c in combo.items()),
+            )
+        self._reductions[m] = got
+        return got
 
 
 def jacobian_basis(ring, allow_non_cy=False):
@@ -342,66 +357,39 @@ class ReductionWitness:
     witness: SuperElement
 
 
-def reduce_with_witness(ring, basis, f):
+def reduce_with_witness(basis, f):
     """Express f as basis combination plus Q_S(lambda), with lambda returned.
 
-    Every monomial of f must sit at the basis charge; the weight components
-    are reduced independently. A component at weight n-k+1 or below is
-    reduced against its piece. Above n-k+1 each monomial m is lifted: with
-    basis.lift(m) = (h, combination of m0), m = h * m0, its witness is
-    h * lambda(m0) and its basis part zero (the module docstring has the
-    proof). The monomials that do not lift are reduced against their own
-    piece; a residue there raises BasisIncomplete. The defining identity is
-    re-verified exactly before returning. A zero f has the zero reduction,
-    which is returned at once.
+    The sum over the monomials m of f of their coefficients times
+    basis.reduction(m): the residues give the basis part, and each
+    monomial's terms, shifted by its h, the witness. A residue left on
+    monomials outside the basis raises BasisIncomplete at the lowest weight
+    among them; a monomial off the basis charge raises NotCharge0.
+    The defining identity is re-verified exactly before returning. A zero f
+    has the zero reduction, which is returned at once.
     """
     if f.is_zero():
         return ReductionWitness({}, SuperElement({}))
-    by_weight = {}
-    for exps, n in f.nums.items():
-        mcharge, mweight = ring.degree_of_monomial(exps)
-        if mcharge != basis.charge:
-            raise NotCharge0(
-                f"monomial {exps} has charge {mcharge}, expected {basis.charge}"
-            )
-        by_weight.setdefault(mweight, {})[exps] = n
-    # each weight component enters as its int numerators, that is f.denom
-    # times itself, so the residue and the witness are divided by f.denom
-    coefficients = {}
-    lam_terms = {}
-    lifted = {}  # the witness terms of the lifted monomials, summed
-    get, add = lifted.get, operator.add
-    for w in sorted(by_weight):
-        component = by_weight[w]
-        if w > basis.max_weight + 1:
-            rest = {}  # the monomials that do not lift
-            for m, n in component.items():
-                got = basis.lift(m)
-                if got is None:
-                    rest[m] = n
-                    continue
-                h, terms = got
-                for mult, i, coeff in terms:
-                    key = (tuple(map(add, h, mult)), (i,))
-                    lifted[key] = get(key, 0) + n * coeff
-            component = rest
-            if not component:
-                continue
-        piece = basis.piece(w)
-        vec = {piece.col_index[m]: n for m, n in component.items()}
-        residue, combo = piece.reduce_vector(vec)
-        if w <= basis.max_weight:
-            for col, coeff in residue.items():
-                coefficients[basis.index_of[piece.monomials[col]]] = coeff / f.denom
-        elif residue:
-            raise BasisIncomplete(w)
-        for gen_idx, coeff in combo.items():
-            mult, i = piece.generators[gen_idx]
-            lam_terms[(mult, (i,))] = coeff
-    for key, coeff in lifted.items():
-        lam_terms[key] = lam_terms.get(key, 0) + coeff
-    witness = SuperElement(lam_terms) * Fraction(1, f.denom)
-    rebuilt = q_s(witness, ring).to_poly() + Poly(
+    # f enters as its int numerators, that is f.denom times itself, so the
+    # residue and the witness are divided by f.denom
+    residue, lam = {}, {}
+    rget, lget, add = residue.get, lam.get, operator.add
+    for m, n in f.nums.items():
+        res, h, terms = basis.reduction(m)
+        for r, c in res.items():
+            residue[r] = rget(r, 0) + n * c
+        shift = any(h)
+        for mult, i, c in terms:
+            key = (tuple(map(add, h, mult)) if shift else mult, (i,))
+            lam[key] = lget(key, 0) + n * c
+    index_of = basis.index_of
+    stray = [r for r, c in residue.items() if c and r not in index_of]
+    if stray:
+        degree = basis.ring.degree_of_monomial
+        raise BasisIncomplete(min(degree(r)[1] for r in stray))
+    coefficients = {index_of[r]: c / f.denom for r, c in residue.items() if c}
+    witness = SuperElement(lam) * Fraction(1, f.denom)
+    rebuilt = q_s(witness, basis.ring).to_poly() + Poly(
         {basis.monomials[i]: coeff for i, coeff in coefficients.items()}
     )
     if rebuilt != f:

@@ -347,7 +347,7 @@ def _unit_entries(multi):
 
 def _reduced_entries(state, multi, f):
     """(a, lambda, u) of a multiset from the reduction of its input f."""
-    reduced = reduce_with_witness(state.ring, state.basis, f)
+    reduced = reduce_with_witness(state.basis, f)
     u_new = delta(reduced.witness).to_poly()
     target = 1 - sum(state.t_weights[j] for j in multi)
     for exps in u_new.nums:

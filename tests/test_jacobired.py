@@ -108,13 +108,13 @@ def test_non_calabi_yau_quartic_curve():
 
 def test_reduce_basis_idempotent(cubic_ring):
     basis = jacobian_basis(cubic_ring)
-    got = reduce_with_witness(cubic_ring, basis, Poly.monomial((1, 1, 1, 1)))
+    got = reduce_with_witness(basis, Poly.monomial((1, 1, 1, 1)))
     assert got.coefficients == {1: 1}
     assert got.witness == SuperElement({})
-    unit = reduce_with_witness(cubic_ring, basis, Poly.monomial((0,) * 4))
+    unit = reduce_with_witness(basis, Poly.monomial((0,) * 4))
     assert unit.coefficients == {0: 1}
     assert unit.witness == SuperElement({})
-    zero = reduce_with_witness(cubic_ring, basis, Poly({}))
+    zero = reduce_with_witness(basis, Poly({}))
     assert zero.coefficients == {}
     assert zero.witness == SuperElement({})
 
@@ -122,7 +122,7 @@ def test_reduce_basis_idempotent(cubic_ring):
 def test_reduce_euler_multiple(cubic_ring):
     basis = jacobian_basis(cubic_ring)
     f = Poly.monomial((0, 1, 0, 0)) * cubic_ring.s_partials[1]
-    got = reduce_with_witness(cubic_ring, basis, f)
+    got = reduce_with_witness(basis, f)
     assert got.coefficients == {}
     assert got.witness == SuperElement({((0, 1, 0, 0), (1,)): Fraction(1)})
 
@@ -130,7 +130,7 @@ def test_reduce_euler_multiple(cubic_ring):
 def test_reduce_square_of_basis_rep(cubic_ring):
     basis = jacobian_basis(cubic_ring)
     f = Poly.monomial((2, 2, 2, 2))
-    got = reduce_with_witness(cubic_ring, basis, f)
+    got = reduce_with_witness(basis, f)
     assert got.coefficients == {}
     assert q_s(got.witness, cubic_ring).to_poly() == f
 
@@ -138,7 +138,7 @@ def test_reduce_square_of_basis_rep(cubic_ring):
 def test_reduce_mixed_weights(cubic_ring):
     basis = jacobian_basis(cubic_ring)
     f = Poly.monomial((0,) * 4) + 3 * Poly.monomial((1, 1, 1, 1))
-    got = reduce_with_witness(cubic_ring, basis, f)
+    got = reduce_with_witness(basis, f)
     assert got.coefficients == {0: 1, 1: 3}
     assert got.witness == SuperElement({})
 
@@ -146,7 +146,7 @@ def test_reduce_mixed_weights(cubic_ring):
 def test_reduce_rejects_wrong_charge(cubic_ring):
     basis = jacobian_basis(cubic_ring)
     with pytest.raises(NotCharge0):
-        reduce_with_witness(cubic_ring, basis, Poly.monomial((0, 1, 0, 0)))
+        reduce_with_witness(basis, Poly.monomial((0, 1, 0, 0)))
 
 
 def degenerate_ring():
@@ -164,7 +164,7 @@ def test_degenerate_basis_incomplete():
     # survives there
     for monomial, weight in (((2, 0, 0, 6), 2), ((3, 0, 0, 9), 3)):
         with pytest.raises(BasisIncomplete) as info:
-            reduce_with_witness(ring, basis, Poly.monomial(monomial))
+            reduce_with_witness(basis, Poly.monomial(monomial))
         assert info.value.weight == weight
 
 
@@ -181,7 +181,7 @@ def test_reduction_identity_seeded(cubic_ring, ci22_ring):
                         for m in rng.sample(monos, min(4, len(monos)))
                     }
                 )
-                got = reduce_with_witness(ring, basis, f)
+                got = reduce_with_witness(basis, f)
                 rebuilt = q_s(got.witness, ring).to_poly()
                 for i, c in got.coefficients.items():
                     rebuilt = rebuilt + Poly.monomial(basis.monomials[i], c)
@@ -195,7 +195,7 @@ def test_reduction_deterministic(cubic_ring):
     first = None
     for _ in range(2):
         basis = jacobian_basis(cubic_ring)
-        got = reduce_with_witness(cubic_ring, basis, f)
+        got = reduce_with_witness(basis, f)
         state = (got.coefficients, tuple(sorted(got.witness.terms.items())))
         if first is None:
             first = state
@@ -548,9 +548,11 @@ def _closes(ring, basis, f, coefficients, witness):
 
 @pytest.mark.parametrize("name", ["k3", "dwork", "degenerate"])
 def test_lift_takes_the_first_divisor_that_reduces_to_zero(request, name):
-    """A monomial m above weight n-k+1 lifts from the first monomial m0 of the
-    weight n-k+1 piece, in descending grevlex, that divides m and reduces to
-    zero there; h * lambda(m0), h = m / m0, closes the identity for m."""
+    """basis.reduction lifts a monomial m above weight n-k+1 from the first
+    monomial m0 of the weight n-k+1 piece, in descending grevlex, that
+    divides m and reduces to zero there: its residue is empty, its terms are
+    those of m0 and h * lambda(m0), h = m / m0, closes the identity for m. A
+    monomial with no such m0 has h = 0 and closes with its own residue."""
     if name == "degenerate":
         ring = degenerate_ring()
     else:
@@ -572,21 +574,122 @@ def test_lift_takes_the_first_divisor_that_reduces_to_zero(request, name):
                 ),
                 None,
             )
-            got = basis.lift(m)
+            got = basis.reduction(m)
+            assert basis.reduction(m) is got  # memoized
+            residue, h, terms = got
             if first is None:
-                assert got is None
+                assert h == (0,) * len(m)
                 unlifted += 1
-                continue
-            h, terms = got
-            assert monomial_mul(h, first) == m
-            assert ring.degree_of_monomial(h) == (basis.charge, extra)
+            else:
+                assert residue == {}
+                assert monomial_mul(h, first) == m
+                assert ring.degree_of_monomial(h) == (basis.charge, extra)
+                assert terms == basis.reduction(first)[2]
+                lifted += 1
             witness = SuperElement(
                 {(monomial_mul(h, mult), (i,)): coeff for mult, i, coeff in terms}
             )
-            assert q_s(witness, ring).to_poly() == Poly.monomial(m)
-            lifted += 1
+            assert q_s(witness, ring).to_poly() + Poly(residue) == Poly.monomial(m)
     assert lifted
     assert (unlifted > 0) == (name == "degenerate")
+
+
+def _reference_reduction(basis, f):
+    """Reference: each weight component of f reduced as one vector against
+    its piece; above weight w* = n-k+1 each monomial m lifted from the first
+    monomial m0 of the weight-w* piece, in descending grevlex, that divides
+    it and reduces to zero, with witness (m / m0) * lambda(m0), and the
+    monomials with no such m0 reduced together against their own piece.
+    Returns (coefficients, witness); raises BasisIncomplete at the lowest
+    weight above n-k that keeps a residue."""
+    ring, top = basis.ring, basis.max_weight + 1
+    lift_piece = basis.piece(top)
+    zero = [
+        m0
+        for m0 in lift_piece.monomials
+        if not lift_piece.reduce_vector({lift_piece.col_index[m0]: 1})[0]
+    ]
+    by_weight = {}
+    for m, coeff in f.terms.items():
+        by_weight.setdefault(ring.degree_of_monomial(m)[1], {})[m] = coeff
+    coefficients, lam = {}, {}
+
+    def add_combination(piece, combo, h):
+        for g, coeff in combo.items():
+            mult, i = piece.generators[g]
+            key = (monomial_mul(h, mult), (i,))
+            lam[key] = lam.get(key, 0) + coeff
+
+    for w in sorted(by_weight):
+        component = by_weight[w]
+        if w > top:
+            rest = {}
+            for m, coeff in component.items():
+                m0 = next((m0 for m0 in zero if all(map(int.__le__, m0, m))), None)
+                if m0 is None:
+                    rest[m] = coeff
+                    continue
+                h = tuple(a - b for a, b in zip(m, m0))
+                _, combo = lift_piece.reduce_vector({lift_piece.col_index[m0]: coeff})
+                add_combination(lift_piece, combo, h)
+            component = rest
+            if not component:
+                continue
+        piece = basis.piece(w)
+        residue, combo = piece.reduce_vector(
+            {piece.col_index[m]: coeff for m, coeff in component.items()}
+        )
+        if residue and w > basis.max_weight:
+            raise BasisIncomplete(w)
+        for col, coeff in residue.items():
+            coefficients[basis.index_of[piece.monomials[col]]] = coeff
+        add_combination(piece, combo, (0,) * ring.nvars)
+    return coefficients, SuperElement(lam)
+
+
+@pytest.mark.parametrize("name", ["k3", "dwork", "ci22", "degenerate"])
+def test_monomial_reductions_sum_to_the_vector_reduction(request, name):
+    """reduce_with_witness, summing memoized per-monomial reductions, gives
+    the coefficients and witness of reducing each weight component as one
+    vector with the lift above n-k+1, and raises BasisIncomplete at the
+    same weight, on seeded polynomials over every weight up to n-k+3."""
+    if name == "degenerate":
+        ring = degenerate_ring()
+    else:
+        ring = request.getfixturevalue(name + "_ring")
+    basis = jacobian_basis(ring)
+    top = basis.max_weight + 1
+    monos = {
+        w: enumerate_graded_piece(ring, (basis.charge, w)) for w in range(top + 3)
+    }
+    rng = random.Random(f"reduction/{name}")
+    raised = Counter()
+    for case in range(8):
+        # every other case leaves out weight w*, so that a residue above it
+        # can be the lowest one
+        weights = [w for w in monos if w != top or case % 2 == 0]
+        f = Poly(
+            {
+                m: Fraction(rng.choice((-1, 1)) * rng.randint(1, 6), rng.randint(1, 3))
+                for w in weights
+                for m in rng.sample(monos[w], min(3, len(monos[w])))
+            }
+        )
+        try:
+            expected = _reference_reduction(basis, f)
+        except BasisIncomplete as error:
+            with pytest.raises(BasisIncomplete) as info:
+                reduce_with_witness(basis, f)
+            assert info.value.weight == error.weight
+            raised[error.weight] += 1
+            continue
+        got = reduce_with_witness(basis, f)
+        assert (got.coefficients, got.witness) == expected
+        assert got.witness.nums  # the reduction is not trivial
+    if name == "degenerate":
+        assert set(raised) == {2, 3}
+    else:
+        assert not raised
 
 
 def test_run_builds_no_piece_above_lift_weight(monkeypatch, k3_ring):

@@ -13,6 +13,7 @@ from conftest import (
     fermat,
     scanned_lambda_series,
     scanned_structure_series,
+    xpoly,
 )
 
 from toricff.cli import cmd_unfold, ingest_report, parse_problem
@@ -208,21 +209,32 @@ def test_unit_direction_closed_form_matches_generic_step(request, ring, basis, o
     for multi in led:
         f = dense_input(state, multi)
         assert state.inputs[multi] == f, multi
-        reduced = reduce_with_witness(ring, basis, f)
+        reduced = reduce_with_witness(basis, f)
         assert state.a_table[multi] == reduced.coefficients, multi
         assert state.lam_table[multi] == reduced.witness, multi
         assert state.u_table[multi] == delta(reduced.witness).to_poly(), multi
 
 
-def _direction_images(ring, basis):
-    """For every non-identity permutation of the x variables, the permutation
-    of the directions it induces through basis.index_of."""
+def _direction_images(ring, basis, moved=None):
+    """For every non-identity permutation of the x variables in moved (all
+    of them by default), the permutation of the directions it induces
+    through basis.index_of."""
     k, index_of = ring.k, basis.index_of
-    return [
-        tuple(index_of[m[:k] + tuple(m[k + p] for p in perm)] for m in basis.monomials)
-        for perm in permutations(range(ring.r))
-        if list(perm) != sorted(perm)
-    ]
+    moved = tuple(range(ring.r)) if moved is None else moved
+    images = []
+    for perm in permutations(moved):
+        if perm == moved:
+            continue
+        source = list(range(ring.r))
+        for j, p in zip(moved, perm):
+            source[j] = p
+        images.append(
+            tuple(
+                index_of[m[:k] + tuple(m[k + p] for p in source)]
+                for m in basis.monomials
+            )
+        )
+    return images
 
 
 def _equivariance_break(a_table, images):
@@ -236,31 +248,48 @@ def _equivariance_break(a_table, images):
     return None
 
 
+# the Fermat sextic K3 in P(1,1,1,3): x4 has weight 3, so only x1..x3 move
+P1113_RAYS = ((1, 0, 0), (0, 1, 0), (-1, -1, -3), (0, 0, 1))
+SEXTIC_K3 = xpoly(
+    4, {(6, 0, 0, 0): 1, (0, 6, 0, 0): 1, (0, 0, 6, 0): 1, (0, 0, 0, 2): 1}
+)
+
+
 def test_a_table_is_equivariant_under_x_permutations(
     k3_state3, cubic_ring, cubic_basis
 ):
-    # a Fermat potential is invariant under permuting its x variables, and
-    # so is its basis; a does not depend on the witnesses, so it follows
+    # a Fermat potential is invariant under permuting its x variables of one
+    # weight, and so is its basis; a does not depend on the witnesses, so it
+    # follows
     cubic_state6 = run(cubic_ring, cubic_basis, 6)
-    for state, count in ((k3_state3, 23), (cubic_state6, 5)):
-        images = _direction_images(state.ring, state.basis)
+    sextic_ring = build_cayley_ring(P1113_RAYS, [SEXTIC_K3])
+    assert sextic_ring.grading.ray_charges == ((1,), (1,), (1,), (3,))
+    sextic_state2 = run(sextic_ring, jacobian_basis(sextic_ring), 2)
+    for state, moved, count, moving in (
+        (k3_state3, None, 23, 23),
+        (cubic_state6, None, 5, 0),  # the cubic's basis is fixed by all
+        (sextic_state2, (0, 1, 2), 5, 5),
+    ):
+        images = _direction_images(state.ring, state.basis, moved)
         assert len(images) == count
+        identity = tuple(range(len(state.basis.monomials)))
+        assert sum(image != identity for image in images) == moving
         assert _equivariance_break(state.a_table, images) is None
-    # negative control: one entry changed in a row whose orbit has more than
-    # one element breaks it
-    images = _direction_images(k3_state3.ring, k3_state3.basis)
-    multi = next(
-        multi
-        for multi, row in sorted(k3_state3.a_table.items())
-        if row
-        and len({tuple(sorted(image[j] for j in multi)) for image in images}) > 1
-    )
-    corrupted = dict(k3_state3.a_table)
-    row = dict(corrupted[multi])
-    rho = min(row)
-    row[rho] += 1
-    corrupted[multi] = row
-    assert _equivariance_break(corrupted, images) is not None
+        if not moving:
+            continue
+        # negative control: one entry changed in a row whose orbit has more
+        # than one element breaks it
+        multi = next(
+            multi
+            for multi, row in sorted(state.a_table.items())
+            if row
+            and len({tuple(sorted(image[j] for j in multi)) for image in images}) > 1
+        )
+        corrupted = dict(state.a_table)
+        row = dict(corrupted[multi])
+        row[min(row)] += 1
+        corrupted[multi] = row
+        assert _equivariance_break(corrupted, images) is not None
 
 
 def test_table_counts_and_determinism(cubic_ring, cubic_basis):
