@@ -31,16 +31,17 @@ Such a generator keeps its index, but its row is never built. The
 criterion relies on that order: partials in turn, multipliers in
 descending grevlex. It is tested as stated, each multiplier against the
 trails of the partials before it, exponent by exponent, so no multiple is
-enumerated and no x-fiber is read for the test. Of the generators left,
-ideal_piece first reduces a copy of each row alone, dividing out only the
-row's own content, and only once its lead outgrows a machine word. That
-row is a nonzero multiple of the one reduced with its witness at every
-step, so it reaches zero exactly when the full reduction does; only a
-generator whose row does not is reduced again with its witness and stored.
-Pivots, witnesses and generator indices are those of reducing every
-generator with its witness. The multiplier monomials come from
-toricring.enumerate_graded_piece, which enumerates each x-fiber once per
-ring.
+enumerated and no x-fiber is read for the test. One elimination loop,
+_reduce_lead, serves every reduction: it cancels leading pivot columns,
+carries a witness when given one, and divides the content out only once a
+lead outgrows a machine word. Of the generators left, ideal_piece first
+reduces a copy of each row without a witness; the row is a nonzero
+multiple of the one reduced with it, so it reaches zero exactly when that
+does. Only a generator whose row does not is reduced again with its
+witness, divided by its content and stored. Pivots, witnesses and
+generator indices are those of reducing every generator with its witness.
+The multiplier monomials come from toricring.enumerate_graded_piece, which
+enumerates each x-fiber once per ring.
 
 Reduction goes one monomial at a time, memoized on the basis
 (JacobianBasis.reduction): reduction is linear, so reducing f is summing
@@ -69,7 +70,7 @@ from math import gcd
 
 from .polyalg import Poly, _cleared, grevlex_key
 from .supercomplex import SuperElement, q_s
-from .toricring import NotCalabiYau, enumerate_graded_piece, is_calabi_yau
+from .toricring import InvalidInput, NotCalabiYau, enumerate_graded_piece, is_calabi_yau
 
 
 class NotCharge0(Exception):
@@ -97,13 +98,18 @@ def _axpy(p, dst, c, src):
             del dst[key]
 
 
-def _reduce_lead(row, wit, pivots):
-    """Cancel the leading pivot columns of row, carrying wit along.
+def _reduce_lead(row, pivots, wit=None):
+    """Cancel the leading pivot columns of row, carrying wit along if given.
 
     Each step is fraction-free: row := (p/g)*row - (c/g)*pivot with p the
-    pivot's lead, c the row's and g = gcd(p, c); then the content shared by
-    row and wit is divided out. Returns the first leading column with no
-    pivot, or None once row is zero.
+    pivot's lead, c the row's and g = gcd(p, c), and wit takes the same
+    step against the pivot's witness. The content of row and wit is
+    divided out only once a lead outgrows a machine word: on sparse pieces
+    the entries stay small and the gcd would cost more than it saves.
+    Either way row and wit are a positive multiple of the pair that
+    dividing the content at every step would carry, so both meet the same
+    leads and the residue and combination they give are the same. Returns
+    the first leading column with no pivot, or None once row is zero.
     """
     while row:
         lead = min(row)
@@ -115,13 +121,20 @@ def _reduce_lead(row, wit, pivots):
         g = gcd(p, c)
         p, c = p // g, c // g
         _axpy(p, row, c, prow)
-        _axpy(p, wit, c, pwit)
-        g = gcd(*row.values(), *wit.values())
-        if g != 1:
-            for part in (row, wit):
-                for key, value in part.items():
-                    part[key] = value // g
+        if wit is not None:
+            _axpy(p, wit, c, pwit)
+        if c.bit_length() > 62:
+            _divide_content(row, wit or {})
     return None
+
+
+def _divide_content(row, wit):
+    """Divide the content shared by row and wit out of both, in place."""
+    g = gcd(*row.values(), *wit.values())
+    if g > 1:
+        for part in (row, wit):
+            for key, value in part.items():
+                part[key] = value // g
 
 
 @dataclass(eq=False)
@@ -130,7 +143,9 @@ class GradedIdealPiece:
 
     pivots maps each pivot column to (row, wit): an echelon row of ints with
     lead row[col], not back-substituted, equal to the combination wit of the
-    generators as given. row and wit together have content 1.
+    generators as given. row and wit together have content 1, divided out
+    once as the pivot is stored; reduce_vector reduces against them with
+    the same loop, _reduce_lead, that built them.
     """
 
     charge: tuple
@@ -152,37 +167,10 @@ class GradedIdealPiece:
         # generator -1 is the input itself, so wit[-1] tracks the running scale
         wit = {-1: 1}
         residue = {}
-        while (lead := _reduce_lead(row, wit, self.pivots)) is not None:
+        while (lead := _reduce_lead(row, self.pivots, wit)) is not None:
             residue[lead] = Fraction(row.pop(lead), denom * wit[-1])
         scale = -denom * wit.pop(-1)  # wit was subtracted
         return residue, {g: Fraction(v, scale) for g, v in wit.items()}
-
-
-def _reaches_zero(row, pivots):
-    """Whether row reduces to zero against pivots; row is consumed.
-
-    The steps are those of _reduce_lead with no witness, and only the row's
-    own content is divided out, so at every step the row is a nonzero
-    multiple of the one _reduce_lead carries: both meet the same leads and
-    reach zero together. Since any such multiple will do, the content is
-    divided out only once a lead outgrows a machine word; on sparse pieces
-    the entries stay small and the gcd would cost more than it saves.
-    """
-    while row:
-        lead = min(row)
-        hit = pivots.get(lead)
-        if hit is None:
-            return False
-        prow = hit[0]
-        p, c = prow[lead], row[lead]
-        g = gcd(p, c)
-        _axpy(p // g, row, c // g, prow)
-        if c.bit_length() > 62:
-            g = gcd(*row.values())
-            if g != 1:
-                for key, value in row.items():
-                    row[key] = value // g
-    return True
 
 
 def ideal_piece(ring, charge, weight):
@@ -233,9 +221,11 @@ def ideal_piece(ring, charge, weight):
                     break  # Koszul redundant
             else:
                 row = {col_index[tuple(map(add, mult, e))]: n for e, n in items}
-                if not _reaches_zero(dict(row), pivots):
+                if _reduce_lead(dict(row), pivots) is not None:
                     wit = {index: part.denom}
-                    pivots[_reduce_lead(row, wit, pivots)] = (row, wit)
+                    lead = _reduce_lead(row, pivots, wit)
+                    _divide_content(row, wit)
+                    pivots[lead] = (row, wit)
         trails.append(min(part.nums, key=grevlex_key))
     # columns run in descending grevlex order
     standard = tuple(m for c, m in enumerate(monomials) if c not in pivots)[::-1]
@@ -314,8 +304,14 @@ def jacobian_basis(ring, allow_non_cy=False):
     """Quotient basis at the anticanonical charge, weights 0..n-k.
 
     The quotient of a quasi-smooth system is concentrated in that weight
-    range.
+    range. More hypersurfaces than dimensions (k > n) leave no weight and
+    raise InvalidInput.
     """
+    if ring.k > ring.n:
+        raise InvalidInput(
+            f"{ring.k} hypersurfaces in dimension {ring.n}: "
+            "at most one per dimension"
+        )
     if not allow_non_cy and not is_calabi_yau(ring):
         raise NotCalabiYau(
             f"anticanonical charge {ring.c_B} is nonzero; "

@@ -10,13 +10,14 @@ coefficient at a key being nums[key] / denom. The form is canonical: denom
 is positive, no zero numerator is stored and gcd(denom, *nums) == 1, so ==
 and hash compare the stored ints. Every kernel runs on that form and builds
 no Fraction: the products, the linear combination (LinearSum, which the sum
-and difference of elements drive), the partials and, in supercomplex, delta
-and the Q contraction. The hot sums add products and Q contractions straight
-into a LinearSum's numerators (LinearSum.add_product, supercomplex.q_f),
-building no product element. Fractions enter through the constructor, which
-clears them with _cleared, the one denominator-clearing helper of the
-package, and leave through the terms view, a new dict of Fractions, which
-rendering and the tests read.
+and difference of elements drive, and through add_product the product of
+two Polys), the partials and, in supercomplex, delta and the Q contraction.
+The hot sums add products and Q contractions straight into a LinearSum's
+numerators (LinearSum.add_product, supercomplex.q_f), building no product
+element. Fractions enter through the constructor, which clears them with
+_cleared, the one denominator-clearing helper of the package, and leave
+through the terms view, a new dict of Fractions, which rendering and the
+tests read.
 """
 
 from __future__ import annotations
@@ -215,13 +216,9 @@ class Poly(_SparseTerms):
     def _times(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        out = {}
-        get, add = out.get, operator.add
-        for e1, c1 in self.nums.items():
-            for e2, c2 in other.nums.items():
-                key = tuple(map(add, e1, e2))  # monomial_mul, inlined: hot loop
-                out[key] = get(key, 0) + c1 * c2
-        return Poly.from_nums(self.denom * other.denom, out)
+        product = LinearSum(Poly)
+        product.add_product(1, self, other)
+        return product.element()
 
     def partial(self, i):
         out = {}

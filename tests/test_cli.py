@@ -297,6 +297,35 @@ def test_basis_non_cy_guard(tmp_path, capsys):
     assert "dims = 3 3" in out
 
 
+# two linear hypersurfaces on P1: more hypersurfaces than dimensions
+TOO_MANY_HYPERSURFACES_PROBLEM = """\
+rays = (1) (-1)
+hypersurface = 1 (1,0) + 1 (0,1)
+hypersurface = 1 (1,0) + 2 (0,1)
+order = 2
+"""
+
+
+@pytest.mark.parametrize(
+    "command, code", [("grading", 0), ("basis", 2), ("unfold", 2)]
+)
+def test_more_hypersurfaces_than_dimensions(tmp_path, capsys, command, code):
+    """k > n leaves no quotient weight: the grading is still defined, but
+    basis and unfold reject the input instead of failing inside the engine."""
+    path = problem_path(tmp_path, TOO_MANY_HYPERSURFACES_PROBLEM)
+    assert main([command, path]) == code
+    captured = capsys.readouterr()
+    if code == 2:
+        assert captured.err == (
+            "error: InvalidInput: 2 hypersurfaces in dimension 1: "
+            "at most one per dimension\n"
+        )
+        assert captured.out == ""
+    else:
+        assert "calabi-yau = yes" in captured.out
+        assert captured.err == ""
+
+
 def test_unfold_cubic_report(tmp_path, capsys):
     out_file = tmp_path / "report.txt"
     code = main(

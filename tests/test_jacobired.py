@@ -20,7 +20,6 @@ from toricff import jacobired
 from toricff.jacobired import (
     BasisIncomplete,
     NotCharge0,
-    _reduce_lead,
     ideal_piece,
     jacobian_basis,
     reduce_with_witness,
@@ -329,6 +328,7 @@ def dense_k3_ring():
         ("dwork", (2, 3)),
         ("p1p1", (1, 2)),
         ("rational_hesse", (1, 2, 3)),
+        ("wide_hesse", (2, 3)),
     ],
 )
 def test_echelon_reduction_matches_rref_reference(request, name, weights):
@@ -414,9 +414,32 @@ def cy33_ring():
     return build_cayley_ring(P5_RAYS, cubics)
 
 
+def _reduce_lead_every_step(row, wit, pivots):
+    """Reference: cancel the leading pivot columns of row, carrying wit, and
+    divide the content of row and wit out after every step. Returns the
+    first leading column with no pivot, or None once row is zero."""
+    while row:
+        lead = min(row)
+        if lead not in pivots:
+            return lead
+        prow, pwit = pivots[lead]
+        g = gcd(prow[lead], row[lead])
+        p, c = prow[lead] // g, row[lead] // g
+        for part, src in ((row, prow), (wit, pwit)):
+            for key in part:
+                part[key] *= p
+            _axpy(part, src, -c)
+        content = gcd(*row.values(), *wit.values())
+        for part in (row, wit):
+            for key in part:
+                part[key] //= content
+    return None
+
+
 def _echelon_every_generator(ring, charge, weight):
     """Reference: reduce every generator with its witness, in the engine's
-    generator order, and keep the rows that do not reach zero."""
+    generator order, dividing the content out at every step, and keep the
+    rows that do not reach zero."""
     monomials = enumerate_graded_piece(ring, (charge, weight))
     col_index = {m: c for c, m in enumerate(monomials)}
     generators = []
@@ -433,7 +456,7 @@ def _echelon_every_generator(ring, charge, weight):
             row = {col_index[monomial_mul(mult, e)]: n for e, n in part.nums.items()}
             wit = {len(generators): part.denom}
             generators.append((mult, i))
-            lead = _reduce_lead(row, wit, pivots)
+            lead = _reduce_lead_every_step(row, wit, pivots)
             if lead is not None:
                 pivots[lead] = (row, wit)
     standard = [m for c, m in enumerate(monomials) if c not in pivots]
@@ -454,9 +477,11 @@ def _echelon_every_generator(ring, charge, weight):
     ],
 )
 def test_witness_free_test_keeps_the_echelon_form(request, name, weights):
-    """Generators whose rows reach zero, tested without a witness, leave
-    every pivot, witness, generator and standard monomial as reducing each
-    generator with its witness does."""
+    """ideal_piece's pivots, witnesses, generators and standard monomials
+    are those of reducing every generator with its witness and dividing
+    the content out at every step: neither the witness-free zero test nor
+    dividing the content only past a machine word and once per stored pivot
+    changes them."""
     ring = request.getfixturevalue(name + "_ring")
     skipped = 0
     for w in weights:
@@ -489,16 +514,18 @@ def test_koszul_skipped_generators_reach_zero(request, monkeypatch, name, weight
     """ideal_piece builds a row for exactly the generators whose multiplier
     no grevlex-least monomial (trail) of an earlier partial divides, and
     each skipped row, built here, reduces to zero against the pivots of the
-    generators before it."""
+    generators before it. The built rows are those ideal_piece hands to
+    its witness-free zero test."""
     ring = request.getfixturevalue(name + "_ring")
-    reaches_zero = jacobired._reaches_zero
+    reduce_lead = jacobired._reduce_lead
     built = []
 
-    def recording(row, pivots):
-        built.append(dict(row))
-        return reaches_zero(row, pivots)
+    def recording(row, pivots, wit=None):
+        if wit is None:
+            built.append(dict(row))
+        return reduce_lead(row, pivots, wit)
 
-    monkeypatch.setattr(jacobired, "_reaches_zero", recording)
+    monkeypatch.setattr(jacobired, "_reduce_lead", recording)
     skipped = 0
     for w in weights:
         built.clear()
@@ -525,7 +552,7 @@ def test_koszul_skipped_generators_reach_zero(request, monkeypatch, name, weight
                 redundant = any(all(map(int.__ge__, mult, t)) for t in trails)
                 if not redundant:
                     rows.append(dict(row))
-                lead = _reduce_lead(row, wit, pivots)
+                lead = _reduce_lead_every_step(row, wit, pivots)
                 if redundant:
                     assert lead is None, (mult, i)
                     skipped += 1
