@@ -22,26 +22,36 @@ denominator as its witness scale, both read off the partial's int form
 (polyalg). Fractions appear only where reduce_vector emits a residue entry
 and the final combination, and where a reduction sums those over f.
 
-Most generators of a large piece reduce to zero and add no pivot. Many
-are named in advance by Faugere's F5 criterion: a multiplier divisible by
-the grevlex-least monomial t_j of an earlier partial dS_j gives a row that
-the trivial Koszul syzygy dS_j * dS_i = dS_i * dS_j writes over rows that
-come earlier in the fixed generator order (ideal_piece gives the proof).
-Such a generator keeps its index, but its row is never built. The
-criterion relies on that order: partials in turn, multipliers in
-descending grevlex. It is tested as stated, each multiplier against the
-trails of the partials before it, exponent by exponent, so no multiple is
-enumerated and no x-fiber is read for the test. One elimination loop,
+Most generators of a large piece reduce to zero and add no pivot. Many are
+named in advance, by Faugere's F5 criterion and by the syzygies earlier
+pieces revealed, as Matrix-F5 learns them: the ring keeps, per partial
+dS_i, a list of syzygy leads (CayleyRing._syzygies). It starts with the
+grevlex-least monomials (trails) of the partials before dS_i, the Koszul
+syzygies dS_j * dS_i = dS_i * dS_j, and gains the multiplier of every
+generator mult * dS_i whose row reached zero in a piece. A generator whose
+multiplier one of these leads divides has a row that lies in the span of
+the rows built before it (ideal_piece gives the proof). Such a generator
+keeps its index, but its row is never built. The criterion relies on the
+fixed order: partials in turn, multipliers in descending grevlex. It is
+tested exponent by exponent, so no multiple is enumerated.
+
+ideal_piece runs in two passes. The pivot pass reduces each row left
+without a witness and keeps the ones that do not reach zero, divided by
+their content; it gives the rank, the standard monomials and the indices
+of the pivot generators, and its rows are dropped. The witness pass runs
+on the first read of GradedIdealPiece.pivots, as the first reduction
+against the piece: it rebuilds only the pivot generators and reduces each
+with its witness against the pivots before it, then divides by the
+content and stores it. A row reduced without its witness is a nonzero
+multiple of the one reduced with it at every step, so both passes meet
+the same leads. Pivots, witnesses and generator indices are those of
+reducing every generator with its witness. One elimination loop,
 _reduce_lead, serves every reduction: it cancels leading pivot columns,
 carries a witness when given one, and divides the content out only once a
-lead outgrows a machine word. Of the generators left, ideal_piece first
-reduces a copy of each row without a witness; the row is a nonzero
-multiple of the one reduced with it, so it reaches zero exactly when that
-does. Only a generator whose row does not is reduced again with its
-witness, divided by its content and stored. Pivots, witnesses and
-generator indices are those of reducing every generator with its witness.
-The multiplier monomials come from toricring.enumerate_graded_piece, which
-enumerates each x-fiber once per ring.
+lead outgrows a machine word. The multiplier monomials come from
+toricring.enumerate_graded_piece, which enumerates each x-fiber once per
+ring, and a piece keeps them as its generators, one cached list per
+partial, until the generator tuple is read.
 
 Reduction goes one monomial at a time, memoized on the basis
 (JacobianBasis.reduction): reduction is linear, so reducing f is summing
@@ -65,6 +75,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from math import gcd
 
@@ -137,25 +148,58 @@ def _divide_content(row, wit):
                 part[key] = value // g
 
 
+def _generator_row(col_index, mult, items):
+    """The row of mult * dS_i over the columns, items the partial's numerators."""
+    add = operator.add
+    return {col_index[tuple(map(add, mult, e))]: n for e, n in items}
+
+
 @dataclass(eq=False)
 class GradedIdealPiece:
     """One graded piece, its echelonized generators, and the quotient data.
 
-    pivots maps each pivot column to (row, wit): an echelon row of ints with
-    lead row[col], not back-substituted, equal to the combination wit of the
-    generators as given. row and wit together have content 1, divided out
-    once as the pivot is stored; reduce_vector reduces against them with
-    the same loop, _reduce_lead, that built them.
+    rank, standard_monomials and pivot_generators (the generator indices of
+    the pivots, ascending) come from the pivot pass of ideal_piece. blocks
+    holds, per partial dS_i in the fixed order, (i, multipliers), the list
+    enumerate_graded_piece caches; generators is built from them on first
+    read. pivots maps each pivot column to (row, wit): an echelon row of
+    ints with lead row[col], not back-substituted, equal to the combination
+    wit of the generators as given. The witness pass builds it on first
+    read. row and wit together have content 1, divided out once as the
+    pivot is stored; reduce_vector reduces against them with the same loop,
+    _reduce_lead, that built them.
     """
 
     charge: tuple
     weight: int
     monomials: tuple
-    generators: tuple
     rank: int
     standard_monomials: tuple
     col_index: dict = field(repr=False)
-    pivots: dict = field(repr=False)
+    partials: tuple = field(repr=False)
+    blocks: tuple = field(repr=False)
+    pivot_generators: tuple = field(repr=False)
+
+    @cached_property
+    def generators(self):
+        """(mult, i) per generator mult * dS_i, in the fixed order."""
+        return tuple((mult, i) for i, mults in self.blocks for mult in mults)
+
+    @cached_property
+    def pivots(self):
+        """The witness pass: each pivot generator, in order, reduced with its
+        witness against the pivots before it and divided by its content."""
+        pivots = {}
+        generators = self.generators
+        for g in self.pivot_generators:
+            mult, i = generators[g]
+            part = self.partials[i]
+            row = _generator_row(self.col_index, mult, part.nums.items())
+            wit = {g: part.denom}
+            lead = _reduce_lead(row, pivots, wit)
+            _divide_content(row, wit)
+            pivots[lead] = (row, wit)
+        return pivots
 
     def reduce_vector(self, vec):
         """Reduce a column vector; returns (residue, generator combination).
@@ -163,39 +207,63 @@ class GradedIdealPiece:
         The input is sum(residue) over standard columns plus the combination
         of original generators, both as the reduced row echelon form gives.
         """
+        pivots = self.pivots
         denom, row = _cleared(vec)
         # generator -1 is the input itself, so wit[-1] tracks the running scale
         wit = {-1: 1}
         residue = {}
-        while (lead := _reduce_lead(row, self.pivots, wit)) is not None:
+        while (lead := _reduce_lead(row, pivots, wit)) is not None:
             residue[lead] = Fraction(row.pop(lead), denom * wit[-1])
         scale = -denom * wit.pop(-1)  # wit was subtracted
         return residue, {g: Fraction(v, scale) for g, v in wit.items()}
 
 
 def ideal_piece(ring, charge, weight):
-    """Echelonize the Jacobian ideal in degree (charge, weight).
+    """Echelonize the Jacobian ideal in degree (charge, weight): the pivot
+    pass. The witnesses are left to the first read of the piece's pivots.
 
-    A generator mult * dS_i whose multiplier is divisible by the trail
-    (grevlex-least monomial) t_j of an earlier partial dS_j is Koszul
-    redundant: with mult = m * t_j, the syzygy dS_j * dS_i = dS_i * dS_j
-    writes its row, times the coefficient of t_j, as the rows of
-    (m * s) * dS_j over the monomials s of dS_i minus those of
-    (m * t') * dS_i over the other monomials t' of dS_j. Each of those is
-    an earlier generator in the fixed order: every multiplier of dS_j comes
-    before those of dS_i, and m * t' is grevlex-larger than mult. By
-    induction the row lies in the span of the rows built before it, so the
-    generator keeps its index but no row is built, and the pivots are those
-    of reducing every generator.
+    A generator mult * dS_i is skipped when a lead t in ring._syzygies[i]
+    divides mult. Its row then lies in the span of the rows of the
+    generators before it in the fixed order. A lead is one of two kinds.
+
+    A trail (grevlex-least monomial) t_j of an earlier partial dS_j: with
+    mult = m * t_j, the Koszul syzygy dS_j * dS_i = dS_i * dS_j writes the
+    row, times the coefficient of t_j, as the rows of (m * s) * dS_j over
+    the monomials s of dS_i minus those of (m * t') * dS_i over the other
+    monomials t' of dS_j. Every multiplier of dS_j comes before those of
+    dS_i, and m * t' is grevlex-larger than mult.
+
+    A learned lead m0: the row of m0 * dS_i reached zero in an earlier
+    piece, so m0 * dS_i is a combination of generators before it there.
+    With mult = t * m0, multiplying that combination by t writes
+    mult * dS_i over generators of this piece that come before it: each is
+    of a partial before dS_i, or of dS_i with a multiplier grevlex-larger
+    than mult, since grevlex is multiplicative.
+
+    Either way, by induction over the generators, the skipped row lies in
+    the span of the rows built before it, so the generator keeps its index
+    but no row is built, and the pivots are those of reducing every
+    generator. Each partial's list then gains the multiplier of every row
+    of that partial built here that reached zero.
     """
     charge = tuple(charge)
     monomials = tuple(enumerate_graded_piece(ring, (charge, weight)))
     col_index = {m: i for i, m in enumerate(monomials)}
-    generators = []
-    pivots = {}
-    trails = []
-    add, le = operator.add, operator.le
     order = list(range(ring.k, ring.nvars)) + list(range(ring.k))
+    syzygies = ring._syzygies
+    if not syzygies:
+        # each partial starts with the trails of the partials before it
+        trails = []
+        for i in order:
+            part = ring.s_partials[i]
+            if not part.is_zero():
+                syzygies[i] = list(trails)
+                trails.append(min(part.nums, key=grevlex_key))
+    blocks = []
+    rows = {}  # pivot column -> (row, None), rows without their witnesses
+    pivot_generators = []
+    start = 0
+    le = operator.le
     for i in order:
         part = ring.s_partials[i]
         if part.is_zero():
@@ -207,37 +275,40 @@ def ideal_piece(ring, charge, weight):
         )
         if mult_degree[1] < 0:
             continue
+        mults = enumerate_graded_piece(ring, mult_degree)
+        blocks.append((i, mults))
         items = tuple(part.nums.items())
-        # the row is the partial's numerators, its witness its denominator;
-        # a generator whose row reaches zero adds no pivot, so its witness
-        # is never built
-        for mult in enumerate_graded_piece(ring, mult_degree):
-            index = len(generators)
-            generators.append((mult, i))
+        leads = syzygies[i]
+        learned = []
+        for index, mult in enumerate(mults, start):
             # a loop, not any() over a generator expression: building a
             # generator per multiplier made this test 1.6 times slower
-            for t in trails:
+            for t in leads:
                 if all(map(le, t, mult)):
-                    break  # Koszul redundant
+                    break  # a known syzygy
             else:
-                row = {col_index[tuple(map(add, mult, e))]: n for e, n in items}
-                if _reduce_lead(dict(row), pivots) is not None:
-                    wit = {index: part.denom}
-                    lead = _reduce_lead(row, pivots, wit)
-                    _divide_content(row, wit)
-                    pivots[lead] = (row, wit)
-        trails.append(min(part.nums, key=grevlex_key))
+                row = _generator_row(col_index, mult, items)
+                lead = _reduce_lead(row, rows)
+                if lead is None:
+                    learned.append(mult)
+                else:
+                    _divide_content(row, {})
+                    rows[lead] = (row, None)
+                    pivot_generators.append(index)
+        start += len(mults)
+        leads += learned
     # columns run in descending grevlex order
-    standard = tuple(m for c, m in enumerate(monomials) if c not in pivots)[::-1]
+    standard = tuple(m for c, m in enumerate(monomials) if c not in rows)[::-1]
     return GradedIdealPiece(
         charge=charge,
         weight=weight,
         monomials=monomials,
-        generators=tuple(generators),
-        rank=len(pivots),
+        rank=len(rows),
         standard_monomials=standard,
         col_index=col_index,
-        pivots=pivots,
+        partials=ring.s_partials,
+        blocks=tuple(blocks),
+        pivot_generators=tuple(pivot_generators),
     )
 
 

@@ -119,6 +119,9 @@ class CayleyRing:
     _fiber_solver: tuple = field(repr=False, default=())
     _fiber_cache: dict = field(repr=False, default_factory=dict)
     _piece_cache: dict = field(repr=False, default_factory=dict)
+    # per partial dS_i, the known syzygy leads: jacobired.ideal_piece skips
+    # a generator mult * dS_i when one of them divides mult
+    _syzygies: dict = field(repr=False, default_factory=dict)
     _charge_rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):

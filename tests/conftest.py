@@ -2,6 +2,7 @@
 a per-pair table scan that the pair-indexed series are compared against, and
 plain Fraction references for the product kernels and the unfolding input."""
 
+import random
 from fractions import Fraction
 from itertools import product
 from math import comb, factorial, prod
@@ -72,6 +73,14 @@ RATIONAL_HESSE_CUBIC = xpoly(
         (0, 0, 3): Fraction(5, 7),
         (1, 1, 1): Fraction(3, 4),
     },
+)
+
+# the Fermat quartic plus the product of all variables
+DWORK_QUARTIC = fermat(4, 4) + Poly.monomial((1, 1, 1, 1))
+# the Fermat sextic K3 in P(1,1,1,3): x4 has weight 3, so only x1..x3 move
+P1113_RAYS = ((1, 0, 0), (0, 1, 0), (-1, -1, -3), (0, 0, 1))
+SEXTIC_K3 = xpoly(
+    4, {(6, 0, 0, 0): 1, (0, 6, 0, 0): 1, (0, 0, 6, 0): 1, (0, 0, 0, 2): 1}
 )
 
 
@@ -166,6 +175,36 @@ def k3_state3(k3_ring, k3_basis):
     from toricff.unfolding import run
 
     return run(k3_ring, k3_basis, 3)
+
+
+@pytest.fixture(scope="session")
+def dwork_ring():
+    return build_cayley_ring(P3_RAYS, [DWORK_QUARTIC])
+
+
+@pytest.fixture(scope="session")
+def sextic_k3_ring():
+    ring = build_cayley_ring(P1113_RAYS, [SEXTIC_K3])
+    assert ring.grading.ray_charges == ((1,), (1,), (1,), (3,))
+    return ring
+
+
+@pytest.fixture(scope="session")
+def cy33_ring():
+    """A diagonal (3,3) intersection in P5, its ratios a_i/b_i distinct."""
+    rng = random.Random("cy33")
+    first, second, ratios = [], [], set()
+    while len(first) < 6:
+        a, b = rng.randint(1, 9), rng.randint(1, 9)
+        if Fraction(a, b) not in ratios:
+            ratios.add(Fraction(a, b))
+            first.append(a)
+            second.append(b)
+    cubics = [
+        xpoly(6, {tuple(3 * (i == j) for j in range(6)): c for i, c in enumerate(cs)})
+        for cs in (first, second)
+    ]
+    return build_cayley_ring(P5_RAYS, cubics)
 
 
 def pair_scan(table, alpha, beta):

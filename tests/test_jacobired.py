@@ -26,7 +26,7 @@ from toricff.jacobired import (
 )
 from toricff.unfolding import run
 
-from conftest import P2_RAYS, P3_RAYS, P5_RAYS, fermat, xpoly
+from conftest import P2_RAYS, P3_RAYS, fermat, xpoly
 
 
 def test_ideal_piece_cubic_weight1(cubic_ring):
@@ -252,7 +252,6 @@ def _generator_row(ring, piece, gen_idx):
 
 # Fermat plus the product of all variables, so the x partials have two terms
 HESSE_CUBIC = fermat(3, 3) + Poly.monomial((1, 1, 1))
-DWORK_QUARTIC = fermat(4, 4) + Poly.monomial((1, 1, 1, 1))
 # a Hesse-type cubic with coefficients past a machine word, so the rows'
 # leads do too
 WIDE_HESSE_CUBIC = xpoly(
@@ -296,11 +295,6 @@ def _dense_quartic():
 @pytest.fixture(scope="module")
 def hesse_ring():
     return build_cayley_ring(P2_RAYS, [HESSE_CUBIC])
-
-
-@pytest.fixture(scope="module")
-def dwork_ring():
-    return build_cayley_ring(P3_RAYS, [DWORK_QUARTIC])
 
 
 @pytest.fixture(scope="module")
@@ -396,24 +390,6 @@ def test_reduce_vector_edge_cases(request, name, weight):
 
 
 
-@pytest.fixture(scope="module")
-def cy33_ring():
-    """A diagonal (3,3) intersection in P5, its ratios a_i/b_i distinct."""
-    rng = random.Random("cy33")
-    first, second, ratios = [], [], set()
-    while len(first) < 6:
-        a, b = rng.randint(1, 9), rng.randint(1, 9)
-        if Fraction(a, b) not in ratios:
-            ratios.add(Fraction(a, b))
-            first.append(a)
-            second.append(b)
-    cubics = [
-        xpoly(6, {tuple(3 * (i == j) for j in range(6)): c for i, c in enumerate(cs)})
-        for cs in (first, second)
-    ]
-    return build_cayley_ring(P5_RAYS, cubics)
-
-
 def _reduce_lead_every_step(row, wit, pivots):
     """Reference: cancel the leading pivot columns of row, carrying wit, and
     divide the content of row and wit out after every step. Returns the
@@ -479,9 +455,10 @@ def _echelon_every_generator(ring, charge, weight):
 def test_witness_free_test_keeps_the_echelon_form(request, name, weights):
     """ideal_piece's pivots, witnesses, generators and standard monomials
     are those of reducing every generator with its witness and dividing
-    the content out at every step: neither the witness-free zero test nor
-    dividing the content only past a machine word and once per stored pivot
-    changes them."""
+    the content out at every step: neither the witness-free pivot pass,
+    the witness pass over its pivot generators alone, nor dividing the
+    content only past a machine word and once per stored pivot changes
+    them."""
     ring = request.getfixturevalue(name + "_ring")
     skipped = 0
     for w in weights:
@@ -500,6 +477,39 @@ def test_witness_free_test_keeps_the_echelon_form(request, name, weights):
     assert skipped  # some generators did reach zero
 
 
+@pytest.mark.parametrize("name", ["hesse", "cy33"])
+def test_witnesses_wait_for_the_first_reduction(request, monkeypatch, name):
+    """jacobian_basis reduces no row with a witness and builds no generator
+    tuple. The first reduce_vector on a piece runs its witness pass once:
+    one witness reduction per pivot generator, in order. A second runs
+    none."""
+    ring = request.getfixturevalue(name + "_ring")
+    reduce_lead = jacobired._reduce_lead
+    witnessed = []  # the generators a witness starts from, reduce_vector's aside
+
+    def recording(row, pivots, wit=None):
+        if wit is not None and -1 not in wit:
+            witnessed.append(tuple(wit))
+        return reduce_lead(row, pivots, wit)
+
+    monkeypatch.setattr(jacobired, "_reduce_lead", recording)
+    basis = jacobian_basis(ring)
+    assert witnessed == []
+    for w in range(basis.max_weight + 1):
+        piece = basis.piece(w)
+        assert "generators" not in vars(piece) and "pivots" not in vars(piece)
+        for col in (0, len(piece.monomials) - 1):
+            piece.reduce_vector({col: 1})
+            assert witnessed == [(g,) for g in piece.pivot_generators]
+        assert len(piece.pivots) == piece.rank
+        witnessed.clear()
+
+
+# per ring, the generators of its top weight that leads learned in the
+# pieces below skip, the trails aside
+LEARNED_SKIPS = {"p1p1": 6, "sextic": 103, "dense_k3": 31, "cy33": 1348, "quintic": 1}
+
+
 @pytest.mark.parametrize(
     "name, weights",
     [
@@ -512,11 +522,16 @@ def test_witness_free_test_keeps_the_echelon_form(request, name, weights):
 )
 def test_koszul_skipped_generators_reach_zero(request, monkeypatch, name, weights):
     """ideal_piece builds a row for exactly the generators whose multiplier
-    no grevlex-least monomial (trail) of an earlier partial divides, and
-    each skipped row, built here, reduces to zero against the pivots of the
-    generators before it. The built rows are those ideal_piece hands to
-    its witness-free zero test."""
+    no lead in its partial's list divides. A list starts with the trails
+    (grevlex-least monomials) of the partials before it and then gains the
+    multiplier of every built row of its partial that reached zero. Each
+    skipped row, built here, reduces to zero against the pivots of the
+    generators before it. The built rows are those the pivot pass reduces
+    without a witness. Every weight from 0 up is built, as jacobian_basis
+    builds them, on lists that start empty; the given weights are checked."""
     ring = request.getfixturevalue(name + "_ring")
+    # the ring fixtures are shared, and so are their lists
+    monkeypatch.setattr(ring, "_syzygies", {})
     reduce_lead = jacobired._reduce_lead
     built = []
 
@@ -526,22 +541,33 @@ def test_koszul_skipped_generators_reach_zero(request, monkeypatch, name, weight
         return reduce_lead(row, pivots, wit)
 
     monkeypatch.setattr(jacobired, "_reduce_lead", recording)
-    skipped = 0
-    for w in weights:
+    seeds, trails = {}, []
+    for i in [*range(ring.k, ring.nvars), *range(ring.k)]:
+        part = ring.s_partials[i]
+        if not part.is_zero():
+            seeds[i] = list(trails)
+            trails.append(min(part.nums, key=grevlex_key))
+    skipped = Counter()
+    for w in range(max(weights) + 1):
+        if w not in weights:
+            ideal_piece(ring, ring.c_B, w)
+            continue
+        leads = {i: list(known) for i, known in (ring._syzygies or seeds).items()}
+        assert [known[: len(seeds[i])] for i, known in leads.items()] == list(
+            seeds.values()
+        )
         built.clear()
         piece = ideal_piece(ring, ring.c_B, w)
         generators = []
-        rows = []  # the rows of the generators no trail skips, in order
+        rows = []  # the rows of the generators no lead skips, in order
         pivots = {}
-        trails = []
-        for i in [*range(ring.k, ring.nvars), *range(ring.k)]:
+        for i, known in leads.items():
             part = ring.s_partials[i]
-            if part.is_zero():
-                continue
             pcharge, pweight = ring.degree_of_monomial(next(iter(part.nums)))
             if w < pweight:
                 continue
             mult_charge = tuple(a - b for a, b in zip(ring.c_B, pcharge))
+            learned = []
             for mult in enumerate_graded_piece(ring, (mult_charge, w - pweight)):
                 row = {
                     piece.col_index[monomial_mul(mult, e)]: n
@@ -549,20 +575,28 @@ def test_koszul_skipped_generators_reach_zero(request, monkeypatch, name, weight
                 }
                 wit = {len(generators): part.denom}
                 generators.append((mult, i))
-                redundant = any(all(map(int.__ge__, mult, t)) for t in trails)
-                if not redundant:
+                divisors = [
+                    j for j, t in enumerate(known) if all(map(int.__ge__, mult, t))
+                ]
+                if not divisors:
                     rows.append(dict(row))
                 lead = _reduce_lead_every_step(row, wit, pivots)
-                if redundant:
+                if divisors:
                     assert lead is None, (mult, i)
-                    skipped += 1
-                elif lead is not None:
+                    kind = "trail" if divisors[0] < len(seeds[i]) else "learned"
+                    skipped[kind, w] += 1
+                elif lead is None:
+                    learned.append(mult)
+                else:
                     pivots[lead] = (row, wit)
-            trails.append(min(part.nums, key=grevlex_key))
+            known += learned
         assert built == rows
+        assert ring._syzygies == leads
         assert piece.generators == tuple(generators)
         assert piece.pivots == pivots
-    assert skipped  # the criterion skips some generators
+    top = max(weights)
+    assert skipped["trail", top]  # the Koszul criterion skips some generators
+    assert skipped["learned", top] == LEARNED_SKIPS[name]
 
 
 def _closes(ring, basis, f, coefficients, witness):

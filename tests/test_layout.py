@@ -5,10 +5,11 @@ A definition that only tests call is a second way to do a job, or dead code.
 The allowlist holds the few names that are public on purpose although no
 other engine code calls them. An `assert` vanishes under `python -O`, so an
 invariant raises an explicit exception instead. Every function the benchmark
-tracer wraps is defined where the tracer looks for it, and a module that
-calls one by name binds that very function. Only
-unfolding.check_series calls the series functions, so every check reads the
-series of one build. Every name a module lists in `__all__` is bound there.
+tracer wraps is defined where the tracer looks for it, a module that calls
+one by name binds that very function, and the tracer's counters read real
+pieces. Only unfolding.check_series calls the series functions, so every
+check reads the series of one build. Every name a module lists in `__all__`
+is bound there.
 """
 
 import ast
@@ -149,19 +150,54 @@ def test_engine_has_no_assert_statements():
     assert found == []
 
 
-def test_tracer_targets_are_defined():
-    """A renamed or moved target would crash tracer.install on every run."""
+def _bench_tracer():
     spec = importlib.util.spec_from_file_location(
         "bench_tracer", ROOT / "bench" / "tracer.py"
     )
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_tracer_targets_are_defined():
+    """A renamed or moved target would crash tracer.install on every run."""
+    tracer = _bench_tracer()
     missing = []
     for module, func, _ in tracer.TARGETS:
         tree = ast.parse((SRC / f"{module}.py").read_text())
         if func not in {node.name for node in _definitions(tree)}:
             missing.append(f"{module}.{func}")
     assert missing == []
+
+
+def test_tracer_counts_real_pieces(cubic_ring, cy33_ring):
+    """The tracer's ideal_piece counters read a piece's monomials,
+    generators, rank and pivots, so a piece layout they cannot read breaks
+    every traced benchmark run. On the cubic at weight 1 and the (3,3)
+    intersection at weight 2 they equal a direct count."""
+    from toricff.jacobired import ideal_piece
+    from toricff.toricring import enumerate_graded_piece
+
+    tracer = _bench_tracer()
+    for ring, weight in ((cubic_ring, 1), (cy33_ring, 2)):
+        piece = ideal_piece(ring, ring.c_B, weight)
+        attrs = tracer._ideal_piece_attrs((ring, ring.c_B, weight), piece)
+        generators = 0
+        for part in ring.s_partials:
+            if part.is_zero():
+                continue
+            charge, pweight = ring.degree_of_monomial(next(iter(part.nums)))
+            mult_charge = tuple(a - b for a, b in zip(ring.c_B, charge))
+            generators += len(enumerate_graded_piece(ring, (mult_charge, weight - pweight)))
+        standard = len(piece.standard_monomials)
+        assert attrs == {
+            "columns": len(enumerate_graded_piece(ring, (ring.c_B, weight))),
+            "generators": generators,
+            "rank": len(piece.monomials) - standard,
+            "row_nnz": sum(len(row) for row, _ in piece.pivots.values()),
+            "witness_nnz": sum(len(wit) for _, wit in piece.pivots.values()),
+        }
+        assert generators > attrs["rank"] > standard > 0
 
 
 def _called_names(tree):
@@ -178,11 +214,7 @@ def test_tracer_targets_stay_bound_where_they_are_called():
     copy or a wrapper of its own; otherwise a benchmark span goes empty. The
     unfolding step and check_fqm2 add Q_f in place through supercomplex.q_f,
     whose span the benchmark reads on ci22-deep."""
-    spec = importlib.util.spec_from_file_location(
-        "bench_tracer", ROOT / "bench" / "tracer.py"
-    )
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = _bench_tracer()
     called = {
         path.stem: _called_names(ast.parse(path.read_text()))
         for path in sorted(SRC.glob("*.py"))

@@ -13,7 +13,6 @@ from conftest import (
     fermat,
     scanned_lambda_series,
     scanned_structure_series,
-    xpoly,
 )
 
 from toricff.cli import cmd_unfold, ingest_report, parse_problem
@@ -248,23 +247,14 @@ def _equivariance_break(a_table, images):
     return None
 
 
-# the Fermat sextic K3 in P(1,1,1,3): x4 has weight 3, so only x1..x3 move
-P1113_RAYS = ((1, 0, 0), (0, 1, 0), (-1, -1, -3), (0, 0, 1))
-SEXTIC_K3 = xpoly(
-    4, {(6, 0, 0, 0): 1, (0, 6, 0, 0): 1, (0, 0, 6, 0): 1, (0, 0, 0, 2): 1}
-)
-
-
 def test_a_table_is_equivariant_under_x_permutations(
-    k3_state3, cubic_ring, cubic_basis
+    k3_state3, cubic_ring, cubic_basis, sextic_k3_ring
 ):
     # a Fermat potential is invariant under permuting its x variables of one
     # weight, and so is its basis; a does not depend on the witnesses, so it
     # follows
     cubic_state6 = run(cubic_ring, cubic_basis, 6)
-    sextic_ring = build_cayley_ring(P1113_RAYS, [SEXTIC_K3])
-    assert sextic_ring.grading.ray_charges == ((1,), (1,), (1,), (3,))
-    sextic_state2 = run(sextic_ring, jacobian_basis(sextic_ring), 2)
+    sextic_state2 = run(sextic_k3_ring, jacobian_basis(sextic_k3_ring), 2)
     for state, moved, count, moving in (
         (k3_state3, None, 23, 23),
         (cubic_state6, None, 5, 0),  # the cubic's basis is fixed by all
