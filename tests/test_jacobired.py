@@ -3,6 +3,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from hashlib import sha256
 from itertools import combinations_with_replacement
 from math import gcd
 
@@ -809,3 +810,73 @@ def test_lifted_witnesses_keep_the_a_rows_dwork(dwork_ring):
             changed.append(multi)
     assert max(pieces) == 2 * basis.max_weight
     assert changed  # the lift is a change of gauge here, not a no-op
+
+
+def _column_monomial(piece):
+    """Maps a row column of the piece to its monomial."""
+    return piece.monomials.__getitem__
+
+
+def _piece_digest(piece):
+    """SHA-256 over the piece's pivots (each row and witness, columns named
+    by their monomials), pivot generators and standard monomials."""
+    monomial = _column_monomial(piece)
+    pivots = sorted(
+        (
+            monomial(col),
+            sorted((monomial(c), v) for c, v in row.items()),
+            sorted(wit.items()),
+        )
+        for col, (row, wit) in piece.pivots.items()
+    )
+    text = repr((pivots, piece.pivot_generators, piece.standard_monomials))
+    return sha256(text.encode()).hexdigest()
+
+
+# digests of pieces whose rows have several terms, mixed total degrees
+# (the P(1,1,1,3) sextic), a rank-2 class group (p1p1) or entries of
+# hundreds of bits (the dense K3); reports show witnesses only through
+# lambda, so these pin the rows and witnesses themselves
+PIECE_DIGESTS = {
+    ("cy33", 2): (
+        "612e5a470c4e60175d7fd6af29efe744"
+        "92f35f58c0a4f0ce6f04d185c5036986"
+    ),
+    ("cy33", 3): (
+        "37163ab1e1e25249df0faaf32ccdc4b4"
+        "5d062a97c4e941b35900507d546d6922"
+    ),
+    ("sextic_k3", 1): (
+        "650cfde0374bb6dbcd51324df10d94a8"
+        "e5add0daf56b9020997c56642fc784ac"
+    ),
+    ("sextic_k3", 2): (
+        "140d06f223efe5b0a6f0b98e52c429d5"
+        "8f2f004f6fe1634ad20a4c848e064361"
+    ),
+    ("sextic_k3", 3): (
+        "c6b30fdfdf47e23dea808dd2ea9dd998"
+        "958b63c0c3c44386b391769ee49b435b"
+    ),
+    ("p1p1", 1): (
+        "f5bd7e39ffd3467bd62aa3b0902ef640"
+        "cd91c82ecb96df0c623fca7794425c57"
+    ),
+    ("p1p1", 2): (
+        "6685a07d2a473743b34f2d385e4e2c38"
+        "d254b843dd6c9515a54d0527b8e40814"
+    ),
+    ("dense_k3", 2): (
+        "9682f65617548a7b361763a8ad65a196"
+        "377956cab9868ebc22063a7369f5b2e6"
+    ),
+}
+
+
+@pytest.mark.parametrize("name, weight", sorted(PIECE_DIGESTS))
+def test_piece_digests(request, name, weight):
+    ring = request.getfixturevalue(name + "_ring")
+    for w in range(weight):
+        ideal_piece(ring, ring.c_B, w)  # the lower pieces teach their syzygies
+    piece = ideal_piece(ring, ring.c_B, weight)
+    assert _piece_digest(piece) == PIECE_DIGESTS[name, weight]
