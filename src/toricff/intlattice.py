@@ -4,12 +4,17 @@ Three services used by the toric layer: Smith normal form with unimodular
 transforms, the projection of an integer matrix onto its free cokernel, and
 enumeration of lattice points in a bounded rational polyhedron given by
 inequalities (normal, offset) meaning <normal, m> >= offset.
+
+The enumeration builds no key: toricring maps the points to exponent
+vectors and packed grevlex keys a column at a time. Its own per-point work
+is one bound per inequality, each a sum(map(mul, ...)) over the point.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
 
 class TorsionClassGroup(Exception):
@@ -237,7 +242,8 @@ def _enumerate(ineqs, dim):
         feasible = True
         for normal, offset in ineqs:
             a = normal[dim - 1]
-            rest = offset - sum(c * v for c, v in zip(normal[: dim - 1], p))
+            # normal is one longer than p, and map stops at the shorter
+            rest = offset - sum(map(mul, normal, p))
             if a == 0:
                 if rest > 0:
                     feasible = False

@@ -7,13 +7,20 @@ recorded against the original generators, yields three things at once: the
 quotient dimension, a canonical monomial basis of the quotient, and for any
 reduced element an odd cochain lambda with f = sum(a_i b_i) + Q_S(lambda).
 
-Columns are monomials in descending grevlex order, so the pivot of a row is
-its grevlex-leading monomial. Generators are enumerated x partials first,
-then y partials, multipliers in descending grevlex; all later determinism
-guarantees flow from that fixed order. Rows are not back-substituted: a
-residue is the normal form modulo the row space, and its combination is the
-unique one over the generators independent in that order, so both equal
-those of the reduced row echelon form.
+Columns are monomials keyed by one int each, the packed grevlex key of
+polyalg.GrevlexPacking at the ring's packing: ascending keys are descending
+grevlex, so the pivot of a row, its least key, is its grevlex-leading
+monomial. A field of the key is whole bytes wide, as many as the largest
+exponent of any piece the ring has enumerated needs plus a guard bit, and
+the ring widens it when a piece needs more, so no key overflows. The key
+of a product is the sum of the keys, so the row of mult * dS_i is built by
+adding the multiplier's key to each term's, and a lead t divides mult
+when key(mult) - key(t) sets no guard bit. Generators are enumerated x
+partials first, then y partials, multipliers in descending grevlex; all
+later determinism guarantees flow from that fixed order. Rows are not
+back-substituted: a residue is the normal form modulo the row space, and
+its combination is the unique one over the generators independent in that
+order, so both equal those of the reduced row echelon form.
 
 Elimination is fraction-free. Every stored row and its generator combination
 form one primitive vector of Python ints, with the row's lead at its pivot
@@ -33,7 +40,7 @@ multiplier one of these leads divides has a row that lies in the span of
 the rows built before it (ideal_piece gives the proof). Such a generator
 keeps its index, but its row is never built. The criterion relies on the
 fixed order: partials in turn, multipliers in descending grevlex. It is
-tested exponent by exponent, so no multiple is enumerated.
+tested on the keys, so no multiple is enumerated.
 
 ideal_piece runs in two passes. The pivot pass reduces each row left
 without a witness and keeps the ones that do not reach zero, divided by
@@ -48,10 +55,11 @@ the same leads. Pivots, witnesses and generator indices are those of
 reducing every generator with its witness. One elimination loop,
 _reduce_lead, serves every reduction: it cancels leading pivot columns,
 carries a witness when given one, and divides the content out only once a
-lead outgrows a machine word. The multiplier monomials come from
-toricring.enumerate_graded_piece, which enumerates each x-fiber once per
-ring, and a piece keeps them as its generators, one cached list per
-partial, until the generator tuple is read.
+lead outgrows a machine word. The multiplier monomials and their keys
+come from toricring.enumerate_graded_piece and graded_piece_keys, which
+enumerate each x-fiber once per ring, and a piece keeps them as its
+generators, one cached list per partial, until the generator tuple is
+read.
 
 Reduction goes one monomial at a time, memoized on the basis
 (JacobianBasis.reduction): reduction is linear, so reducing f is summing
@@ -74,14 +82,21 @@ built for it.
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from math import gcd
 
-from .polyalg import Poly, _cleared, grevlex_key
+from .polyalg import GrevlexPacking, Poly, _cleared, grevlex_key
 from .supercomplex import SuperElement, q_s
-from .toricring import InvalidInput, NotCalabiYau, enumerate_graded_piece, is_calabi_yau
+from .toricring import (
+    InvalidInput,
+    NotCalabiYau,
+    enumerate_graded_piece,
+    graded_piece_keys,
+    is_calabi_yau,
+)
 
 
 class NotCharge0(Exception):
@@ -148,25 +163,30 @@ def _divide_content(row, wit):
                 part[key] = value // g
 
 
-def _generator_row(col_index, mult, items):
-    """The row of mult * dS_i over the columns, items the partial's numerators."""
-    add = operator.add
-    return {col_index[tuple(map(add, mult, e))]: n for e, n in items}
+def _generator_row(mult, items):
+    """The row of mult * dS_i: mult the multiplier's key, items the
+    partial's (key, numerator) pairs, keys added as their monomials multiply."""
+    return {mult + key: n for key, n in items}
 
 
 @dataclass(eq=False)
 class GradedIdealPiece:
     """One graded piece, its echelonized generators, and the quotient data.
 
-    rank, standard_monomials and pivot_generators (the generator indices of
-    the pivots, ascending) come from the pivot pass of ideal_piece. blocks
-    holds, per partial dS_i in the fixed order, (i, multipliers), the list
-    enumerate_graded_piece caches; generators is built from them on first
-    read. pivots maps each pivot column to (row, wit): an echelon row of
-    ints with lead row[col], not back-substituted, equal to the combination
-    wit of the generators as given. The witness pass builds it on first
-    read. row and wit together have content 1, divided out once as the
-    pivot is stored; reduce_vector reduces against them with the same loop,
+    Columns are the packed keys of the piece's monomials at packing
+    (polyalg.GrevlexPacking): ascending keys are descending grevlex, so the
+    least column of a row is its grevlex-leading monomial. rank,
+    standard_monomials and pivot_generators (the generator indices of the
+    pivots, ascending) come from the pivot pass of ideal_piece. blocks
+    holds, per partial dS_i in the fixed order whose multiplier piece is
+    not empty, (i, multipliers, their keys, the partial's (key, numerator)
+    pairs): the lists are those enumerate_graded_piece and
+    graded_piece_keys cache; generators is built from them on first read.
+    pivots maps each pivot column to (row, wit): an echelon row of ints
+    with lead row[col], not back-substituted, equal to the combination wit
+    of the generators as given. The witness pass builds it on first read.
+    row and wit together have content 1, divided out once as the pivot is
+    stored; reduce_vector reduces against them with the same loop,
     _reduce_lead, that built them.
     """
 
@@ -175,7 +195,7 @@ class GradedIdealPiece:
     monomials: tuple
     rank: int
     standard_monomials: tuple
-    col_index: dict = field(repr=False)
+    packing: GrevlexPacking = field(repr=False)
     partials: tuple = field(repr=False)
     blocks: tuple = field(repr=False)
     pivot_generators: tuple = field(repr=False)
@@ -183,26 +203,31 @@ class GradedIdealPiece:
     @cached_property
     def generators(self):
         """(mult, i) per generator mult * dS_i, in the fixed order."""
-        return tuple((mult, i) for i, mults in self.blocks for mult in mults)
+        return tuple((mult, i) for i, mults, _, _ in self.blocks for mult in mults)
 
     @cached_property
     def pivots(self):
         """The witness pass: each pivot generator, in order, reduced with its
         witness against the pivots before it and divided by its content."""
         pivots = {}
-        generators = self.generators
-        for g in self.pivot_generators:
-            mult, i = generators[g]
-            part = self.partials[i]
-            row = _generator_row(self.col_index, mult, part.nums.items())
-            wit = {g: part.denom}
-            lead = _reduce_lead(row, pivots, wit)
-            _divide_content(row, wit)
-            pivots[lead] = (row, wit)
+        pivot_generators = self.pivot_generators
+        start = first = 0
+        for i, _, keys, items in self.blocks:
+            stop = start + len(keys)
+            last = bisect_left(pivot_generators, stop, first)
+            denom = self.partials[i].denom
+            for g in pivot_generators[first:last]:
+                row = _generator_row(keys[g - start], items)
+                wit = {g: denom}
+                lead = _reduce_lead(row, pivots, wit)
+                _divide_content(row, wit)
+                pivots[lead] = (row, wit)
+            start, first = stop, last
         return pivots
 
     def reduce_vector(self, vec):
-        """Reduce a column vector; returns (residue, generator combination).
+        """Reduce a vector over the columns (packed keys); returns (residue,
+        generator combination).
 
         The input is sum(residue) over standard columns plus the combination
         of original generators, both as the reduced row echelon form gives.
@@ -245,10 +270,19 @@ def ideal_piece(ring, charge, weight):
     but no row is built, and the pivots are those of reducing every
     generator. Each partial's list then gains the multiplier of every row
     of that partial built here that reached zero.
+
+    Everything runs on the keys of the ring's packing, which holds every
+    exponent of the piece once it is enumerated, and so of each multiplier
+    and each term of a partial whose product lands in it: a row is built by
+    adding keys, and t divides mult when key(mult) - key(t) borrows into no
+    guard bit. A lead with an exponent past the packing's limit divides no
+    multiplier here and is left out of the test.
     """
     charge = tuple(charge)
-    monomials = tuple(enumerate_graded_piece(ring, (charge, weight)))
-    col_index = {m: i for i, m in enumerate(monomials)}
+    degree = (charge, weight)
+    monomials = tuple(enumerate_graded_piece(ring, degree))
+    packing = ring.packing
+    guards, limit = packing.guards, packing.limit
     order = list(range(ring.k, ring.nvars)) + list(range(ring.k))
     syzygies = ring._syzygies
     if not syzygies:
@@ -263,7 +297,6 @@ def ideal_piece(ring, charge, weight):
     rows = {}  # pivot column -> (row, None), rows without their witnesses
     pivot_generators = []
     start = 0
-    le = operator.le
     for i in order:
         part = ring.s_partials[i]
         if part.is_zero():
@@ -276,36 +309,40 @@ def ideal_piece(ring, charge, weight):
         if mult_degree[1] < 0:
             continue
         mults = enumerate_graded_piece(ring, mult_degree)
-        blocks.append((i, mults))
-        items = tuple(part.nums.items())
-        leads = syzygies[i]
+        if not mults:
+            continue
+        mult_keys = graded_piece_keys(ring, mult_degree, packing)
+        items = tuple((packing.key(e), n) for e, n in part.nums.items())
+        blocks.append((i, mults, mult_keys, items))
+        leads = [packing.key(t) for t in syzygies[i] if max(t) <= limit]
         learned = []
-        for index, mult in enumerate(mults, start):
+        for index, mult in enumerate(mult_keys):
             # a loop, not any() over a generator expression: building a
             # generator per multiplier made this test 1.6 times slower
             for t in leads:
-                if all(map(le, t, mult)):
+                if not (mult - t) & guards:
                     break  # a known syzygy
             else:
-                row = _generator_row(col_index, mult, items)
+                row = _generator_row(mult, items)
                 lead = _reduce_lead(row, rows)
                 if lead is None:
-                    learned.append(mult)
+                    learned.append(mults[index])
                 else:
                     _divide_content(row, {})
                     rows[lead] = (row, None)
-                    pivot_generators.append(index)
+                    pivot_generators.append(start + index)
         start += len(mults)
-        leads += learned
+        syzygies[i] += learned
     # columns run in descending grevlex order
-    standard = tuple(m for c, m in enumerate(monomials) if c not in rows)[::-1]
+    columns = graded_piece_keys(ring, degree, packing)
+    standard = tuple(m for c, m in zip(columns, monomials) if c not in rows)[::-1]
     return GradedIdealPiece(
         charge=charge,
         weight=weight,
         monomials=monomials,
         rank=len(rows),
         standard_monomials=standard,
-        col_index=col_index,
+        packing=packing,
         partials=ring.s_partials,
         blocks=tuple(blocks),
         pivot_generators=tuple(pivot_generators),
@@ -361,9 +398,10 @@ class JacobianBasis:
                         break
         if got is None:
             piece = self.piece(weight)
-            residue, combo = piece.reduce_vector({piece.col_index[m]: 1})
+            exponents = piece.packing.exponents
+            residue, combo = piece.reduce_vector({piece.packing.key(m): 1})
             got = (
-                {piece.monomials[col]: c for col, c in residue.items()},
+                {exponents(col): c for col, c in residue.items()},
                 (0,) * len(m),
                 tuple((*piece.generators[g], c) for g, c in combo.items()),
             )

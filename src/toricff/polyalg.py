@@ -42,6 +42,56 @@ def monomial_mul(a, b):
     return tuple(map(operator.add, a, b))
 
 
+class ExponentOverflow(OverflowError):
+    """An exponent past the largest one a GrevlexPacking's fields hold."""
+
+
+class GrevlexPacking:
+    """Monomials in nvars variables packed into one int each: the grevlex key.
+
+    Every variable has a field of `bits` bits, the last variable the most
+    significant, and above them all sits a degree field holding minus the
+    total degree, so key(m) = sum(m_i * places[i]) with
+    places[i] = 2**(bits*i) - 2**(bits*nvars). Hence:
+
+    - ascending keys are descending grevlex, the reverse of grevlex_key;
+    - the key of a product is the sum of the keys;
+    - t divides m exactly when (key(m) - key(t)) & guards == 0.
+
+    The top bit of every field is a guard bit kept clear, so a field holds
+    exponents up to limit = 2**(bits-1) - 1. The difference of two keys
+    then borrows into the guard bit of the lowest field where t exceeds m,
+    and no field ever carries into the next. The width comes from the
+    largest exponent top to be packed: whole bytes holding its bits plus
+    the guard bit. key raises ExponentOverflow for an exponent past limit.
+    """
+
+    __slots__ = ("nvars", "bits", "limit", "places", "guards")
+
+    def __init__(self, nvars, top):
+        bits = 8 * -(-(top.bit_length() + 1) // 8)
+        degree = 1 << (bits * nvars)
+        self.nvars = nvars
+        self.bits = bits
+        self.limit = (1 << (bits - 1)) - 1
+        self.places = tuple((1 << (bits * i)) - degree for i in range(nvars))
+        self.guards = sum(1 << (bits * i + bits - 1) for i in range(nvars))
+
+    def key(self, exps):
+        if max(exps) > self.limit:
+            raise ExponentOverflow(
+                f"exponent {max(exps)} of {exps} is past {self.limit}, "
+                f"the largest a {self.bits}-bit field holds"
+            )
+        return sum(map(operator.mul, exps, self.places))
+
+    def exponents(self, key):
+        """The monomial of a key: its fields, read off the low bits."""
+        bits = self.bits
+        mask = (1 << bits) - 1
+        return tuple((key >> (bits * i)) & mask for i in range(self.nvars))
+
+
 def _cleared(coeffs):
     """(d, d * coeffs) with d the lcm of the denominators; the values are ints.
     Any value but an int or a Fraction, a float say, raises TypeError."""

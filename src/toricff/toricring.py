@@ -4,12 +4,22 @@ Rays of a complete simplicial fan determine the class-group grading via the
 free cokernel of the ray pairing matrix. The Cayley construction then adjoins
 one weight-one variable y_i per hypersurface G_i, graded by minus the charge
 of G_i, and carries the potential S = sum y_i G_i of degree (0, 1).
+
+A graded piece is sorted by the packed grevlex keys of its monomials
+(polyalg.GrevlexPacking), one int each, at the ring's packing. Its fields
+are whole bytes, wide enough for the largest exponent of any piece the
+ring has enumerated plus a guard bit; a piece that needs more widens it,
+and keys cached at the old width are rebuilt on request. An x-fiber is
+enumerated once per ring, mapped to exponent vectors and keyed a column at
+a time, and kept in key order, so the piece's blocks, one per y-exponent
+vector, are sorted runs whose keys are one addition each.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import mul
+from itertools import repeat
+from operator import add, mul
 
 from .intlattice import (
     LatticePolytope,
@@ -19,7 +29,7 @@ from .intlattice import (
     free_cokernel_projection,
     smith_normal_form,
 )
-from .polyalg import Poly, grevlex_key
+from .polyalg import GrevlexPacking, Poly
 
 __all__ = [
     "RaysDoNotSpan",
@@ -34,6 +44,7 @@ __all__ = [
     "build_cayley_ring",
     "is_calabi_yau",
     "enumerate_graded_piece",
+    "graded_piece_keys",
 ]
 
 
@@ -117,16 +128,29 @@ class CayleyRing:
     names: tuple
     eta_names: tuple
     _fiber_solver: tuple = field(repr=False, default=())
+    # x-charge -> x-fiber; (x-charge, bits) -> the x-parts of its keys
     _fiber_cache: dict = field(repr=False, default_factory=dict)
+    _fiber_keys: dict = field(repr=False, default_factory=dict)
+    # degree -> piece; (degree, bits) -> its keys
     _piece_cache: dict = field(repr=False, default_factory=dict)
+    _piece_keys: dict = field(repr=False, default_factory=dict)
     # per partial dS_i, the known syzygy leads: jacobired.ideal_piece skips
     # a generator mult * dS_i when one of them divides mult
     _syzygies: dict = field(repr=False, default_factory=dict)
     _charge_rows: tuple = field(init=False, repr=False, compare=False)
+    # packs the monomials of every piece enumerated so far: one width for
+    # the ring, so the keys of a multiplier piece add to those of its target
+    packing: GrevlexPacking = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # charge component j of every variable, one row per j
         self._charge_rows = tuple(zip(*self.var_charges))
+        self.packing = GrevlexPacking(self.nvars, 0)
+
+    def widen(self, top):
+        """Widen the ring's packing, if need be, to hold the exponent top."""
+        if top > self.packing.limit:
+            self.packing = GrevlexPacking(self.nvars, top)
 
     @property
     def n(self):
@@ -236,7 +260,12 @@ def _make_fiber_solver(grading):
 
 
 def _x_fiber(grading, solver, charge):
-    """All x-exponent vectors u >= 0 with charge(x^u) = charge."""
+    """All x-exponent vectors u >= 0 with charge(x^u) = charge.
+
+    They are u = u0 + K z over the lattice points z of {z : u0 + K z >= 0},
+    K the kernel basis, mapped a column at a time: each coordinate of u is a
+    chain of maps over the columns of the points, not a sum per point.
+    """
     U, V, s, kernel = solver
     r = grading.r
     w = [sum(U[i][j] * charge[j] for j in range(s)) for i in range(s)]
@@ -251,8 +280,49 @@ def _x_fiber(grading, solver, charge):
         (tuple(kernel[i]), -u0[i]) for i in range(r)
     )
     points = enumerate_lattice_points(LatticePolytope(inequalities=ineqs, dim=ndim))
-    rows = tuple(zip(u0, kernel))
-    return [tuple([a + sum(map(mul, row, z)) for a, row in rows]) for z in points]
+    columns = tuple(zip(*points))
+    return list(
+        zip(*(_combine(columns, len(points), row, a) for a, row in zip(u0, kernel)))
+    )
+
+
+def _combine(columns, count, coefficients, start=0):
+    """start + sum(c_i * p_i) for each of count points p given by their
+    columns, lazily: a chain of maps, one per nonzero coefficient, and no
+    sum per point."""
+    out = repeat(start, count)
+    for column, c in zip(columns, coefficients):
+        if c:
+            out = map(add, out, map(mul, column, repeat(c)))
+    return out
+
+
+def _fiber(ring, xcharge):
+    """The x-fiber of an x-charge in descending grevlex, enumerated once per
+    ring; the ring's packing widens to hold its largest exponent."""
+    points = ring._fiber_cache.get(xcharge)
+    if points is None:
+        points = _x_fiber(ring.grading, ring._fiber_solver, xcharge)
+        ring.widen(max(map(max, points), default=0))
+        pairs = sorted(zip(_x_keys(ring, points, ring.packing), points))
+        points = [u for _, u in pairs]
+        ring._fiber_cache[xcharge] = points
+        ring._fiber_keys[xcharge, ring.packing.bits] = [key for key, _ in pairs]
+    return points
+
+
+def _x_keys(ring, points, packing):
+    """The x-parts of the keys at the packing of x-exponent vectors."""
+    return _combine(tuple(zip(*points)), len(points), packing.places[ring.k :])
+
+
+def _fiber_keys(ring, xcharge, packing):
+    """The x-parts of the keys of the x-fiber's monomials, in its order."""
+    got = ring._fiber_keys.get((xcharge, packing.bits))
+    if got is None:
+        got = list(_x_keys(ring, ring._fiber_cache[xcharge], packing))
+        ring._fiber_keys[xcharge, packing.bits] = got
+    return got
 
 
 def _compositions(total, parts):
@@ -264,35 +334,71 @@ def _compositions(total, parts):
             yield (head,) + tail
 
 
-def enumerate_graded_piece(ring, degree):
-    """Monomials of the given (charge, weight), descending grevlex, cached.
-
-    A monomial y^ys x^u of the piece pairs a composition ys of the weight
-    with a point u of the x-fiber {u >= 0 : charge(x^u) = c}, c the charge
-    minus that of y^ys. Each fiber is enumerated once per ring and kept in
-    _fiber_cache by its x-charge, since pieces of different weights and
-    the multiplier pieces of ideal_piece share most of their fibers. The
-    sorted list is kept in _piece_cache; a repeated call returns the cached
-    list object itself.
-    """
-    charge, weight = key = (tuple(degree[0]), degree[1])
-    cached = ring._piece_cache.get(key)
-    if cached is not None:
-        return cached
-    fibers = ring._fiber_cache
-    out = []
+def _blocks(ring, charge, weight):
+    """(ys, x-charge) per y-exponent vector ys of the weight whose x-fiber
+    is not empty, the x-charge being the charge minus that of y^ys."""
+    blocks = []
     if weight >= 0:
+        ring.widen(weight)
         for ys in _compositions(weight, ring.k):
             xcharge = tuple(
                 charge[j]
                 + sum(ys[i] * ring.betas[i][j] for i in range(ring.k))
                 for j in range(ring.charge_rank)
             )
-            fiber = fibers.get(xcharge)
-            if fiber is None:
-                fiber = _x_fiber(ring.grading, ring._fiber_solver, xcharge)
-                fibers[xcharge] = fiber
-            out.extend(ys + u for u in fiber)
-    out.sort(key=grevlex_key, reverse=True)
+            if _fiber(ring, xcharge):
+                blocks.append((ys, xcharge))
+    return blocks
+
+
+def _block_keys(ring, blocks, packing):
+    """The keys of the monomials y^ys x^u of the blocks, block by block."""
+    zeros = (0,) * ring.r
+    keys = []
+    for ys, xcharge in blocks:
+        keys += map(packing.key(ys + zeros).__add__, _fiber_keys(ring, xcharge, packing))
+    return keys
+
+
+def enumerate_graded_piece(ring, degree):
+    """Monomials of the given (charge, weight), descending grevlex, cached.
+
+    A monomial y^ys x^u of the piece pairs a composition ys of the weight
+    with a point u of the x-fiber {u >= 0 : charge(x^u) = c}, c the charge
+    minus that of y^ys. Each fiber is enumerated once per ring, kept in
+    descending grevlex in _fiber_cache by its x-charge, since pieces of
+    different weights and the multiplier pieces of ideal_piece share most
+    of their fibers. The piece is sorted by its packed keys (polyalg.
+    GrevlexPacking at the ring's packing): a block of one ys is already in
+    order, so the sort merges one run per ys. The sorted list is kept in
+    _piece_cache and its keys with graded_piece_keys; a repeated call
+    returns the cached list object itself.
+    """
+    charge, weight = key = (tuple(degree[0]), degree[1])
+    cached = ring._piece_cache.get(key)
+    if cached is not None:
+        return cached
+    blocks = _blocks(ring, charge, weight)
+    packing = ring.packing
+    out = []
+    for ys, xcharge in blocks:
+        out += map(ys.__add__, ring._fiber_cache[xcharge])
+    pairs = sorted(zip(_block_keys(ring, blocks, packing), out))
+    out = [m for _, m in pairs]
     ring._piece_cache[key] = out
+    ring._piece_keys[key, packing.bits] = [k for k, _ in pairs]
     return out
+
+
+def graded_piece_keys(ring, degree, packing):
+    """The keys at the packing of enumerate_graded_piece(ring, degree), in
+    its order, ascending. The packing must hold the piece's exponents: the
+    ring's packing does once the piece is enumerated."""
+    charge, weight = key = (tuple(degree[0]), degree[1])
+    got = ring._piece_keys.get((key, packing.bits))
+    if got is None:
+        # the ring's packing widened since the piece was enumerated; the
+        # order of the keys is the same at every width
+        got = sorted(_block_keys(ring, _blocks(ring, charge, weight), packing))
+        ring._piece_keys[key, packing.bits] = got
+    return got

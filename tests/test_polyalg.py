@@ -8,8 +8,11 @@ import pytest
 from conftest import reference_mul
 
 from toricff.polyalg import (
+    ExponentOverflow,
+    GrevlexPacking,
     Poly,
     grevlex_key,
+    monomial_mul,
     parse_poly,
     render_poly,
 )
@@ -193,6 +196,55 @@ def test_grevlex_order_pinned():
     assert grevlex_key((3, 0, 0, 0)) > grevlex_key((0, 3, 0, 0))
     assert grevlex_key((1, 0, 0, 2)) < grevlex_key((0, 3, 0, 0))
     assert grevlex_key((0, 0, 0, 0)) < grevlex_key((0, 1, 0, 0))
+
+
+# the edges of one- and two-byte fields, each with its guard bit
+EDGE_EXPONENTS = (0, 127, 128, 255, 256, 65535)
+
+
+def _packing_cases():
+    """Seeded exponent vectors per variable count: small ones, and ones
+    drawn from the field edges."""
+    rng = random.Random("grevlex-packing")
+    for nvars in (1, 2, 4, 7):
+        small = [tuple(rng.randint(0, 6) for _ in range(nvars)) for _ in range(40)]
+        edges = [
+            tuple(rng.choice(EDGE_EXPONENTS) for _ in range(nvars)) for _ in range(40)
+        ]
+        edges += [(e,) * nvars for e in EDGE_EXPONENTS]
+        yield small
+        yield edges
+
+
+@pytest.mark.parametrize("top, bits", [(0, 8), (127, 8), (128, 16), (255, 16), (256, 16), (65535, 24)])
+def test_grevlex_packing_width(top, bits):
+    packing = GrevlexPacking(3, top)
+    assert packing.bits == bits
+    assert packing.limit >= top
+    monos = [(top, 0, top), (0, top, top), (top, top, 0), (top, 1, 0), (0, 0, 1)]
+    assert sorted(monos, key=packing.key) == sorted(monos, key=grevlex_key, reverse=True)
+    with pytest.raises(ExponentOverflow):
+        packing.key((0, packing.limit + 1, 0))
+
+
+def test_grevlex_packing_matches_tuple_operations():
+    """Ascending keys are descending grevlex, the key of a product is the
+    sum of the keys, the guard bits test t <= m exponentwise, and the
+    exponents come back from a key, on every width the cases need."""
+    for monos in _packing_cases():
+        products = [monomial_mul(a, b) for a in monos[:20] for b in monos[:20]]
+        packing = GrevlexPacking(len(monos[0]), max(map(max, products)))
+        key = packing.key
+        assert sorted(monos, key=key) == sorted(monos, key=grevlex_key, reverse=True)
+        assert len(set(map(key, monos))) == len(set(monos))
+        for a in monos[:20]:
+            for b in monos[:20]:
+                assert key(a) + key(b) == key(monomial_mul(a, b))
+        for t in monos:
+            for m in monos:
+                divides = not (key(m) - key(t)) & packing.guards
+                assert divides == all(map(int.__le__, t, m)), (t, m)
+        assert all(packing.exponents(key(m)) == m for m in products)
 
 
 def test_render_pinned():
