@@ -127,10 +127,11 @@ def _axpy(p, dst, c, src):
 def _reduce_lead(row, pivots, wit=None):
     """Cancel the leading pivot columns of row, carrying wit along if given.
 
-    Each step is fraction-free: row := (p/g)*row - (c/g)*pivot with p the
-    pivot's lead, c the row's and g = gcd(p, c), and wit takes the same
-    step against the pivot's witness. The content of row and wit is
-    divided out only once a lead outgrows a machine word: on sparse pieces
+    pivots maps a pivot column to its row, or, when wit is given, to its
+    (row, wit). Each step is fraction-free: row := (p/g)*row - (c/g)*pivot
+    with p the pivot's lead, c the row's and g = gcd(p, c), and wit takes
+    the same step against the pivot's witness. The content of row and wit
+    is divided out only once a lead outgrows a machine word: on sparse pieces
     the entries stay small and the gcd would cost more than it saves.
     Either way row and wit are a positive multiple of the pair that
     dividing the content at every step would carry, so both meet the same
@@ -139,10 +140,11 @@ def _reduce_lead(row, pivots, wit=None):
     """
     while row:
         lead = min(row)
-        hit = pivots.get(lead)
-        if hit is None:
+        prow = pivots.get(lead)
+        if prow is None:
             return lead
-        prow, pwit = hit
+        if wit is not None:
+            prow, pwit = prow
         p, c = prow[lead], row[lead]
         g = gcd(p, c)
         p, c = p // g, c // g
@@ -294,7 +296,7 @@ def ideal_piece(ring, charge, weight):
                 syzygies[i] = list(trails)
                 trails.append(min(part.nums, key=grevlex_key))
     blocks = []
-    rows = {}  # pivot column -> (row, None), rows without their witnesses
+    rows = {}  # pivot column -> row, the rows without their witnesses
     pivot_generators = []
     start = 0
     for i in order:
@@ -329,7 +331,7 @@ def ideal_piece(ring, charge, weight):
                     learned.append(mults[index])
                 else:
                     _divide_content(row, {})
-                    rows[lead] = (row, None)
+                    rows[lead] = row
                     pivot_generators.append(start + index)
         start += len(mults)
         syzygies[i] += learned
