@@ -5,9 +5,12 @@ transforms, the projection of an integer matrix onto its free cokernel, and
 enumeration of lattice points in a bounded rational polyhedron given by
 inequalities (normal, offset) meaning <normal, m> >= offset.
 
-The enumeration builds no key: toricring maps the points to exponent
-vectors and packed grevlex keys a column at a time. Its own per-point work
-is one bound per inequality, each a sum(map(mul, ...)) over the point.
+Lattice points come back as plain tuples in lexicographic order. toricring
+turns the points of an x-fiber into exponent vectors and into packed
+grevlex keys (polyalg.GrevlexPacking: one int per monomial, one field of
+whole bytes with a guard bit per variable, as wide as the largest exponent
+the ring has seen needs) a column at a time, so the enumeration's own
+per-point work is one bound per inequality, a sum(map(mul, ...)).
 """
 
 from __future__ import annotations

@@ -44,8 +44,9 @@ tested on the keys, so no multiple is enumerated.
 
 ideal_piece runs in two passes. The pivot pass reduces each row left
 without a witness and keeps the ones that do not reach zero, divided by
-their content; it gives the rank, the standard monomials and the indices
-of the pivot generators, and its rows are dropped. The witness pass runs
+their content only when the lead outgrows a machine word; it gives the
+rank, the standard monomials and the indices of the pivot generators,
+and its rows are dropped. The witness pass runs
 on the first read of GradedIdealPiece.pivots, as the first reduction
 against the piece: it rebuilds only the pivot generators and reduces each
 with its witness against the pivots before it, then divides by the
@@ -330,7 +331,10 @@ def ideal_piece(ring, charge, weight):
                 if lead is None:
                     learned.append(mults[index])
                 else:
-                    _divide_content(row, {})
+                    # _reduce_lead's content rule: only a lead past a
+                    # machine word pays for the gcd
+                    if row[lead].bit_length() > 62:
+                        _divide_content(row, {})
                     rows[lead] = row
                     pivot_generators.append(start + index)
         start += len(mults)

@@ -304,11 +304,17 @@ def _fiber(ring, xcharge):
     if points is None:
         points = _x_fiber(ring.grading, ring._fiber_solver, xcharge)
         ring.widen(max(map(max, points), default=0))
-        pairs = sorted(zip(_x_keys(ring, points, ring.packing), points))
-        points = [u for _, u in pairs]
+        keys, points = _key_sorted(list(_x_keys(ring, points, ring.packing)), points)
         ring._fiber_cache[xcharge] = points
-        ring._fiber_keys[xcharge, ring.packing.bits] = [key for key, _ in pairs]
+        ring._fiber_keys[xcharge, ring.packing.bits] = keys
     return points
+
+
+def _key_sorted(keys, items):
+    """keys ascending, and items, one per key, in the same order: an int
+    sort of the indices, cheaper than sorting (key, item) pairs."""
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    return [keys[i] for i in order], [items[i] for i in order]
 
 
 def _x_keys(ring, points, packing):
@@ -383,10 +389,9 @@ def enumerate_graded_piece(ring, degree):
     out = []
     for ys, xcharge in blocks:
         out += map(ys.__add__, ring._fiber_cache[xcharge])
-    pairs = sorted(zip(_block_keys(ring, blocks, packing), out))
-    out = [m for _, m in pairs]
+    keys, out = _key_sorted(_block_keys(ring, blocks, packing), out)
     ring._piece_cache[key] = out
-    ring._piece_keys[key, packing.bits] = [k for k, _ in pairs]
+    ring._piece_keys[key, packing.bits] = keys
     return out
 
 
