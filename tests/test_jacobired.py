@@ -825,15 +825,10 @@ def test_lifted_witnesses_keep_the_a_rows_dwork(dwork_ring):
     assert changed  # the lift is a change of gauge here, not a no-op
 
 
-def _column_monomial(piece):
-    """Maps a row column of the piece, a packed key, to its monomial."""
-    return piece.packing.exponents
-
-
 def _piece_digest(piece):
     """SHA-256 over the piece's pivots (each row and witness, columns named
     by their monomials), pivot generators and standard monomials."""
-    monomial = _column_monomial(piece)
+    monomial = piece.packing.exponents  # a column, a packed key, to its monomial
     pivots = sorted(
         (
             monomial(col),
