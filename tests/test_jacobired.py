@@ -842,9 +842,11 @@ def _piece_digest(piece):
 
 
 # digests of pieces whose rows have several terms, mixed total degrees
-# (the P(1,1,1,3) sextic), a rank-2 class group (p1p1) or entries of
-# hundreds of bits (the dense K3); reports show witnesses only through
-# lambda, so these pin the rows and witnesses themselves
+# (the P(1,1,1,3) sextic), a rank-2 class group (p1p1), entries of
+# hundreds of bits (the dense K3) or a rational potential whose partials
+# have unequal denominators (the Hesse cubics: 84, 4, 4, 28 for the
+# rational one, 7**23 and 1 for the wide one); reports show witnesses only
+# through lambda, so these pin the rows and witnesses themselves
 PIECE_DIGESTS = {
     ("cy33", 2): (
         "612e5a470c4e60175d7fd6af29efe744"
@@ -877,6 +879,26 @@ PIECE_DIGESTS = {
     ("dense_k3", 2): (
         "9682f65617548a7b361763a8ad65a196"
         "377956cab9868ebc22063a7369f5b2e6"
+    ),
+    ("rational_hesse", 1): (
+        "09342fbefb56c5c8cdce7987501487aa"
+        "405b305a4c1197b151ddea9cab53a5e1"
+    ),
+    ("rational_hesse", 2): (
+        "09d62bfccb482a45cc3dee8ca5eaacb1"
+        "ce47f6e723046df1da9104fea2cbe728"
+    ),
+    ("rational_hesse", 3): (
+        "c42abe467a74a765aab77195380ac203"
+        "27034c9667ee540779a0451aa068edf9"
+    ),
+    ("wide_hesse", 2): (
+        "37f24aa5b53d9793517251da875c1765"
+        "e7e992263bea5e072d7c4ea00a3db016"
+    ),
+    ("wide_hesse", 3): (
+        "e76b943273b8b9a6305d3cca971955a7"
+        "547de52ee9843aea2ccf2c6f8744974a"
     ),
 }
 
