@@ -24,10 +24,13 @@ order, so both equal those of the reduced row echelon form.
 
 Elimination is fraction-free. Every stored row and its generator combination
 form one primitive vector of Python ints, with the row's lead at its pivot
-column; a partial of S enters with its int numerators as its row and its
-denominator as its witness scale, both read off the partial's int form
-(polyalg). Fractions appear only where reduce_vector emits a residue entry
-and the final combination, and where a reduction sums those over f.
+column; a partial of S enters with its int numerators over S's own
+denominator as its row and that denominator as its witness scale, both read
+off S's one table of partials (polyalg.Poly.partial_rows). That pair is a
+positive int multiple of the one over the partial's own, smaller
+denominator, so the primitive pivots are the same either way. Fractions
+appear only where reduce_vector emits a residue entry and the final
+combination, and where a reduction sums those over f.
 
 Most generators of a large piece reduce to zero and add no pivot. Many are
 named in advance, by Faugere's F5 criterion and by the syzygies earlier
@@ -183,8 +186,10 @@ class GradedIdealPiece:
     pivots, ascending) come from the pivot pass of ideal_piece. blocks
     holds, per partial dS_i in the fixed order whose multiplier piece is
     not empty, (i, multipliers, their keys, the partial's (key, numerator)
-    pairs): the lists are those enumerate_graded_piece and
+    pairs over denom): the lists are those enumerate_graded_piece and
     graded_piece_keys cache; generators is built from them on first read.
+    denom, the denominator of S that its partials are kept over
+    (Poly.partial_rows), is every generator's witness scale.
     pivots maps each pivot column to (row, wit): an echelon row of ints
     with lead row[col], not back-substituted, equal to the combination wit
     of the generators as given. The witness pass builds it on first read.
@@ -199,7 +204,7 @@ class GradedIdealPiece:
     rank: int
     standard_monomials: tuple
     packing: GrevlexPacking = field(repr=False)
-    partials: tuple = field(repr=False)
+    denom: int = field(repr=False)
     blocks: tuple = field(repr=False)
     pivot_generators: tuple = field(repr=False)
 
@@ -214,11 +219,11 @@ class GradedIdealPiece:
         witness against the pivots before it and divided by its content."""
         pivots = {}
         pivot_generators = self.pivot_generators
+        denom = self.denom
         start = first = 0
-        for i, _, keys, items in self.blocks:
+        for _, _, keys, items in self.blocks:
             stop = start + len(keys)
             last = bisect_left(pivot_generators, stop, first)
-            denom = self.partials[i].denom
             for g in pivot_generators[first:last]:
                 row = _generator_row(keys[g - start], items)
                 wit = {g: denom}
@@ -286,25 +291,22 @@ def ideal_piece(ring, charge, weight):
     monomials = tuple(enumerate_graded_piece(ring, degree))
     packing = ring.packing
     guards, limit = packing.guards, packing.limit
-    order = list(range(ring.k, ring.nvars)) + list(range(ring.k))
+    partials = ring.S.partial_rows()
+    order = [i for i in (*range(ring.k, ring.nvars), *range(ring.k)) if i in partials]
     syzygies = ring._syzygies
     if not syzygies:
         # each partial starts with the trails of the partials before it
         trails = []
         for i in order:
-            part = ring.s_partials[i]
-            if not part.is_zero():
-                syzygies[i] = list(trails)
-                trails.append(min(part.nums, key=grevlex_key))
+            syzygies[i] = list(trails)
+            trails.append(min((e for e, _ in partials[i]), key=grevlex_key))
     blocks = []
     rows = {}  # pivot column -> row, the rows without their witnesses
     pivot_generators = []
     start = 0
     for i in order:
-        part = ring.s_partials[i]
-        if part.is_zero():
-            continue
-        pcharge, pweight = ring.degree_of_monomial(next(iter(part.nums)))
+        part = partials[i]
+        pcharge, pweight = ring.degree_of_monomial(part[0][0])
         mult_degree = (
             tuple(a - b for a, b in zip(charge, pcharge)),
             weight - pweight,
@@ -315,7 +317,7 @@ def ideal_piece(ring, charge, weight):
         if not mults:
             continue
         mult_keys = graded_piece_keys(ring, mult_degree, packing)
-        items = tuple((packing.key(e), n) for e, n in part.nums.items())
+        items = tuple((packing.key(e), n) for e, n in part)
         blocks.append((i, mults, mult_keys, items))
         leads = [packing.key(t) for t in syzygies[i] if max(t) <= limit]
         learned = []
@@ -349,7 +351,7 @@ def ideal_piece(ring, charge, weight):
         rank=len(rows),
         standard_monomials=standard,
         packing=packing,
-        partials=ring.s_partials,
+        denom=ring.S.denom,
         blocks=tuple(blocks),
         pivot_generators=tuple(pivot_generators),
     )

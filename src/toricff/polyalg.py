@@ -12,6 +12,9 @@ and hash compare the stored ints. Every kernel runs on that form and builds
 no Fraction: the products, the linear combination (LinearSum, which the sum
 and difference of elements drive, and through add_product the product of
 two Polys), the partials and, in supercomplex, delta and the Q contraction.
+A polynomial's partials have one form, Poly.partial_rows: the numerators
+n * e_i of each nonzero partial, kept over the polynomial's own denom. The
+Jacobian rows of jacobired and every Q contraction of supercomplex read it.
 The hot sums add products and Q contractions straight into a LinearSum's
 numerators (LinearSum.add_product, supercomplex.q_f), building no product
 element. Fractions enter through the constructor, which clears them with
@@ -119,8 +122,8 @@ class LinearSum:
     or a Fraction: int numerators over the lcm of the scaled denominators
     added so far. The numerators are rescaled when a term's denominator does
     not divide that lcm, so the sum holds no term once it is added.
-    add_product, and supercomplex.q_f given a LinearSum, add a product or a
-    Q contraction without building it."""
+    add_product, and supercomplex.q_f, add a product or a Q contraction
+    without building it."""
 
     __slots__ = ("cls", "denom", "nums")
 
@@ -257,7 +260,7 @@ class _SparseTerms:
 class Poly(_SparseTerms):
     """Keys are exponent tuples."""
 
-    __slots__ = ("_partials", "_partial_rows")
+    __slots__ = ("_partial_rows",)
 
     @classmethod
     def monomial(cls, exps, coeff=1):
@@ -270,42 +273,21 @@ class Poly(_SparseTerms):
         product.add_product(1, self, other)
         return product.element()
 
-    def partial(self, i):
-        out = {}
-        for exps, n in self.nums.items():
-            if exps[i]:
-                lowered = exps[:i] + (exps[i] - 1,) + exps[i + 1 :]
-                out[lowered] = n * exps[i]
-        return Poly.from_nums(self.denom, out)
-
-    def partials(self):
-        """The partial in every variable, computed once per polynomial; the
-        zero polynomial has none."""
-        try:
-            return self._partials
-        except AttributeError:
-            nvars = len(next(iter(self.nums), ()))
-            self._partials = tuple(self.partial(i) for i in range(nvars))
-            return self._partials
-
     def partial_rows(self):
-        """(d, rows) for the partials, computed once per polynomial: d is
-        the lcm of their denominators and rows maps the index i of every
-        nonzero partial to (d / its denominator, its (exponents, numerator)
-        pairs), so the partials sum over int numerators with d as their one
-        denominator."""
+        """The partials, computed once per polynomial: {i: ((exponents,
+        numerator), ...)} for every variable i with a nonzero partial, the
+        numerators n * e_i read off the terms and kept over self.denom."""
         try:
             return self._partial_rows
         except AttributeError:
-            partials = self.partials()
-            d = lcm(*[p.denom for p in partials])
-            self._partial_rows = d, {
-                i: (d // p.denom, tuple(p.nums.items()))
-                for i, p in enumerate(partials)
-                if p.nums
-            }
+            rows = {}
+            for exps, n in self.nums.items():
+                for i, e in enumerate(exps):
+                    if e:
+                        lowered = exps[:i] + (e - 1,) + exps[i + 1 :]
+                        rows.setdefault(i, []).append((lowered, n * e))
+            self._partial_rows = {i: tuple(rows[i]) for i in sorted(rows)}
             return self._partial_rows
-
 
 def _render_term(exps, coeff, names, odd=()):
     """One term: coefficient, then powers of names, then the odd factors."""

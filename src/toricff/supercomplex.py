@@ -6,7 +6,8 @@ carries sorted dq index tuples, and mu translates between them. Both hold
 the int-numerator form of polyalg, and the operators below (odd Laplacian,
 potential contraction, twisted differential, Euler contraction) run on the
 numerators: each result is built over the denominator of its input, times
-the lcm of the partials' denominators where a potential enters.
+the potential's own denominator where a potential enters, since its
+partials (Poly.partial_rows) are kept over it.
 
 Sign conventions, with all indices zero based:
   * removing eta_i from a sorted tuple E costs (-1)^(position of i in E),
@@ -114,7 +115,7 @@ def _q_parts(w, f):
     """The Q contraction kernel: the sum over the terms of w and their eta_i
     of the sign of eta_i times the term with eta_i dropped times the i-th
     partial of the potential f."""
-    denom, rows = f.partial_rows()
+    rows = f.partial_rows()
     out = {}
     get, add = out.get, operator.add
     for (exps, etas), coeff in w.nums.items():
@@ -122,43 +123,37 @@ def _q_parts(w, f):
             row = rows.get(i)
             if row is None:
                 continue
-            k, items = row
-            signed = -coeff * k if pos % 2 else coeff * k
+            signed = -coeff if pos % 2 else coeff
             dropped = _sorted_drop(etas, pos)
-            for pe, pc in items:
+            for pe, pc in row:
                 key = (tuple(map(add, exps, pe)), dropped)  # monomial_mul, inlined
                 out[key] = get(key, 0) + signed * pc
-    return SuperElement.from_nums(w.denom * denom, out)
+    return SuperElement.from_nums(w.denom * f.denom, out)
 
 
-def q_f(w, f, into=None, scale=1):
-    """Contraction against the partials of an arbitrary even potential f.
-
-    With into, a polyalg.LinearSum of Polys, scale * Q_f(w) is added to it
-    in place and None returned: a term of w with one eta goes straight into
-    the sum's numerators. Like to_poly, this raises ValueError, leaving into
-    as it was, when an odd factor survives: when the terms of w with two or
-    more etas contract to a nonzero element.
+def q_f(w, f, into, scale=1):
+    """Add scale * Q_f(w), the contraction of w against the partials of an
+    arbitrary even potential f, to into, a polyalg.LinearSum of Polys, in
+    place: a term of w with one eta goes straight into the sum's numerators.
+    Like to_poly, this raises ValueError, leaving into as it was, when an
+    odd factor survives: when the terms of w with two or more etas contract
+    to a nonzero element.
     """
-    if into is None:
-        return _q_parts(w, f)
     odd = {key: n for key, n in w.nums.items() if len(key[1]) > 1}
     if odd and not _q_parts(SuperElement.from_nums(w.denom, odd), f).is_zero():
         raise ValueError("element carries odd factors")
-    denom, rows = f.partial_rows()
+    rows = f.partial_rows()
     if not (scale and rows and w.nums):
-        return None
-    factor = into.admit(scale, w.denom * denom)
+        return
+    factor = into.admit(scale, w.denom * f.denom)
     nums = into.nums
     get, add = nums.get, operator.add
     for (exps, etas), coeff in w.nums.items():
         if len(etas) == 1 and (row := rows.get(etas[0])) is not None:
-            k, items = row
-            c = coeff * k * factor
-            for pe, pc in items:
+            c = coeff * factor
+            for pe, pc in row:
                 key = tuple(map(add, exps, pe))  # monomial_mul, inlined
                 nums[key] = get(key, 0) + c * pc
-    return None
 
 
 def q_s(w, ring):
@@ -207,19 +202,19 @@ def form_d(omega):
 
 def wedge_df(f, omega):
     """Left wedge by the exact one-form df."""
-    denom, rows = f.partial_rows()
+    rows = f.partial_rows()
     out = {}
     for (exps, dqs), n in omega.nums.items():
         present = set(dqs)
-        for i, (k, items) in rows.items():
+        for i, row in rows.items():
             if i in present:
                 continue
-            signed = _insert_sign(i, dqs) * n * k
+            signed = _insert_sign(i, dqs) * n
             grown = tuple(sorted(dqs + (i,)))
-            for pe, pc in items:
+            for pe, pc in row:
                 key = (monomial_mul(exps, pe), grown)
                 out[key] = out.get(key, 0) + signed * pc
-    return FormElement.from_nums(omega.denom * denom, out)
+    return FormElement.from_nums(omega.denom * f.denom, out)
 
 
 def twisted_d(omega, ring):

@@ -121,7 +121,6 @@ class CayleyRing:
     r: int
     betas: tuple  # charge of each hypersurface
     S: Poly
-    s_partials: tuple
     var_charges: tuple
     var_weights: tuple
     c_B: tuple
@@ -227,7 +226,6 @@ def build_cayley_ring(rays, hypersurfaces):
         r=r,
         betas=tuple(betas),
         S=S,
-        s_partials=S.partials(),
         var_charges=var_charges,
         var_weights=var_weights,
         c_B=c_B,

@@ -46,10 +46,10 @@ mirror pair is taken once with twice its weight.
 
 The three sums run over int numerators: step reads each u and lambda entry
 straight from its table, in the int form every element holds (polyalg), and
-adds u*u (LinearSum.add_product), a*u and Q_{u_A}(lambda) (q_f with a
-LinearSum) straight into the numerators of one LinearSum: no product element
-is built or canonicalised. A u entry keeps its partials once Q has asked for
-them.
+adds u*u (LinearSum.add_product), a*u and Q_{u_A}(lambda) (q_f) straight
+into the numerators of one LinearSum: no product element
+is built or canonicalised. A u entry keeps its table of partials
+(Poly.partial_rows) once Q has asked for it.
 """
 
 from __future__ import annotations

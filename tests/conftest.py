@@ -1,6 +1,7 @@
 """Shared example rings: three Calabi-Yau fixtures plus a rank-2 charge lattice,
 a per-pair table scan that the pair-indexed series are compared against, and
-plain Fraction references for the product kernels and the unfolding input."""
+plain Fraction references for the partials, the product kernels and the
+unfolding input."""
 
 import random
 from fractions import Fraction
@@ -260,13 +261,24 @@ def reference_mul(f, g):
     return out
 
 
-def reference_q(w, partials):
-    """Contraction of a SuperElement against a list of partials in Fraction
-    arithmetic, as {(exponents, etas): Fraction}; cancelled coefficients stay."""
+def reference_partial(f, i):
+    """The i-th partial of a Poly in Fraction arithmetic on its terms view,
+    as {exponents: Fraction}; empty when the partial is zero."""
+    out = {}
+    for exps, coeff in f.terms.items():
+        if exps[i]:
+            out[exps[:i] + (exps[i] - 1,) + exps[i + 1 :]] = exps[i] * coeff
+    return out
+
+
+def reference_q(w, f):
+    """Contraction of a SuperElement against the partials of the Poly f in
+    Fraction arithmetic (reference_partial), as {(exponents, etas): Fraction};
+    cancelled coefficients stay."""
     out = {}
     for (exps, etas), coeff in w.terms.items():
         for pos, i in enumerate(etas):
-            for pe, pc in partials[i].terms.items():
+            for pe, pc in reference_partial(f, i).items():
                 grown = tuple(a + b for a, b in zip(exps, pe))
                 key = (grown, etas[:pos] + etas[pos + 1 :])
                 out[key] = out.get(key, Fraction(0)) + (-1) ** pos * coeff * pc
@@ -279,7 +291,6 @@ def dense_input(state, multi):
     plain Fraction arithmetic. The state must hold every lower entry."""
     alpha, beta, tail = multi[0], multi[1], multi[2:]
     runs = [(j, tail.count(j)) for j in sorted(set(tail))]
-    nvars = state.ring.nvars
     out = {}
 
     def add(scale, terms):
@@ -298,8 +309,7 @@ def dense_input(state, multi):
                 add(-weight * value, u.terms)
         if a_part:
             lam = state.lam_table[(alpha, beta) + b_part]
-            u = state.u_table[a_part]
-            q = reference_q(lam, [u.partial(i) for i in range(nvars)])
+            q = reference_q(lam, state.u_table[a_part])
             if any(etas for _, etas in q):
                 raise ValueError(f"odd input term at {multi}")
             add(-weight, {exps: c for (exps, _), c in q.items()})

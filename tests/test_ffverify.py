@@ -259,7 +259,7 @@ def dense_fqm2_report(state):
                 partials[alpha][tuple(key)] = scaled(Fraction(1, fac(key)), u)
 
     def q_term(u, w):
-        return even_terms(reference_q(w, [u.partial(i) for i in range(ring.nvars)]))
+        return even_terms(reference_q(w, u))
 
     def cases():
         for multi in sorted(state.lam_table):
@@ -287,7 +287,7 @@ def dense_fqm2_report(state):
                 for key, w in lam.items():
                     add_terms(
                         rhs.setdefault(key, {}),
-                        even_terms(reference_q(w, ring.s_partials)),
+                        even_terms(reference_q(w, ring.S)),
                     )
                 for key, terms in fraction_pairings(gamma, lam, trunc, q_term).items():
                     add_terms(rhs.setdefault(key, {}), terms)

@@ -5,7 +5,7 @@ from collections import Counter
 from fractions import Fraction
 from hashlib import sha256
 from itertools import combinations_with_replacement
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -27,7 +27,7 @@ from toricff.jacobired import (
 )
 from toricff.unfolding import run
 
-from conftest import P2_RAYS, P3_RAYS, fermat, xpoly
+from conftest import P2_RAYS, P3_RAYS, fermat, reference_partial, xpoly
 
 
 def test_ideal_piece_cubic_weight1(cubic_ring):
@@ -121,7 +121,7 @@ def test_reduce_basis_idempotent(cubic_ring):
 
 def test_reduce_euler_multiple(cubic_ring):
     basis = jacobian_basis(cubic_ring)
-    f = Poly.monomial((0, 1, 0, 0)) * cubic_ring.s_partials[1]
+    f = Poly.monomial((0, 1, 0, 0)) * Poly(reference_partial(cubic_ring.S, 1))
     got = reduce_with_witness(basis, f)
     assert got.coefficients == {}
     assert got.witness == SuperElement({((0, 1, 0, 0), (1,)): Fraction(1)})
@@ -247,7 +247,7 @@ def _generator_row(ring, piece, gen_idx):
     mult, i = piece.generators[gen_idx]
     return {
         piece.packing.key(monomial_mul(mult, exps)): coeff
-        for exps, coeff in ring.s_partials[i].terms.items()
+        for exps, coeff in reference_partial(ring.S, i).items()
     }
 
 
@@ -416,25 +416,37 @@ def _reduce_lead_every_step(row, wit, pivots):
     return None
 
 
+def _reference_partials(ring):
+    """{i: (d, {exponents: int})} for every nonzero partial of S, x partials
+    first as in the engine's generator order: reference_partial cleared to
+    int numerators over d, the lcm of its own denominators."""
+    out = {}
+    for i in [*range(ring.k, ring.nvars), *range(ring.k)]:
+        part = reference_partial(ring.S, i)
+        if part:
+            d = lcm(*(c.denominator for c in part.values()))
+            out[i] = (d, {e: int(c * d) for e, c in part.items()})
+    return out
+
+
 def _echelon_every_generator(ring, charge, weight):
     """Reference: reduce every generator with its witness, in the engine's
     generator order, dividing the content out at every step, and keep the
-    rows that do not reach zero."""
+    rows that do not reach zero. A partial enters over its own denominator,
+    not over S's as in the engine; the stored pivots, content 1, do not
+    tell the two apart."""
     monomials = enumerate_graded_piece(ring, (charge, weight))
     col_index = {m: c for c, m in enumerate(monomials)}
     generators = []
     pivots = {}
-    for i in [*range(ring.k, ring.nvars), *range(ring.k)]:
-        part = ring.s_partials[i]
-        if part.is_zero():
-            continue
-        pcharge, pweight = ring.degree_of_monomial(next(iter(part.nums)))
+    for i, (denom, part) in _reference_partials(ring).items():
+        pcharge, pweight = ring.degree_of_monomial(next(iter(part)))
         mult_charge = tuple(a - b for a, b in zip(charge, pcharge))
         if weight < pweight:
             continue
         for mult in enumerate_graded_piece(ring, (mult_charge, weight - pweight)):
-            row = {col_index[monomial_mul(mult, e)]: n for e, n in part.nums.items()}
-            wit = {len(generators): part.denom}
+            row = {col_index[monomial_mul(mult, e)]: n for e, n in part.items()}
+            wit = {len(generators): denom}
             generators.append((mult, i))
             lead = _reduce_lead_every_step(row, wit, pivots)
             if lead is not None:
@@ -555,12 +567,11 @@ def test_koszul_skipped_generators_reach_zero(request, monkeypatch, name, weight
         return reduce_lead(row, pivots, wit)
 
     monkeypatch.setattr(jacobired, "_reduce_lead", recording)
+    partials = _reference_partials(ring)
     seeds, trails = {}, []
-    for i in [*range(ring.k, ring.nvars), *range(ring.k)]:
-        part = ring.s_partials[i]
-        if not part.is_zero():
-            seeds[i] = list(trails)
-            trails.append(min(part.nums, key=grevlex_key))
+    for i, (_, part) in partials.items():
+        seeds[i] = list(trails)
+        trails.append(min(part, key=grevlex_key))
     skipped = Counter()
     for w in range(max(weights) + 1):
         if w not in weights:
@@ -576,18 +587,20 @@ def test_koszul_skipped_generators_reach_zero(request, monkeypatch, name, weight
         rows = []  # the rows of the generators no lead skips, in order
         pivots = {}
         for i, known in leads.items():
-            part = ring.s_partials[i]
-            pcharge, pweight = ring.degree_of_monomial(next(iter(part.nums)))
+            # the engine keeps every partial over S's denominator
+            denom, part = partials[i]
+            scale = ring.S.denom // denom
+            pcharge, pweight = ring.degree_of_monomial(next(iter(part)))
             if w < pweight:
                 continue
             mult_charge = tuple(a - b for a, b in zip(ring.c_B, pcharge))
             learned = []
             for mult in enumerate_graded_piece(ring, (mult_charge, w - pweight)):
                 row = {
-                    piece.packing.key(monomial_mul(mult, e)): n
-                    for e, n in part.nums.items()
+                    piece.packing.key(monomial_mul(mult, e)): n * scale
+                    for e, n in part.items()
                 }
-                wit = {len(generators): part.denom}
+                wit = {len(generators): ring.S.denom}
                 generators.append((mult, i))
                 divisors = [
                     j for j, t in enumerate(known) if all(map(int.__ge__, mult, t))

@@ -6,7 +6,7 @@ from math import gcd
 
 import pytest
 
-from conftest import P2_RAYS, reference_mul, reference_q, xpoly
+from conftest import P2_RAYS, reference_mul, reference_partial, reference_q, xpoly
 
 from toricff.polyalg import LinearSum, Poly, parse_poly, render_poly
 from toricff.supercomplex import (
@@ -48,12 +48,13 @@ Y = sterm((1, 0, 0, 0), ())
 X1 = sterm((0, 1, 0, 0), ())
 
 
-def random_super(rng, ring, max_terms=4, maxexp=2):
+def random_super(rng, ring, max_terms=4, maxexp=2, max_etas=None):
     nv = ring.nvars
     terms = {}
     for _ in range(rng.randint(1, max_terms)):
         exps = tuple(rng.randint(0, maxexp) for _ in range(nv))
-        etas = tuple(sorted(rng.sample(range(nv), rng.randint(0, nv))))
+        size = rng.randint(0, nv if max_etas is None else max_etas)
+        etas = tuple(sorted(rng.sample(range(nv), size)))
         terms[(exps, etas)] = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
     return SuperElement(terms)
 
@@ -86,7 +87,7 @@ def test_delta_pins():
 
 
 def test_q_s_pins(cubic_ring):
-    g = cubic_ring.S.partial(0)
+    g = Poly(reference_partial(cubic_ring.S, 0))
     assert q_s(eta(0), cubic_ring) == SuperElement.from_poly(g)
     assert q_s(eta(1), cubic_ring) == SuperElement.from_poly(
         3 * Poly.monomial((1, 2, 0, 0))
@@ -153,7 +154,9 @@ def test_form_d_pins(cubic_ring):
     ds = wedge_df(cubic_ring.S, fterm((0, 0, 0, 0), ()))
     expect = FormElement({})
     for i in range(NV):
-        expect = expect + fterm((0, 0, 0, 0), (i,)) * cubic_ring.s_partials[i]
+        expect = expect + fterm((0, 0, 0, 0), (i,)) * Poly(
+            reference_partial(cubic_ring.S, i)
+        )
     assert ds == expect
     assert twisted_d(fterm((0, 0, 0, 0), ()), cubic_ring) == ds
 
@@ -303,14 +306,29 @@ def test_contraction_odd_derivation_seeded(cubic_ring):
         assert lhs == rhs
 
 
+def q_f_sum(w, f, scale=1):
+    """scale * Q_f(w) as a Poly, added by q_f into a new LinearSum."""
+    total = LinearSum(Poly)
+    q_f(w, f, total, scale)
+    return total.element()
+
+
+def even_reference_q(w, f):
+    """reference_q of a w whose terms carry at most one eta, as the Poly of
+    its terms, which carry none."""
+    raw = reference_q(w, f)
+    assert all(not etas for _, etas in raw)
+    return Poly({exps: c for (exps, _), c in raw.items()})
+
+
 def test_q_f_matches_q_s(cubic_ring):
     rng = random.Random(9)
     for _ in range(10):
-        w = random_super(rng, cubic_ring)
-        assert q_f(w, cubic_ring.S) == q_s(w, cubic_ring)
-    # a zero on either side gives zero
-    assert q_f(SuperElement({}), cubic_ring.S).is_zero()
-    assert q_f(eta(1), Poly({})).is_zero()
+        w = random_super(rng, cubic_ring, max_etas=1)
+        assert q_f_sum(w, cubic_ring.S) == q_s(w, cubic_ring).to_poly()
+    # a zero on either side adds nothing
+    assert q_f_sum(SuperElement({}), cubic_ring.S).is_zero()
+    assert q_f_sum(eta(1), Poly({})).is_zero()
     assert wedge_df(cubic_ring.S, FormElement({})).is_zero()
     assert wedge_df(Poly({}), fterm((1, 0, 0, 0), (1,))).is_zero()
 
@@ -339,34 +357,25 @@ def test_q_kernels_match_fraction_reference_seeded(cubic_ring, p1p1_ring):
         nv = ring.nvars
         for _ in range(15):
             w = random_super(rng, ring)
-            f = Poly(
-                {
-                    tuple(rng.randint(0, 2) for _ in range(nv)): Fraction(
-                        rng.randint(-5, 5), rng.randint(1, 4)
-                    )
-                    for _ in range(rng.randint(1, 4))
-                }
-            )
-            f_parts = [f.partial(i) for i in range(nv)]
-            # Q_f and Q_S square to zero, so contracting twice cancels exactly
-            for v in (w, q_f(w, f), w + q_f(w, f)):
-                raw = reference_q(v, f_parts)
-                assert _stored(q_f(v, f)) == _nonzero(raw)
-                cancelled += sum(1 for c in raw.values() if c == 0)
+            # Q_S squares to zero, so contracting twice cancels exactly
             for v in (w, q_s(w, ring), w + q_s(w, ring)):
-                raw = reference_q(v, ring.s_partials)
+                raw = reference_q(v, ring.S)
                 assert _stored(q_s(v, ring)) == _nonzero(raw)
                 cancelled += sum(1 for c in raw.values() if c == 0)
-            assert q_f(q_f(w, f), f).is_zero()
             assert q_s(q_s(w, ring), ring).is_zero()
+            # q_f adds Q_f of terms with at most one eta into a sum
+            v, f = random_super(rng, ring, max_etas=1), _random_poly(rng, nv, 4)
+            assert _stored(q_f_sum(v, f)) == _stored(even_reference_q(v, f))
     assert cancelled > 0
 
 
 def test_q_kernel_on_cleared_forms_seeded(cubic_ring, p1p1_ring):
-    # q_f and q_s on the int numerators of a SuperElement equal the Fraction
-    # reference; the witnesses carry two or three etas, so a dropped eta sits
-    # at odd and at even positions
+    # q_s on the int numerators of a SuperElement equals the Fraction
+    # reference, and q_f raises on one exactly when the reference keeps a
+    # nonzero term; the witnesses carry two or three etas, so a dropped eta
+    # sits at odd and at even positions
     rng = random.Random(57)
+    raised = 0
     for ring in (cubic_ring, p1p1_ring):
         nv = ring.nvars
         for _ in range(20):
@@ -376,62 +385,51 @@ def test_q_kernel_on_cleared_forms_seeded(cubic_ring, p1p1_ring):
                 etas = tuple(sorted(rng.sample(range(nv), rng.randint(2, 3))))
                 terms[(exps, etas)] = Fraction(rng.randint(-5, 5), rng.randint(1, 6))
             w = SuperElement(terms)
-            f = Poly(
-                {
-                    tuple(rng.randint(0, 2) for _ in range(nv)): Fraction(
-                        rng.randint(-5, 5), rng.randint(1, 4)
-                    )
-                    for _ in range(rng.randint(1, 3))
-                }
-            )
-            got = q_f(w, f)
-            assert isinstance(got, SuperElement)
-            raw = reference_q(w, [f.partial(i) for i in range(nv)])
-            assert _stored(got) == _nonzero(raw)
-            assert _stored(q_s(w, ring)) == _nonzero(
-                reference_q(w, ring.s_partials)
-            )
-            # Q_f squares to zero: the second contraction cancels exactly
-            assert q_f(q_f(w, f), f).is_zero()
+            f = _random_poly(rng, nv, 3)
+            total = LinearSum(Poly)
+            if _nonzero(reference_q(w, f)):
+                with pytest.raises(ValueError):
+                    q_f(w, f, total)
+                raised += 1
+            else:
+                q_f(w, f, total)
+            assert total.nums == {}
+            assert _stored(q_s(w, ring)) == _nonzero(reference_q(w, ring.S))
+            # Q_S squares to zero: the second contraction cancels exactly
+            assert q_s(q_s(w, ring), ring).is_zero()
+    assert raised
     # one eta left after the contraction: not a polynomial
     with pytest.raises(ValueError):
         q_s(eta(0) * eta(1), cubic_ring).to_poly()
-    assert q_s(eta(0), cubic_ring).to_poly() == cubic_ring.s_partials[0]
+    assert q_s(eta(0), cubic_ring).to_poly() == Poly(reference_partial(cubic_ring.S, 0))
 
 
 def test_partial_rows_are_cached_per_potential(
     cubic_ring, ci22_ring, rational_hesse_ring
 ):
-    # q_f, q_s and wedge_df read (d, rows) from the potential's cache; their
-    # results equal those on a fresh copy of the potential, whose rows are
-    # built anew, and the Fraction reference
+    # partial_rows holds every nonzero partial as (exponents, int numerator)
+    # pairs over the polynomial's own denominator, built once per polynomial;
+    # a variable is absent exactly when its partial is zero
     rng = random.Random(41)
-    for ring in (cubic_ring, ci22_ring, rational_hesse_ring):
-        S = ring.S
-        assert S.partial_rows() is S.partial_rows()
-        nv = ring.nvars
-        for _ in range(10):
-            w = random_super(rng, ring)
-            f = Poly(
-                {
-                    tuple(rng.randint(0, 2) for _ in range(nv)): Fraction(
-                        rng.randint(-5, 5) or 1, rng.randint(1, 4)
-                    )
-                    for _ in range(rng.randint(1, 4))
-                }
-            )
-            fresh_s = Poly(S.terms)
-            expected = _nonzero(reference_q(w, ring.s_partials))
-            for _ in range(2):
-                assert q_s(w, ring) == q_f(w, fresh_s)
-                assert _stored(q_s(w, ring)) == expected
-            raw_f = _nonzero(reference_q(w, [f.partial(i) for i in range(nv)]))
-            omega = mu(w)
-            for _ in range(2):
-                assert q_f(w, f) == q_f(w, Poly(f.terms))
-                assert _stored(q_f(w, f)) == raw_f
-                assert wedge_df(f, omega) == wedge_df(Poly(f.terms), omega)
-            assert twisted_d(omega, ring) == form_d(omega) + wedge_df(fresh_s, omega)
+    potentials = [ring.S for ring in (cubic_ring, ci22_ring, rational_hesse_ring)]
+    potentials += [_random_poly(rng, nv, 5) for nv in (1, 2, 4, 5) for _ in range(10)]
+    absent = 0
+    for f in potentials:
+        rows = f.partial_rows()
+        assert f.partial_rows() is rows
+        nv = len(next(iter(f.nums), ()))
+        assert set(rows) <= set(range(nv))
+        for i in range(nv):
+            expected = reference_partial(f, i)
+            if not expected:
+                assert i not in rows
+                absent += 1
+                continue
+            assert all(type(n) is int and n for _, n in rows[i])
+            assert len(rows[i]) == len(expected)
+            assert {e: Fraction(n, f.denom) for e, n in rows[i]} == expected
+    assert Poly({}).partial_rows() == {}
+    assert absent
 
 
 def _random_poly(rng, nv, max_terms):
@@ -447,8 +445,8 @@ def _random_poly(rng, nv, max_terms):
 
 
 def test_in_place_sums_match_materialised_seeded(cubic_ring, p1p1_ring):
-    # add_product and q_f with a LinearSum add into the numerators; the sum
-    # equals the one over the materialised x * y and q_f(w, f).to_poly()
+    # add_product and q_f add into a LinearSum's numerators; the sum equals
+    # the one over the materialised x * y and the Fraction reference of Q_f(w)
     rng = random.Random(2203)
     scales = (0, 1, -3, Fraction(3, 4), Fraction(-5, 6))
     seen = set()
@@ -475,7 +473,7 @@ def test_in_place_sums_match_materialised_seeded(cubic_ring, p1p1_ring):
                     w = SuperElement(terms)
                     f = ring.S if rng.random() < 0.3 else _random_poly(rng, nv, 3)
                     q_f(w, f, in_place, scale)
-                    materialised.add(scale, q_f(w, f).to_poly())
+                    materialised.add(scale, even_reference_q(w, f))
                     seen.add(("even term", any(not e for _, e in w.nums)))
                 seen.add(("zero scale", scale == 0))
                 seen.add(("Fraction scale", isinstance(scale, Fraction)))
@@ -493,9 +491,9 @@ def test_in_place_sums_match_materialised_seeded(cubic_ring, p1p1_ring):
             q_f(eta(0) * eta(1), S, total, scale)
         assert (total.denom, total.nums) == before
     with pytest.raises(ValueError):
-        q_f(eta(0) * eta(1), S).to_poly()
+        q_s(eta(0) * eta(1), cubic_ring).to_poly()
     # terms with two etas whose contractions cancel leave no odd factor
-    w = q_f(eta(0) * eta(1) * eta(2), S)
+    w = q_s(eta(0) * eta(1) * eta(2), cubic_ring)
     assert any(len(etas) == 2 for _, etas in w.nums)
     q_f(w, S, total, 1)
     assert (total.denom, total.nums) == before
@@ -544,7 +542,7 @@ def _assert_canonical(x, reference):
 
 
 def test_every_kernel_keeps_the_canonical_form_seeded(cubic_ring, p1p1_ring):
-    # product, scale, sum, partial, delta, q_f, q_s and both parsers; the
+    # product, scale, sum, delta, q_f, q_s and both parsers; the
     # random coefficients share factors with their denominators, so many
     # outputs need a gcd divided out
     rng = random.Random(606)
@@ -574,18 +572,10 @@ def test_every_kernel_keeps_the_canonical_form_seeded(cubic_ring, p1p1_ring):
                     total[k] = total.get(k, Fraction(0)) + scale * a
             _assert_canonical(Poly.sum([(c, f), (-2, g), (Fraction(1, 3), f)]), total)
             _assert_canonical(f - f, {})
-            for i in range(nv):
-                part = {}
-                for exps, a in f.terms.items():
-                    if exps[i]:
-                        lowered = exps[:i] + (exps[i] - 1,) + exps[i + 1 :]
-                        part[lowered] = a * exps[i]
-                _assert_canonical(f.partial(i), part)
             _assert_canonical(delta(w), _reference_delta(w))
-            f_parts = [f.partial(i) for i in range(nv)] if f.nums else []
-            if f_parts:
-                _assert_canonical(q_f(w, f), reference_q(w, f_parts))
-            _assert_canonical(q_s(w, ring), reference_q(w, ring.s_partials))
+            v = random_super(rng, ring, max_etas=1)
+            _assert_canonical(q_f_sum(v, f), even_reference_q(v, f).terms)
+            _assert_canonical(q_s(w, ring), reference_q(w, ring.S))
             _assert_canonical(
                 parse_poly(render_poly(f, names), names), dict(f.terms)
             )

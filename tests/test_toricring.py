@@ -10,7 +10,7 @@ import pytest
 from conftest import CUBIC, P2_RAYS, P5_RAYS, QUADRIC_P2, fermat, xpoly
 from toricff import toricring
 from toricff.jacobired import jacobian_basis
-from toricff.polyalg import Poly, grevlex_key
+from toricff.polyalg import grevlex_key
 from toricff.toricring import (
     GradingInvariantError,
     InhomogeneousHypersurface,
@@ -70,10 +70,12 @@ def test_cubic_ring_grading(cubic_ring):
 
 def test_cubic_potential(cubic_ring):
     # S = y1*(x1^3+x2^3+x3^3), so dS/dy1 recovers the cubic
-    assert cubic_ring.S.partial(0) == Poly(
-        {(0,) + exps: c for exps, c in CUBIC.terms.items()}
-    )
-    assert cubic_ring.s_partials[1] == 3 * Poly.monomial((1, 2, 0, 0))
+    S = cubic_ring.S
+    assert S.denom == 1
+    rows = S.partial_rows()
+    assert sorted(rows) == [0, 1, 2, 3]
+    assert dict(rows[0]) == {(0,) + exps: n for exps, n in CUBIC.nums.items()}
+    assert rows[1] == (((1, 2, 0, 0), 3),)
 
 
 def test_quintic_ring_grading(quintic_ring):
