@@ -176,14 +176,15 @@ def _row_hermite(rows):
     return tuple(tuple(row) for row in M)
 
 
-def free_cokernel_projection(A):
-    """Integer matrix P with P*A = 0 projecting Z^rows onto the free cokernel.
+def free_cokernel_projection(snf):
+    """Integer matrix P with P*A = 0 projecting Z^rows onto the free cokernel,
+    read off snf = smith_normal_form(A), so a caller that has the
+    decomposition does not compute it again.
 
     P has rows - rank(A) rows and is surjective; rows are canonicalized by row
     Hermite form. Raises TorsionClassGroup when some elementary divisor
     exceeds 1.
     """
-    snf = smith_normal_form(A)
     divisors = snf.divisors()
     if any(d != 1 for d in divisors):
         raise TorsionClassGroup(

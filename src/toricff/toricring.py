@@ -105,7 +105,7 @@ def build_class_grading(rays):
         raise InvalidInput(
             f"rays do not positively span R^{n}, so the fan is not complete"
         ) from None
-    projection = free_cokernel_projection(A)
+    projection = free_cokernel_projection(snf)
     charges = tuple(
         tuple(projection[j][rho] for j in range(r - n)) for rho in range(r)
     )

@@ -14,6 +14,7 @@ from toricff.polyalg import grevlex_key
 from toricff.toricring import (
     GradingInvariantError,
     InhomogeneousHypersurface,
+    InvalidInput,
     RaysDoNotSpan,
     TorsionClassGroup,
     build_cayley_ring,
@@ -37,6 +38,30 @@ def test_grading_rejects_nonspanning_rays():
 
 
 def test_grading_rejects_torsion():
+    with pytest.raises(TorsionClassGroup):
+        build_class_grading(((2, 0), (0, 1), (-2, -1)))
+
+
+def test_grading_errors_come_span_completeness_torsion(monkeypatch):
+    """build_class_grading takes one Smith normal form of the ray matrix and
+    tests, in order, that the rays span, that the fan is complete and that
+    the class group has no torsion."""
+    calls = []
+    snf = toricring.smith_normal_form
+
+    def counting(A):
+        calls.append(A)
+        return snf(A)
+
+    monkeypatch.setattr(toricring, "smith_normal_form", counting)
+    build_class_grading(P2_RAYS)
+    assert len(calls) == 1
+    # rank 1 and not complete: the span is tested first
+    with pytest.raises(RaysDoNotSpan):
+        build_class_grading(((1, 0), (-1, 0)))
+    # Z/2 torsion and not complete: completeness is tested first
+    with pytest.raises(InvalidInput):
+        build_class_grading(((2, 0), (0, 1)))
     with pytest.raises(TorsionClassGroup):
         build_class_grading(((2, 0), (0, 1), (-2, -1)))
 
