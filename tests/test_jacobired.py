@@ -82,10 +82,24 @@ def test_ci22_basis(ci22_ring):
 
 
 def test_p1p1_basis(p1p1_ring):
+    # pins today's plain-partial quotient, which counts one deformation too
+    # many on this elliptic curve: see test_p1p1_primitive_dims
     basis = jacobian_basis(p1p1_ring)
     assert basis.dims == (1, 2)
     for w in range(2):
         assert basis.dims[w] == quotient_dimension(p1p1_ring, w)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the basis is the quotient by the plain partials, not Batyrev-Cox "
+    "R_1 = S/(J_0 : x_1...x_r) with J_0 = <x_i dG/dx_i>",
+)
+def test_p1p1_primitive_dims(p1p1_ring):
+    """The (2,2) curve of the p1p1 fixture is smooth and elliptic, so its
+    primitive cohomology has dims (1, 1)."""
+    assert jacobian_basis(p1p1_ring).dims == (1, 1)
 
 
 def test_non_calabi_yau_guard():
