@@ -62,8 +62,6 @@ def test_grading_errors_come_span_completeness_torsion(monkeypatch):
     # Z/2 torsion and not complete: completeness is tested first
     with pytest.raises(InvalidInput):
         build_class_grading(((2, 0), (0, 1)))
-    with pytest.raises(TorsionClassGroup):
-        build_class_grading(((2, 0), (0, 1), (-2, -1)))
 
 
 def test_grading_sigma_relations_seeded(
