@@ -410,9 +410,15 @@ def test_reduce_vector_edge_cases(request, name, weight):
 
 def _reduce_lead_every_step(row, wit, pivots):
     """Reference: cancel the leading pivot columns of row, carrying wit, and
-    divide the content of row and wit out after every step. Returns the
-    first leading column with no pivot, or None once row is zero."""
+    divide the content of row and wit out before every step and before
+    returning, so a row that meets no pivot leaves with content 1 too.
+    Returns the first leading column with no pivot, or None once row is
+    zero."""
     while row:
+        content = gcd(*row.values(), *wit.values())
+        for part in (row, wit):
+            for key in part:
+                part[key] //= content
         lead = min(row)
         if lead not in pivots:
             return lead
@@ -423,10 +429,6 @@ def _reduce_lead_every_step(row, wit, pivots):
             for key in part:
                 part[key] *= p
             _axpy(part, src, -c)
-        content = gcd(*row.values(), *wit.values())
-        for part in (row, wit):
-            for key in part:
-                part[key] //= content
     return None
 
 
@@ -547,7 +549,15 @@ def test_witnesses_wait_for_the_first_reduction(request, monkeypatch, name):
 
 # per ring, the generators of its top weight that leads learned in the
 # pieces below skip, the trails aside
-LEARNED_SKIPS = {"p1p1": 6, "sextic": 103, "dense_k3": 31, "cy33": 1348, "quintic": 1}
+LEARNED_SKIPS = {
+    "p1p1": 6,
+    "sextic": 103,
+    "dense_k3": 31,
+    "cy33": 1348,
+    "quintic": 1,
+    "rational_hesse": 12,
+    "wide_hesse": 12,
+}
 
 
 @pytest.mark.parametrize(
@@ -558,6 +568,8 @@ LEARNED_SKIPS = {"p1p1": 6, "sextic": 103, "dense_k3": 31, "cy33": 1348, "quinti
         ("dense_k3", (2,)),
         ("cy33", (2, 3)),
         ("quintic", (4,)),
+        ("rational_hesse", (1, 2, 3)),
+        ("wide_hesse", (2, 3)),
     ],
 )
 def test_koszul_skipped_generators_reach_zero(request, monkeypatch, name, weights):
