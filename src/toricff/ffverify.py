@@ -132,7 +132,7 @@ def _entry_outcomes(state, dim):
 
 def _summed(sums, dim, trunc):
     """The series of the sums in sums."""
-    return TruncatedSeries.of_checked(
+    return TruncatedSeries(
         dim, trunc, {key: total.element() for key, total in sums.items()}
     )
 
@@ -238,8 +238,8 @@ def _associativity_cases(index, dim, trunc):
             for sigma in sorted(left.keys() | right.keys()):
                 yield (
                     f"associativity ({alpha},{beta},{gamma_idx})->{sigma}",
-                    TruncatedSeries.of_checked(dim, trunc, left.get(sigma, {})),
-                    TruncatedSeries.of_checked(dim, trunc, right.get(sigma, {})),
+                    TruncatedSeries(dim, trunc, left.get(sigma, {})),
+                    TruncatedSeries(dim, trunc, right.get(sigma, {})),
                 )
 
 
@@ -264,8 +264,8 @@ def check_flat_f_axioms(state, series):
     dim = len(state.basis.monomials)
     trunc = state.order - 2
     index = series.structure
-    zero = TruncatedSeries.of_checked(dim, trunc, {})
-    one = TruncatedSeries.of_checked(dim, trunc, {(): Fraction(1)})
+    zero = TruncatedSeries(dim, trunc, {})
+    one = TruncatedSeries(dim, trunc, {(): Fraction(1)})
     unit = state.basis.index_of[(0,) * ring.nvars]
     strict_pairs = dim * (dim - 1) // 2
     cases = strict_pairs * dim + dim * dim + dim * dim * (dim + 1) // 2 * dim
@@ -331,7 +331,7 @@ def _euler_image(series, t_weights, weigh):
     w = sum of d_j over C is the eigenvalue of E_t on t^C."""
     coeffs = series.coefficients.items()
     weighed = {k: weigh(c, sum(t_weights[j] for j in k)) for k, c in coeffs}
-    return TruncatedSeries.of_checked(series.dim, series.order, weighed)
+    return TruncatedSeries(series.dim, series.order, weighed)
 
 
 def _euler_outcomes(state, series):

@@ -198,8 +198,6 @@ class GradedIdealPiece:
     _reduce_lead, that built them.
     """
 
-    charge: tuple
-    weight: int
     monomials: tuple
     rank: int
     standard_monomials: tuple
@@ -345,8 +343,6 @@ def ideal_piece(ring, charge, weight):
     columns = graded_piece_keys(ring, degree, packing)
     standard = tuple(m for c, m in zip(columns, monomials) if c not in rows)[::-1]
     return GradedIdealPiece(
-        charge=charge,
-        weight=weight,
         monomials=monomials,
         rank=len(rows),
         standard_monomials=standard,
@@ -481,7 +477,7 @@ def reduce_with_witness(basis, f):
     The defining identity is re-verified exactly before returning. A zero f
     has the zero reduction, which is returned at once.
     """
-    if f.is_zero():
+    if not f:
         return ReductionWitness({}, SuperElement({}))
     # f enters as its int numerators, that is f.denom times itself, so the
     # residue and the witness are divided by f.denom

@@ -140,7 +140,7 @@ def q_f(w, f, into, scale=1):
     to a nonzero element.
     """
     odd = {key: n for key, n in w.nums.items() if len(key[1]) > 1}
-    if odd and not _q_parts(SuperElement.from_nums(w.denom, odd), f).is_zero():
+    if odd and _q_parts(SuperElement.from_nums(w.denom, odd), f):
         raise ValueError("element carries odd factors")
     rows = f.partial_rows()
     if not (scale and rows and w.nums):

@@ -181,7 +181,7 @@ def build_cayley_ring(rays, hypersurfaces):
     embedded = []
     for i, g in enumerate(hypersurfaces):
         poly = g if isinstance(g, Poly) else Poly(g)
-        if poly.is_zero():
+        if not poly:
             raise InvalidInput(f"hypersurface {i} is zero")
         beta = None
         for exps in poly.nums:

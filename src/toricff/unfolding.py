@@ -10,7 +10,10 @@ structure constants are the generating series
 
 so the series produced here carry the already-divided coefficients. A series
 keys t^C by the same sorted tuple C as the tables, so no exponent vector is
-built here.
+built here. A zero coefficient is absent from a series, and a zero table
+entry leads to no series term: both are told by truth value, since an
+element, a Fraction, an int and the {} of an all-zero a row are each falsy
+exactly when zero.
 
 Each new multiset gamma of size m >= 2 is settled by a single reduction: with
 (alpha, beta) the two smallest entries and C the remaining multiset,
@@ -69,57 +72,33 @@ class MissingTableEntry(KeyError):
     """A required lower-order table entry has not been computed."""
 
 
-@dataclass(frozen=True, eq=False)
 class TruncatedSeries:
     """Formal series over t-monomials, cut at a fixed total degree.
 
     A t-monomial is keyed as the tables key their entries: the sorted tuple
     of its directions, each repeated by its exponent, so t0*t2^2 is (0, 2, 2)
     and the degree of a key is its length. A key is absent exactly where its
-    coefficient vanishes, so arithmetic may drop vanishing coefficients
-    freely.
-
-    The constructor checks every key. The series the package builds itself
-    come through of_checked, which skips that check: their keys are read
-    off tables that run or ingest_report has already checked, or off the
-    keys of such series.
+    coefficient vanishes: the constructor keeps the truthy coefficients, and
+    every coefficient (an element, a Fraction or an int) is falsy exactly
+    when zero. It checks no key; the package reads its keys off tables that
+    run or ingest_report has already checked, or off the keys of series.
     """
 
-    dim: int
-    order: int
-    coefficients: dict = field(repr=False)
+    __slots__ = ("dim", "order", "coefficients")
 
-    def __post_init__(self):
-        for key in self.coefficients:
-            if len(key) > self.order:
-                raise ValueError(f"key {key} beyond truncation {self.order}")
-            if any(a > b for a, b in zip(key, key[1:])):
-                raise ValueError(f"key {key} is not sorted")
-            if key and not (key[0] >= 0 and key[-1] < self.dim):
-                raise ValueError(f"key {key} leaves directions 0..{self.dim - 1}")
-        object.__setattr__(self, "coefficients", _nonvanishing(self.coefficients))
-
-    @classmethod
-    def of_checked(cls, dim, order, coefficients):
-        """The series over keys known to be sorted, within the order and
-        within the directions; only the vanishing coefficients are dropped."""
-        series = object.__new__(cls)
-        object.__setattr__(series, "dim", dim)
-        object.__setattr__(series, "order", order)
-        object.__setattr__(series, "coefficients", _nonvanishing(coefficients))
-        return series
+    def __init__(self, dim, order, coefficients):
+        self.dim = dim
+        self.order = order
+        self.coefficients = {key: v for key, v in coefficients.items() if v}
 
     def truncate(self, order):
         kept = {k: v for k, v in self.coefficients.items() if len(k) <= order}
-        return TruncatedSeries.of_checked(self.dim, order, kept)
+        return TruncatedSeries(self.dim, order, kept)
 
     def map(self, fn):
         """The coefficient-wise image under fn, on the same domain."""
-        return TruncatedSeries.of_checked(
-            self.dim,
-            self.order,
-            {key: fn(value) for key, value in self.coefficients.items()},
-        )
+        image = {key: fn(value) for key, value in self.coefficients.items()}
+        return TruncatedSeries(self.dim, self.order, image)
 
     def pairings(self, other):
         """(A + B, a, b) for every term a t^A of self and b t^B of other
@@ -153,15 +132,7 @@ class TruncatedSeries:
             count = key.count(direction)
             if count:
                 out[_remove_one(key, direction)] = count * value
-        return TruncatedSeries.of_checked(self.dim, self.order - 1, out)
-
-
-def _vanishes(value):
-    return value.is_zero() if hasattr(value, "is_zero") else not value
-
-
-def _nonvanishing(coefficients):
-    return {key: v for key, v in coefficients.items() if not _vanishes(v)}
+        return TruncatedSeries(self.dim, self.order - 1, out)
 
 
 @dataclass(eq=False)
@@ -227,7 +198,7 @@ class _TableIndex:
         twice, which tells _settled_below to rebuild the index."""
         self.sizes[len(key)] = self.sizes.get(len(key), 0) + 1
         self.keys += 1
-        if not _vanishes(entry):
+        if entry:
             for end in range(len(key), 0, -1):
                 if key[:end] in self.support:
                     break
@@ -416,7 +387,7 @@ def gamma_series(state):
     for multi, u in state.u_table.items():
         scale = _factorial_of(multi)
         coeffs[multi] = u if scale == 1 else Fraction(1, scale) * u
-    return TruncatedSeries.of_checked(len(state.basis.monomials), state.order, coeffs)
+    return TruncatedSeries(len(state.basis.monomials), state.order, coeffs)
 
 
 def gamma_partial(gamma):
@@ -436,7 +407,7 @@ def _by_pair(table):
     m'_beta the count of beta left once alpha is removed.
     """
     for multi, entry in table.items():
-        if _vanishes(entry):
+        if not entry:
             continue
         counts = {j: len(tuple(run)) for j, run in groupby(multi)}
         full = prod(factorial(m) for m in counts.values())
@@ -464,7 +435,7 @@ def structure_series(state):
             by_rho.setdefault(rho, {})[key] = scale * value
     return {
         pair: {
-            rho: TruncatedSeries.of_checked(dim, state.order - 2, c)
+            rho: TruncatedSeries(dim, state.order - 2, c)
             for rho, c in row.items()
         }
         for pair, row in coeffs.items()
@@ -479,7 +450,7 @@ def lambda_series(state):
     for alpha, beta, key, scale, lam in _by_pair(state.lam_table):
         coeffs.setdefault((alpha, beta), {})[key] = scale * lam
     return {
-        pair: TruncatedSeries.of_checked(dim, state.order - 2, c)
+        pair: TruncatedSeries(dim, state.order - 2, c)
         for pair, c in coeffs.items()
     }
 

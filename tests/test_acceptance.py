@@ -121,15 +121,15 @@ def test_operator_identity_suite(cubic_ring, ci22_ring, p1p1_ring):
         for _ in range(35):
             w = random_super(rng, ring)
             elements += 1
-            ok = ok and delta(delta(w)).is_zero()
-            ok = ok and q_s(q_s(w, ring), ring).is_zero()
-            ok = ok and (q_s(delta(w), ring) + delta(q_s(w, ring))).is_zero()
-            ok = ok and k_s(k_s(w, ring), ring).is_zero()
+            ok = ok and not delta(delta(w))
+            ok = ok and not q_s(q_s(w, ring), ring)
+            ok = ok and not (q_s(delta(w), ring) + delta(q_s(w, ring)))
+            ok = ok and not k_s(k_s(w, ring), ring)
             omega = random_form(rng, ring)
             elements += 1
-            ok = ok and twisted_d(twisted_d(omega, ring), ring).is_zero()
-            ok = ok and form_d(form_d(omega)).is_zero()
-            ok = ok and wedge_df(ring.S, wedge_df(ring.S, omega)).is_zero()
+            ok = ok and not twisted_d(twisted_d(omega, ring), ring)
+            ok = ok and not form_d(form_d(omega))
+            ok = ok and not wedge_df(ring.S, wedge_df(ring.S, omega))
     elapsed = time.perf_counter() - start
     ok = ok and elements >= 200 and len(rings) >= 3
     conclude(

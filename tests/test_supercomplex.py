@@ -72,7 +72,7 @@ def random_form(rng, ring, max_terms=4, maxexp=2):
 def test_eta_products():
     assert eta(0) * eta(1) == sterm((0,) * NV, (0, 1))
     assert eta(1) * eta(0) == sterm((0,) * NV, (0, 1), -1)
-    assert (eta(0) * eta(0)).is_zero()
+    assert not (eta(0) * eta(0))
     left = Y * eta(1)
     right = X1 * eta(0)
     assert left * right == sterm((1, 1, 0, 0), (0, 1), -1)
@@ -80,7 +80,7 @@ def test_eta_products():
 
 def test_delta_pins():
     assert delta(Y * eta(0)) == ONE
-    assert delta(eta(0) * eta(1)).is_zero()
+    assert not delta(eta(0) * eta(1))
     # delta(q0*q1*eta0*eta1) = q1*eta1 - q0*eta0
     w = sterm((1, 1, 0, 0), (0, 1))
     assert delta(w) == sterm((0, 1, 0, 0), (1,)) - sterm((1, 0, 0, 0), (0,))
@@ -92,7 +92,7 @@ def test_q_s_pins(cubic_ring):
     assert q_s(eta(1), cubic_ring) == SuperElement.from_poly(
         3 * Poly.monomial((1, 2, 0, 0))
     )
-    assert q_s(Y * X1, cubic_ring).is_zero()
+    assert not q_s(Y * X1, cubic_ring)
 
 
 def test_k_s_is_sum(cubic_ring):
@@ -112,7 +112,7 @@ def test_q_s_graded_product_rule(cubic_ring, p1p1_ring):
             a = SuperElement(
                 {(e, t): c for (e, t), c in a.terms.items() if len(t) == len(etas)}
             )
-            if a.is_zero():
+            if not a:
                 continue
             b = random_super(rng, ring, max_terms=2)
             sign = (-1) ** len(etas)
@@ -150,7 +150,7 @@ def test_mu_intertwines(cubic_ring, p1p1_ring):
 
 def test_form_d_pins(cubic_ring):
     assert form_d(fterm((1, 0, 0, 0), (1,))) == fterm((0, 0, 0, 0), (0, 1))
-    assert form_d(fterm((0, 0, 0, 0), (0,))).is_zero()
+    assert not form_d(fterm((0, 0, 0, 0), (0,)))
     ds = wedge_df(cubic_ring.S, fterm((0, 0, 0, 0), ()))
     expect = FormElement({})
     for i in range(NV):
@@ -166,9 +166,9 @@ def test_contract_euler_pins(cubic_ring):
     back = contract_euler(ds, cubic_ring.var_weights)
     assert back == FormElement.from_poly(cubic_ring.S)
     for i in range(1, NV):
-        assert contract_euler(
+        assert not contract_euler(
             fterm((0, 0, 0, 0), (i,)), cubic_ring.var_weights
-        ).is_zero()
+        )
 
 
 def form_phi_degree(exps, dqs, phi):
@@ -235,9 +235,9 @@ def test_epsilon_closed_form(cubic_ring, p1p1_ring):
             got = epsilon_w_s(xi, ring)
             expect = xi * (Poly.monomial((0,) * ring.nvars, w) + ring.S)
             assert got == expect
-            if not xi.is_zero():
-                assert not got.is_zero()  # injectivity on homogeneous input
-    assert epsilon_w_s(FormElement({}), cubic_ring).is_zero()
+            if xi:
+                assert got  # injectivity on homogeneous input
+    assert not epsilon_w_s(FormElement({}), cubic_ring)
 
 
 def test_epsilon_telescoping(cubic_ring):
@@ -260,16 +260,16 @@ def test_operator_identities_seeded(cubic_ring, ci22_ring):
     for ring in (cubic_ring, ci22_ring):
         for _ in range(15):
             w = random_super(rng, ring)
-            assert delta(delta(w)).is_zero()
-            assert q_s(q_s(w, ring), ring).is_zero()
-            assert (
+            assert not delta(delta(w))
+            assert not q_s(q_s(w, ring), ring)
+            assert not (
                 q_s(delta(w), ring) + delta(q_s(w, ring))
-            ).is_zero()
-            assert k_s(k_s(w, ring), ring).is_zero()
+            )
+            assert not k_s(k_s(w, ring), ring)
             omega = random_form(rng, ring)
-            assert form_d(form_d(omega)).is_zero()
-            assert wedge_df(ring.S, wedge_df(ring.S, omega)).is_zero()
-            assert twisted_d(twisted_d(omega, ring), ring).is_zero()
+            assert not form_d(form_d(omega))
+            assert not wedge_df(ring.S, wedge_df(ring.S, omega))
+            assert not twisted_d(twisted_d(omega, ring), ring)
 
 
 def test_contraction_identities_seeded(cubic_ring):
@@ -279,11 +279,11 @@ def test_contraction_identities_seeded(cubic_ring):
     charges = tuple(ring.var_charges[v][0] for v in range(ring.nvars))
     for _ in range(15):
         omega = random_form(rng, ring)
-        assert contract_euler(contract_euler(omega, wts), wts).is_zero()
+        assert not contract_euler(contract_euler(omega, wts), wts)
         anti = contract_euler(
             contract_euler(omega, wts), charges
         ) + contract_euler(contract_euler(omega, charges), wts)
-        assert anti.is_zero()
+        assert not anti
 
 
 def test_contraction_odd_derivation_seeded(cubic_ring):
@@ -327,10 +327,10 @@ def test_q_f_matches_q_s(cubic_ring):
         w = random_super(rng, cubic_ring, max_etas=1)
         assert q_f_sum(w, cubic_ring.S) == q_s(w, cubic_ring).to_poly()
     # a zero on either side adds nothing
-    assert q_f_sum(SuperElement({}), cubic_ring.S).is_zero()
-    assert q_f_sum(eta(1), Poly({})).is_zero()
-    assert wedge_df(cubic_ring.S, FormElement({})).is_zero()
-    assert wedge_df(Poly({}), fterm((1, 0, 0, 0), (1,))).is_zero()
+    assert not q_f_sum(SuperElement({}), cubic_ring.S)
+    assert not q_f_sum(eta(1), Poly({}))
+    assert not wedge_df(cubic_ring.S, FormElement({}))
+    assert not wedge_df(Poly({}), fterm((1, 0, 0, 0), (1,)))
 
 
 def _nonzero(raw):
@@ -362,7 +362,7 @@ def test_q_kernels_match_fraction_reference_seeded(cubic_ring, p1p1_ring):
                 raw = reference_q(v, ring.S)
                 assert _stored(q_s(v, ring)) == _nonzero(raw)
                 cancelled += sum(1 for c in raw.values() if c == 0)
-            assert q_s(q_s(w, ring), ring).is_zero()
+            assert not q_s(q_s(w, ring), ring)
             # q_f adds Q_f of terms with at most one eta into a sum
             v, f = random_super(rng, ring, max_etas=1), _random_poly(rng, nv, 4)
             assert _stored(q_f_sum(v, f)) == _stored(even_reference_q(v, f))
@@ -396,7 +396,7 @@ def test_q_kernel_on_cleared_forms_seeded(cubic_ring, p1p1_ring):
             assert total.nums == {}
             assert _stored(q_s(w, ring)) == _nonzero(reference_q(w, ring.S))
             # Q_S squares to zero: the second contraction cancels exactly
-            assert q_s(q_s(w, ring), ring).is_zero()
+            assert not q_s(q_s(w, ring), ring)
     assert raised
     # one eta left after the contraction: not a polynomial
     with pytest.raises(ValueError):
@@ -460,7 +460,7 @@ def test_in_place_sums_match_materialised_seeded(cubic_ring, p1p1_ring):
                     x, y = _random_poly(rng, nv, 3), _random_poly(rng, nv, 3)
                     in_place.add_product(scale, x, y)
                     materialised.add(scale, x * y)
-                    seen.add(("zero operand", x.is_zero() or y.is_zero()))
+                    seen.add(("zero operand", not x or not y))
                 else:
                     # terms with one eta or none: Q_f leaves no odd factor
                     terms = {}

@@ -17,8 +17,8 @@ from conftest import (
 
 from toricff.cli import cmd_unfold, ingest_report, parse_problem
 from toricff.jacobired import jacobian_basis, reduce_with_witness
-from toricff.polyalg import Poly
-from toricff.supercomplex import SuperElement, delta, q_s
+from toricff.polyalg import LinearSum, Poly
+from toricff.supercomplex import SuperElement, delta, mu, q_s
 from toricff.toricring import NotCalabiYau, build_cayley_ring
 from toricff.unfolding import (
     MissingTableEntry,
@@ -115,7 +115,7 @@ def test_step_clears_an_entry_replaced_in_place(p1p1_ring, p1p1_basis):
         (state.u_table, (1, 1, 2), Fraction(5, 2)),
         (state.lam_table, (1, 2), Fraction(2, 3)),
     ):
-        assert not table[key].is_zero()
+        assert table[key]
         table[key] = scale * table[key]
     for multi in quartics:
         step(state, multi)
@@ -170,7 +170,7 @@ def test_step_pairs(cubic_ring, cubic_basis):
     assert state.u_table[(0, 1)] == Poly({})
     assert state.a_table[(1, 1)] == {}
     lam = state.lam_table[(1, 1)]
-    assert not lam.is_zero()
+    assert lam
     assert q_s(lam, cubic_ring).to_poly() == Poly.monomial((2, 2, 2, 2))
     assert state.u_table[(1, 1)] == delta(lam).to_poly()
 
@@ -320,17 +320,89 @@ def test_gamma_series_pins(cubic_state4):
         assert got == Fraction(1, scale) * cubic_state4.u_table[multi]
 
 
-@pytest.mark.parametrize(
-    "key, reason",
-    [
-        ((1, 0), "not sorted"),
-        ((0, 2), "leaves directions"),
-        ((1, 1, 1, 1, 1), "beyond truncation"),
-    ],
-)
-def test_truncated_series_rejects_key(key, reason):
-    with pytest.raises(ValueError, match=reason):
-        TruncatedSeries(2, 4, {key: Poly.monomial((0,) * 4)})
+def test_elements_are_falsy_exactly_when_zero(cubic_ring):
+    """Every kernel's result is falsy exactly when it stores no numerator, and
+    seeded inputs reach both outcomes of each kernel. A series keeps exactly
+    its truthy coefficients: a zero Poly, SuperElement, Fraction or int is
+    absent, in the constructor and in every series the methods build."""
+    rng = random.Random(30)
+    nv = cubic_ring.nvars
+
+    def super_element():
+        terms = {}
+        for _ in range(rng.randint(0, 3)):
+            exps = tuple(rng.randint(0, 2) for _ in range(nv))
+            etas = tuple(sorted(rng.sample(range(nv), rng.randint(0, 2))))
+            terms[exps, etas] = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+        return SuperElement(terms)
+
+    seen = set()
+    for _ in range(80):
+        x = super_element()
+        y = rng.choice((x, -x, super_element(), super_element()))
+        even = [Poly({e: c for (e, t), c in w.terms.items() if not t}) for w in (x, y)]
+        for cls, (a, b) in ((SuperElement, (x, y)), (Poly, even)):
+            total = LinearSum(cls)
+            total.add(rng.choice((1, Fraction(1, 2))), a)
+            total.add(rng.choice((-1, Fraction(-1, 2))), b)
+            results = {
+                "sum": a + b,
+                "difference": a - b,
+                "scalar product": a * rng.choice((0, 3, Fraction(-2, 5))),
+                "element product": a * b,
+                "LinearSum.element": total.element(),
+            }
+            if cls is SuperElement:
+                results.update(delta=delta(a), q_s=q_s(a, cubic_ring), mu=mu(a))
+            for kernel, got in results.items():
+                assert bool(got) is (got.nums != {}), (kernel, got)
+                assert bool(got) is any(got.terms.values()), (kernel, got)
+                seen.add((cls.__name__, kernel, bool(got)))
+    shared = {
+        "sum",
+        "difference",
+        "scalar product",
+        "element product",
+        "LinearSum.element",
+    }
+    kernels = {"Poly": shared, "SuperElement": shared | {"delta", "q_s", "mu"}}
+    assert seen == {
+        (cls, kernel, outcome)
+        for cls, names in kernels.items()
+        for kernel in names
+        for outcome in (False, True)
+    }
+
+    unit = (0,) * nv
+    one_poly = Poly.monomial(unit)
+    one_super = SuperElement({(unit, (0,)): Fraction(1)})
+    series = TruncatedSeries(
+        2,
+        3,
+        {
+            (): Poly({}),
+            (0,): SuperElement({}),
+            (1,): Fraction(0),
+            (0, 0): 0,
+            (0, 1): one_poly,
+            (1, 1): one_super,
+            (0, 0, 0): Fraction(1, 2),
+            (0, 0, 1): 3,
+        },
+    )
+    assert series.coefficients == {
+        (0, 1): one_poly,
+        (1, 1): one_super,
+        (0, 0, 0): Fraction(1, 2),
+        (0, 0, 1): 3,
+    }
+    assert series.map(lambda c: 0 * c).coefficients == {}
+    assert series.truncate(2).coefficients == {(0, 1): one_poly, (1, 1): one_super}
+    assert series.partial(1).coefficients == {
+        (0,): one_poly,
+        (1,): 2 * one_super,
+        (0, 0): 3,
+    }
 
 
 def test_gamma_partial_matches_series(cubic_state4):
