@@ -4,24 +4,24 @@ A monomial is a tuple of nonnegative exponents; variable order is fixed by the
 caller (Cayley rings put the y variables first). Polynomials are immutable
 once built.
 
-Every element (a Poly here, a SuperElement or FormElement in supercomplex) is
-stored in one exact form: Python int numerators over one denominator, the
-coefficient at a key being nums[key] / denom. The form is canonical: denom is
-positive, no zero numerator is stored and gcd(denom, *nums) == 1, so == and
-hash compare the stored ints, and an element is falsy exactly when it stores
-no numerator: zero, like a Fraction or an int, is tested by truth value.
-Every kernel runs on that form and builds no Fraction: the products, the
-linear combination (LinearSum, which the sum and difference of elements
-drive, and through add_product the product of two Polys), the partials and,
-in supercomplex, delta and the Q contraction. A polynomial's partials have
-one form, Poly.partial_rows: the numerators n * e_i of each nonzero partial,
-kept over the polynomial's own denom. The Jacobian rows of jacobired and
-every Q contraction of supercomplex read it. The hot sums add products and Q
-contractions straight into a LinearSum's numerators (LinearSum.add_product,
-supercomplex.q_f), building no product element. Fractions enter through the
-constructor, which clears them with _cleared, the one denominator-clearing
-helper of the package, and leave through the terms view, a new dict of
-Fractions, which rendering and the tests read.
+Every element (a Poly here, a SuperElement or FormElement in supercomplex)
+is stored in one exact form: Python int numerators over one denominator, the
+coefficient at a key being nums[key] / denom. The form is canonical: denom
+is positive, no zero numerator is stored and gcd(denom, *nums) == 1, so ==
+and hash compare the stored ints. Every kernel runs on that form and builds
+no Fraction: the products, the linear combination (LinearSum, which the sum
+and difference of elements drive, and through add_product the product of
+two Polys), the partials and, in supercomplex, delta and the Q contraction.
+A polynomial's partials have one form, Poly.partial_rows: the numerators
+n * e_i of each nonzero partial, kept over the polynomial's own denom. The
+Jacobian rows of jacobired and every Q contraction of supercomplex read it.
+The hot sums add products and Q contractions straight into a LinearSum's
+numerators (LinearSum.add_product, supercomplex.q_f), building no product
+element. Fractions enter through the constructor, which clears them with
+_cleared, the one denominator-clearing helper of the package, and leave
+through the terms view, a new dict of Fractions, which rendering and the
+tests read. An element is falsy exactly when it stores no numerator, as a
+zero Fraction or int is, so a truth test is the one zero test.
 """
 
 from __future__ import annotations
