@@ -239,27 +239,23 @@ def _enumerate(ineqs, dim):
         return []
     if not (has_lower and has_upper):
         raise UnboundedPolytope(f"coordinate {dim} has no finite bounds")
+    # base satisfies every inequality free of the last coordinate: the
+    # projection keeps each, tightened to the same integer points
+    bounding = [(normal, offset) for normal, offset in ineqs if normal[dim - 1]]
     points = []
     for p in base:
         lo = None
         hi = None
-        feasible = True
-        for normal, offset in ineqs:
+        for normal, offset in bounding:
             a = normal[dim - 1]
             # normal is one longer than p, and map stops at the shorter
             rest = offset - sum(map(mul, normal, p))
-            if a == 0:
-                if rest > 0:
-                    feasible = False
-                    break
-            elif a > 0:
+            if a > 0:
                 bound = -((-rest) // a)  # ceil(rest / a)
                 lo = bound if lo is None else max(lo, bound)
             else:
                 bound = rest // a  # floor
                 hi = bound if hi is None else min(hi, bound)
-        if not feasible:
-            continue
         for v in range(lo, hi + 1):
             points.append(p + (v,))
     return points

@@ -12,10 +12,12 @@ polyalg.GrevlexPacking at the ring's packing: ascending keys are descending
 grevlex, so the pivot of a row, its least key, is its grevlex-leading
 monomial. A field of the key is whole bytes wide, as many as the largest
 exponent of any piece the ring has enumerated needs plus a guard bit, and
-the ring widens it when a piece needs more, so no key overflows. The key
-of a product is the sum of the keys, so the row of mult * dS_i is built by
-adding the multiplier's key to each term's, and a lead t divides mult
-when key(mult) - key(t) sets no guard bit. Generators are enumerated x
+the ring widens it when a piece needs more, so no key overflows; the
+widening re-keys the ring's cached pieces, and a GradedIdealPiece built
+before it keeps its own keys and packing. The key of a product is the sum
+of the keys, so the row of mult * dS_i is built by adding the
+multiplier's key to each term's, and a lead t divides mult when
+key(mult) - key(t) sets no guard bit. Generators are enumerated x
 partials first, then y partials, multipliers in descending grevlex; all
 later determinism guarantees flow from that fixed order. Rows are not
 back-substituted: a residue is the normal form modulo the row space, and
@@ -180,7 +182,9 @@ class GradedIdealPiece:
     """One graded piece, its echelonized generators, and the quotient data.
 
     Columns are the packed keys of the piece's monomials at packing
-    (polyalg.GrevlexPacking): ascending keys are descending grevlex, so the
+    (polyalg.GrevlexPacking), the ring's packing when the piece was built:
+    a later widening re-keys the ring's caches, not the piece, which keeps
+    reducing at its own width. Ascending keys are descending grevlex, so the
     least column of a row is its grevlex-leading monomial. rank,
     standard_monomials and pivot_generators (the generator indices of the
     pivots, ascending) come from the pivot pass of ideal_piece. blocks
@@ -281,8 +285,11 @@ def ideal_piece(ring, charge, weight):
     exponent of the piece once it is enumerated, and so of each multiplier
     and each term of a partial whose product lands in it: a row is built by
     adding keys, and t divides mult when key(mult) - key(t) borrows into no
-    guard bit. A lead with an exponent past the packing's limit divides no
-    multiplier here and is left out of the test.
+    guard bit. No multiplier piece widens the packing: every monomial of
+    it times a term of its partial lands in the piece, already enumerated,
+    so the keys of every block and of the columns are at one width. A lead
+    with an exponent past the packing's limit divides no multiplier here
+    and is left out of the test.
     """
     charge = tuple(charge)
     degree = (charge, weight)
@@ -314,7 +321,7 @@ def ideal_piece(ring, charge, weight):
         mults = enumerate_graded_piece(ring, mult_degree)
         if not mults:
             continue
-        mult_keys = graded_piece_keys(ring, mult_degree, packing)
+        mult_keys = graded_piece_keys(ring, mult_degree)
         items = tuple((packing.key(e), n) for e, n in part)
         blocks.append((i, mults, mult_keys, items))
         leads = [packing.key(t) for t in syzygies[i] if max(t) <= limit]
@@ -340,7 +347,7 @@ def ideal_piece(ring, charge, weight):
         start += len(mults)
         syzygies[i] += learned
     # columns run in descending grevlex order
-    columns = graded_piece_keys(ring, degree, packing)
+    columns = graded_piece_keys(ring, degree)
     standard = tuple(m for c, m in zip(columns, monomials) if c not in rows)[::-1]
     return GradedIdealPiece(
         monomials=monomials,

@@ -9,10 +9,11 @@ A graded piece is sorted by the packed grevlex keys of its monomials
 (polyalg.GrevlexPacking), one int each, at the ring's packing. Its fields
 are whole bytes, wide enough for the largest exponent of any piece the
 ring has enumerated plus a guard bit; a piece that needs more widens it,
-and keys cached at the old width are rebuilt on request. An x-fiber is
-enumerated once per ring, mapped to exponent vectors and keyed a column at
-a time, and kept in key order, so the piece's blocks, one per y-exponent
-vector, are sorted runs whose keys are one addition each.
+and the widening re-keys every cached fiber and piece, so every cached key
+is at the ring's one packing. An x-fiber is enumerated once per ring,
+mapped to exponent vectors and keyed a column at a time, and kept in key
+order, so the piece's blocks, one per y-exponent vector, are sorted runs
+whose keys are one addition each.
 """
 
 from __future__ import annotations
@@ -126,17 +127,18 @@ class CayleyRing:
     c_B: tuple
     names: tuple
     eta_names: tuple
-    _fiber_solver: tuple = field(repr=False, default=())
-    # x-charge -> x-fiber; (x-charge, bits) -> the x-parts of its keys
+    # x-charge -> x-fiber in descending grevlex, and the x-parts of its keys;
+    # degree -> piece in descending grevlex, and its keys, ascending. Every
+    # key is at the ring's packing: widen re-keys them all
     _fiber_cache: dict = field(repr=False, default_factory=dict)
     _fiber_keys: dict = field(repr=False, default_factory=dict)
-    # degree -> piece; (degree, bits) -> its keys
     _piece_cache: dict = field(repr=False, default_factory=dict)
     _piece_keys: dict = field(repr=False, default_factory=dict)
     # per partial dS_i, the known syzygy leads: jacobired.ideal_piece skips
     # a generator mult * dS_i when one of them divides mult
     _syzygies: dict = field(repr=False, default_factory=dict)
     _charge_rows: tuple = field(init=False, repr=False, compare=False)
+    _fiber_solver: tuple = field(init=False, repr=False, compare=False)
     # packs the monomials of every piece enumerated so far: one width for
     # the ring, so the keys of a multiplier piece add to those of its target
     packing: GrevlexPacking = field(init=False, repr=False, compare=False)
@@ -144,12 +146,19 @@ class CayleyRing:
     def __post_init__(self):
         # charge component j of every variable, one row per j
         self._charge_rows = tuple(zip(*self.var_charges))
+        self._fiber_solver = _make_fiber_solver(self.grading)
         self.packing = GrevlexPacking(self.nvars, 0)
 
     def widen(self, top):
-        """Widen the ring's packing, if need be, to hold the exponent top."""
+        """Widen the ring's packing, if need be, to hold the exponent top,
+        and re-key every cached fiber and piece at it. Keys keep their order
+        at every width, so no list is sorted again."""
         if top > self.packing.limit:
-            self.packing = GrevlexPacking(self.nvars, top)
+            packing = self.packing = GrevlexPacking(self.nvars, top)
+            for xcharge, points in self._fiber_cache.items():
+                self._fiber_keys[xcharge] = list(_x_keys(self, points))
+            for degree, piece in self._piece_cache.items():
+                self._piece_keys[degree] = list(map(packing.key, piece))
 
     @property
     def n(self):
@@ -220,7 +229,7 @@ def build_cayley_ring(rays, hypersurfaces):
         f"x{rho+1}" for rho in range(r)
     )
     eta_names = tuple(f"eta{i+1}" for i in range(nvars))
-    ring = CayleyRing(
+    return CayleyRing(
         grading=grading,
         k=k,
         r=r,
@@ -232,8 +241,6 @@ def build_cayley_ring(rays, hypersurfaces):
         names=names,
         eta_names=eta_names,
     )
-    ring._fiber_solver = _make_fiber_solver(grading)
-    return ring
 
 
 def is_calabi_yau(ring):
@@ -302,9 +309,9 @@ def _fiber(ring, xcharge):
     if points is None:
         points = _x_fiber(ring.grading, ring._fiber_solver, xcharge)
         ring.widen(max(map(max, points), default=0))
-        keys, points = _key_sorted(list(_x_keys(ring, points, ring.packing)), points)
+        keys, points = _key_sorted(list(_x_keys(ring, points)), points)
         ring._fiber_cache[xcharge] = points
-        ring._fiber_keys[xcharge, ring.packing.bits] = keys
+        ring._fiber_keys[xcharge] = keys
     return points
 
 
@@ -315,18 +322,9 @@ def _key_sorted(keys, items):
     return [keys[i] for i in order], [items[i] for i in order]
 
 
-def _x_keys(ring, points, packing):
-    """The x-parts of the keys at the packing of x-exponent vectors."""
-    return _combine(tuple(zip(*points)), len(points), packing.places[ring.k :])
-
-
-def _fiber_keys(ring, xcharge, packing):
-    """The x-parts of the keys of the x-fiber's monomials, in its order."""
-    got = ring._fiber_keys.get((xcharge, packing.bits))
-    if got is None:
-        got = list(_x_keys(ring, ring._fiber_cache[xcharge], packing))
-        ring._fiber_keys[xcharge, packing.bits] = got
-    return got
+def _x_keys(ring, points):
+    """The x-parts of the keys at the ring's packing of x-exponent vectors."""
+    return _combine(tuple(zip(*points)), len(points), ring.packing.places[ring.k :])
 
 
 def _compositions(total, parts):
@@ -336,32 +334,6 @@ def _compositions(total, parts):
     for head in range(total + 1):
         for tail in _compositions(total - head, parts - 1):
             yield (head,) + tail
-
-
-def _blocks(ring, charge, weight):
-    """(ys, x-charge) per y-exponent vector ys of the weight whose x-fiber
-    is not empty, the x-charge being the charge minus that of y^ys."""
-    blocks = []
-    if weight >= 0:
-        ring.widen(weight)
-        for ys in _compositions(weight, ring.k):
-            xcharge = tuple(
-                charge[j]
-                + sum(ys[i] * ring.betas[i][j] for i in range(ring.k))
-                for j in range(ring.charge_rank)
-            )
-            if _fiber(ring, xcharge):
-                blocks.append((ys, xcharge))
-    return blocks
-
-
-def _block_keys(ring, blocks, packing):
-    """The keys of the monomials y^ys x^u of the blocks, block by block."""
-    zeros = (0,) * ring.r
-    keys = []
-    for ys, xcharge in blocks:
-        keys += map(packing.key(ys + zeros).__add__, _fiber_keys(ring, xcharge, packing))
-    return keys
 
 
 def enumerate_graded_piece(ring, degree):
@@ -382,26 +354,30 @@ def enumerate_graded_piece(ring, degree):
     cached = ring._piece_cache.get(key)
     if cached is not None:
         return cached
-    blocks = _blocks(ring, charge, weight)
-    packing = ring.packing
-    out = []
+    blocks = []  # (ys, x-charge) per ys whose x-fiber is not empty
+    if weight >= 0:
+        ring.widen(weight)
+        for ys in _compositions(weight, ring.k):
+            xcharge = tuple(
+                charge[j]
+                + sum(ys[i] * ring.betas[i][j] for i in range(ring.k))
+                for j in range(ring.charge_rank)
+            )
+            if _fiber(ring, xcharge):
+                blocks.append((ys, xcharge))
+    # a later fiber may widen the packing: key the blocks once all are in
+    zeros = (0,) * ring.r
+    keys, out = [], []
     for ys, xcharge in blocks:
+        keys += map(ring.packing.key(ys + zeros).__add__, ring._fiber_keys[xcharge])
         out += map(ys.__add__, ring._fiber_cache[xcharge])
-    keys, out = _key_sorted(_block_keys(ring, blocks, packing), out)
+    keys, out = _key_sorted(keys, out)
     ring._piece_cache[key] = out
-    ring._piece_keys[key, packing.bits] = keys
+    ring._piece_keys[key] = keys
     return out
 
 
-def graded_piece_keys(ring, degree, packing):
-    """The keys at the packing of enumerate_graded_piece(ring, degree), in
-    its order, ascending. The packing must hold the piece's exponents: the
-    ring's packing does once the piece is enumerated."""
-    charge, weight = key = (tuple(degree[0]), degree[1])
-    got = ring._piece_keys.get((key, packing.bits))
-    if got is None:
-        # the ring's packing widened since the piece was enumerated; the
-        # order of the keys is the same at every width
-        got = sorted(_block_keys(ring, _blocks(ring, charge, weight), packing))
-        ring._piece_keys[key, packing.bits] = got
-    return got
+def graded_piece_keys(ring, degree):
+    """The keys at the ring's packing of enumerate_graded_piece(ring,
+    degree), in its order, ascending; the piece must be enumerated."""
+    return ring._piece_keys[tuple(degree[0]), degree[1]]

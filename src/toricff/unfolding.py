@@ -218,13 +218,6 @@ class _TableIndex:
         return None
 
 
-def _entry(table, name, key):
-    got = table.get(key)
-    if got is None:
-        raise MissingTableEntry(f"{name} table lacks {key}")
-    return got
-
-
 def _settled_below(state, size):
     """Raise MissingTableEntry, naming the first multiset missing, unless
     every table holds every multiset of every size below size."""
@@ -268,7 +261,8 @@ def _splits(tail, head, support):
 def _assemble_input(state, multi):
     # alpha <= beta <= every tail entry, so prefixing them keeps keys sorted;
     # each sum walks only the splits where its first factor can be nonzero
-    # and adds its terms straight into one LinearSum
+    # and adds its terms straight into one LinearSum. Every key read is
+    # shorter than multi, so _settled_below has checked that it is there
     alpha, beta, tail = multi[0], multi[1], multi[2:]
     pair = (alpha, beta)
     index, u_table = state._index, state.u_table
@@ -280,19 +274,15 @@ def _assemble_input(state, multi):
                 continue
             if a_part < b_part:
                 weight *= 2
-        u_a = _entry(u_table, "u", (alpha,) + a_part)
-        total.add_product(weight, u_a, _entry(u_table, "u", (beta,) + b_part))
+        total.add_product(weight, u_table[(alpha,) + a_part], u_table[(beta,) + b_part])
     for a_part, b_part, weight in _splits(tail, pair, index["a"].support):
         if b_part:
-            row = _entry(state.a_table, "a", pair + a_part)
-            for rho, value in row.items():
-                u_key = tuple(sorted(b_part + (rho,)))
-                total.add(-weight * value, _entry(u_table, "u", u_key))
+            for rho, value in state.a_table[pair + a_part].items():
+                total.add(-weight * value, u_table[tuple(sorted(b_part + (rho,)))])
     # this sum is driven by lambda, so _splits hands B out first
     for b_part, a_part, weight in _splits(tail, pair, index["lambda"].support):
         if a_part:
-            lam = _entry(state.lam_table, "lambda", pair + b_part)
-            q_f(lam, _entry(u_table, "u", a_part), total, -weight)
+            q_f(state.lam_table[pair + b_part], u_table[a_part], total, -weight)
     return total.element()
 
 
@@ -301,7 +291,7 @@ def _unit_input(state, multi):
     for a pair (unit, beta), since u_unit = 1, and zero for a larger one,
     whose three sums cancel (see _unit_entries)."""
     if len(multi) == 2:
-        return _entry(state.u_table, "u", multi[1:])
+        return state.u_table[multi[1:]]
     return Poly({})
 
 

@@ -1,5 +1,6 @@
 """Integer lattice linear algebra: pinned decompositions plus seeded properties."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -252,3 +253,30 @@ def test_points_unimodular_invariance_seeded():
             for p in pts
         )
         assert image == transformed
+
+
+def test_points_match_brute_force_seeded():
+    """Random systems in a box, with normals free of the last coordinate and
+    non-primitive normals, against a scan of the box: the projection keeps
+    every inequality free of the last coordinate, tightened to the same
+    integer points, so no extension of a projected point breaks one."""
+    rng = random.Random(2931)
+    for _ in range(60):
+        dim = rng.randint(1, 3)
+        bound = rng.randint(1, 3)
+        ineqs = box(dim, bound)
+        for _ in range(rng.randint(1, 4)):
+            normal = [rng.randint(-3, 3) for _ in range(dim)]
+            if rng.random() < 0.5:
+                normal[-1] = 0
+            scale = rng.choice((1, 2, 3))
+            ineqs.append((tuple(scale * v for v in normal), rng.randint(-6, 2)))
+        scan = [
+            p
+            for p in itertools.product(range(-bound, bound + 1), repeat=dim)
+            if all(sum(a * x for a, x in zip(n, p)) >= off for n, off in ineqs)
+        ]
+        got = enumerate_lattice_points(
+            LatticePolytope(inequalities=tuple(ineqs), dim=dim)
+        )
+        assert got == scan

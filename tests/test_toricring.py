@@ -20,6 +20,7 @@ from toricff.toricring import (
     build_cayley_ring,
     build_class_grading,
     enumerate_graded_piece,
+    graded_piece_keys,
     is_calabi_yau,
     _make_fiber_solver,
     _x_fiber,
@@ -292,3 +293,26 @@ def test_each_x_fiber_is_enumerated_once_per_ring(monkeypatch):
     # a repeated call returns the cached list itself
     for key, piece in ring._piece_cache.items():
         assert enumerate_graded_piece(ring, key) is piece
+
+
+def test_a_piece_widens_the_packing_at_its_last_blocks():
+    """A line and a cubic in P1: the weight-43 piece's last fibers have
+    x-exponents up to 129, past what a one-byte field holds, so the packing
+    widens after its first blocks are in. The piece is keyed at the wide
+    packing, and the widening re-keys every fiber and piece cached before."""
+    cubic = xpoly(2, {(3, 0): 1, (0, 3): 1})
+    ring = build_cayley_ring(((1,), (-1,)), [cubic, xpoly(2, {(1, 0): 1, (0, 1): 1})])
+    enumerate_graded_piece(ring, ((0,), 1))
+    assert ring.packing.bits == 8
+    piece = enumerate_graded_piece(ring, ((0,), 43))
+    assert ring.packing.bits == 16
+    assert len(piece) == 3828
+    assert piece == sorted(piece, key=grevlex_key, reverse=True)
+    key = ring.packing.key
+    keys = graded_piece_keys(ring, ((0,), 43))
+    assert keys == [key(m) for m in piece] == sorted(keys)
+    for degree, cached in ring._piece_cache.items():
+        assert ring._piece_keys[degree] == [key(m) for m in cached]
+    ys = (0,) * ring.k
+    for xcharge, points in ring._fiber_cache.items():
+        assert ring._fiber_keys[xcharge] == [key(ys + u) for u in points]
