@@ -43,7 +43,8 @@ from .toricring import (
     build_cayley_ring,
     is_calabi_yau,
 )
-from .unfolding import UnfoldingState, check_series, run
+from .unfolding import MissingTableEntry, UnfoldingState, _settled_below
+from .unfolding import check_series, run
 
 CHECKS = {
     "fqm2": check_fqm2,
@@ -457,7 +458,7 @@ def ingest_report(text):
             seen.add((name, multi, rho))
             sizes.append((len(multi), line))
             if name == "order":
-                order = int(value)
+                order = _parse_order(value)
             elif name == "a":
                 row = tables["a"].setdefault(multi, {})
                 if coeff := Fraction(value):
@@ -473,7 +474,7 @@ def ingest_report(text):
     for size, line in sizes:
         if size > order:
             raise ValueError(f"multiset beyond order {order} in {line!r}")
-    return UnfoldingState(
+    state = UnfoldingState(
         ring=ring,
         basis=basis,
         order=order,
@@ -483,6 +484,11 @@ def ingest_report(text):
         lam_table=tables["lambda"],
         inputs=tables["input"] or None,
     )
+    try:
+        _settled_below(state, order + 1)
+    except MissingTableEntry as exc:
+        raise ValueError(f"report {exc.args[0]}") from None
+    return state
 
 
 def _emit(text, out_path):

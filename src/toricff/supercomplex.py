@@ -137,13 +137,15 @@ def q_f(w, f, into, scale=1):
     place: a term of w with one eta goes straight into the sum's numerators.
     Like to_poly, this raises ValueError, leaving into as it was, when an
     odd factor survives: when the terms of w with two or more etas contract
-    to a nonzero element.
+    to a nonzero element. A zero w adds nothing and reads no partial of f.
     """
+    if not w:
+        return
     odd = {key: n for key, n in w.nums.items() if len(key[1]) > 1}
     if odd and _q_parts(SuperElement.from_nums(w.denom, odd), f):
         raise ValueError("element carries odd factors")
     rows = f.partial_rows()
-    if not (scale and rows and w.nums):
+    if not (scale and rows):
         return
     factor = into.admit(scale, w.denom * f.denom)
     nums = into.nums

@@ -37,15 +37,14 @@ and a_(unit,beta) = e_beta; the debug inputs record f = u_beta and f = 0.
 These are 819 of the 858 steps of the (2,2) intersection to order 40, and
 exactly its 819 vanishing u entries.
 
-Every other sum walks only the splits where its driving entry can be
-nonzero: u_{A+alpha}, the row a_{(alpha,beta)+A} and lambda_{(alpha,beta)+B}
-in turn. Every table keeps the prefix-closed support of its nonzero keys,
-and _splits cuts a run of splits at the first prefix outside it. A pruned
-split reads no entry, so a missing one would pass for zero: step first
-checks that every table holds every multiset of every lower size, and raises
-MissingTableEntry naming the first one missing. When alpha == beta the
-splits (A, B) and (B, A) of the first sum give the same product, so each
-mirror pair is taken once with twice its weight.
+Every other multiset walks the splits of its tail once, and the three sums
+read their entries from that one list; a zero entry adds nothing. Every
+entry is read as it stands in its table, so an entry replaced in place is
+seen by the next step. step first checks that every table holds every
+multiset of every lower size, and raises MissingTableEntry naming the first
+one missing. When alpha == beta the splits (A, B) and (B, A) of the first
+sum give the same product, so each mirror pair is taken once with twice its
+weight.
 
 The three sums run over int numerators: step reads each u and lambda entry
 straight from its table, in the int form every element holds (polyalg), and
@@ -142,14 +141,12 @@ class UnfoldingState:
     An a_table row is {rho: nonzero Fraction}: an absent rho reads as zero.
     Zero entries are stored like any other, since the report prints them all.
 
-    Construction indexes every table (_TableIndex), so a state built by run,
-    read back from a report, made by dataclasses.replace or by hand starts
-    with a current index. step keeps it current as it stores entries, and
-    rebuilds it when a table's size differs from the count of keys it has
-    indexed. The index records which entries are nonzero, so an entry
-    replaced in place outside step by one that is zero where the old one was
-    not, or the other way round, goes unseen: change a table through
-    dataclasses.replace before stepping on.
+    Construction counts the keys of every table by size (_TableIndex), so
+    that step can tell that every lower entry is there; step keeps the count
+    current as it stores entries, and counts again when a table's size
+    differs from it. step reads every entry as it stands, so a table may be
+    changed in place. Multisets led by the unit are settled in closed form
+    from the basis alone.
     """
 
     ring: object
@@ -174,35 +171,24 @@ _TABLES = {"u": ("u_table", 1), "a": ("a_table", 2), "lambda": ("lam_table", 2)}
 
 
 class _TableIndex:
-    """Which keys of one table can lead to a nonzero entry, and how many keys
-    of each size the table holds.
+    """How many keys of each size one table holds. The table holds every
+    multiset of each size from its smallest key size through complete."""
 
-    support holds every prefix of every key whose entry is nonzero, so it is
-    prefix-closed. The table holds every multiset of each size from its
-    smallest key size through complete.
-    """
-
-    __slots__ = ("dim", "support", "sizes", "keys", "complete")
+    __slots__ = ("dim", "sizes", "keys", "complete")
 
     def __init__(self, state, name):
         self.dim = len(state.basis.monomials)
-        self.support = set()
         self.sizes = {}
         self.keys = 0
         self.complete = _TABLES[name][1] - 1
-        for key, entry in state.table(name).items():
-            self.add(key, entry)
+        for key in state.table(name):
+            self.add(key)
 
-    def add(self, key, entry):
-        """Count a key stored with its entry. A key stored again is counted
-        twice, which tells _settled_below to rebuild the index."""
+    def add(self, key):
+        """Count a stored key. A key stored again is counted twice, which
+        tells _settled_below to count the table again."""
         self.sizes[len(key)] = self.sizes.get(len(key), 0) + 1
         self.keys += 1
-        if entry:
-            for end in range(len(key), 0, -1):
-                if key[:end] in self.support:
-                    break
-                self.support.add(key[:end])
 
     def first_missing(self, table, size):
         """The first multiset of a size below size that table lacks, or None."""
@@ -230,57 +216,38 @@ def _settled_below(state, size):
             raise MissingTableEntry(f"{name} table lacks {missing}")
 
 
-def _splits(tail, head, support):
-    """Every split of the sorted multiset tail into sorted A and B such that
-    head + A is in support, with the weight W(A, B).
-
-    A and B are built one run of equal directions at a time. support is
-    prefix-closed and head <= every entry of tail, so once head + A leaves
-    support no larger count of the run, and no choice for the later runs,
-    brings it back: the walk cuts there and visits only splits that can
-    reach a nonzero entry.
-    """
-    if head not in support:
-        return []
-    partial = [(head, (), 1)]
+def _splits(tail):
+    """Every split of the sorted multiset tail into sorted A and B, with the
+    weight W(A, B); A and B are built one run of equal directions at a time."""
+    splits = [((), (), 1)]
     for j, count in ((j, len(tuple(run))) for j, run in groupby(tail)):
-        grown = []
-        for key, b_part, weight in partial:
-            for a in range(count + 1):
-                if a:
-                    key += (j,)
-                    if key not in support:
-                        break
-                rest = b_part + (j,) * (count - a)
-                grown.append((key, rest, weight * comb(count, a)))
-        partial = grown
-    cut = len(head)
-    return [(key[cut:], b_part, weight) for key, b_part, weight in partial]
+        splits = [
+            (a_part + (j,) * a, b_part + (j,) * (count - a), weight * comb(count, a))
+            for a_part, b_part, weight in splits
+            for a in range(count + 1)
+        ]
+    return splits
 
 
 def _assemble_input(state, multi):
-    # alpha <= beta <= every tail entry, so prefixing them keeps keys sorted;
-    # each sum walks only the splits where its first factor can be nonzero
-    # and adds its terms straight into one LinearSum. Every key read is
-    # shorter than multi, so _settled_below has checked that it is there
+    # alpha <= beta <= every tail entry, so prefixing them keeps keys sorted.
+    # Every key read is shorter than multi, so _settled_below has checked
+    # that it is there
     alpha, beta, tail = multi[0], multi[1], multi[2:]
     pair = (alpha, beta)
-    index, u_table = state._index, state.u_table
+    u_table = state.u_table
     total = LinearSum(Poly)
-    for a_part, b_part, weight in _splits(tail, (alpha,), index["u"].support):
-        if alpha == beta:
-            # (A, B) and (B, A) give the same product: add it once, weight x2
-            if a_part > b_part:
-                continue
-            if a_part < b_part:
-                weight *= 2
-        total.add_product(weight, u_table[(alpha,) + a_part], u_table[(beta,) + b_part])
-    for a_part, b_part, weight in _splits(tail, pair, index["a"].support):
+    for a_part, b_part, weight in _splits(tail):
+        # when alpha == beta, (A, B) and (B, A) give the same product: add
+        # it once, with twice the weight
+        if alpha != beta or a_part <= b_part:
+            mirrored = 2 * weight if alpha == beta and a_part < b_part else weight
+            total.add_product(
+                mirrored, u_table[(alpha,) + a_part], u_table[(beta,) + b_part]
+            )
         if b_part:
             for rho, value in state.a_table[pair + a_part].items():
                 total.add(-weight * value, u_table[tuple(sorted(b_part + (rho,)))])
-    # this sum is driven by lambda, so _splits hands B out first
-    for b_part, a_part, weight in _splits(tail, pair, index["lambda"].support):
         if a_part:
             q_f(state.lam_table[pair + b_part], u_table[a_part], total, -weight)
     return total.element()
@@ -322,6 +289,8 @@ def step(state, multi):
     multi = tuple(sorted(multi))
     if len(multi) < 2:
         raise ValueError("step needs a multiset of size at least 2")
+    if multi[0] < 0 or multi[-1] >= len(state.basis.monomials):
+        raise ValueError(f"step: {multi} has a direction outside the basis")
     _settled_below(state, len(multi))
     unit = multi[0] == state.basis.index_of.get((0,) * state.ring.nvars)
     f = _unit_input(state, multi) if unit else _assemble_input(state, multi)
@@ -330,7 +299,7 @@ def step(state, multi):
     entries = _unit_entries(multi) if unit else _reduced_entries(state, multi, f)
     for name, entry in zip(("a", "lambda", "u"), entries):
         state.table(name)[multi] = entry
-        state._index[name].add(multi, entry)
+        state._index[name].add(multi)
 
 
 def run(ring, basis, order, debug=False):

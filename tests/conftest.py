@@ -184,10 +184,26 @@ def dwork_ring():
 
 
 @pytest.fixture(scope="session")
+def dwork_state3(dwork_ring):
+    from toricff.jacobired import jacobian_basis
+    from toricff.unfolding import run
+
+    return run(dwork_ring, jacobian_basis(dwork_ring), 3)
+
+
+@pytest.fixture(scope="session")
 def sextic_k3_ring():
     ring = build_cayley_ring(P1113_RAYS, [SEXTIC_K3])
     assert ring.grading.ray_charges == ((1,), (1,), (1,), (3,))
     return ring
+
+
+@pytest.fixture(scope="session")
+def sextic_k3_state3(sextic_k3_ring):
+    from toricff.jacobired import jacobian_basis
+    from toricff.unfolding import run
+
+    return run(sextic_k3_ring, jacobian_basis(sextic_k3_ring), 3)
 
 
 @pytest.fixture(scope="session")

@@ -623,6 +623,32 @@ def test_ingest_rejects_bad_table_line(line, reason):
     assert repr(line) in str(info.value)
 
 
+@pytest.mark.parametrize(
+    "dropped, reason",
+    [
+        ("u.t1^2 = ", r"u table lacks \(1, 1\)"),
+        ("lambda.t1^2 = ", r"lambda table lacks \(1, 1\)"),
+        ("a.t1^3.", r"a table lacks \(1, 1, 1\)"),
+    ],
+    ids=["u-entry", "lambda-entry", "a-row"],
+)
+def test_ingest_rejects_incomplete_tables(dropped, reason):
+    # every line of the cubic order-3 report that starts with dropped goes
+    _, report = cmd_unfold(replace(parse_problem(CUBIC_PROBLEM), order=3))
+    kept = [row for row in report.splitlines(True) if not row.startswith(dropped)]
+    assert len(kept) < len(report.splitlines())
+    with pytest.raises(ValueError, match=reason):
+        ingest_report("".join(kept))
+
+
+def test_ingest_rejects_order_below_one():
+    _, report = cmd_unfold(replace(parse_problem(CUBIC_PROBLEM), order=2))
+    text = report.replace("[tables]\norder = 2\n", "[tables]\norder = 0\n")
+    assert text != report
+    with pytest.raises(ValueError, match="order must be at least 1 in 'order = 0'"):
+        ingest_report(text)
+
+
 def test_ingest_rejects_entry_beyond_a_later_order_line():
     _, report = cmd_unfold(replace(parse_problem(CUBIC_PROBLEM), order=2))
     line = "lambda.t0*t1^2 = 0"

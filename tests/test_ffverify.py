@@ -13,7 +13,6 @@ from conftest import (
     scanned_structure_series,
 )
 
-from toricff.jacobired import jacobian_basis
 from toricff.polyalg import Poly
 from toricff.supercomplex import SuperElement, delta
 from toricff.unfolding import (
@@ -428,6 +427,39 @@ def test_axioms_locate_corrupt_k3_entry(
     assert report.failure.residual == residual
 
 
+def test_axioms_and_euler_read_nonconstant_structure_series(dwork_state3):
+    # the Dwork K3 at order 3 has structure series of t-degree 1, so the
+    # associativity and Euler cases compare terms beyond t-degree 0
+    series = check_series(dwork_state3)
+    nonconstant = [
+        key
+        for row in series.structure.values()
+        for a_series in row.values()
+        for key in a_series.coefficients
+        if key
+    ]
+    assert len(nonconstant) == 73
+    report = check_flat_f_axioms(dwork_state3, series)
+    assert report.passed
+    assert report.cases == 199332
+    report = check_euler_identity(dwork_state3, series)
+    assert report.passed
+    assert report.cases == 42
+    # a zero row made nonzero breaks both, each at a term of t-degree 1
+    bad = copy_state(dwork_state3)
+    assert not bad.a_table[(1, 1, 2)]
+    bad.a_table[(1, 1, 2)] = {1: Fraction(1)}
+    series = check_series(bad)
+    failure = check_flat_f_axioms(bad, series).failure
+    assert failure.site == "associativity (1,1,2)->20"
+    assert failure.monomial == (0, 1) + (0,) * 19
+    assert failure.residual == "-1"
+    failure = check_euler_identity(bad, series).failure
+    assert failure.site == "a weight (1,1)->1"
+    assert failure.monomial == (0, 0, 1) + (0,) * 18
+    assert failure.residual == "-1"
+
+
 def test_axioms_detect_broken_unit(cubic_state4):
     bad = copy_state(cubic_state4)
     bad.a_table[(0, 1, 1)] = {1: Fraction(1)}
@@ -459,8 +491,7 @@ def test_fqm2_passes_k3_variants_order_three(request, name, site):
     """The Dwork K3 (the Fermat quartic plus x1x2x3x4) and the Fermat sextic
     K3 in P(1,1,1,3) at order 3; a failure anywhere but the known site is
     not the known defect, and errors instead."""
-    ring = request.getfixturevalue(name + "_ring")
-    state = run(ring, jacobian_basis(ring), 3)
+    state = request.getfixturevalue(name + "_state3")
     report = check_fqm2(state, check_series(state))
     if not report.passed and report.failure.site != site:
         raise ValueError(f"fqm2 fails at {report.failure.site}, not at {site}")

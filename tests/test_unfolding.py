@@ -23,6 +23,7 @@ from toricff.toricring import NotCalabiYau, build_cayley_ring
 from toricff.unfolding import (
     MissingTableEntry,
     TruncatedSeries,
+    _assemble_input,
     gamma_partial,
     gamma_series,
     lambda_series,
@@ -42,7 +43,7 @@ from toricff.unfolding import (
     ],
 )
 def test_step_reports_a_missing_lower_entry(cubic_ring, cubic_basis, table, multi):
-    # u_table[(0, 1)] is zero, so the split walk never reads it
+    # (0, 1, 1) is led by the unit, so its closed form reads no entry at all
     state = run(cubic_ring, cubic_basis, 2)
     del getattr(state, table)[multi]
     with pytest.raises(MissingTableEntry, match=str(multi)):
@@ -95,9 +96,8 @@ def test_inputs_match_dense_split_walk(request, ring, basis, order):
 
 
 def test_step_clears_an_entry_replaced_in_place(p1p1_ring, p1p1_basis):
-    # an entry replaced in place by another nonzero one (so the support index
-    # still holds) must be read as it now stands: step reads every entry, in
-    # its int form, straight from its table and keeps no copy of it
+    # an entry replaced in place must be read as it now stands: step reads
+    # every entry, in its int form, straight from its table and keeps no copy
     base = run(p1p1_ring, p1p1_basis, 3)
     state = replace(
         base,
@@ -121,6 +121,39 @@ def test_step_clears_an_entry_replaced_in_place(p1p1_ring, p1p1_basis):
         step(state, multi)
         assert state.inputs[multi] == dense_input(state, multi), multi
     assert sum(state.inputs[m] != before[m] for m in quartics) > 1
+
+
+def test_input_reads_entries_turned_zero_or_nonzero_in_place(
+    p1p1_ring, p1p1_basis
+):
+    # a zero a row made nonzero and a nonzero u entry made zero, in place;
+    # step would record the input and then raise, since the new a row breaks
+    # the weight rule, so the input is assembled directly
+    state = run(p1p1_ring, p1p1_basis, 3)
+    assert not state.a_table[(1, 1)] and state.u_table[(1, 1)]
+    state.a_table[(1, 1)] = {1: Fraction(1)}
+    state.u_table[(1, 1)] = Poly({})
+    unit = state.basis.index_of[(0,) * state.ring.nvars]
+    for multi in combinations_with_replacement(range(3), 4):
+        if multi[0] != unit:
+            assert _assemble_input(state, multi) == dense_input(state, multi), multi
+
+
+@pytest.mark.parametrize(
+    "multi, shown",
+    [((1, -1), r"\(-1, 1\)"), ((0, 5), r"\(0, 5\)"), ((1, 1, 7), r"\(1, 1, 7\)")],
+    ids=["negative", "pair", "triple"],
+)
+def test_step_rejects_a_direction_outside_the_basis(
+    cubic_ring, cubic_basis, multi, shown
+):
+    state = run(cubic_ring, cubic_basis, 2, debug=True)
+    tables = [dict(state.table(name)) for name in ("u", "a", "lambda")]
+    inputs = dict(state.inputs)
+    with pytest.raises(ValueError, match=shown + " has a direction outside"):
+        step(state, multi)
+    assert [state.table(name) for name in ("u", "a", "lambda")] == tables
+    assert state.inputs == inputs
 
 
 P1P1_PROBLEM = """\
