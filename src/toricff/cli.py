@@ -456,6 +456,10 @@ def ingest_report(text):
             if (name, multi, rho) in seen:
                 raise ValueError("repeated table key")
             seen.add((name, multi, rho))
+            spelled = f"{name}.{_t_monomial(multi)}"
+            spelled += "" if rho is None else f".{rho}"
+            if key not in ("order", spelled):
+                raise ValueError(f"table key {key!r} is spelled {spelled!r}")
             sizes.append((len(multi), line))
             if name == "order":
                 order = _parse_order(value)

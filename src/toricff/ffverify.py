@@ -213,12 +213,12 @@ def _associativity_cases(index, dim, trunc):
     # right side sum_rho A_{beta gamma}^rho A_{rho alpha} over the entries
     # A_{beta gamma}^rho whose pair (rho, alpha) is present. A (beta, gamma)
     # with no product is never drawn; the cases go in (alpha, beta, gamma,
-    # sigma) order, so the first failure is that of the full walk.
-    by_left, by_right = defaultdict(dict), defaultdict(dict)
+    # sigma) order, so the first failure is that of the full walk. A_{rho
+    # alpha} is by_left[alpha][rho]: structure_series builds a symmetric index.
+    by_left = defaultdict(dict)
     entries = defaultdict(list)  # rho -> (i, j, A_{ij}^rho) for every entry
     for (i, j), row in index.items():
         by_left[i][j] = row
-        by_right[j][i] = row
         for rho, value in row.items():
             entries[rho].append((i, j, value))
     for alpha in range(dim):
@@ -228,7 +228,7 @@ def _associativity_cases(index, dim, trunc):
                 for gamma_idx, row in by_left[rho].items():
                     if gamma_idx >= alpha:
                         _add_products(lhs[beta, gamma_idx], outer, row)
-        for rho, row in by_right[alpha].items():
+        for rho, row in by_left[alpha].items():
             for beta, gamma_idx, outer in entries[rho]:
                 if gamma_idx >= alpha:
                     _add_products(rhs[beta, gamma_idx], outer, row)

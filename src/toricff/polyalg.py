@@ -290,6 +290,7 @@ class Poly(_SparseTerms):
             self._partial_rows = {i: tuple(rows[i]) for i in sorted(rows)}
             return self._partial_rows
 
+
 def _render_term(exps, coeff, names, odd=()):
     """One term: coefficient, then powers of names, then the odd factors."""
     factors = []

@@ -10,10 +10,11 @@ A graded piece is sorted by the packed grevlex keys of its monomials
 are whole bytes, wide enough for the largest exponent of any piece the
 ring has enumerated plus a guard bit; a piece that needs more widens it,
 and the widening re-keys every cached fiber and piece, so every cached key
-is at the ring's one packing. An x-fiber is enumerated once per ring,
-mapped to exponent vectors and keyed a column at a time, and kept in key
-order, so the piece's blocks, one per y-exponent vector, are sorted runs
-whose keys are one addition each.
+is at the ring's one packing. A fiber or piece is cached as one record,
+its list with its keys. An x-fiber is enumerated once per ring, mapped to
+exponent vectors and keyed a column at a time, and kept in key order, so
+the piece's blocks, one per y-exponent vector, are sorted runs whose keys
+are one addition each.
 """
 
 from __future__ import annotations
@@ -127,13 +128,11 @@ class CayleyRing:
     c_B: tuple
     names: tuple
     eta_names: tuple
-    # x-charge -> x-fiber in descending grevlex, and the x-parts of its keys;
-    # degree -> piece in descending grevlex, and its keys, ascending. Every
-    # key is at the ring's packing: widen re-keys them all
-    _fiber_cache: dict = field(repr=False, default_factory=dict)
-    _fiber_keys: dict = field(repr=False, default_factory=dict)
-    _piece_cache: dict = field(repr=False, default_factory=dict)
-    _piece_keys: dict = field(repr=False, default_factory=dict)
+    # x-charge -> (x-fiber in descending grevlex, the x-parts of its keys);
+    # degree -> (piece in descending grevlex, its keys, ascending). Every
+    # key is at the ring's packing: widen re-keys every record
+    _fibers: dict = field(repr=False, default_factory=dict)
+    _pieces: dict = field(repr=False, default_factory=dict)
     # per partial dS_i, the known syzygy leads: jacobired.ideal_piece skips
     # a generator mult * dS_i when one of them divides mult
     _syzygies: dict = field(repr=False, default_factory=dict)
@@ -155,10 +154,10 @@ class CayleyRing:
         at every width, so no list is sorted again."""
         if top > self.packing.limit:
             packing = self.packing = GrevlexPacking(self.nvars, top)
-            for xcharge, points in self._fiber_cache.items():
-                self._fiber_keys[xcharge] = list(_x_keys(self, points))
-            for degree, piece in self._piece_cache.items():
-                self._piece_keys[degree] = list(map(packing.key, piece))
+            for xcharge, (points, _) in self._fibers.items():
+                self._fibers[xcharge] = points, list(_x_keys(self, points))
+            for degree, (piece, _) in self._pieces.items():
+                self._pieces[degree] = piece, list(map(packing.key, piece))
 
     @property
     def n(self):
@@ -305,14 +304,13 @@ def _combine(columns, count, coefficients, start=0):
 def _fiber(ring, xcharge):
     """The x-fiber of an x-charge in descending grevlex, enumerated once per
     ring; the ring's packing widens to hold its largest exponent."""
-    points = ring._fiber_cache.get(xcharge)
-    if points is None:
+    record = ring._fibers.get(xcharge)
+    if record is None:
         points = _x_fiber(ring.grading, ring._fiber_solver, xcharge)
         ring.widen(max(map(max, points), default=0))
         keys, points = _key_sorted(list(_x_keys(ring, points)), points)
-        ring._fiber_cache[xcharge] = points
-        ring._fiber_keys[xcharge] = keys
-    return points
+        record = ring._fibers[xcharge] = points, keys
+    return record[0]
 
 
 def _key_sorted(keys, items):
@@ -342,18 +340,19 @@ def enumerate_graded_piece(ring, degree):
     A monomial y^ys x^u of the piece pairs a composition ys of the weight
     with a point u of the x-fiber {u >= 0 : charge(x^u) = c}, c the charge
     minus that of y^ys. Each fiber is enumerated once per ring, kept in
-    descending grevlex in _fiber_cache by its x-charge, since pieces of
-    different weights and the multiplier pieces of ideal_piece share most
-    of their fibers. The piece is sorted by its packed keys (polyalg.
-    GrevlexPacking at the ring's packing): a block of one ys is already in
-    order, so the sort merges one run per ys. The sorted list is kept in
-    _piece_cache and its keys with graded_piece_keys; a repeated call
-    returns the cached list object itself.
+    descending grevlex with its keys in _fibers by its x-charge, since
+    pieces of different weights and the multiplier pieces of ideal_piece
+    share most of their fibers. The piece is sorted by its packed keys
+    (polyalg.GrevlexPacking at the ring's packing): a block of one ys is
+    already in order, so the sort merges one run per ys. The sorted list
+    and its keys are kept as one record in _pieces, the keys read with
+    graded_piece_keys; a repeated call returns the cached list object
+    itself.
     """
     charge, weight = key = (tuple(degree[0]), degree[1])
-    cached = ring._piece_cache.get(key)
+    cached = ring._pieces.get(key)
     if cached is not None:
-        return cached
+        return cached[0]
     blocks = []  # (ys, x-charge) per ys whose x-fiber is not empty
     if weight >= 0:
         ring.widen(weight)
@@ -369,15 +368,15 @@ def enumerate_graded_piece(ring, degree):
     zeros = (0,) * ring.r
     keys, out = [], []
     for ys, xcharge in blocks:
-        keys += map(ring.packing.key(ys + zeros).__add__, ring._fiber_keys[xcharge])
-        out += map(ys.__add__, ring._fiber_cache[xcharge])
+        points, xkeys = ring._fibers[xcharge]
+        keys += map(ring.packing.key(ys + zeros).__add__, xkeys)
+        out += map(ys.__add__, points)
     keys, out = _key_sorted(keys, out)
-    ring._piece_cache[key] = out
-    ring._piece_keys[key] = keys
+    ring._pieces[key] = out, keys
     return out
 
 
 def graded_piece_keys(ring, degree):
     """The keys at the ring's packing of enumerate_graded_piece(ring,
     degree), in its order, ascending; the piece must be enumerated."""
-    return ring._piece_keys[tuple(degree[0]), degree[1]]
+    return ring._pieces[tuple(degree[0]), degree[1]][1]

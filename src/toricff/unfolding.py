@@ -40,10 +40,11 @@ exactly its 819 vanishing u entries.
 Every other multiset walks the splits of its tail once, and the three sums
 read their entries from that one list; a zero entry adds nothing. Every
 entry is read as it stands in its table, so an entry replaced in place is
-seen by the next step. step first checks that every table holds every
-multiset of every lower size, and raises MissingTableEntry naming the first
-one missing. When alpha == beta the splits (A, B) and (B, A) of the first
-sum give the same product, so each mirror pair is taken once with twice its
+seen by the next step. step first checks, by membership, that every table
+holds every multiset of every lower size, so a stray key cannot stand in
+for a missing one, and raises MissingTableEntry naming the first one
+missing. When alpha == beta the splits (A, B) and (B, A) of the first sum
+give the same product, so each mirror pair is taken once with twice its
 weight.
 
 The three sums run over int numerators: step reads each u and lambda entry
@@ -141,12 +142,12 @@ class UnfoldingState:
     An a_table row is {rho: nonzero Fraction}: an absent rho reads as zero.
     Zero entries are stored like any other, since the report prints them all.
 
-    Construction counts the keys of every table by size (_TableIndex), so
-    that step can tell that every lower entry is there; step keeps the count
-    current as it stores entries, and counts again when a table's size
-    differs from it. step reads every entry as it stands, so a table may be
-    changed in place. Multisets led by the unit are settled in closed form
-    from the basis alone.
+    _checked holds, per table, its length and the largest size through
+    which step has found it to hold every multiset; step records the new
+    length as it stores entries, and checks a table again from its smallest
+    key size when its length differs. step reads every entry as it stands,
+    so a table may be changed in place. Multisets led by the unit are
+    settled in closed form from the basis alone.
     """
 
     ring: object
@@ -157,10 +158,7 @@ class UnfoldingState:
     a_table: dict
     lam_table: dict
     inputs: dict | None = None
-    _index: dict = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self._index = {name: _TableIndex(self, name) for name in _TABLES}
+    _checked: dict = field(init=False, repr=False, default_factory=dict)
 
     def table(self, name):
         return getattr(self, _TABLES[name][0])
@@ -170,50 +168,22 @@ class UnfoldingState:
 _TABLES = {"u": ("u_table", 1), "a": ("a_table", 2), "lambda": ("lam_table", 2)}
 
 
-class _TableIndex:
-    """How many keys of each size one table holds. The table holds every
-    multiset of each size from its smallest key size through complete."""
-
-    __slots__ = ("dim", "sizes", "keys", "complete")
-
-    def __init__(self, state, name):
-        self.dim = len(state.basis.monomials)
-        self.sizes = {}
-        self.keys = 0
-        self.complete = _TABLES[name][1] - 1
-        for key in state.table(name):
-            self.add(key)
-
-    def add(self, key):
-        """Count a stored key. A key stored again is counted twice, which
-        tells _settled_below to count the table again."""
-        self.sizes[len(key)] = self.sizes.get(len(key), 0) + 1
-        self.keys += 1
-
-    def first_missing(self, table, size):
-        """The first multiset of a size below size that table lacks, or None."""
-        while self.complete + 1 < size:
-            k = self.complete + 1
-            if self.sizes.get(k, 0) < comb(self.dim + k - 1, k):
-                return next(
-                    multi
-                    for multi in combinations_with_replacement(range(self.dim), k)
-                    if multi not in table
-                )
-            self.complete = k
-        return None
-
-
 def _settled_below(state, size):
     """Raise MissingTableEntry, naming the first multiset missing, unless
-    every table holds every multiset of every size below size."""
-    for name in _TABLES:
-        table = state.table(name)
-        if len(table) != state._index[name].keys:
-            state._index[name] = _TableIndex(state, name)
-        missing = state._index[name].first_missing(table, size)
-        if missing is not None:
-            raise MissingTableEntry(f"{name} table lacks {missing}")
+    every table holds every multiset of every size below size. Each size is
+    checked by membership, in canonical order, from the table's smallest key
+    size or, while its length is the one recorded, past its complete size."""
+    dim = len(state.basis.monomials)
+    for name, (attr, smallest) in _TABLES.items():
+        table = getattr(state, attr)
+        length, complete = state._checked.get(name, (None, 0))
+        if length != len(table):
+            complete = smallest - 1
+        for k in range(complete + 1, size):
+            for multi in combinations_with_replacement(range(dim), k):
+                if multi not in table:
+                    raise MissingTableEntry(f"{name} table lacks {multi}")
+        state._checked[name] = len(table), max(complete, size - 1)
 
 
 def _splits(tail):
@@ -298,8 +268,9 @@ def step(state, multi):
         state.inputs[multi] = f
     entries = _unit_entries(multi) if unit else _reduced_entries(state, multi, f)
     for name, entry in zip(("a", "lambda", "u"), entries):
-        state.table(name)[multi] = entry
-        state._index[name].add(multi)
+        table = state.table(name)
+        table[multi] = entry
+        state._checked[name] = len(table), state._checked[name][1]
 
 
 def run(ring, basis, order, debug=False):

@@ -4,6 +4,7 @@ import hashlib
 import importlib.util
 import inspect
 import json
+import re
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -621,6 +622,37 @@ def test_ingest_rejects_bad_table_line(line, reason):
     with pytest.raises(ValueError, match=reason) as info:
         ingest_report(text)
     assert repr(line) in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "odd, key",
+    [
+        ("u.t1*t0", "u.t0*t1"),
+        ("u.t1*t1", "u.t1^2"),
+        ("u.t0^1", "u.t0"),
+        ("u.t01", "u.t1"),
+        ("a.t0*t1.01", "a.t0*t1.1"),
+        ("a.t0*t1.+1", "a.t0*t1.1"),
+        ("a.t0*t1. 1", "a.t0*t1.1"),
+    ],
+    ids=[
+        "unsorted",
+        "repeated-factor",
+        "unit-exponent",
+        "leading-zero",
+        "rho-leading-zero",
+        "rho-sign",
+        "rho-space",
+    ],
+)
+def test_ingest_accepts_one_spelling_per_table_key(odd, key):
+    # the line of key is spelled odd instead, and nowhere else in the report
+    _, report = cmd_unfold(replace(parse_problem(CUBIC_PROBLEM), order=2))
+    assert f"\n{key} = " in report
+    text = report.replace(f"\n{key} = ", f"\n{odd} = ")
+    shown = f"table key {odd!r} is spelled {key!r} in '{odd} = "
+    with pytest.raises(ValueError, match=re.escape(shown)):
+        ingest_report(text)
 
 
 @pytest.mark.parametrize(

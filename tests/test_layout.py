@@ -9,12 +9,15 @@ tracer wraps is defined where the tracer looks for it, a module that calls
 one by name binds that very function, and the tracer's counters read real
 pieces. Only unfolding.check_series calls the series functions, so every
 check reads the series of one build. Every name a module lists in `__all__`
-is bound there.
+is bound there. Every engine and test file parses at the Python floor that
+pyproject.toml declares.
 """
 
 import ast
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 from conftest import reference_partial
 
@@ -150,6 +153,20 @@ def test_engine_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_sources_parse_at_the_declared_python_floor():
+    """3.11 syntax such as except* would break every run on 3.10."""
+    floor = (3, 10)
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    assert 'requires-python = ">=3.10"' in pyproject
+    group = "try:\n    pass\nexcept* ValueError:\n    pass\n"
+    with pytest.raises(SyntaxError):
+        ast.parse(group, feature_version=floor)
+    paths = sorted(SRC.rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
+    assert SRC / "cli.py" in paths and ROOT / "tests" / "conftest.py" in paths
+    for path in paths:
+        ast.parse(path.read_text(), filename=str(path), feature_version=floor)
 
 
 def _bench_tracer():

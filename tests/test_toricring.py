@@ -287,11 +287,11 @@ def test_each_x_fiber_is_enumerated_once_per_ring(monkeypatch):
     # of ideal_piece reads none
     assert len(fibers) == len(set(fibers)) == 8
     assert sorted(fibers) == [(c,) for c in (-3, 0, 1, 3, 4, 6, 7, 9)]
-    assert set(ring._fiber_cache) == set(fibers)
+    assert set(ring._fibers) == set(fibers)
     # the fan's completeness check plus one lattice enumeration per fiber
     assert len(lattice_calls) == 9
     # a repeated call returns the cached list itself
-    for key, piece in ring._piece_cache.items():
+    for key, (piece, _) in ring._pieces.items():
         assert enumerate_graded_piece(ring, key) is piece
 
 
@@ -311,8 +311,8 @@ def test_a_piece_widens_the_packing_at_its_last_blocks():
     key = ring.packing.key
     keys = graded_piece_keys(ring, ((0,), 43))
     assert keys == [key(m) for m in piece] == sorted(keys)
-    for degree, cached in ring._piece_cache.items():
-        assert ring._piece_keys[degree] == [key(m) for m in cached]
+    for cached, cached_keys in ring._pieces.values():
+        assert cached_keys == [key(m) for m in cached]
     ys = (0,) * ring.k
-    for xcharge, points in ring._fiber_cache.items():
-        assert ring._fiber_keys[xcharge] == [key(ys + u) for u in points]
+    for points, xkeys in ring._fibers.values():
+        assert xkeys == [key(ys + u) for u in points]

@@ -70,6 +70,28 @@ def test_step_reports_an_unsettled_lower_size(cubic_ring, cubic_basis):
         step(state, (1, 1, 1, 1))
 
 
+@pytest.mark.parametrize("stray", [(1, 7), (-1, 1)], ids=["outside", "negative"])
+@pytest.mark.parametrize("multi", [(0, 1, 1), (1, 1, 1)], ids=["unit", "generic"])
+def test_step_reports_a_missing_entry_beside_a_stray_key(
+    cubic_ring, cubic_basis, stray, multi
+):
+    # a stray key of the size of the missing one must not stand in for it:
+    # the closed form of (0, 1, 1) reads no entry, and (1, 1, 1) reads (1, 1)
+    base = run(cubic_ring, cubic_basis, 2)
+    u_table = {k: v for k, v in base.u_table.items() if k != (1, 1)}
+    u_table[stray] = base.u_table[(1, 1)]
+    state = replace(
+        base,
+        u_table=u_table,
+        a_table=dict(base.a_table),
+        lam_table=dict(base.lam_table),
+    )
+    before = {name: dict(state.table(name)) for name in ("u", "a", "lambda")}
+    with pytest.raises(MissingTableEntry, match=r"u table lacks \(1, 1\)"):
+        step(state, multi)
+    assert {name: state.table(name) for name in before} == before
+
+
 @pytest.mark.parametrize(
     "ring, basis, order",
     [
