@@ -15,7 +15,10 @@ the terms of each t-monomial straight into the numerators of one LinearSum
 per side: dGamma_alpha * dGamma_beta through LinearSum.add_product, each
 unordered pair of terms once when alpha == beta, and Q_S(Lambda) and
 Q_Gamma(Lambda) through q_f with the sum, so no product element is built.
-Fractions are built only for the residual of a failing case.
+The sums key monomials by packed ints (polyalg.shared_packing): a product
+key is one int addition, and each monomial is decoded once, when the sum
+becomes the series coefficient. Fractions are built only for the residual
+of a failing case.
 """
 
 from __future__ import annotations
@@ -145,8 +148,8 @@ def _pair_cases(state, series, dim, trunc):
     partials = [p.truncate(trunc) for p in series.partials]
     for alpha in range(dim):
         for beta in range(alpha, dim):
-            lhs = defaultdict(lambda: LinearSum(Poly))
-            rhs = defaultdict(lambda: LinearSum(Poly))
+            lhs = defaultdict(LinearSum)
+            rhs = defaultdict(LinearSum)
             if alpha == beta:
                 products = partials[alpha].square_pairings()
             else:

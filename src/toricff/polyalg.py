@@ -9,26 +9,39 @@ is stored in one exact form: Python int numerators over one denominator, the
 coefficient at a key being nums[key] / denom. The form is canonical: denom
 is positive, no zero numerator is stored and gcd(denom, *nums) == 1, so ==
 and hash compare the stored ints. Every kernel runs on that form and builds
-no Fraction: the products, the linear combination (LinearSum, which the sum
-and difference of elements drive, and through add_product the product of
-two Polys), the partials and, in supercomplex, delta and the Q contraction.
+no Fraction: the products, the sums, the partials and, in supercomplex,
+delta and the Q contraction.
 A polynomial's partials have one form, Poly.partial_rows: the numerators
 n * e_i of each nonzero partial, kept over the polynomial's own denom. The
 Jacobian rows of jacobired and every Q contraction of supercomplex read it.
-The hot sums add products and Q contractions straight into a LinearSum's
-numerators (LinearSum.add_product, supercomplex.q_f), building no product
-element. Fractions enter through the constructor, which clears them with
-_cleared, the one denominator-clearing helper of the package, and leave
-through the terms view, a new dict of Fractions, which rendering and the
-tests read. An element is falsy exactly when it stores no numerator, as a
-zero Fraction or int is, so a truth test is the one zero test.
+
+The hot sums add products and Q contractions straight into the numerators
+of a LinearSum (LinearSum.add_product, supercomplex.q_f), building no
+product element. A LinearSum keys a monomial by one int, its key at the
+packing shared by every polynomial in as many variables (shared_packing):
+16-bit fields that hold exponents up to 2**15 - 1. The key of a product is
+the sum of the keys, and the sum of two such keys never carries, so a
+product term costs one int addition and each monomial of the sum is
+decoded once, in LinearSum.element. An element packs its terms (and a Poly
+its partials) once, on first use by a packed kernel, and keeps them. The
+sum and difference of two elements (_SparseTerms.sum) merge the exponent
+tuple keys as they are: their inputs are mostly used once, where a pack
+and a decode per term would cost more than they save.
+
+Fractions enter through the constructor, which clears them with _cleared,
+the one denominator-clearing helper of the package, and leave through the
+terms view, a new dict of Fractions, which rendering and the tests read. An
+element is falsy exactly when it stores no numerator, as a zero Fraction or
+int is, so a truth test is the one zero test.
 """
 
 from __future__ import annotations
 
 import operator
 import re
+import struct
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 
 
@@ -68,9 +81,11 @@ class GrevlexPacking:
     and no field ever carries into the next. The width comes from the
     largest exponent top to be packed: whole bytes holding its bits plus
     the guard bit. key raises ExponentOverflow for an exponent past limit.
+    exponents reads every field whole, guard bit included, so it decodes a
+    sum of two keys too.
     """
 
-    __slots__ = ("nvars", "bits", "limit", "places", "guards")
+    __slots__ = ("nvars", "bits", "limit", "places", "guards", "_degree", "_fields")
 
     def __init__(self, nvars, top):
         bits = 8 * -(-(top.bit_length() + 1) // 8)
@@ -80,20 +95,43 @@ class GrevlexPacking:
         self.limit = (1 << (bits - 1)) - 1
         self.places = tuple((1 << (bits * i)) - degree for i in range(nvars))
         self.guards = sum(1 << (bits * i + bits - 1) for i in range(nvars))
+        self._degree = degree  # the place value of the degree field
+        # the fields as little-endian unsigned ints, where struct has a code
+        # of their size: key and exponents then pack and read bytes
+        code = {8: "B", 16: "H", 32: "I", 64: "Q"}.get(bits)
+        self._fields = code and struct.Struct(f"<{nvars}{code}")
 
     def key(self, exps):
-        if max(exps) > self.limit:
+        if max(exps, default=0) > self.limit:
             raise ExponentOverflow(
                 f"exponent {max(exps)} of {exps} is past {self.limit}, "
                 f"the largest a {self.bits}-bit field holds"
             )
+        fields = self._fields
+        if fields:
+            low = int.from_bytes(fields.pack(*exps), "little")
+            return low - sum(exps) * self._degree
         return sum(map(operator.mul, exps, self.places))
 
     def exponents(self, key):
         """The monomial of a key: its fields, read off the low bits."""
+        low = key % self._degree  # every field below the degree field
+        fields = self._fields
+        if fields:
+            return fields.unpack(low.to_bytes(fields.size, "little"))
         bits = self.bits
         mask = (1 << bits) - 1
-        return tuple((key >> (bits * i)) & mask for i in range(self.nvars))
+        return tuple((low >> (bits * i)) & mask for i in range(self.nvars))
+
+
+@cache
+def shared_packing(nvars):
+    """The packing that LinearSum and the packed views of elements key a
+    monomial in nvars variables by, one per variable count: 16-bit fields,
+    so key takes exponents up to 2**15 - 1 and raises ExponentOverflow past
+    that, and a field of the sum of two keys, at most 2**16 - 2, is still
+    read off exactly by exponents."""
+    return GrevlexPacking(nvars, 2**15 - 1)
 
 
 def _cleared(coeffs):
@@ -118,18 +156,14 @@ def _canonical(denom, nums):
     return denom // g, {key: n // g for key, n in nums.items()}
 
 
-class LinearSum:
-    """A running sum of scale * x over elements x of one class, a scale an int
-    or a Fraction: int numerators over the lcm of the scaled denominators
-    added so far. The numerators are rescaled when a term's denominator does
-    not divide that lcm, so the sum holds no term once it is added.
-    add_product, and supercomplex.q_f, add a product or a Q contraction
-    without building it."""
+class _Numerators:
+    """Int numerators over the lcm of the scaled denominators merged so far.
+    The numerators are rescaled when a term's denominator does not divide
+    that lcm, so no merged term is held."""
 
-    __slots__ = ("cls", "denom", "nums")
+    __slots__ = ("denom", "nums")
 
-    def __init__(self, cls):
-        self.cls = cls
+    def __init__(self):
         self.denom = 1
         self.nums = {}
 
@@ -144,33 +178,68 @@ class LinearSum:
             self.denom = grown
         return scale.numerator * (self.denom // d)
 
+    def merge(self, scale, denom, terms):
+        """Add scale times the (key, numerator) pairs terms, over denom."""
+        factor = self.admit(scale, denom)
+        nums = self.nums
+        get = nums.get
+        for key, n in terms:
+            nums[key] = get(key, 0) + factor * n
+
+
+class LinearSum(_Numerators):
+    """A running sum of scale * x over Polys x, a scale an int or a Fraction,
+    keyed by packed monomials: every key is an int at one shared_packing,
+    which the first term binds. add_product, and supercomplex.q_f, add a
+    product or a Q contraction without building it, one int addition per
+    product key, from the packed views the operands keep (Poly.packed_terms,
+    Poly.packed_rows). element decodes each monomial once."""
+
+    __slots__ = ("packing",)
+
+    def __init__(self):
+        super().__init__()
+        self.packing = None
+
+    def bind(self, packing):
+        """Key the sum at packing, which must be that of every term held."""
+        if packing is not self.packing:
+            if self.nums:
+                raise ValueError("a LinearSum holds one variable count")
+            self.packing = packing
+
     def add(self, scale, x):
         if not (scale and x.nums):
             return
-        factor = self.admit(scale, x.denom)
-        nums = self.nums
-        get = nums.get
-        for key, n in x.nums.items():
-            nums[key] = get(key, 0) + factor * n
+        packing, terms = x.packed_terms()
+        self.bind(packing)
+        self.merge(scale, x.denom, terms)
 
     def add_product(self, scale, x, y):
         """Add scale * x * y for Polys x and y, straight into the numerators:
         no product is built."""
         if not (scale and x.nums and y.nums):
             return
+        packing, xs = x.packed_terms()
+        ys = y.packed_terms()[1]
+        self.bind(packing)
         factor = self.admit(scale, x.denom * y.denom)
         nums = self.nums
-        get, add = nums.get, operator.add
-        ys = tuple(y.nums.items())
-        for e1, c1 in x.nums.items():
+        get = nums.get
+        for k1, c1 in xs:
             c1 *= factor
-            for e2, c2 in ys:
-                key = tuple(map(add, e1, e2))  # monomial_mul, inlined: hot loop
+            for k2, c2 in ys:
+                key = k1 + k2
                 nums[key] = get(key, 0) + c1 * c2
 
     def element(self):
-        """The sum as an element of its class; adding on leaves it as it is."""
-        return self.cls.from_nums(self.denom, dict(self.nums))
+        """The sum as a Poly; adding on leaves it as it is."""
+        if self.packing is None:
+            return Poly({})
+        exponents = self.packing.exponents
+        return Poly.from_nums(
+            self.denom, {exponents(key): n for key, n in self.nums.items() if n}
+        )
 
 
 class _SparseTerms:
@@ -199,11 +268,12 @@ class _SparseTerms:
     @classmethod
     def sum(cls, pairs):
         """The sum of scale * x over (scale, x) pairs, x of this class and a
-        scale an int or a Fraction."""
-        total = LinearSum(cls)
+        scale an int or a Fraction, merged on the keys as they are."""
+        total = _Numerators()
         for scale, x in pairs:
-            total.add(scale, x)
-        return total.element()
+            if scale and x.nums:
+                total.merge(scale, x.denom, x.nums.items())
+        return cls.from_nums(total.denom, total.nums)
 
     @property
     def terms(self):
@@ -261,7 +331,7 @@ class _SparseTerms:
 class Poly(_SparseTerms):
     """Keys are exponent tuples."""
 
-    __slots__ = ("_partial_rows",)
+    __slots__ = ("_partial_rows", "_packed_terms", "_packed_rows")
 
     @classmethod
     def monomial(cls, exps, coeff=1):
@@ -270,7 +340,7 @@ class Poly(_SparseTerms):
     def _times(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        product = LinearSum(Poly)
+        product = LinearSum()
         product.add_product(1, self, other)
         return product.element()
 
@@ -289,6 +359,32 @@ class Poly(_SparseTerms):
                         rows.setdefault(i, []).append((lowered, n * e))
             self._partial_rows = {i: tuple(rows[i]) for i in sorted(rows)}
             return self._partial_rows
+
+    def packed_terms(self):
+        """(packing, ((key, numerator), ...)) for a nonzero polynomial, built
+        once: its terms with each monomial keyed at the shared_packing of its
+        variable count. Raises ExponentOverflow past the packing's limit."""
+        try:
+            return self._packed_terms
+        except AttributeError:
+            packing = shared_packing(len(next(iter(self.nums))))
+            key = packing.key
+            terms = tuple((key(exps), n) for exps, n in self.nums.items())
+            self._packed_terms = packing, terms
+            return self._packed_terms
+
+    def packed_rows(self):
+        """partial_rows with each monomial keyed at the shared_packing of its
+        variable count, built once."""
+        try:
+            return self._packed_rows
+        except AttributeError:
+            packed = {}
+            for i, row in self.partial_rows().items():
+                key = shared_packing(len(row[0][0])).key
+                packed[i] = tuple((key(exps), n) for exps, n in row)
+            self._packed_rows = packed
+            return self._packed_rows
 
 
 def _render_term(exps, coeff, names, odd=()):

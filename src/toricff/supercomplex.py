@@ -28,6 +28,7 @@ from .polyalg import (
     grevlex_key,
     monomial_mul,
     parse_terms,
+    shared_packing,
 )
 
 
@@ -91,6 +92,29 @@ class _OddTerms(_SparseTerms):
 class SuperElement(_OddTerms):
     """Polynomial in the q variables and their odd partners eta."""
 
+    __slots__ = ("_packed_singles",)
+
+    def packed_singles(self):
+        """(packing, singles, rest) for a nonzero element, built once, for
+        q_f: singles holds (key, i, numerator) for every term with the one
+        eta eta_i, its monomial keyed at polyalg.shared_packing, and rest is
+        the element of the terms with two or more etas, or {} when there
+        are none. Raises polyalg.ExponentOverflow past the packing's limit."""
+        try:
+            return self._packed_singles
+        except AttributeError:
+            packing = shared_packing(len(next(iter(self.nums))[0]))
+            key = packing.key
+            singles, rest = [], {}
+            for (exps, etas), n in self.nums.items():
+                if len(etas) == 1:
+                    singles.append((key(exps), etas[0], n))
+                elif etas:
+                    rest[exps, etas] = n
+            rest = rest and SuperElement.from_nums(self.denom, rest)
+            self._packed_singles = packing, tuple(singles), rest
+            return self._packed_singles
+
 
 class FormElement(_OddTerms):
     """Polynomial-coefficient differential form in the dq generators."""
@@ -133,29 +157,34 @@ def _q_parts(w, f):
 
 def q_f(w, f, into, scale=1):
     """Add scale * Q_f(w), the contraction of w against the partials of an
-    arbitrary even potential f, to into, a polyalg.LinearSum of Polys, in
-    place: a term of w with one eta goes straight into the sum's numerators.
-    Like to_poly, this raises ValueError, leaving into as it was, when an
-    odd factor survives: when the terms of w with two or more etas contract
-    to a nonzero element. A zero w adds nothing and reads no partial of f.
+    arbitrary even potential f, to into, a polyalg.LinearSum, in place: a
+    term of w with one eta goes straight into the sum's numerators, one int
+    addition per product key, read off the packed views that w and f keep
+    (SuperElement.packed_singles, Poly.packed_rows), so a second call on the
+    same elements packs nothing. Like to_poly, this raises ValueError,
+    leaving into as it was, when an odd factor survives: when the terms of w
+    with two or more etas contract to a nonzero element. A zero w adds
+    nothing and reads no partial of f.
     """
     if not w:
         return
-    odd = {key: n for key, n in w.nums.items() if len(key[1]) > 1}
-    if odd and _q_parts(SuperElement.from_nums(w.denom, odd), f):
+    packing, singles, rest = w.packed_singles()
+    if rest and _q_parts(rest, f):
         raise ValueError("element carries odd factors")
-    rows = f.partial_rows()
-    if not (scale and rows):
+    rows = f.packed_rows()
+    if not (scale and rows and singles):
         return
+    into.bind(packing)
     factor = into.admit(scale, w.denom * f.denom)
     nums = into.nums
-    get, add = nums.get, operator.add
-    for (exps, etas), coeff in w.nums.items():
-        if len(etas) == 1 and (row := rows.get(etas[0])) is not None:
+    get = nums.get
+    for key, i, coeff in singles:
+        row = rows.get(i)
+        if row is not None:
             c = coeff * factor
-            for pe, pc in row:
-                key = tuple(map(add, exps, pe))  # monomial_mul, inlined
-                nums[key] = get(key, 0) + c * pc
+            for pk, pc in row:
+                k = key + pk
+                nums[k] = get(k, 0) + c * pc
 
 
 def q_s(w, ring):

@@ -41,18 +41,23 @@ Every other multiset walks the splits of its tail once, and the three sums
 read their entries from that one list; a zero entry adds nothing. Every
 entry is read as it stands in its table, so an entry replaced in place is
 seen by the next step. step first checks, by membership, that every table
-holds every multiset of every lower size, so a stray key cannot stand in
-for a missing one, and raises MissingTableEntry naming the first one
-missing. When alpha == beta the splits (A, B) and (B, A) of the first sum
-give the same product, so each mirror pair is taken once with twice its
-weight.
+holds every multiset of every lower size, and raises MissingTableEntry
+naming the first one missing. A table whose length is the one recorded at
+its last check is not walked again, so a key swapped for a stray one since
+then goes unseen there; the read of the missing entry then raises
+MissingTableEntry, before anything is stored. When alpha == beta the
+splits (A, B) and (B, A) of the first sum give the same product, so each
+mirror pair is taken once with twice its weight.
 
 The three sums run over int numerators: step reads each u and lambda entry
 straight from its table, in the int form every element holds (polyalg), and
 adds u*u (LinearSum.add_product), a*u and Q_{u_A}(lambda) (q_f) straight
-into the numerators of one LinearSum: no product element
-is built or canonicalised. A u entry keeps its table of partials
-(Poly.partial_rows) once Q has asked for it.
+into the numerators of one LinearSum, keyed by packed int monomials: no
+product element is built or canonicalised, a product key is one int
+addition and each monomial of f is decoded once. A u entry keeps its
+packed terms and partials (Poly.packed_terms, Poly.packed_rows), and a
+lambda entry its packed one-eta terms (SuperElement.packed_singles), once
+a kernel has asked for them.
 """
 
 from __future__ import annotations
@@ -199,27 +204,39 @@ def _splits(tail):
     return splits
 
 
+def _read(state, name, multi):
+    """The entry of multi in the named table. A table whose length is the
+    one _settled_below recorded is not checked again, so a key replaced by
+    a stray one since then is found missing here, as MissingTableEntry."""
+    try:
+        return state.table(name)[multi]
+    except KeyError:
+        raise MissingTableEntry(f"{name} table lacks {multi}") from None
+
+
 def _assemble_input(state, multi):
     # alpha <= beta <= every tail entry, so prefixing them keeps keys sorted.
-    # Every key read is shorter than multi, so _settled_below has checked
-    # that it is there
+    # Every key read is shorter than multi
     alpha, beta, tail = multi[0], multi[1], multi[2:]
     pair = (alpha, beta)
-    u_table = state.u_table
-    total = LinearSum(Poly)
+    total = LinearSum()
     for a_part, b_part, weight in _splits(tail):
         # when alpha == beta, (A, B) and (B, A) give the same product: add
         # it once, with twice the weight
         if alpha != beta or a_part <= b_part:
             mirrored = 2 * weight if alpha == beta and a_part < b_part else weight
             total.add_product(
-                mirrored, u_table[(alpha,) + a_part], u_table[(beta,) + b_part]
+                mirrored,
+                _read(state, "u", (alpha,) + a_part),
+                _read(state, "u", (beta,) + b_part),
             )
         if b_part:
-            for rho, value in state.a_table[pair + a_part].items():
-                total.add(-weight * value, u_table[tuple(sorted(b_part + (rho,)))])
+            for rho, value in _read(state, "a", pair + a_part).items():
+                u = _read(state, "u", tuple(sorted(b_part + (rho,))))
+                total.add(-weight * value, u)
         if a_part:
-            q_f(state.lam_table[pair + b_part], u_table[a_part], total, -weight)
+            lam = _read(state, "lambda", pair + b_part)
+            q_f(lam, _read(state, "u", a_part), total, -weight)
     return total.element()
 
 
@@ -228,7 +245,7 @@ def _unit_input(state, multi):
     for a pair (unit, beta), since u_unit = 1, and zero for a larger one,
     whose three sums cancel (see _unit_entries)."""
     if len(multi) == 2:
-        return state.u_table[multi[1:]]
+        return _read(state, "u", multi[1:])
     return Poly({})
 
 

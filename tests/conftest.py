@@ -1,7 +1,7 @@
 """Shared example rings: three Calabi-Yau fixtures plus a rank-2 charge lattice,
-a per-pair table scan that the pair-indexed series are compared against, and
-plain Fraction references for the partials, the product kernels and the
-unfolding input."""
+a per-pair table scan that the pair-indexed series are compared against,
+plain Fraction references for the partials, the product kernels, the sums
+and the unfolding input, and seeded inputs for the kernel tests."""
 
 import random
 from fractions import Fraction
@@ -299,6 +299,46 @@ def reference_q(w, f):
                 key = (grown, etas[:pos] + etas[pos + 1 :])
                 out[key] = out.get(key, Fraction(0)) + (-1) ** pos * coeff * pc
     return out
+
+
+# exponents the kernel tests draw (kernel_poly, kernel_super): small ones,
+# the edges of the 8-bit and 16-bit fields of a GrevlexPacking, and the
+# shared packing's limit
+KERNEL_EXPONENTS = (0, 0, 1, 1, 2, 3, 127, 128, 255, 256, 2**15 - 1)
+DENOMINATORS = (1, 1, 2, 3, 4, 6, 9, 10, 35)
+
+
+def kernel_poly(rng, nvars, max_terms=4):
+    """A Poly in nvars variables with mixed denominators; zero now and then."""
+    return Poly(
+        {
+            tuple(rng.choice(KERNEL_EXPONENTS) for _ in range(nvars)): Fraction(
+                rng.randint(-6, 6), rng.choice(DENOMINATORS)
+            )
+            for _ in range(rng.randint(0, max_terms))
+        }
+    )
+
+
+def kernel_scale(rng):
+    return rng.choice((0, 1, -1, 3, Fraction(2, 3), Fraction(-5, 4)))
+
+
+def reference_add(out, scale, terms):
+    """Add scale times the {key: Fraction} map terms into out, in Fraction
+    arithmetic and in the order of terms; nothing when scale is zero. A
+    coefficient that cancels stays, as 0."""
+    if scale:
+        for key, c in terms.items():
+            out[key] = out.get(key, Fraction(0)) + scale * c
+
+
+def assert_matches(got, reference):
+    """The element got stores the nonzero coefficients of the Fraction map
+    reference, in the order of its keys."""
+    expected = {key: c for key, c in reference.items() if c}
+    assert list(got.nums) == list(expected)
+    assert got.terms == expected
 
 
 def dense_input(state, multi):

@@ -9,8 +9,8 @@ tracer wraps is defined where the tracer looks for it, a module that calls
 one by name binds that very function, and the tracer's counters read real
 pieces. Only unfolding.check_series calls the series functions, so every
 check reads the series of one build. Every name a module lists in `__all__`
-is bound there. Every engine and test file parses at the Python floor that
-pyproject.toml declares.
+is bound there. Every engine, test and tool file parses at the Python
+floor that pyproject.toml declares.
 """
 
 import ast
@@ -163,8 +163,13 @@ def test_sources_parse_at_the_declared_python_floor():
     group = "try:\n    pass\nexcept* ValueError:\n    pass\n"
     with pytest.raises(SyntaxError):
         ast.parse(group, feature_version=floor)
-    paths = sorted(SRC.rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
-    assert SRC / "cli.py" in paths and ROOT / "tests" / "conftest.py" in paths
+    paths = [
+        path
+        for folder in (SRC, ROOT / "tests", ROOT / "tools")
+        for path in sorted(folder.rglob("*.py"))
+    ]
+    for expected in ("src/toricff/cli.py", "tests/conftest.py", "tools/bench_pairs.py"):
+        assert ROOT / expected in paths
     for path in paths:
         ast.parse(path.read_text(), filename=str(path), feature_version=floor)
 

@@ -5,16 +5,24 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import reference_mul
+from conftest import (
+    assert_matches,
+    kernel_poly,
+    kernel_scale,
+    reference_add,
+    reference_mul,
+)
 
 from toricff.polyalg import (
     ExponentOverflow,
     GrevlexPacking,
+    LinearSum,
     Poly,
     grevlex_key,
     monomial_mul,
     parse_poly,
     render_poly,
+    shared_packing,
 )
 
 # variables (y, x1, x2, x3) as in the cubic Cayley ring
@@ -251,6 +259,96 @@ def test_grevlex_packing_matches_tuple_operations():
                 divides = not (key(m) - key(t)) & packing.guards
                 assert divides == all(map(int.__le__, t, m)), (t, m)
         assert all(packing.exponents(key(m)) == m for m in products)
+
+
+def test_linear_sum_matches_fraction_reference_seeded():
+    """add and add_product on packed keys equal the tuple-keyed Fraction
+    reference, coefficient by coefficient and in the order of its keys,
+    over 1-8 variables, mixed denominators and exponents up to the limit."""
+    rng = random.Random(3404)
+    seen = set()
+    for nvars in range(1, 9):
+        for _ in range(25):
+            total, reference = LinearSum(), {}
+            ops = []
+            for _ in range(rng.randint(1, 6)):
+                if ops and rng.random() < 0.2:
+                    # the negative of an earlier term: its coefficients cancel
+                    scale, *factors = rng.choice(ops)
+                    ops.append((-scale, *factors))
+                else:
+                    count = rng.randint(1, 2)
+                    factors = [kernel_poly(rng, nvars) for _ in range(count)]
+                    ops.append((kernel_scale(rng), *factors))
+            for scale, *factors in ops:
+                if len(factors) == 2:
+                    total.add_product(scale, *factors)
+                    reference_add(reference, scale, reference_mul(*factors))
+                else:
+                    total.add(scale, factors[0])
+                    reference_add(reference, scale, factors[0].terms)
+                seen.add(("product", len(factors) == 2))
+                mixed = factors[0].denom not in (1, total.denom)
+                seen.add(("mixed denominators", mixed))
+            got = total.element()
+            assert_matches(got, reference)
+            assert got == Poly(reference)
+            seen.add(("cancelled", any(c == 0 for c in reference.values())))
+            seen.add(("past the limit", any(max(e) > 2**15 - 1 for e in got.nums)))
+    assert {(kind, outcome) for kind, _ in seen for outcome in (False, True)} == seen
+
+
+def test_element_sums_match_fraction_reference_seeded():
+    """+, - and sum merge the tuple keys: the Fraction reference, in order."""
+    rng = random.Random(3405)
+    for nvars in range(1, 9):
+        for _ in range(20):
+            x, y, z = (kernel_poly(rng, nvars) for _ in range(3))
+            pairs = [(kernel_scale(rng), v) for v in (x, y, z, x)]
+            for got, used in (
+                (x + y, ((1, x), (1, y))),
+                (x - y, ((1, x), (-1, y))),
+                (x - x, ((1, x), (-1, x))),
+                (Poly.sum(pairs), pairs),
+            ):
+                reference = {}
+                for scale, v in used:
+                    reference_add(reference, scale, v.terms)
+                assert_matches(got, reference)
+
+
+def test_shared_packing_decodes_a_product_at_twice_the_limit():
+    """Two factors at the limit 32,767 give a field of 65,534, which the
+    16-bit field still reads off exactly."""
+    limit = 2**15 - 1
+    packing = shared_packing(3)
+    assert packing is shared_packing(3) and (packing.bits, packing.limit) == (16, limit)
+    a, b = (limit, 0, 1), (limit, 2, limit)
+    product = (2 * limit, 2, limit + 1)
+    assert packing.exponents(packing.key(a) + packing.key(b)) == product
+    total = LinearSum()
+    total.add_product(Fraction(1, 3), Poly.monomial(a, 3), Poly.monomial(b, 2))
+    assert total.element() == Poly.monomial(product, 2)
+    # no variables at all: the empty monomial packs to 0
+    assert Poly({(): Fraction(1, 2)}) * Poly({(): 3}) == Poly({(): Fraction(3, 2)})
+
+
+def test_exponent_past_the_limit_leaves_the_sum_as_it_was():
+    """An input exponent of 32,768 raises ExponentOverflow before any
+    numerator or the denominator changes."""
+    total = LinearSum()
+    total.add_product(Fraction(2, 3), Y + X1, Fraction(1, 5) * X2)
+    before = (total.denom, dict(total.nums))
+    past = Poly.monomial((2**15, 0, 0, 0), Fraction(1, 7))
+    for add in (
+        lambda: total.add(Fraction(1, 11), past),
+        lambda: total.add_product(Fraction(1, 11), past, X1),
+        lambda: total.add_product(Fraction(1, 11), X1, past),
+    ):
+        with pytest.raises(ExponentOverflow):
+            add()
+        assert (total.denom, total.nums) == before
+    assert total.element() == Fraction(2, 15) * ((Y + X1) * X2)
 
 
 def test_render_pinned():

@@ -6,9 +6,28 @@ from math import gcd
 
 import pytest
 
-from conftest import P2_RAYS, reference_mul, reference_partial, reference_q, xpoly
+from conftest import (
+    DENOMINATORS,
+    KERNEL_EXPONENTS,
+    P2_RAYS,
+    assert_matches,
+    kernel_poly,
+    kernel_scale,
+    reference_add,
+    reference_mul,
+    reference_partial,
+    reference_q,
+    xpoly,
+)
 
-from toricff.polyalg import LinearSum, Poly, parse_poly, render_poly
+from toricff.polyalg import (
+    ExponentOverflow,
+    GrevlexPacking,
+    LinearSum,
+    Poly,
+    parse_poly,
+    render_poly,
+)
 from toricff.supercomplex import (
     FormElement,
     SuperElement,
@@ -308,7 +327,7 @@ def test_contraction_odd_derivation_seeded(cubic_ring):
 
 def q_f_sum(w, f, scale=1):
     """scale * Q_f(w) as a Poly, added by q_f into a new LinearSum."""
-    total = LinearSum(Poly)
+    total = LinearSum()
     q_f(w, f, total, scale)
     return total.element()
 
@@ -386,7 +405,7 @@ def test_q_kernel_on_cleared_forms_seeded(cubic_ring, p1p1_ring):
                 terms[(exps, etas)] = Fraction(rng.randint(-5, 5), rng.randint(1, 6))
             w = SuperElement(terms)
             f = _random_poly(rng, nv, 3)
-            total = LinearSum(Poly)
+            total = LinearSum()
             if _nonzero(reference_q(w, f)):
                 with pytest.raises(ValueError):
                     q_f(w, f, total)
@@ -453,7 +472,7 @@ def test_in_place_sums_match_materialised_seeded(cubic_ring, p1p1_ring):
     for ring in (cubic_ring, p1p1_ring):
         nv = ring.nvars
         for _ in range(40):
-            in_place, materialised = LinearSum(Poly), LinearSum(Poly)
+            in_place, materialised = LinearSum(), LinearSum()
             for _ in range(rng.randint(1, 6)):
                 scale = rng.choice(scales)
                 if rng.random() < 0.5:
@@ -483,7 +502,7 @@ def test_in_place_sums_match_materialised_seeded(cubic_ring, p1p1_ring):
     # two etas: the contraction keeps an odd factor, so q_f raises like
     # to_poly and leaves the sum as it was
     S = cubic_ring.S
-    total = LinearSum(Poly)
+    total = LinearSum()
     total.add_product(Fraction(2, 3), S, S)
     before = (total.denom, dict(total.nums))
     for scale in (1, 0):
@@ -496,6 +515,91 @@ def test_in_place_sums_match_materialised_seeded(cubic_ring, p1p1_ring):
     w = q_s(eta(0) * eta(1) * eta(2), cubic_ring)
     assert any(len(etas) == 2 for _, etas in w.nums)
     q_f(w, S, total, 1)
+    assert (total.denom, total.nums) == before
+
+
+def kernel_super(rng, nvars, max_etas, max_terms=4):
+    """A SuperElement in nvars variables, each term with up to max_etas
+    etas, over mixed denominators."""
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        exps = tuple(rng.choice(KERNEL_EXPONENTS) for _ in range(nvars))
+        size = rng.randint(0, min(max_etas, nvars))
+        etas = tuple(sorted(rng.sample(range(nvars), size)))
+        terms[exps, etas] = Fraction(rng.randint(-6, 6), rng.choice(DENOMINATORS))
+    return SuperElement(terms)
+
+
+def test_q_f_matches_fraction_reference_seeded():
+    """q_f on packed keys, mixed with add_product, equals the tuple-keyed
+    Fraction reference of Q_f, coefficient by coefficient and in the order
+    of its keys, over 1-8 variables, mixed denominators and exponents up to
+    the shared packing's limit."""
+    rng = random.Random(3406)
+    seen = set()
+    for nvars in range(1, 9):
+        for _ in range(20):
+            total, reference = LinearSum(), {}
+            for _ in range(rng.randint(1, 5)):
+                scale, f = kernel_scale(rng), kernel_poly(rng, nvars)
+                if rng.random() < 0.25:
+                    g = kernel_poly(rng, nvars)
+                    total.add_product(scale, f, g)
+                    reference_add(reference, scale, reference_mul(f, g))
+                    continue
+                w = kernel_super(rng, nvars, 1)
+                q_f(w, f, total, scale)
+                reference_add(reference, scale, even_reference_q(w, f).terms)
+                seen.add(("zero-eta term", any(not etas for _, etas in w.nums)))
+                seen.add(("mixed denominators", w.denom != f.denom))
+            got = total.element()
+            assert_matches(got, reference)
+            seen.add(("past the limit", any(max(e) > 2**15 - 1 for e in got.nums)))
+    assert {(kind, outcome) for kind, _ in seen for outcome in (False, True)} == seen
+
+
+def test_super_element_sums_match_fraction_reference_seeded():
+    """+, - and sum of SuperElements merge the tuple keys as they are."""
+    rng = random.Random(3407)
+    for nvars in range(1, 9):
+        for _ in range(15):
+            x, y = kernel_super(rng, nvars, nvars), kernel_super(rng, nvars, nvars)
+            pairs = [(kernel_scale(rng), v) for v in (x, y, x)]
+            for got, used in (
+                (x + y, ((1, x), (1, y))),
+                (x - y, ((1, x), (-1, y))),
+                (SuperElement.sum(pairs), pairs),
+            ):
+                reference = {}
+                for scale, v in used:
+                    reference_add(reference, scale, v.terms)
+                assert_matches(got, reference)
+
+
+def test_q_f_packs_each_element_once(monkeypatch, cubic_ring):
+    """A second q_f on the same w and f makes no GrevlexPacking.key call,
+    and an exponent past the shared packing's limit raises ExponentOverflow
+    with the sum as it was."""
+    calls = []
+    key = GrevlexPacking.key
+
+    def counted(self, exps):
+        calls.append(exps)
+        return key(self, exps)
+
+    monkeypatch.setattr(GrevlexPacking, "key", counted)
+    w = Fraction(3, 4) * (X1 * eta(1)) + Fraction(1, 6) * (Y * eta(0))
+    f = Poly(dict(cubic_ring.S.terms))
+    total = LinearSum()
+    q_f(w, f, total, Fraction(2, 5))
+    assert calls
+    calls.clear()
+    q_f(w, f, total, -3)
+    assert calls == []
+    before = (total.denom, dict(total.nums))
+    past = sterm((2**15, 0, 0, 0), (1,), Fraction(1, 7))
+    with pytest.raises(ExponentOverflow):
+        q_f(past, f, total, Fraction(1, 11))
     assert (total.denom, total.nums) == before
 
 

@@ -92,6 +92,22 @@ def test_step_reports_a_missing_entry_beside_a_stray_key(
     assert {name: state.table(name) for name in before} == before
 
 
+def test_step_reports_an_entry_swapped_for_a_stray_key_after_its_check(
+    cubic_ring, cubic_basis
+):
+    # the swap keeps every table's length, so the next steps do not check
+    # the lower sizes again; the read of (1, 1) finds it missing
+    state = run(cubic_ring, cubic_basis, 2)
+    step(state, (0, 0, 0))
+    state.u_table[(1, 7)] = state.u_table.pop((1, 1))
+    step(state, (0, 1, 1))  # closed form: reads no entry
+    assert (0, 1, 1) in state.u_table
+    before = {name: dict(state.table(name)) for name in ("u", "a", "lambda")}
+    with pytest.raises(MissingTableEntry, match=r"u table lacks \(1, 1\)"):
+        step(state, (1, 1, 1))
+    assert {name: state.table(name) for name in before} == before
+
+
 @pytest.mark.parametrize(
     "ring, basis, order",
     [
@@ -397,30 +413,30 @@ def test_elements_are_falsy_exactly_when_zero(cubic_ring):
         y = rng.choice((x, -x, super_element(), super_element()))
         even = [Poly({e: c for (e, t), c in w.terms.items() if not t}) for w in (x, y)]
         for cls, (a, b) in ((SuperElement, (x, y)), (Poly, even)):
-            total = LinearSum(cls)
-            total.add(rng.choice((1, Fraction(1, 2))), a)
-            total.add(rng.choice((-1, Fraction(-1, 2))), b)
+            # LinearSum sums Polys; the scales are drawn for both classes
+            scales = rng.choice((1, Fraction(1, 2))), rng.choice((-1, Fraction(-1, 2)))
             results = {
                 "sum": a + b,
                 "difference": a - b,
                 "scalar product": a * rng.choice((0, 3, Fraction(-2, 5))),
                 "element product": a * b,
-                "LinearSum.element": total.element(),
             }
-            if cls is SuperElement:
+            if cls is Poly:
+                total = LinearSum()
+                total.add(scales[0], a)
+                total.add(scales[1], b)
+                results["LinearSum.element"] = total.element()
+            else:
                 results.update(delta=delta(a), q_s=q_s(a, cubic_ring), mu=mu(a))
             for kernel, got in results.items():
                 assert bool(got) is (got.nums != {}), (kernel, got)
                 assert bool(got) is any(got.terms.values()), (kernel, got)
                 seen.add((cls.__name__, kernel, bool(got)))
-    shared = {
-        "sum",
-        "difference",
-        "scalar product",
-        "element product",
-        "LinearSum.element",
+    shared = {"sum", "difference", "scalar product", "element product"}
+    kernels = {
+        "Poly": shared | {"LinearSum.element"},
+        "SuperElement": shared | {"delta", "q_s", "mu"},
     }
-    kernels = {"Poly": shared, "SuperElement": shared | {"delta", "q_s", "mu"}}
     assert seen == {
         (cls, kernel, outcome)
         for cls, names in kernels.items()

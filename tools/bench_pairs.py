@@ -1,0 +1,152 @@
+"""Alternating benchmark pairs of two revisions of this repository.
+
+Usage (from anywhere inside the repository):
+
+    python3 tools/bench_pairs.py BASE [CHANGE] --workload W --pairs N \\
+        --seconds S --seed K
+
+BASE and CHANGE are git revisions. CHANGE defaults to the working tree's
+tracked files, as the commit ``git stash create`` makes of them, or to HEAD
+when the tree is clean. Each revision is exported with ``git archive`` into
+its own directory, ``old`` and ``new``, side by side in one temporary
+directory, so both copies sit at paths of equal length. Before every run
+the copy's ``src/toricff/__pycache__`` is deleted, so neither side starts
+with bytecode the other lacks. Pair i runs BASE first when i is odd and
+CHANGE first when it is even.
+
+Each run is ``python3 bench/run.py --workload W --seed K --seconds S`` in
+its copy; the last line of its output, one JSON object, gives the metrics.
+The script prints each pair's values, then for every metric each side's
+median and quartiles and the number of pairs in which CHANGE is better, the
+direction read from CHANGE's BENCHMARK.json (lower when it names none). It
+exits 1 when a run failed its gate or printed no metrics. It changes nothing
+in the repository and removes its copies when done. Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def git(*args):
+    return subprocess.run(
+        ["git", *args], cwd=REPO, check=True, capture_output=True, text=True
+    ).stdout.strip()
+
+
+def export(revision, target):
+    """The tracked files of revision, extracted into the directory target."""
+    target.mkdir()
+    archive = target.with_suffix(".tar")
+    git("archive", "--format=tar", "-o", str(archive), revision)
+    subprocess.run(["tar", "-xf", str(archive), "-C", str(target)], check=True)
+    archive.unlink()
+
+
+def bench(copy, args):
+    """One bench/run.py run in copy: (correct, metrics {name: value})."""
+    shutil.rmtree(copy / "src" / "toricff" / "__pycache__", ignore_errors=True)
+    command = [
+        sys.executable, "bench/run.py", "--workload", args.workload,
+        "--seed", str(args.seed), "--seconds", str(args.seconds),
+    ]
+    done = subprocess.run(command, cwd=copy, capture_output=True, text=True)
+    lines = done.stdout.strip().splitlines()
+    try:
+        summary = json.loads(lines[-1])
+    except (IndexError, ValueError):
+        print(f"{copy.name}: no summary line; stderr:\n{done.stderr}", file=sys.stderr)
+        return False, {}
+    metrics = {name: m["value"] for name, m in summary["metrics"].items()}
+    return summary["correct"] and not summary["failed"], metrics
+
+
+def lower_is_better(copy):
+    """{metric: True when lower is better} from the copy's BENCHMARK.json."""
+    try:
+        spec = json.loads((copy / "BENCHMARK.json").read_text())
+    except (OSError, ValueError):
+        return {}
+    entries = spec.get("end_to_end", []) + spec.get("per_layer", [])
+    return {e["name"]: e.get("better", "lower") == "lower" for e in entries}
+
+
+def quartiles(values):
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def report(pairs, lower):
+    """Print each metric's pairs, medians, quartiles and the change's wins."""
+    names = [n for n in pairs[0][0] if all(n in a and n in b for a, b in pairs)]
+    for name in names:
+        old = [a[name] for a, _ in pairs]
+        new = [b[name] for _, b in pairs]
+        down = lower.get(name, True)
+        wins = sum((b < a) if down else (b > a) for a, b in zip(old, new))
+        (o1, o2, o3), (n1, n2, n3) = quartiles(old), quartiles(new)
+        print(f"{name}: base/change per pair: " + " ".join(
+            f"{a:.4g}/{b:.4g}" for a, b in zip(old, new)
+        ))
+        print(
+            f"  base median {o2:.4g} [{o1:.4g}, {o3:.4g}] IQR {o3 - o1:.4g}; "
+            f"change median {n2:.4g} [{n1:.4g}, {n3:.4g}] IQR {n3 - n1:.4g}; "
+            f"change better in {wins}/{len(pairs)} "
+            f"({'lower' if down else 'higher'} is better)"
+        )
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("base")
+    parser.add_argument("change", nargs="?")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args(argv)
+    change = args.change or git("stash", "create") or "HEAD"
+    revisions = {"old": git("rev-parse", args.base), "new": git("rev-parse", change)}
+    print(f"base {revisions['old']}, change {revisions['new']}")
+    scratch = Path(tempfile.mkdtemp(prefix="bench_pairs-"))
+    ok = True
+    try:
+        copies = {}
+        for name, revision in revisions.items():
+            copies[name] = scratch / name
+            export(revision, copies[name])
+        pairs = []
+        for i in range(1, args.pairs + 1):
+            order = ("old", "new") if i % 2 else ("new", "old")
+            got = {}
+            for name in order:
+                correct, got[name] = bench(copies[name], args)
+                ok = ok and correct and bool(got[name])
+            first = "base" if order[0] == "old" else "change"
+            print(f"pair {i} ({first} first): " + " ".join(
+                f"{m} {got['old'].get(m, float('nan')):.4g}/{v:.4g}"
+                for m, v in got["new"].items()
+            ), flush=True)
+            pairs.append((got["old"], got["new"]))
+        if all(a and b for a, b in pairs):
+            report(pairs, lower_is_better(copies["new"]))
+    finally:
+        shutil.rmtree(scratch)
+    if not ok:
+        print("a run failed its gate or printed no metrics", file=sys.stderr)
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
