@@ -9,8 +9,10 @@ the same key/value shape so their tables can be re-ingested bit-exactly.
 Exit codes: 0 when every requested check passes, 1 when a check fails, 2 for
 input errors (unreadable, undecodable or unparsable files, torsion class
 groups, rays that do not span or do not positively span, refused non-Calabi-Yau
-input, an unwritable ``--out``, and the like), 3 for an internal error: any
-other exception from the engine, whose traceback is printed.
+input, an exponent past 32,767, the largest a packed monomial key holds
+(polyalg.ExponentOverflow), an unwritable ``--out``, and the like), 3 for an
+internal error: any other exception from the engine, whose traceback is
+printed.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .ffverify import (
 )
 from .intlattice import TorsionClassGroup
 from .jacobired import BasisIncomplete, jacobian_basis
-from .polyalg import Poly, parse_poly, render_poly
+from .polyalg import ExponentOverflow, Poly, parse_poly, render_poly
 from .supercomplex import parse_super, render_super
 from .toricring import (
     InhomogeneousHypersurface,
@@ -79,6 +81,7 @@ _INPUT_ERRORS = (
     NotCalabiYau,
     InhomogeneousHypersurface,
     BasisIncomplete,
+    ExponentOverflow,
 )
 
 

@@ -7,10 +7,10 @@ inequalities (normal, offset) meaning <normal, m> >= offset.
 
 Lattice points come back as plain tuples in lexicographic order. toricring
 turns the points of an x-fiber into exponent vectors and into packed
-grevlex keys (polyalg.GrevlexPacking: one int per monomial, one field of
-whole bytes with a guard bit per variable, as wide as the largest exponent
-the ring has seen needs) a column at a time, so the enumeration's own
-per-point work is one bound per inequality, a sum(map(mul, ...)).
+grevlex keys (polyalg.shared_packing: one int per monomial, one 16-bit
+field with a guard bit per variable) a column at a time, so the
+enumeration's own per-point work is one bound per inequality, a
+sum(map(mul, ...)).
 """
 
 from __future__ import annotations

@@ -7,16 +7,12 @@ recorded against the original generators, yields three things at once: the
 quotient dimension, a canonical monomial basis of the quotient, and for any
 reduced element an odd cochain lambda with f = sum(a_i b_i) + Q_S(lambda).
 
-Columns are monomials keyed by one int each, the packed grevlex key of
-polyalg.GrevlexPacking at the ring's packing: ascending keys are descending
+Columns are monomials keyed by one int each, the packed grevlex key at
+the ring's packing (polyalg.shared_packing): ascending keys are descending
 grevlex, so the pivot of a row, its least key, is its grevlex-leading
-monomial. A field of the key is whole bytes wide, as many as the largest
-exponent of any piece the ring has enumerated needs plus a guard bit, and
-the ring widens it when a piece needs more, so no key overflows; the
-widening re-keys the ring's cached pieces, and a GradedIdealPiece built
-before it keeps its own keys and packing. The key of a product is the sum
-of the keys, so the row of mult * dS_i is built by adding the
-multiplier's key to each term's, and a lead t divides mult when
+monomial. The key of a product is the sum of the keys, so the row of
+mult * dS_i is built by adding the multiplier's key to each term's packed
+partial (polyalg.Poly.packed_rows), and a lead t divides mult when
 key(mult) - key(t) sets no guard bit. Generators are enumerated x
 partials first, then y partials, multipliers in descending grevlex; all
 later determinism guarantees flow from that fixed order. Rows are not
@@ -37,8 +33,9 @@ combination, and where a reduction sums those over f.
 Most generators of a large piece reduce to zero and add no pivot. Many are
 named in advance, by Faugere's F5 criterion and by the syzygies earlier
 pieces revealed, as Matrix-F5 learns them: the ring keeps, per partial
-dS_i, a list of syzygy leads (CayleyRing._syzygies). It starts with the
-grevlex-least monomials (trails) of the partials before dS_i, the Koszul
+dS_i, a list of the keys of syzygy leads (CayleyRing._syzygies). It
+starts with the grevlex-least monomials (trails) of the partials before
+dS_i, the largest keys of their packed rows, the Koszul
 syzygies dS_j * dS_i = dS_i * dS_j, and gains the multiplier of every
 generator mult * dS_i whose row reached zero in a piece. A generator whose
 multiplier one of these leads divides has a row that lies in the span of
@@ -94,7 +91,7 @@ from functools import cached_property
 from fractions import Fraction
 from math import gcd
 
-from .polyalg import GrevlexPacking, Poly, _cleared, grevlex_key
+from .polyalg import Poly, _cleared
 from .supercomplex import SuperElement, q_s
 from .toricring import (
     InvalidInput,
@@ -181,11 +178,9 @@ def _generator_row(mult, items):
 class GradedIdealPiece:
     """One graded piece, its echelonized generators, and the quotient data.
 
-    Columns are the packed keys of the piece's monomials at packing
-    (polyalg.GrevlexPacking), the ring's packing when the piece was built:
-    a later widening re-keys the ring's caches, not the piece, which keeps
-    reducing at its own width. Ascending keys are descending grevlex, so the
-    least column of a row is its grevlex-leading monomial. rank,
+    Columns are the packed keys of the piece's monomials at the ring's
+    packing. Ascending keys are descending grevlex, so the least column of
+    a row is its grevlex-leading monomial. rank,
     standard_monomials and pivot_generators (the generator indices of the
     pivots, ascending) come from the pivot pass of ideal_piece. blocks
     holds, per partial dS_i in the fixed order whose multiplier piece is
@@ -205,7 +200,6 @@ class GradedIdealPiece:
     monomials: tuple
     rank: int
     standard_monomials: tuple
-    packing: GrevlexPacking = field(repr=False)
     denom: int = field(repr=False)
     blocks: tuple = field(repr=False)
     pivot_generators: tuple = field(repr=False)
@@ -281,22 +275,18 @@ def ideal_piece(ring, charge, weight):
     generator. Each partial's list then gains the multiplier of every row
     of that partial built here that reached zero.
 
-    Everything runs on the keys of the ring's packing, which holds every
-    exponent of the piece once it is enumerated, and so of each multiplier
-    and each term of a partial whose product lands in it: a row is built by
-    adding keys, and t divides mult when key(mult) - key(t) borrows into no
-    guard bit. No multiplier piece widens the packing: every monomial of
-    it times a term of its partial lands in the piece, already enumerated,
-    so the keys of every block and of the columns are at one width. A lead
-    with an exponent past the packing's limit divides no multiplier here
-    and is left out of the test.
+    Everything runs on the keys of the ring's packing: the multipliers'
+    keys, the packed partials of S (Poly.packed_rows) and the leads, which
+    are keys too, a trail the largest key of its packed row and a learned
+    lead a multiplier's key. A row is built by adding keys, and t divides
+    mult when key(mult) - key(t) borrows into no guard bit.
     """
     charge = tuple(charge)
     degree = (charge, weight)
     monomials = tuple(enumerate_graded_piece(ring, degree))
     packing = ring.packing
-    guards, limit = packing.guards, packing.limit
-    partials = ring.S.partial_rows()
+    guards = packing.guards
+    partials = ring.S.packed_rows()
     order = [i for i in (*range(ring.k, ring.nvars), *range(ring.k)) if i in partials]
     syzygies = ring._syzygies
     if not syzygies:
@@ -304,14 +294,14 @@ def ideal_piece(ring, charge, weight):
         trails = []
         for i in order:
             syzygies[i] = list(trails)
-            trails.append(min((e for e, _ in partials[i]), key=grevlex_key))
+            trails.append(max(key for key, _ in partials[i]))
     blocks = []
     rows = {}  # pivot column -> row, the rows without their witnesses
     pivot_generators = []
     start = 0
     for i in order:
-        part = partials[i]
-        pcharge, pweight = ring.degree_of_monomial(part[0][0])
+        items = partials[i]
+        pcharge, pweight = ring.degree_of_monomial(packing.exponents(items[0][0]))
         mult_degree = (
             tuple(a - b for a, b in zip(charge, pcharge)),
             weight - pweight,
@@ -322,9 +312,8 @@ def ideal_piece(ring, charge, weight):
         if not mults:
             continue
         mult_keys = graded_piece_keys(ring, mult_degree)
-        items = tuple((packing.key(e), n) for e, n in part)
         blocks.append((i, mults, mult_keys, items))
-        leads = [packing.key(t) for t in syzygies[i] if max(t) <= limit]
+        leads = syzygies[i]
         learned = []
         for index, mult in enumerate(mult_keys):
             # a loop, not any() over a generator expression: building a
@@ -336,7 +325,7 @@ def ideal_piece(ring, charge, weight):
                 row = _generator_row(mult, items)
                 lead = _reduce_lead(row, rows)
                 if lead is None:
-                    learned.append(mults[index])
+                    learned.append(mult)
                 else:
                     # _reduce_lead's content rule: only a lead past a
                     # machine word pays for the gcd
@@ -353,7 +342,6 @@ def ideal_piece(ring, charge, weight):
         monomials=monomials,
         rank=len(rows),
         standard_monomials=standard,
-        packing=packing,
         denom=ring.S.denom,
         blocks=tuple(blocks),
         pivot_generators=tuple(pivot_generators),
@@ -409,8 +397,9 @@ class JacobianBasis:
                         break
         if got is None:
             piece = self.piece(weight)
-            exponents = piece.packing.exponents
-            residue, combo = piece.reduce_vector({piece.packing.key(m): 1})
+            packing = self.ring.packing
+            exponents = packing.exponents
+            residue, combo = piece.reduce_vector({packing.key(m): 1})
             got = (
                 {exponents(col): c for col, c in residue.items()},
                 (0,) * len(m),

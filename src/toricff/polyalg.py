@@ -11,14 +11,15 @@ is positive, no zero numerator is stored and gcd(denom, *nums) == 1, so ==
 and hash compare the stored ints. Every kernel runs on that form and builds
 no Fraction: the products, the sums, the partials and, in supercomplex,
 delta and the Q contraction.
-A polynomial's partials have one form, Poly.partial_rows: the numerators
+A polynomial's partials are one table, Poly.partial_rows: the numerators
 n * e_i of each nonzero partial, kept over the polynomial's own denom. The
-Jacobian rows of jacobired and every Q contraction of supercomplex read it.
+Q contractions q_s and wedge_df of supercomplex read its exponent tuples;
+q_f and the Jacobian rows of jacobired read it packed (Poly.packed_rows).
 
 The hot sums add products and Q contractions straight into the numerators
 of a LinearSum (LinearSum.add_product, supercomplex.q_f), building no
 product element. A LinearSum keys a monomial by one int, its key at the
-packing shared by every polynomial in as many variables (shared_packing):
+one packing of every monomial in as many variables (shared_packing):
 16-bit fields that hold exponents up to 2**15 - 1. The key of a product is
 the sum of the keys, and the sum of two such keys never carries, so a
 product term costs one int addition and each monomial of the sum is
@@ -66,9 +67,9 @@ class ExponentOverflow(OverflowError):
 class GrevlexPacking:
     """Monomials in nvars variables packed into one int each: the grevlex key.
 
-    Every variable has a field of `bits` bits, the last variable the most
-    significant, and above them all sits a degree field holding minus the
-    total degree, so key(m) = sum(m_i * places[i]) with
+    Every variable has a field of bits = 16 bits, the last variable the
+    most significant, and above them all sits a degree field holding minus
+    the total degree, so key(m) = sum(m_i * places[i]) with
     places[i] = 2**(bits*i) - 2**(bits*nvars). Hence:
 
     - ascending keys are descending grevlex, the reverse of grevlex_key;
@@ -76,30 +77,27 @@ class GrevlexPacking:
     - t divides m exactly when (key(m) - key(t)) & guards == 0.
 
     The top bit of every field is a guard bit kept clear, so a field holds
-    exponents up to limit = 2**(bits-1) - 1. The difference of two keys
-    then borrows into the guard bit of the lowest field where t exceeds m,
-    and no field ever carries into the next. The width comes from the
-    largest exponent top to be packed: whole bytes holding its bits plus
-    the guard bit. key raises ExponentOverflow for an exponent past limit.
-    exponents reads every field whole, guard bit included, so it decodes a
-    sum of two keys too.
+    exponents up to limit = 2**(bits-1) - 1. The difference of two keys then
+    borrows into the guard bit of the lowest field where t exceeds m, and
+    no field ever carries into the next. key raises ExponentOverflow for an
+    exponent past limit. exponents reads every field whole, guard bit
+    included, so it decodes a sum of two keys too, a field of at most
+    2**16 - 2. Build one with shared_packing.
     """
 
-    __slots__ = ("nvars", "bits", "limit", "places", "guards", "_degree", "_fields")
+    __slots__ = ("places", "guards", "_degree", "_fields")
+    bits = 16
+    limit = (1 << (bits - 1)) - 1
 
-    def __init__(self, nvars, top):
-        bits = 8 * -(-(top.bit_length() + 1) // 8)
+    def __init__(self, nvars):
+        bits = self.bits
         degree = 1 << (bits * nvars)
-        self.nvars = nvars
-        self.bits = bits
-        self.limit = (1 << (bits - 1)) - 1
         self.places = tuple((1 << (bits * i)) - degree for i in range(nvars))
         self.guards = sum(1 << (bits * i + bits - 1) for i in range(nvars))
         self._degree = degree  # the place value of the degree field
-        # the fields as little-endian unsigned ints, where struct has a code
-        # of their size: key and exponents then pack and read bytes
-        code = {8: "B", 16: "H", 32: "I", 64: "Q"}.get(bits)
-        self._fields = code and struct.Struct(f"<{nvars}{code}")
+        # the fields as little-endian unsigned shorts: key and exponents
+        # pack and read bytes
+        self._fields = struct.Struct(f"<{nvars}H")
 
     def key(self, exps):
         if max(exps, default=0) > self.limit:
@@ -107,31 +105,20 @@ class GrevlexPacking:
                 f"exponent {max(exps)} of {exps} is past {self.limit}, "
                 f"the largest a {self.bits}-bit field holds"
             )
-        fields = self._fields
-        if fields:
-            low = int.from_bytes(fields.pack(*exps), "little")
-            return low - sum(exps) * self._degree
-        return sum(map(operator.mul, exps, self.places))
+        low = int.from_bytes(self._fields.pack(*exps), "little")
+        return low - sum(exps) * self._degree
 
     def exponents(self, key):
         """The monomial of a key: its fields, read off the low bits."""
         low = key % self._degree  # every field below the degree field
-        fields = self._fields
-        if fields:
-            return fields.unpack(low.to_bytes(fields.size, "little"))
-        bits = self.bits
-        mask = (1 << bits) - 1
-        return tuple((low >> (bits * i)) & mask for i in range(self.nvars))
+        return self._fields.unpack(low.to_bytes(self._fields.size, "little"))
 
 
 @cache
 def shared_packing(nvars):
-    """The packing that LinearSum and the packed views of elements key a
-    monomial in nvars variables by, one per variable count: 16-bit fields,
-    so key takes exponents up to 2**15 - 1 and raises ExponentOverflow past
-    that, and a field of the sum of two keys, at most 2**16 - 2, is still
-    read off exactly by exponents."""
-    return GrevlexPacking(nvars, 2**15 - 1)
+    """The one packing of monomials in nvars variables: every key in the
+    engine, a piece's columns and a LinearSum's monomials alike, is at it."""
+    return GrevlexPacking(nvars)
 
 
 def _cleared(coeffs):

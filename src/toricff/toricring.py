@@ -5,12 +5,10 @@ free cokernel of the ray pairing matrix. The Cayley construction then adjoins
 one weight-one variable y_i per hypersurface G_i, graded by minus the charge
 of G_i, and carries the potential S = sum y_i G_i of degree (0, 1).
 
-A graded piece is sorted by the packed grevlex keys of its monomials
-(polyalg.GrevlexPacking), one int each, at the ring's packing. Its fields
-are whole bytes, wide enough for the largest exponent of any piece the
-ring has enumerated plus a guard bit; a piece that needs more widens it,
-and the widening re-keys every cached fiber and piece, so every cached key
-is at the ring's one packing. A fiber or piece is cached as one record,
+A graded piece is sorted by the packed grevlex keys of its monomials, one
+int each, at the ring's packing, polyalg.shared_packing of its variable
+count; an exponent past that packing's limit raises
+polyalg.ExponentOverflow. A fiber or piece is cached as one record,
 its list with its keys. An x-fiber is enumerated once per ring, mapped to
 exponent vectors and keyed a column at a time, and kept in key order, so
 the piece's blocks, one per y-exponent vector, are sorted runs whose keys
@@ -31,7 +29,7 @@ from .intlattice import (
     free_cokernel_projection,
     smith_normal_form,
 )
-from .polyalg import GrevlexPacking, Poly
+from .polyalg import ExponentOverflow, GrevlexPacking, Poly, shared_packing
 
 __all__ = [
     "RaysDoNotSpan",
@@ -129,35 +127,25 @@ class CayleyRing:
     names: tuple
     eta_names: tuple
     # x-charge -> (x-fiber in descending grevlex, the x-parts of its keys);
-    # degree -> (piece in descending grevlex, its keys, ascending). Every
-    # key is at the ring's packing: widen re-keys every record
+    # degree -> (piece in descending grevlex, its keys, ascending), every
+    # key at the ring's packing
     _fibers: dict = field(repr=False, default_factory=dict)
     _pieces: dict = field(repr=False, default_factory=dict)
-    # per partial dS_i, the known syzygy leads: jacobired.ideal_piece skips
-    # a generator mult * dS_i when one of them divides mult
+    # per partial dS_i, the keys of the known syzygy leads:
+    # jacobired.ideal_piece skips a generator mult * dS_i when one of them
+    # divides mult
     _syzygies: dict = field(repr=False, default_factory=dict)
     _charge_rows: tuple = field(init=False, repr=False, compare=False)
     _fiber_solver: tuple = field(init=False, repr=False, compare=False)
-    # packs the monomials of every piece enumerated so far: one width for
-    # the ring, so the keys of a multiplier piece add to those of its target
+    # the one packing of the ring's monomials, so the keys of a multiplier
+    # piece add to those of its target
     packing: GrevlexPacking = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # charge component j of every variable, one row per j
         self._charge_rows = tuple(zip(*self.var_charges))
         self._fiber_solver = _make_fiber_solver(self.grading)
-        self.packing = GrevlexPacking(self.nvars, 0)
-
-    def widen(self, top):
-        """Widen the ring's packing, if need be, to hold the exponent top,
-        and re-key every cached fiber and piece at it. Keys keep their order
-        at every width, so no list is sorted again."""
-        if top > self.packing.limit:
-            packing = self.packing = GrevlexPacking(self.nvars, top)
-            for xcharge, (points, _) in self._fibers.items():
-                self._fibers[xcharge] = points, list(_x_keys(self, points))
-            for degree, (piece, _) in self._pieces.items():
-                self._pieces[degree] = piece, list(map(packing.key, piece))
+        self.packing = shared_packing(self.nvars)
 
     @property
     def n(self):
@@ -302,15 +290,21 @@ def _combine(columns, count, coefficients, start=0):
 
 
 def _fiber(ring, xcharge):
-    """The x-fiber of an x-charge in descending grevlex, enumerated once per
-    ring; the ring's packing widens to hold its largest exponent."""
+    """(x-fiber of an x-charge in descending grevlex, the x-parts of its
+    keys), enumerated once per ring. Raises ExponentOverflow for a fiber
+    with an exponent past the packing's limit."""
     record = ring._fibers.get(xcharge)
     if record is None:
         points = _x_fiber(ring.grading, ring._fiber_solver, xcharge)
-        ring.widen(max(map(max, points), default=0))
+        top = max(map(max, points), default=0)
+        if top > ring.packing.limit:
+            raise ExponentOverflow(
+                f"the x-fiber of charge {xcharge} has exponent {top}, "
+                f"past {ring.packing.limit}"
+            )
         keys, points = _key_sorted(list(_x_keys(ring, points)), points)
         record = ring._fibers[xcharge] = points, keys
-    return record[0]
+    return record
 
 
 def _key_sorted(keys, items):
@@ -342,8 +336,8 @@ def enumerate_graded_piece(ring, degree):
     minus that of y^ys. Each fiber is enumerated once per ring, kept in
     descending grevlex with its keys in _fibers by its x-charge, since
     pieces of different weights and the multiplier pieces of ideal_piece
-    share most of their fibers. The piece is sorted by its packed keys
-    (polyalg.GrevlexPacking at the ring's packing): a block of one ys is
+    share most of their fibers. The piece is sorted by its packed keys at
+    the ring's packing: a block of one ys is keyed as it is found and is
     already in order, so the sort merges one run per ys. The sorted list
     and its keys are kept as one record in _pieces, the keys read with
     graded_piece_keys; a repeated call returns the cached list object
@@ -353,24 +347,19 @@ def enumerate_graded_piece(ring, degree):
     cached = ring._pieces.get(key)
     if cached is not None:
         return cached[0]
-    blocks = []  # (ys, x-charge) per ys whose x-fiber is not empty
+    zeros = (0,) * ring.r
+    keys, out = [], []
     if weight >= 0:
-        ring.widen(weight)
         for ys in _compositions(weight, ring.k):
             xcharge = tuple(
                 charge[j]
                 + sum(ys[i] * ring.betas[i][j] for i in range(ring.k))
                 for j in range(ring.charge_rank)
             )
-            if _fiber(ring, xcharge):
-                blocks.append((ys, xcharge))
-    # a later fiber may widen the packing: key the blocks once all are in
-    zeros = (0,) * ring.r
-    keys, out = [], []
-    for ys, xcharge in blocks:
-        points, xkeys = ring._fibers[xcharge]
-        keys += map(ring.packing.key(ys + zeros).__add__, xkeys)
-        out += map(ys.__add__, points)
+            points, xkeys = _fiber(ring, xcharge)
+            if points:
+                keys += map(ring.packing.key(ys + zeros).__add__, xkeys)
+                out += map(ys.__add__, points)
     keys, out = _key_sorted(keys, out)
     ring._pieces[key] = out, keys
     return out

@@ -302,8 +302,8 @@ def reference_q(w, f):
 
 
 # exponents the kernel tests draw (kernel_poly, kernel_super): small ones,
-# the edges of the 8-bit and 16-bit fields of a GrevlexPacking, and the
-# shared packing's limit
+# the edges of the low byte of a packed key's 16-bit field, and the field's
+# limit 2**15 - 1
 KERNEL_EXPONENTS = (0, 0, 1, 1, 2, 3, 127, 128, 255, 256, 2**15 - 1)
 DENOMINATORS = (1, 1, 2, 3, 4, 6, 9, 10, 35)
 

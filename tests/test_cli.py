@@ -484,6 +484,23 @@ def test_unwritable_out_exits_two(tmp_path, capsys):
     assert captured.out == ""
 
 
+# weighted P(1,32768): x1^32769 has an exponent past 32,767, the largest a
+# packed monomial key holds
+OVERFLOW_PROBLEM = (
+    "rays = (32768) (-1)\nhypersurface = 1 (32769,0) + 1 (1,1)\norder = 1\n"
+)
+
+
+@pytest.mark.parametrize("command", ["grading", "basis", "unfold"])
+def test_exponent_past_the_packing_limit_exits_two(tmp_path, capsys, command):
+    code = main([command, problem_path(tmp_path, OVERFLOW_PROBLEM)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ExponentOverflow: ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "error",
     [

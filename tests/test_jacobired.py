@@ -10,7 +10,7 @@ from math import gcd, lcm
 import pytest
 
 from dimoracle import quotient_dimension
-from toricff.polyalg import Poly, grevlex_key, monomial_mul
+from toricff.polyalg import Poly, grevlex_key, monomial_mul, shared_packing
 from toricff.supercomplex import SuperElement, q_s
 from toricff.toricring import (
     NotCalabiYau,
@@ -260,7 +260,7 @@ def _rref_reduce(pivots, vec):
 def _generator_row(ring, piece, gen_idx):
     mult, i = piece.generators[gen_idx]
     return {
-        piece.packing.key(monomial_mul(mult, exps)): coeff
+        shared_packing(ring.nvars).key(monomial_mul(mult, exps)): coeff
         for exps, coeff in reference_partial(ring.S, i).items()
     }
 
@@ -357,7 +357,7 @@ def test_echelon_reduction_matches_rref_reference(request, name, weights):
             for gen_idx, coeff in wit.items():
                 _axpy(rebuilt, _generator_row(ring, piece, gen_idx), coeff)
             assert rebuilt == row
-        columns = [piece.packing.key(m) for m in piece.monomials]
+        columns = [shared_packing(ring.nvars).key(m) for m in piece.monomials]
         assert columns == sorted(columns)  # ascending keys: descending grevlex
         standard = [m for c, m in zip(columns, piece.monomials) if c not in piece.pivots]
         assert piece.standard_monomials == tuple(sorted(standard, key=grevlex_key))
@@ -394,7 +394,7 @@ def test_reduce_vector_edge_cases(request, name, weight):
     for gen_idx, coeff in combo.items():
         _axpy(rebuilt, _generator_row(ring, piece, gen_idx), coeff)
     assert rebuilt == in_span
-    columns = map(piece.packing.key, piece.monomials)
+    columns = map(shared_packing(ring.nvars).key, piece.monomials)
     standard = next(c for c in columns if c not in piece.pivots)
     cols = [standard] + rng.sample(sorted(piece.pivots), 5)
     mixed = {
@@ -471,10 +471,11 @@ def _echelon_every_generator(ring, charge, weight):
     return pivots, tuple(generators), len(pivots), tuple(sorted(standard, key=grevlex_key))
 
 
-def _indexed_pivots(piece):
+def _indexed_pivots(ring, piece):
     """piece.pivots with each column, a packed key, renamed to the index of
     its monomial in piece.monomials, as _echelon_every_generator names it."""
-    index = {piece.packing.key(m): c for c, m in enumerate(piece.monomials)}
+    key = shared_packing(ring.nvars).key
+    index = {key(m): c for c, m in enumerate(piece.monomials)}
     return {
         index[col]: ({index[c]: v for c, v in row.items()}, wit)
         for col, (row, wit) in piece.pivots.items()
@@ -506,7 +507,7 @@ def test_witness_free_test_keeps_the_echelon_form(request, name, weights):
     for w in weights:
         piece = ideal_piece(ring, ring.c_B, w)
         pivots, generators, rank, standard = _echelon_every_generator(ring, ring.c_B, w)
-        assert _indexed_pivots(piece) == pivots
+        assert _indexed_pivots(ring, piece) == pivots
         assert all(
             type(v) is int
             for row, wit in piece.pivots.values()
@@ -541,7 +542,7 @@ def test_witnesses_wait_for_the_first_reduction(request, monkeypatch, name):
         piece = basis.piece(w)
         assert "generators" not in vars(piece) and "pivots" not in vars(piece)
         for m in (piece.monomials[0], piece.monomials[-1]):
-            piece.reduce_vector({piece.packing.key(m): 1})
+            piece.reduce_vector({shared_packing(ring.nvars).key(m): 1})
             assert witnessed == [(g,) for g in piece.pivot_generators]
         assert len(piece.pivots) == piece.rank
         witnessed.clear()
@@ -593,6 +594,7 @@ def test_koszul_skipped_generators_reach_zero(request, monkeypatch, name, weight
         return reduce_lead(row, pivots, wit)
 
     monkeypatch.setattr(jacobired, "_reduce_lead", recording)
+    packing = shared_packing(ring.nvars)
     partials = _reference_partials(ring)
     seeds, trails = {}, []
     for i, (_, part) in partials.items():
@@ -603,7 +605,11 @@ def test_koszul_skipped_generators_reach_zero(request, monkeypatch, name, weight
         if w not in weights:
             ideal_piece(ring, ring.c_B, w)
             continue
-        leads = {i: list(known) for i, known in (ring._syzygies or seeds).items()}
+        # the ring keeps the leads as packed keys
+        leads = {
+            i: list(map(packing.exponents, known))
+            for i, known in ring._syzygies.items()
+        } or {i: list(known) for i, known in seeds.items()}
         assert [known[: len(seeds[i])] for i, known in leads.items()] == list(
             seeds.values()
         )
@@ -623,7 +629,7 @@ def test_koszul_skipped_generators_reach_zero(request, monkeypatch, name, weight
             learned = []
             for mult in enumerate_graded_piece(ring, (mult_charge, w - pweight)):
                 row = {
-                    piece.packing.key(monomial_mul(mult, e)): n * scale
+                    packing.key(monomial_mul(mult, e)): n * scale
                     for e, n in part.items()
                 }
                 wit = {len(generators): ring.S.denom}
@@ -644,7 +650,9 @@ def test_koszul_skipped_generators_reach_zero(request, monkeypatch, name, weight
                     pivots[lead] = (row, wit)
             known += learned
         assert built == rows
-        assert ring._syzygies == leads
+        assert ring._syzygies == {
+            i: list(map(packing.key, known)) for i, known in leads.items()
+        }
         assert piece.generators == tuple(generators)
         assert piece.pivots == pivots
     top = max(weights)
@@ -674,6 +682,7 @@ def test_lift_takes_the_first_divisor_that_reduces_to_zero(request, name):
     basis = jacobian_basis(ring)
     lift_weight = basis.max_weight + 1
     piece = basis.piece(lift_weight)
+    key = shared_packing(ring.nvars).key
     rng = random.Random(f"lift/{name}")
     lifted = unlifted = 0
     for extra in (1, 2):
@@ -684,7 +693,7 @@ def test_lift_takes_the_first_divisor_that_reduces_to_zero(request, name):
                     m0
                     for m0 in piece.monomials
                     if all(map(int.__le__, m0, m))
-                    and not piece.reduce_vector({piece.packing.key(m0): 1})[0]
+                    and not piece.reduce_vector({key(m0): 1})[0]
                 ),
                 None,
             )
@@ -717,11 +726,12 @@ def _reference_reduction(basis, f):
     Returns (coefficients, witness); raises BasisIncomplete at the lowest
     weight above n-k that keeps a residue."""
     ring, top = basis.ring, basis.max_weight + 1
+    packing = shared_packing(ring.nvars)
     lift_piece = basis.piece(top)
     zero = [
         m0
         for m0 in lift_piece.monomials
-        if not lift_piece.reduce_vector({lift_piece.packing.key(m0): 1})[0]
+        if not lift_piece.reduce_vector({packing.key(m0): 1})[0]
     ]
     by_weight = {}
     for m, coeff in f.terms.items():
@@ -744,19 +754,19 @@ def _reference_reduction(basis, f):
                     rest[m] = coeff
                     continue
                 h = tuple(a - b for a, b in zip(m, m0))
-                _, combo = lift_piece.reduce_vector({lift_piece.packing.key(m0): coeff})
+                _, combo = lift_piece.reduce_vector({packing.key(m0): coeff})
                 add_combination(lift_piece, combo, h)
             component = rest
             if not component:
                 continue
         piece = basis.piece(w)
         residue, combo = piece.reduce_vector(
-            {piece.packing.key(m): coeff for m, coeff in component.items()}
+            {packing.key(m): coeff for m, coeff in component.items()}
         )
         if residue and w > basis.max_weight:
             raise BasisIncomplete(w)
         for col, coeff in residue.items():
-            coefficients[basis.index_of[piece.packing.exponents(col)]] = coeff
+            coefficients[basis.index_of[packing.exponents(col)]] = coeff
         add_combination(piece, combo, (0,) * ring.nvars)
     return coefficients, SuperElement(lam)
 
@@ -832,6 +842,7 @@ def test_lifted_witnesses_keep_the_a_rows_dwork(dwork_ring):
     rows; both witnesses close the identity, and they differ only where the
     input reaches above weight n-k+1."""
     ring = dwork_ring
+    packing = shared_packing(ring.nvars)
     basis = jacobian_basis(ring)
     state = run(ring, basis, 2, debug=True)
     pieces = {}
@@ -846,10 +857,10 @@ def test_lifted_witnesses_keep_the_a_rows_dwork(dwork_ring):
                 pieces[w] = ideal_piece(ring, basis.charge, w)
             piece = pieces[w]
             residue, combo = piece.reduce_vector(
-                {piece.packing.key(m): coeff for m, coeff in component.items()}
+                {packing.key(m): coeff for m, coeff in component.items()}
             )
             for col, coeff in residue.items():
-                coefficients[basis.index_of[piece.packing.exponents(col)]] = coeff
+                coefficients[basis.index_of[packing.exponents(col)]] = coeff
             for g, coeff in combo.items():
                 mult, i = piece.generators[g]
                 lam[(mult, (i,))] = coeff
@@ -864,10 +875,11 @@ def test_lifted_witnesses_keep_the_a_rows_dwork(dwork_ring):
     assert changed  # the lift is a change of gauge here, not a no-op
 
 
-def _piece_digest(piece):
+def _piece_digest(ring, piece):
     """SHA-256 over the piece's pivots (each row and witness, columns named
     by their monomials), pivot generators and standard monomials."""
-    monomial = piece.packing.exponents  # a column, a packed key, to its monomial
+    # a column, a packed key, to its monomial
+    monomial = shared_packing(ring.nvars).exponents
     pivots = sorted(
         (
             monomial(col),
@@ -948,43 +960,24 @@ def test_piece_digests(request, name, weight):
     for w in range(weight):
         ideal_piece(ring, ring.c_B, w)  # the lower pieces teach their syzygies
     piece = ideal_piece(ring, ring.c_B, weight)
-    assert _piece_digest(piece) == PIECE_DIGESTS[name, weight]
+    assert _piece_digest(ring, piece) == PIECE_DIGESTS[name, weight]
 
 
 def test_pieces_past_one_byte_widen_the_packing():
-    """The conic in P1 at weight 64 has x-exponents up to 128, past what a
-    one-byte field holds, so the ring's packing widens to two-byte fields.
-    That piece and the weight-1 piece built again after the widening, whose
-    enumerated lists and keys were cached at one byte, keep the echelon
-    form of reducing every generator."""
+    """The conic in P1 at weight 64 has x-exponents up to 128, past what
+    one byte of a key's field holds. That piece, and the weight-1 piece
+    built again after it from the enumerated lists and keys cached before
+    it, keep the echelon form of reducing every generator."""
     ring = build_cayley_ring(((1,), (-1,)), [xpoly(2, {(2, 0): 1, (0, 2): 1})])
     low = ideal_piece(ring, ring.c_B, 1)
-    assert low.packing.bits == 8
     high = ideal_piece(ring, ring.c_B, 64)
-    assert ring.packing.bits == high.packing.bits == 16
     assert high.monomials == tuple(
         sorted(((64, a, 128 - a) for a in range(129)), key=grevlex_key, reverse=True)
     )
     again = ideal_piece(ring, ring.c_B, 1)
-    assert again.packing.bits == 16
     for piece, w in ((high, 64), (again, 1)):
         pivots, generators, rank, standard = _echelon_every_generator(ring, ring.c_B, w)
-        assert _indexed_pivots(piece) == pivots
+        assert _indexed_pivots(ring, piece) == pivots
         assert piece.generators == generators
         assert (piece.rank, piece.standard_monomials) == (rank, standard)
-    assert _indexed_pivots(again) == _indexed_pivots(low)
-
-
-def test_a_lead_past_the_packing_limit_divides_no_multiplier(hesse_ring):
-    """A syzygy lead with an exponent past the packing's limit divides no
-    multiplier of the piece: ideal_piece leaves it out of the skip test."""
-    ring = build_cayley_ring(P2_RAYS, [HESSE_CUBIC])
-    ideal_piece(ring, ring.c_B, 0)
-    for leads in ring._syzygies.values():
-        leads.append((0, 200, 0, 0))
-    for w in (1, 2, 3):
-        piece = ideal_piece(ring, ring.c_B, w)
-        expected = ideal_piece(hesse_ring, ring.c_B, w)
-        assert piece.packing.limit < 200
-        assert _indexed_pivots(piece) == _indexed_pivots(expected)
-        assert piece.pivot_generators == expected.pivot_generators
+    assert _indexed_pivots(ring, again) == _indexed_pivots(ring, low)

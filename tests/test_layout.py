@@ -8,9 +8,10 @@ invariant raises an explicit exception instead. Every function the benchmark
 tracer wraps is defined where the tracer looks for it, a module that calls
 one by name binds that very function, and the tracer's counters read real
 pieces. Only unfolding.check_series calls the series functions, so every
-check reads the series of one build. Every name a module lists in `__all__`
-is bound there. Every engine, test and tool file parses at the Python
-floor that pyproject.toml declares.
+check reads the series of one build. Only polyalg.shared_packing builds a
+GrevlexPacking, so every key is at one packing. Every name a module lists
+in `__all__` is bound there. Every engine, test and tool file parses at the
+Python floor that pyproject.toml declares.
 """
 
 import ast
@@ -262,27 +263,41 @@ def test_tracer_targets_stay_bound_where_they_are_called():
 SERIES_FUNCTIONS = {"gamma_series", "gamma_partial", "structure_series", "lambda_series"}
 
 
-def _series_calls(node, owner=None):
+def _calls(node, names, owner=None):
     """(innermost enclosing function or None, function) for every call of a
-    series function under node."""
+    function in names under node, by name or as an attribute."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, ast.Call):
             func = child.func
             called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if called in SERIES_FUNCTIONS:
+            if called in names:
                 yield owner, called
         inner = child.name if isinstance(child, ast.FunctionDef) else owner
-        yield from _series_calls(child, inner)
+        yield from _calls(child, names, inner)
+
+
+def _engine_calls(names):
+    """(module file, enclosing function, function) for every engine call of
+    a function in names."""
+    return [
+        (path.name, owner, called)
+        for path in sorted(SRC.glob("*.py"))
+        for owner, called in _calls(ast.parse(path.read_text()), names)
+    ]
 
 
 def test_only_check_series_calls_the_series_functions():
     """Every check reads the one bundle that unfolding.check_series builds,
     so no other engine code calls a series function, and it calls each once."""
-    calls = [
-        (path.name, owner, called)
-        for path in sorted(SRC.glob("*.py"))
-        for owner, called in _series_calls(ast.parse(path.read_text()))
-    ]
-    assert sorted(calls) == sorted(
+    assert sorted(_engine_calls(SERIES_FUNCTIONS)) == sorted(
         ("unfolding.py", "check_series", name) for name in SERIES_FUNCTIONS
     )
+
+
+def test_only_shared_packing_builds_a_packing():
+    """Every monomial key in the engine is at the one packing per variable
+    count that polyalg.shared_packing caches, so no other engine code
+    constructs a GrevlexPacking: a second one would be a second key format."""
+    assert _engine_calls({"GrevlexPacking"}) == [
+        ("polyalg.py", "shared_packing", "GrevlexPacking")
+    ]

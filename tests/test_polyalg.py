@@ -15,7 +15,6 @@ from conftest import (
 
 from toricff.polyalg import (
     ExponentOverflow,
-    GrevlexPacking,
     LinearSum,
     Poly,
     grevlex_key,
@@ -212,8 +211,9 @@ def test_grevlex_order_pinned():
     assert grevlex_key((0, 0, 0, 0)) < grevlex_key((0, 1, 0, 0))
 
 
-# the edges of one- and two-byte fields, each with its guard bit
-EDGE_EXPONENTS = (0, 127, 128, 255, 256, 65535)
+# the edges of one- and two-byte fields, and the limit 2**15 - 1 of a
+# 16-bit field with its guard bit
+EDGE_EXPONENTS = (0, 127, 128, 255, 256, 32767)
 
 
 def _packing_cases():
@@ -230,35 +230,40 @@ def _packing_cases():
         yield edges
 
 
-@pytest.mark.parametrize("top, bits", [(0, 8), (127, 8), (128, 16), (255, 16), (256, 16), (65535, 24)])
-def test_grevlex_packing_width(top, bits):
-    packing = GrevlexPacking(3, top)
-    assert packing.bits == bits
-    assert packing.limit >= top
+def test_grevlex_packing_width():
+    """One width: 16-bit fields, whose guard bit leaves exponents up to
+    the limit 32,767; keys up to it sort as descending grevlex, and one past
+    it raises ExponentOverflow."""
+    packing = shared_packing(3)
+    top = packing.limit
+    assert (packing.bits, top) == (16, 2**15 - 1)
     monos = [(top, 0, top), (0, top, top), (top, top, 0), (top, 1, 0), (0, 0, 1)]
     assert sorted(monos, key=packing.key) == sorted(monos, key=grevlex_key, reverse=True)
     with pytest.raises(ExponentOverflow):
-        packing.key((0, packing.limit + 1, 0))
+        packing.key((0, top + 1, 0))
 
 
 def test_grevlex_packing_matches_tuple_operations():
-    """Ascending keys are descending grevlex, the key of a product is the
-    sum of the keys, the guard bits test t <= m exponentwise, and the
-    exponents come back from a key, on every width the cases need."""
+    """Ascending keys are descending grevlex, the sum of two keys decodes to
+    their product and is its key where the product is within the limit, the
+    guard bits test t <= m exponentwise, and the exponents come back from a
+    key."""
     for monos in _packing_cases():
-        products = [monomial_mul(a, b) for a in monos[:20] for b in monos[:20]]
-        packing = GrevlexPacking(len(monos[0]), max(map(max, products)))
+        packing = shared_packing(len(monos[0]))
         key = packing.key
         assert sorted(monos, key=key) == sorted(monos, key=grevlex_key, reverse=True)
         assert len(set(map(key, monos))) == len(set(monos))
+        assert all(packing.exponents(key(m)) == m for m in monos)
         for a in monos[:20]:
             for b in monos[:20]:
-                assert key(a) + key(b) == key(monomial_mul(a, b))
+                product = monomial_mul(a, b)
+                assert packing.exponents(key(a) + key(b)) == product
+                if max(product) <= packing.limit:
+                    assert key(a) + key(b) == key(product)
         for t in monos:
             for m in monos:
                 divides = not (key(m) - key(t)) & packing.guards
                 assert divides == all(map(int.__le__, t, m)), (t, m)
-        assert all(packing.exponents(key(m)) == m for m in products)
 
 
 def test_linear_sum_matches_fraction_reference_seeded():

@@ -10,7 +10,7 @@ import pytest
 from conftest import CUBIC, P2_RAYS, P5_RAYS, QUADRIC_P2, fermat, xpoly
 from toricff import toricring
 from toricff.jacobired import jacobian_basis
-from toricff.polyalg import grevlex_key
+from toricff.polyalg import ExponentOverflow, grevlex_key, shared_packing
 from toricff.toricring import (
     GradingInvariantError,
     InhomogeneousHypersurface,
@@ -297,18 +297,18 @@ def test_each_x_fiber_is_enumerated_once_per_ring(monkeypatch):
 
 def test_a_piece_widens_the_packing_at_its_last_blocks():
     """A line and a cubic in P1: the weight-43 piece's last fibers have
-    x-exponents up to 129, past what a one-byte field holds, so the packing
-    widens after its first blocks are in. The piece is keyed at the wide
-    packing, and the widening re-keys every fiber and piece cached before."""
+    x-exponents up to 129, past what one byte of a key's field holds. The
+    piece is in key order, and every fiber and piece the ring caches is
+    keyed at shared_packing of its variable count, the ring's packing."""
     cubic = xpoly(2, {(3, 0): 1, (0, 3): 1})
     ring = build_cayley_ring(((1,), (-1,)), [cubic, xpoly(2, {(1, 0): 1, (0, 1): 1})])
     enumerate_graded_piece(ring, ((0,), 1))
-    assert ring.packing.bits == 8
     piece = enumerate_graded_piece(ring, ((0,), 43))
-    assert ring.packing.bits == 16
+    assert max(map(max, piece)) == 129
     assert len(piece) == 3828
     assert piece == sorted(piece, key=grevlex_key, reverse=True)
-    key = ring.packing.key
+    assert ring.packing is shared_packing(ring.nvars)
+    key = shared_packing(ring.nvars).key
     keys = graded_piece_keys(ring, ((0,), 43))
     assert keys == [key(m) for m in piece] == sorted(keys)
     for cached, cached_keys in ring._pieces.values():
@@ -316,3 +316,15 @@ def test_a_piece_widens_the_packing_at_its_last_blocks():
     ys = (0,) * ring.k
     for points, xkeys in ring._fibers.values():
         assert xkeys == [key(ys + u) for u in points]
+
+
+def test_a_fiber_past_the_packing_limit_raises():
+    """The conic in P1 at weight 16,384 has the x-fiber u1 + u2 = 32,768,
+    past the 32,767 a key's field holds: enumerating the piece raises
+    ExponentOverflow and caches neither the fiber nor the piece."""
+    ring = build_cayley_ring(((1,), (-1,)), [xpoly(2, {(2, 0): 1, (0, 2): 1})])
+    enumerate_graded_piece(ring, ((0,), 1))
+    fibers, pieces = dict(ring._fibers), dict(ring._pieces)
+    with pytest.raises(ExponentOverflow):
+        enumerate_graded_piece(ring, ((0,), 16384))
+    assert (ring._fibers, ring._pieces) == (fibers, pieces)
