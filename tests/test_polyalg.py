@@ -230,17 +230,28 @@ def _packing_cases():
         yield edges
 
 
-def test_grevlex_packing_width():
+# each exponent with the width of the byte-aligned field that holds it and
+# its guard bit: the one 16-bit width keys exactly those that need at most 16
+@pytest.mark.parametrize(
+    "top, bits", [(0, 8), (127, 8), (128, 16), (255, 16), (256, 16), (32767, 16), (65535, 24)]
+)
+def test_grevlex_packing_width(top, bits):
     """One width: 16-bit fields, whose guard bit leaves exponents up to
-    the limit 32,767; keys up to it sort as descending grevlex, and one past
-    it raises ExponentOverflow."""
+    the limit 32,767; keys up to it sort as descending grevlex and decode,
+    and an exponent past it raises ExponentOverflow."""
     packing = shared_packing(3)
-    top = packing.limit
-    assert (packing.bits, top) == (16, 2**15 - 1)
+    assert (packing.bits, packing.limit) == (16, 2**15 - 1)
+    assert bits == 8 * -(-(top.bit_length() + 1) // 8)
+    assert (top <= packing.limit) == (bits <= packing.bits)
+    if top > packing.limit:
+        with pytest.raises(ExponentOverflow):
+            packing.key((0, top, 0))
+        return
     monos = [(top, 0, top), (0, top, top), (top, top, 0), (top, 1, 0), (0, 0, 1)]
     assert sorted(monos, key=packing.key) == sorted(monos, key=grevlex_key, reverse=True)
+    assert all(packing.exponents(packing.key(m)) == m for m in monos)
     with pytest.raises(ExponentOverflow):
-        packing.key((0, top + 1, 0))
+        packing.key((0, packing.limit + 1, 0))
 
 
 def test_grevlex_packing_matches_tuple_operations():
