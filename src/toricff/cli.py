@@ -45,8 +45,7 @@ from .toricring import (
     build_cayley_ring,
     is_calabi_yau,
 )
-from .unfolding import MissingTableEntry, UnfoldingState, _settled_below
-from .unfolding import check_series, run
+from .unfolding import TABLES, UnfoldingState, check_complete, check_series, run
 
 CHECKS = {
     "fqm2": check_fqm2,
@@ -466,6 +465,9 @@ def ingest_report(text):
             sizes.append((len(multi), line))
             if name == "order":
                 order = _parse_order(value)
+            # the debug inputs are keyed, as a is, by the multisets step settles
+            elif len(multi) < (smallest := TABLES.get(name, TABLES["a"])[1]):
+                raise ValueError(f"{name} keys have at least {smallest} directions")
             elif name == "a":
                 row = tables["a"].setdefault(multi, {})
                 if coeff := Fraction(value):
@@ -491,10 +493,7 @@ def ingest_report(text):
         lam_table=tables["lambda"],
         inputs=tables["input"] or None,
     )
-    try:
-        _settled_below(state, order + 1)
-    except MissingTableEntry as exc:
-        raise ValueError(f"report {exc.args[0]}") from None
+    check_complete(state)
     return state
 
 

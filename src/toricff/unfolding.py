@@ -33,21 +33,20 @@ monomial, direction 0 on every Calabi-Yau basis) is settled in closed form,
 with no input assembled and no reduction: (unit, beta) gets a = {beta: 1},
 lambda = 0 and u = 0, and every larger such multiset all-zero entries. This
 follows by induction from the formula above, since u_unit = 1, Delta(1) = 0
-and a_(unit,beta) = e_beta; the debug inputs record f = u_beta and f = 0.
-These are 819 of the 858 steps of the (2,2) intersection to order 40, and
-exactly its 819 vanishing u entries.
+and a_(unit,beta) = e_beta; the debug inputs record f = u_beta and f = 0,
+and such a step reads no entry but the u_beta of a pair. These are 819 of
+the 858 steps of the (2,2) intersection to order 40, and exactly its 819
+vanishing u entries.
 
 Every other multiset walks the splits of its tail once, and the three sums
 read their entries from that one list; a zero entry adds nothing. Every
 entry is read as it stands in its table, so an entry replaced in place is
-seen by the next step. step first checks, by membership, that every table
-holds every multiset of every lower size, and raises MissingTableEntry
-naming the first one missing. A table whose length is the one recorded at
-its last check is not walked again, so a key swapped for a stray one since
-then goes unseen there; the read of the missing entry then raises
-MissingTableEntry, before anything is stored. When alpha == beta the
-splits (A, B) and (B, A) of the first sum give the same product, so each
-mirror pair is taken once with twice its weight.
+seen by the next step. A step's reads are its only check: when an entry it
+reads is missing, step raises MissingTableEntry naming the table and the
+multiset, and stores nothing; ingest_report checks that a report's tables
+are complete. When alpha == beta the splits (A, B) and (B, A) of the first
+sum give the same product, so each mirror pair is taken once with twice its
+weight.
 
 The three sums run over int numerators: step reads each u and lambda entry
 straight from its table, in the int form every element holds (polyalg), and
@@ -62,7 +61,7 @@ a kernel has asked for them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, groupby
 from math import comb, factorial, prod
@@ -146,13 +145,6 @@ class UnfoldingState:
 
     An a_table row is {rho: nonzero Fraction}: an absent rho reads as zero.
     Zero entries are stored like any other, since the report prints them all.
-
-    _checked holds, per table, its length and the largest size through
-    which step has found it to hold every multiset; step records the new
-    length as it stores entries, and checks a table again from its smallest
-    key size when its length differs. step reads every entry as it stands,
-    so a table may be changed in place. Multisets led by the unit are
-    settled in closed form from the basis alone.
     """
 
     ring: object
@@ -163,32 +155,26 @@ class UnfoldingState:
     a_table: dict
     lam_table: dict
     inputs: dict | None = None
-    _checked: dict = field(init=False, repr=False, default_factory=dict)
 
     def table(self, name):
-        return getattr(self, _TABLES[name][0])
+        return getattr(self, TABLES[name][0])
 
 
 # table name -> (state attribute, smallest key size)
-_TABLES = {"u": ("u_table", 1), "a": ("a_table", 2), "lambda": ("lam_table", 2)}
+TABLES = {"u": ("u_table", 1), "a": ("a_table", 2), "lambda": ("lam_table", 2)}
 
 
-def _settled_below(state, size):
-    """Raise MissingTableEntry, naming the first multiset missing, unless
-    every table holds every multiset of every size below size. Each size is
-    checked by membership, in canonical order, from the table's smallest key
-    size or, while its length is the one recorded, past its complete size."""
+def check_complete(state):
+    """Raise ValueError naming the first multiset, in canonical order, that
+    a table read from a report lacks from its smallest key size through the
+    order."""
     dim = len(state.basis.monomials)
-    for name, (attr, smallest) in _TABLES.items():
+    for name, (attr, smallest) in TABLES.items():
         table = getattr(state, attr)
-        length, complete = state._checked.get(name, (None, 0))
-        if length != len(table):
-            complete = smallest - 1
-        for k in range(complete + 1, size):
+        for k in range(smallest, state.order + 1):
             for multi in combinations_with_replacement(range(dim), k):
                 if multi not in table:
-                    raise MissingTableEntry(f"{name} table lacks {multi}")
-        state._checked[name] = len(table), max(complete, size - 1)
+                    raise ValueError(f"report {name} table lacks {multi}")
 
 
 def _splits(tail):
@@ -205,9 +191,7 @@ def _splits(tail):
 
 
 def _read(state, name, multi):
-    """The entry of multi in the named table. A table whose length is the
-    one _settled_below recorded is not checked again, so a key replaced by
-    a stray one since then is found missing here, as MissingTableEntry."""
+    """The entry of multi in the named table, or MissingTableEntry naming both."""
     try:
         return state.table(name)[multi]
     except KeyError:
@@ -278,16 +262,13 @@ def step(state, multi):
         raise ValueError("step needs a multiset of size at least 2")
     if multi[0] < 0 or multi[-1] >= len(state.basis.monomials):
         raise ValueError(f"step: {multi} has a direction outside the basis")
-    _settled_below(state, len(multi))
     unit = multi[0] == state.basis.index_of.get((0,) * state.ring.nvars)
     f = _unit_input(state, multi) if unit else _assemble_input(state, multi)
     if state.inputs is not None:
         state.inputs[multi] = f
     entries = _unit_entries(multi) if unit else _reduced_entries(state, multi, f)
     for name, entry in zip(("a", "lambda", "u"), entries):
-        table = state.table(name)
-        table[multi] = entry
-        state._checked[name] = len(table), state._checked[name][1]
+        state.table(name)[multi] = entry
 
 
 def run(ring, basis, order, debug=False):
@@ -395,7 +376,7 @@ def lambda_series(state):
     dim = len(state.basis.monomials)
     coeffs = {}
     for alpha, beta, key, scale, lam in _by_pair(state.lam_table):
-        coeffs.setdefault((alpha, beta), {})[key] = scale * lam
+        coeffs.setdefault((alpha, beta), {})[key] = lam if scale == 1 else scale * lam
     return {
         pair: TruncatedSeries(dim, state.order - 2, c)
         for pair, c in coeffs.items()

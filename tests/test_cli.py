@@ -617,6 +617,10 @@ def test_report_reingestion(tmp_path):
         ("lambda.t1^2 = y1*eta1^2", r"eta factors eta1\*eta1 not distinct"),
         ("a.t0^2.1 = 1/0", r"Fraction\(1, 0\)"),
         ("u.t1^3 = y1", "multiset beyond order 2"),
+        ("a.t1.0 = 1", "a keys have at least 2 directions"),
+        ("lambda.t0 = 0", "lambda keys have at least 2 directions"),
+        ("lambda.t1 = y1*eta1", "lambda keys have at least 2 directions"),
+        ("input.t1 = x1", "input keys have at least 2 directions"),
     ],
     ids=[
         "a-index",
@@ -627,6 +631,10 @@ def test_report_reingestion(tmp_path):
         "repeated-eta",
         "zero-denominator",
         "beyond-order",
+        "a-below-size",
+        "lambda-zero-below-size",
+        "lambda-below-size",
+        "input-below-size",
     ],
 )
 def test_ingest_rejects_bad_table_line(line, reason):
@@ -678,8 +686,10 @@ def test_ingest_accepts_one_spelling_per_table_key(odd, key):
         ("u.t1^2 = ", r"u table lacks \(1, 1\)"),
         ("lambda.t1^2 = ", r"lambda table lacks \(1, 1\)"),
         ("a.t1^3.", r"a table lacks \(1, 1, 1\)"),
+        ("u.t1 = ", r"u table lacks \(1,\)"),
+        ("a.t0*t1.", r"a table lacks \(0, 1\)"),
     ],
-    ids=["u-entry", "lambda-entry", "a-row"],
+    ids=["u-entry", "lambda-entry", "a-row", "u-smallest", "a-smallest"],
 )
 def test_ingest_rejects_incomplete_tables(dropped, reason):
     # every line of the cubic order-3 report that starts with dropped goes

@@ -963,7 +963,7 @@ def test_piece_digests(request, name, weight):
     assert _piece_digest(ring, piece) == PIECE_DIGESTS[name, weight]
 
 
-def test_pieces_past_one_byte_widen_the_packing():
+def test_pieces_past_one_byte_keep_their_echelon_form_at_16_bits():
     """The conic in P1 at weight 64 has x-exponents up to 128, past what
     one byte of a key's field holds. That piece, and the weight-1 piece
     built again after it from the enumerated lists and keys cached before

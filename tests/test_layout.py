@@ -8,10 +8,12 @@ invariant raises an explicit exception instead. Every function the benchmark
 tracer wraps is defined where the tracer looks for it, a module that calls
 one by name binds that very function, and the tracer's counters read real
 pieces. Only unfolding.check_series calls the series functions, so every
-check reads the series of one build. Only polyalg.shared_packing builds a
-GrevlexPacking, so every key is at one packing. Every name a module lists
-in `__all__` is bound there. Every engine, test and tool file parses at the
-Python floor that pyproject.toml declares.
+check reads the series of one build. Only cli.ingest_report calls
+unfolding.check_complete, since step checks by reading. Only
+polyalg.shared_packing builds a GrevlexPacking, so every key is at one
+packing. Every name a module lists in `__all__` is bound there. Every
+engine, test and tool file parses at the Python floor that pyproject.toml
+declares.
 """
 
 import ast
@@ -292,6 +294,14 @@ def test_only_check_series_calls_the_series_functions():
     assert sorted(_engine_calls(SERIES_FUNCTIONS)) == sorted(
         ("unfolding.py", "check_series", name) for name in SERIES_FUNCTIONS
     )
+
+
+def test_only_ingest_report_checks_table_completeness():
+    """run fills every table and step raises on a missing entry it reads,
+    so the one completeness pass checks only the tables a report brings."""
+    assert _engine_calls({"check_complete"}) == [
+        ("cli.py", "ingest_report", "check_complete")
+    ]
 
 
 def test_only_shared_packing_builds_a_packing():

@@ -295,7 +295,7 @@ def test_each_x_fiber_is_enumerated_once_per_ring(monkeypatch):
         assert enumerate_graded_piece(ring, key) is piece
 
 
-def test_a_piece_widens_the_packing_at_its_last_blocks():
+def test_a_piece_past_one_byte_is_keyed_at_the_16_bit_packing():
     """A line and a cubic in P1: the weight-43 piece's last fibers have
     x-exponents up to 129, past what one byte of a key's field holds. The
     piece is in key order, and every fiber and piece the ring caches is

@@ -1,6 +1,7 @@
 """Order-by-order unfolding: step results and series assembly."""
 
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
@@ -21,6 +22,7 @@ from toricff.polyalg import LinearSum, Poly
 from toricff.supercomplex import SuperElement, delta, mu, q_s
 from toricff.toricring import NotCalabiYau, build_cayley_ring
 from toricff.unfolding import (
+    TABLES,
     MissingTableEntry,
     TruncatedSeries,
     _assemble_input,
@@ -37,49 +39,60 @@ from toricff.unfolding import (
     "table, multi",
     [
         ("u_table", (1, 1)),
-        ("a_table", (0, 1)),
-        ("lam_table", (0, 1)),
-        ("u_table", (0, 1)),
+        ("a_table", (1, 1)),
+        ("lam_table", (1, 1)),
+        ("u_table", (1,)),
     ],
 )
 def test_step_reports_a_missing_lower_entry(cubic_ring, cubic_basis, table, multi):
-    # (0, 1, 1) is led by the unit, so its closed form reads no entry at all
+    # (1, 1, 1) reads u_1 and u_(1,1), the zero a row a_(1,1) = {} and
+    # lambda_(1,1): a missing entry is not read as zero, and nothing is stored
     state = run(cubic_ring, cubic_basis, 2)
     del getattr(state, table)[multi]
-    with pytest.raises(MissingTableEntry, match=str(multi)):
-        step(state, (0, 1, 1))
+    before = {name: dict(state.table(name)) for name in TABLES}
+    label = {"u_table": "u", "a_table": "a", "lam_table": "lambda"}[table]
+    shown = re.escape(f"{label} table lacks {multi}")
+    with pytest.raises(MissingTableEntry, match=shown):
+        step(state, (1, 1, 1))
+    assert {name: state.table(name) for name in before} == before
 
 
-def test_step_reports_an_unsettled_lower_size(cubic_ring, cubic_basis):
-    # no multiset of size 3 is settled at order 2
-    with pytest.raises(MissingTableEntry, match=r"u table lacks \(0, 0, 0\)"):
-        step(run(cubic_ring, cubic_basis, 2), (0, 1, 1, 1))
-    # (0, 0, 1) holds zero entries only; a state made without them must not
-    # step on as if they were zero
+def test_step_reports_an_unsettled_lower_size(cubic_ring, cubic_basis, cubic_state4):
+    # no multiset of size 3 is settled at order 2, and (1, 1, 1, 1) reads
+    # the u, a and lambda entries of (1, 1, 1)
+    with pytest.raises(MissingTableEntry, match=r"u table lacks \(1, 1, 1\)"):
+        step(run(cubic_ring, cubic_basis, 2), (1, 1, 1, 1))
     state = run(cubic_ring, cubic_basis, 3)
     for table in ("u_table", "a_table", "lam_table"):
-        kept = {k: v for k, v in getattr(state, table).items() if k != (0, 0, 1)}
-        with pytest.raises(MissingTableEntry, match=r"\(0, 0, 1\)"):
-            step(replace(state, **{table: kept}), (0, 1, 1, 1))
-    step(state, (0, 1, 1, 1))
-    assert state.u_table[(0, 1, 1, 1)] == Poly({})
-    # settling a multiset again leaves the guard working
+        kept = {k: v for k, v in getattr(state, table).items() if k != (1, 1, 1)}
+        with pytest.raises(MissingTableEntry, match=r"\(1, 1, 1\)"):
+            step(replace(state, **{table: kept}), (1, 1, 1, 1))
+    step(state, (1, 1, 1, 1))
+    for name in ("u", "a", "lambda"):
+        assert state.table(name)[(1, 1, 1, 1)] == cubic_state4.table(name)[(1, 1, 1, 1)]
+    # an entry settled again and then lost is found missing by the next read
     step(state, (1, 1, 1))
-    del state.u_table[(0, 0, 1)]
-    with pytest.raises(MissingTableEntry, match=r"\(0, 0, 1\)"):
+    del state.u_table[(1, 1, 1)]
+    with pytest.raises(MissingTableEntry, match=r"\(1, 1, 1\)"):
         step(state, (1, 1, 1, 1))
 
 
-@pytest.mark.parametrize("stray", [(1, 7), (-1, 1)], ids=["outside", "negative"])
-@pytest.mark.parametrize("multi", [(0, 1, 1), (1, 1, 1)], ids=["unit", "generic"])
+@pytest.mark.parametrize("stray", [(-1, 7), (0, -1)], ids=["outside", "negative"])
+@pytest.mark.parametrize(
+    "multi, missing", [((0, 1), (1,)), ((1, 1, 1), (1, 1))], ids=["unit", "generic"]
+)
 def test_step_reports_a_missing_entry_beside_a_stray_key(
-    cubic_ring, cubic_basis, stray, multi
+    cubic_ring, cubic_basis, stray, multi, missing
 ):
     # a stray key of the size of the missing one must not stand in for it:
-    # the closed form of (0, 1, 1) reads no entry, and (1, 1, 1) reads (1, 1)
+    # the unit pair (0, 1) reads u_1 as its input, and (1, 1, 1) reads u_(1,1);
+    # the stray key is the missing one with one direction set to 7 or -1
+    at, direction = stray
+    key = list(missing)
+    key[at] = direction
     base = run(cubic_ring, cubic_basis, 2)
-    u_table = {k: v for k, v in base.u_table.items() if k != (1, 1)}
-    u_table[stray] = base.u_table[(1, 1)]
+    u_table = {k: v for k, v in base.u_table.items() if k != missing}
+    u_table[tuple(key)] = base.u_table[missing]
     state = replace(
         base,
         u_table=u_table,
@@ -87,7 +100,7 @@ def test_step_reports_a_missing_entry_beside_a_stray_key(
         lam_table=dict(base.lam_table),
     )
     before = {name: dict(state.table(name)) for name in ("u", "a", "lambda")}
-    with pytest.raises(MissingTableEntry, match=r"u table lacks \(1, 1\)"):
+    with pytest.raises(MissingTableEntry, match=re.escape(f"u table lacks {missing}")):
         step(state, multi)
     assert {name: state.table(name) for name in before} == before
 
@@ -95,17 +108,56 @@ def test_step_reports_a_missing_entry_beside_a_stray_key(
 def test_step_reports_an_entry_swapped_for_a_stray_key_after_its_check(
     cubic_ring, cubic_basis
 ):
-    # the swap keeps every table's length, so the next steps do not check
-    # the lower sizes again; the read of (1, 1) finds it missing
+    # the swap keeps every table's length; the unit-led (0, 1, 1) reads no
+    # entry and is settled, and the read of (1, 1) by (1, 1, 1) finds it missing
     state = run(cubic_ring, cubic_basis, 2)
     step(state, (0, 0, 0))
     state.u_table[(1, 7)] = state.u_table.pop((1, 1))
-    step(state, (0, 1, 1))  # closed form: reads no entry
+    step(state, (0, 1, 1))
     assert (0, 1, 1) in state.u_table
     before = {name: dict(state.table(name)) for name in ("u", "a", "lambda")}
     with pytest.raises(MissingTableEntry, match=r"u table lacks \(1, 1\)"):
         step(state, (1, 1, 1))
     assert {name: state.table(name) for name in before} == before
+
+
+# (1, 19, 19) on the Fermat K3 reads u_1, u_19, u_(1,19) and u_(19,19) in its
+# u*u sum, the row a_(1,19) = {20: 1} and then u_(19,20) in its a*u sum, and
+# lambda_(1,19) in its Q sum; the unit-led (0, 1, 19) reads no entry
+K3_READS = {
+    (0, 1, 19): (),
+    (1, 19, 19): (
+        ("u", (1,)),
+        ("u", (19,)),
+        ("u", (1, 19)),
+        ("u", (19, 19)),
+        ("u", (19, 20)),
+        ("a", (1, 19)),
+        ("lambda", (1, 19)),
+    ),
+}
+
+
+@pytest.mark.parametrize("multi", list(K3_READS), ids=["unit", "generic"])
+def test_step_entries_depend_only_on_what_it_reads(k3_ring, k3_basis, k3_state3, multi):
+    # every entry the step does not read is deleted: it stores the entries of
+    # a full run all the same, and lacking any one entry it reads, it raises
+    reads = K3_READS[multi]
+    state = run(k3_ring, k3_basis, 2)
+    for name in TABLES:
+        table = state.table(name)
+        for key in set(table) - {key for read, key in reads if read == name}:
+            del table[key]
+    for name, key in reads:
+        kept = {k: v for k, v in state.table(name).items() if k != key}
+        lacking = replace(state, **{TABLES[name][0]: kept})
+        shown = re.escape(f"{name} table lacks {key}")
+        with pytest.raises(MissingTableEntry, match=shown):
+            step(lacking, multi)
+        assert all(multi not in lacking.table(name) for name in TABLES)
+    step(state, multi)
+    for name in TABLES:
+        assert state.table(name)[multi] == k3_state3.table(name)[multi]
 
 
 @pytest.mark.parametrize(
@@ -595,6 +647,12 @@ def test_lambda_series_matches_table(cubic_state4, pair_states):
         witnesses = lambda_series(state)
         pairs = {(a, b) for a in range(dim) for b in range(dim)}
         assert set(witnesses) <= pairs
+        # every size-2 entry has scale 1, so the series keeps the entry itself
+        for multi, lam in state.lam_table.items():
+            if lam and len(multi) == 2:
+                alpha, beta = multi
+                assert witnesses[(alpha, beta)].coefficients[()] is lam
+                assert witnesses[(beta, alpha)].coefficients[()] is lam
         for alpha, beta in sorted(pairs):
             dense = scanned_lambda_series(state, alpha, beta)
             got = witnesses.get((alpha, beta))

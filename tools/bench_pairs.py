@@ -18,9 +18,11 @@ Each run is ``python3 bench/run.py --workload W --seed K --seconds S`` in
 its copy; the last line of its output, one JSON object, gives the metrics.
 The script prints each pair's values, then for every metric each side's
 median and quartiles and the number of pairs in which CHANGE is better, the
-direction read from CHANGE's BENCHMARK.json (lower when it names none). It
-exits 1 when a run failed its gate or printed no metrics. It changes nothing
-in the repository and removes its copies when done. Standard library only.
+direction read from CHANGE's BENCHMARK.json (lower when it names none). For
+each end-to-end metric with a bound there it also prints a verdict (see
+verdict). It exits 1 when a run failed its gate or printed no metrics. It
+changes nothing in the repository and removes its copies when done.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -70,14 +72,14 @@ def bench(copy, args):
     return summary["correct"] and not summary["failed"], metrics
 
 
-def lower_is_better(copy):
-    """{metric: True when lower is better} from the copy's BENCHMARK.json."""
+def metric_specs(copy):
+    """{metric: its entry} from the copy's BENCHMARK.json."""
     try:
         spec = json.loads((copy / "BENCHMARK.json").read_text())
     except (OSError, ValueError):
         return {}
     entries = spec.get("end_to_end", []) + spec.get("per_layer", [])
-    return {e["name"]: e.get("better", "lower") == "lower" for e in entries}
+    return {e["name"]: e for e in entries}
 
 
 def quartiles(values):
@@ -87,13 +89,33 @@ def quartiles(values):
     return q1, q2, q3
 
 
-def report(pairs, lower):
-    """Print each metric's pairs, medians, quartiles and the change's wins."""
+def verdict(old, new, bound, lower=True):
+    """The no-regression verdict on one metric from the base's runs old and
+    the change's runs new: "unresolved" when the base's quartile spread
+    exceeds bound times its median, unless every change run is better than
+    every base run; otherwise "no regression" when the change's median is
+    no worse than the base's median by more than that factor 1 + bound, and
+    "regression" when it is."""
+    if not lower:
+        old, new = [-v for v in old], [-v for v in new]
+    o1, o2, o3 = quartiles(old)
+    if max(new) < min(old):
+        return "no regression"
+    if o3 - o1 > bound * abs(o2):
+        return "unresolved"
+    limit = o2 + bound * abs(o2)
+    return "no regression" if quartiles(new)[1] <= limit else "regression"
+
+
+def report(pairs, specs):
+    """Print each metric's pairs, medians, quartiles and the change's wins,
+    and the verdict of each metric that has a bound."""
     names = [n for n in pairs[0][0] if all(n in a and n in b for a, b in pairs)]
     for name in names:
         old = [a[name] for a, _ in pairs]
         new = [b[name] for _, b in pairs]
-        down = lower.get(name, True)
+        spec = specs.get(name, {})
+        down = spec.get("better", "lower") == "lower"
         wins = sum((b < a) if down else (b > a) for a, b in zip(old, new))
         (o1, o2, o3), (n1, n2, n3) = quartiles(old), quartiles(new)
         print(f"{name}: base/change per pair: " + " ".join(
@@ -105,6 +127,9 @@ def report(pairs, lower):
             f"change better in {wins}/{len(pairs)} "
             f"({'lower' if down else 'higher'} is better)"
         )
+        if "bound" in spec:
+            print(f"  verdict (bound {spec['bound']}): "
+                  + verdict(old, new, spec["bound"], down))
 
 
 def main(argv=None):
@@ -140,7 +165,7 @@ def main(argv=None):
             ), flush=True)
             pairs.append((got["old"], got["new"]))
         if all(a and b for a, b in pairs):
-            report(pairs, lower_is_better(copies["new"]))
+            report(pairs, metric_specs(copies["new"]))
     finally:
         shutil.rmtree(scratch)
     if not ok:
