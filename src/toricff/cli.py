@@ -318,26 +318,28 @@ def _table_lines(state):
     ring = state.ring
     dim = len(state.basis.monomials)
     sort_key = lambda multi: (len(multi), multi)
+    # every multiset of a, lambda and the inputs keys u too: name each once
+    names = {multi: _t_monomial(multi) for multi in state.u_table}
     lines = ["[tables]"]
     lines.append(f"order = {state.order}")
     for multi in sorted(state.u_table, key=sort_key):
         rendered = render_poly(state.u_table[multi], ring.names)
-        lines.append(f"u.{_t_monomial(multi)} = {rendered}")
+        lines.append(f"u.{names[multi]} = {rendered}")
     # a rows hold nonzero values only; the report format prints every rho
     for multi in sorted(state.a_table, key=sort_key):
         row = state.a_table[multi]
-        prefix = f"a.{_t_monomial(multi)}."
+        prefix = f"a.{names[multi]}."
         for rho in range(dim):
             lines.append(f"{prefix}{rho} = {row.get(rho, 0)}")
     for multi in sorted(state.lam_table, key=sort_key):
         rendered = render_super(
             state.lam_table[multi], ring.names, ring.eta_names
         )
-        lines.append(f"lambda.{_t_monomial(multi)} = {rendered}")
+        lines.append(f"lambda.{names[multi]} = {rendered}")
     if state.inputs:
         for multi in sorted(state.inputs, key=sort_key):
             rendered = render_poly(state.inputs[multi], ring.names)
-            lines.append(f"input.{_t_monomial(multi)} = {rendered}")
+            lines.append(f"input.{names[multi]} = {rendered}")
     return lines
 
 

@@ -124,9 +124,14 @@ def _compared(ring, cases):
 
 
 def _entry_outcomes(state, dim):
-    # u = Delta(lambda); the difference is built only where the sides differ
+    # u = Delta(lambda); the difference is built only where the sides differ.
+    # A zero lambda with a zero u holds, and counts as a case, unexpanded
     for multi in sorted(state.lam_table):
-        left, right = delta(state.lam_table[multi]).to_poly(), state.u_table[multi]
+        lam, right = state.lam_table[multi], state.u_table[multi]
+        if not (lam or right):
+            yield None
+            continue
+        left = delta(lam).to_poly()
         site = f"u vs Delta(lambda) at multiset {multi}"
         yield None if left == right else _failure(
             state.ring, site, dim, multi, left - right
@@ -294,7 +299,8 @@ def _weight_outcomes(state):
             found,
             f"expected {1 - w}",
         )
-    for multi in sorted(state.u_table):
+    # a zero entry has no term, so it yields no case: skip it before its target
+    for multi in sorted(m for m, u in state.u_table.items() if u):
         target = 1 - sum(state.t_weights[j] for j in multi)
         for exps in state.u_table[multi].nums:
             found = ring.degree_of_monomial(exps)[1]
@@ -304,7 +310,7 @@ def _weight_outcomes(state):
                 found,
                 render_poly(Poly.monomial(exps), ring.names),
             )
-    for multi in sorted(state.lam_table):
+    for multi in sorted(m for m, lam in state.lam_table.items() if lam):
         target = 2 - sum(state.t_weights[j] for j in multi)
         for exps, etas in state.lam_table[multi].nums:
             found = super_weight(ring, exps, etas)

@@ -28,7 +28,8 @@ off S's one table of partials (polyalg.Poly.partial_rows). That pair is a
 positive int multiple of the one over the partial's own, smaller
 denominator, so the primitive pivots are the same either way. Fractions
 appear only where reduce_vector emits a residue entry and the final
-combination, and where a reduction sums those over f.
+combination, which a monomial's memoized reduction puts over one
+denominator, and in a reduction's a coefficients: its sum runs on ints.
 
 Most generators of a large piece reduce to zero and add no pivot. Many are
 named in advance, by Faugere's F5 criterion and by the syzygies earlier
@@ -89,7 +90,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .polyalg import Poly, _cleared
 from .supercomplex import SuperElement, q_s
@@ -370,14 +371,15 @@ class JacobianBasis:
         return got
 
     def reduction(self, m):
-        """(residue, h, terms) of the monomial m, memoized: m is its
-        residue, a {monomial: Fraction} normal form, plus Q_S of h times the
-        witness of its terms, each term (mult, i, coeff) a generator
-        mult * dS_i. Above weight w* = max_weight + 1, m = h * m0 with m0
-        the first monomial of the weight-w* piece, in descending grevlex,
-        that divides m and reduces to zero, and the terms are those of m0.
-        Otherwise, or with no such m0, h is zero and m is reduced against
-        its own piece. Raises NotCharge0 for m off the basis charge."""
+        """(denom, residue, h, terms) of the monomial m, memoized, every int
+        over denom: m is its residue, a {monomial: int} normal form, plus Q_S
+        of h times the witness of its terms, each term (mult, i, n) a
+        generator mult * dS_i. Above weight w* = max_weight + 1, m = h * m0
+        with m0 the first monomial of the weight-w* piece, in descending
+        grevlex, that divides m and reduces to zero, and denom and the terms
+        are those of m0. Otherwise, or with no such m0, h is zero and m is
+        reduced against its own piece, its Fractions put over their lcm.
+        Raises NotCharge0 for m off the basis charge."""
         got = self._reductions.get(m)
         if got is not None:
             return got
@@ -391,19 +393,22 @@ class JacobianBasis:
             le = operator.le
             for m0 in self.piece(top).monomials:
                 if all(map(le, m0, m)):
-                    residue, _, terms = self.reduction(m0)
+                    denom, residue, _, terms = self.reduction(m0)
                     if not residue:
-                        got = residue, tuple(map(operator.sub, m, m0)), terms
+                        got = denom, {}, tuple(map(operator.sub, m, m0)), terms
                         break
         if got is None:
             piece = self.piece(weight)
             packing = self.ring.packing
             exponents = packing.exponents
             residue, combo = piece.reduce_vector({packing.key(m): 1})
+            denom = lcm(*(c.denominator for c in (*residue.values(), *combo.values())))
+            num = lambda c: c.numerator * (denom // c.denominator)
             got = (
-                {exponents(col): c for col, c in residue.items()},
+                denom,
+                {exponents(col): num(c) for col, c in residue.items()},
                 (0,) * len(m),
-                tuple((*piece.generators[g], c) for g, c in combo.items()),
+                tuple((*piece.generators[g], num(c)) for g, c in combo.items()),
             )
         self._reductions[m] = got
         return got
@@ -466,21 +471,25 @@ def reduce_with_witness(basis, f):
     """Express f as basis combination plus Q_S(lambda), with lambda returned.
 
     The sum over the monomials m of f of their coefficients times
-    basis.reduction(m): the residues give the basis part, and each
-    monomial's terms, shifted by its h, the witness. A residue left on
+    basis.reduction(m), in ints over the lcm of their memo denominators:
+    the residues give the basis part, one Fraction per basis index, and
+    each monomial's terms, shifted by its h, the witness. A residue left on
     monomials outside the basis raises BasisIncomplete at the lowest weight
-    among them; a monomial off the basis charge raises NotCharge0.
-    The defining identity is re-verified exactly before returning. A zero f
-    has the zero reduction, which is returned at once.
+    among them; a monomial off the basis charge raises NotCharge0. The
+    defining identity is re-verified exactly, through q_s, before
+    returning. A zero f has the zero reduction, which is returned at once.
     """
     if not f:
         return ReductionWitness({}, SuperElement({}))
-    # f enters as its int numerators, that is f.denom times itself, so the
-    # residue and the witness are divided by f.denom
+    reductions = [(n, basis.reduction(m)) for m, n in f.nums.items()]
+    scale = lcm(*(got[0] for _, got in reductions))
+    # f enters as its int numerators, that is f.denom times itself, each
+    # carried onto scale, so the residue and the witness are over denom
+    denom = f.denom * scale
     residue, lam = {}, {}
     rget, lget, add = residue.get, lam.get, operator.add
-    for m, n in f.nums.items():
-        res, h, terms = basis.reduction(m)
+    for n, (d, res, h, terms) in reductions:
+        n *= scale // d
         for r, c in res.items():
             residue[r] = rget(r, 0) + n * c
         shift = any(h)
@@ -492,11 +501,9 @@ def reduce_with_witness(basis, f):
     if stray:
         degree = basis.ring.degree_of_monomial
         raise BasisIncomplete(min(degree(r)[1] for r in stray))
-    coefficients = {index_of[r]: c / f.denom for r, c in residue.items() if c}
-    witness = SuperElement(lam) * Fraction(1, f.denom)
-    rebuilt = q_s(witness, basis.ring).to_poly() + Poly(
-        {basis.monomials[i]: coeff for i, coeff in coefficients.items()}
-    )
+    coefficients = {index_of[r]: Fraction(c, denom) for r, c in residue.items() if c}
+    witness = SuperElement.from_nums(denom, lam)
+    rebuilt = q_s(witness, basis.ring).to_poly() + Poly.from_nums(denom, residue)
     if rebuilt != f:
         raise ArithmeticError("reduction identity failed to close")
     return ReductionWitness(coefficients, witness)

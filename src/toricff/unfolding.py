@@ -34,9 +34,10 @@ with no input assembled and no reduction: (unit, beta) gets a = {beta: 1},
 lambda = 0 and u = 0, and every larger such multiset all-zero entries. This
 follows by induction from the formula above, since u_unit = 1, Delta(1) = 0
 and a_(unit,beta) = e_beta; the debug inputs record f = u_beta and f = 0,
-and such a step reads no entry but the u_beta of a pair. These are 819 of
-the 858 steps of the (2,2) intersection to order 40, and exactly its 819
-vanishing u entries.
+and such a step reads no entry but the u_beta of a pair. Unit-led entries
+share one zero element each for lambda and u; every a row is its own dict.
+These are 819 of the 858 steps of the (2,2) intersection to order 40, and
+exactly its 819 vanishing u entries.
 
 Every other multiset walks the splits of its tail once, and the three sums
 read their entries from that one list; a zero entry adds nothing. Every
@@ -224,13 +225,17 @@ def _assemble_input(state, multi):
     return total.element()
 
 
+# the lambda and u of every unit-led multiset: elements are immutable
+_ZERO_POLY, _ZERO_SUPER = Poly({}), SuperElement({})
+
+
 def _unit_input(state, multi):
     """The input f of a multiset whose smallest direction is the unit: u_beta
     for a pair (unit, beta), since u_unit = 1, and zero for a larger one,
     whose three sums cancel (see _unit_entries)."""
     if len(multi) == 2:
         return _read(state, "u", multi[1:])
-    return Poly({})
+    return _ZERO_POLY
 
 
 def _unit_entries(multi):
@@ -241,7 +246,7 @@ def _unit_entries(multi):
     vanishes but a_(unit,beta) = e_beta, so f = u_(beta)+C - u_(beta)+C = 0
     and every entry is zero."""
     a_row = {multi[1]: Fraction(1)} if len(multi) == 2 else {}
-    return a_row, SuperElement({}), Poly({})
+    return a_row, _ZERO_SUPER, _ZERO_POLY
 
 
 def _reduced_entries(state, multi, f):
@@ -313,8 +318,9 @@ def gamma_series(state):
     """Gamma as a series of weight-homogeneous polynomials, degree <= order."""
     coeffs = {}
     for multi, u in state.u_table.items():
-        scale = _factorial_of(multi)
-        coeffs[multi] = u if scale == 1 else Fraction(1, scale) * u
+        if u:
+            scale = _factorial_of(multi)
+            coeffs[multi] = u if scale == 1 else Fraction(1, scale) * u
     return TruncatedSeries(len(state.basis.monomials), state.order, coeffs)
 
 

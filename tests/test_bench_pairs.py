@@ -45,3 +45,44 @@ BASE = [9.0, 9.5, 10.0, 10.5, 11.0]
 )
 def test_verdict(old, new, bound, lower, expected):
     assert _bench_pairs().verdict(old, new, bound, lower) == expected
+
+
+# ten paired base runs with median 10 and quartiles 9.5 and 10.5: IQR 1
+BASE10 = [9.0, 9.5, 10.0, 10.5, 11.0] * 2
+
+
+def _shifted(by, changed=()):
+    """BASE10 less by, except that pair i of changed runs at BASE10[i] + d."""
+    new = [v - by for v in BASE10]
+    for i, d in changed:
+        new[i] = BASE10[i] + d
+    return new
+
+
+@pytest.mark.parametrize(
+    "new, lower, expected",
+    [
+        (_shifted(2), True, "gain"),
+        (_shifted(2, [(9, 1.0)]), True, "gain"),
+        (_shifted(2, [(8, 1.0), (9, 1.0)]), True, "no gain shown"),
+        (_shifted(2, [(9, 0.0)]), True, "gain"),
+        (_shifted(2, [(8, 0.0), (9, 0.0)]), True, "no gain shown"),
+        (_shifted(0.9), True, "no gain shown"),
+        (_shifted(1.0), True, "no gain shown"),
+        (_shifted(-2), False, "gain"),
+        (_shifted(2), False, "no gain shown"),
+    ],
+    ids=[
+        "every-pair-better",
+        "nine-of-ten",
+        "eight-of-ten",
+        "one-tie",
+        "two-ties",
+        "gain-below-the-iqr",
+        "gain-at-the-iqr",
+        "higher-better",
+        "higher-worse",
+    ],
+)
+def test_gain(new, lower, expected):
+    assert _bench_pairs().gain(BASE10, new, lower) == expected

@@ -90,6 +90,22 @@ def test_fqm2_detects_corrupt_u(cubic_state4):
     )
 
 
+def test_fqm2_expands_a_nonzero_u_beside_a_zero_lambda(ci22_state3):
+    # the unit-led (0, 1, 1) has a zero lambda and a zero u; a zero pair
+    # holds unexpanded, but a nonzero u beside the zero lambda is compared
+    bad = copy_state(ci22_state3)
+    assert not (bad.lam_table[(0, 1, 1)] or bad.u_table[(0, 1, 1)])
+    bad.u_table[(0, 1, 1)] = Poly.monomial(bad.basis.monomials[1])
+    report = check_fqm2(bad, check_series(bad))
+    assert not report.passed
+    # (0, 0), (0, 0, 0), (0, 0, 1), (0, 1) and (0, 1, 1): each zero pair
+    # before the failure counts as a case
+    assert report.cases == 5
+    assert report.failure == Failure(
+        "u vs Delta(lambda) at multiset (0, 1, 1)", (1, 2), 1, "-y2*x4^2"
+    )
+
+
 def test_axioms_pass(cubic_state4, ci22_state3):
     for state in (cubic_state4, ci22_state3):
         report = check_flat_f_axioms(state, check_series(state))
@@ -536,6 +552,17 @@ def test_weights_detect_corrupt_lambda(cubic_state4):
     assert not report.passed
     assert report.cases == 7
     assert report.failure == Failure("lambda[(1, 1)]", (0, 2), 1, "eta2")
+
+
+def test_weights_detect_a_wrong_lambda_at_a_unit_led_multiset(ci22_state3):
+    # the unit-led (0, 1, 1) stores the zero lambda, which has no term; one
+    # of weight 0, where 2 - (1 + 0 + 0) = 1 is due, fails there
+    bad = copy_state(ci22_state3)
+    assert not bad.lam_table[(0, 1, 1)]
+    bad.lam_table[(0, 1, 1)] = SuperElement({((0,) * 6, (0,)): Fraction(1)})
+    report = check_weight_homogeneity(bad)
+    assert not report.passed
+    assert report.failure == Failure("lambda[(0, 1, 1)]", (1, 2), 0, "eta1")
 
 
 def test_weights_detect_wrong_t_weight(cubic_state4):

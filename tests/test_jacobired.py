@@ -699,7 +699,9 @@ def test_lift_takes_the_first_divisor_that_reduces_to_zero(request, name):
             )
             got = basis.reduction(m)
             assert basis.reduction(m) is got  # memoized
-            residue, h, terms = got
+            denom, residue, h, terms = got
+            assert all(type(n) is int for n in residue.values())
+            assert all(type(n) is int for _, _, n in terms)
             if first is None:
                 assert h == (0,) * len(m)
                 unlifted += 1
@@ -707,14 +709,32 @@ def test_lift_takes_the_first_divisor_that_reduces_to_zero(request, name):
                 assert residue == {}
                 assert monomial_mul(h, first) == m
                 assert ring.degree_of_monomial(h) == (basis.charge, extra)
-                assert terms == basis.reduction(first)[2]
+                first_denom, _, _, first_terms = basis.reduction(first)
+                assert (denom, terms) == (first_denom, first_terms)
                 lifted += 1
-            witness = SuperElement(
-                {(monomial_mul(h, mult), (i,)): coeff for mult, i, coeff in terms}
+            witness = SuperElement.from_nums(
+                denom, {(monomial_mul(h, mult), (i,)): n for mult, i, n in terms}
             )
-            assert q_s(witness, ring).to_poly() + Poly(residue) == Poly.monomial(m)
+            rest = Poly.from_nums(denom, dict(residue))
+            assert q_s(witness, ring).to_poly() + rest == Poly.monomial(m)
     assert lifted
     assert (unlifted > 0) == (name == "degenerate")
+
+
+@pytest.mark.parametrize("name", ["k3", "dwork", "ci22"])
+def test_a_corrupt_memoized_term_fails_the_closing_identity(request, name):
+    """One int of a memoized term, off by one, no longer closes the identity
+    f = basis part + Q_S(lambda), and reduce_with_witness says so."""
+    ring = request.getfixturevalue(name + "_ring")
+    basis = jacobian_basis(ring)
+    piece = basis.piece(basis.max_weight + 1)
+    m = next(m for m in piece.monomials if basis.reduction(m)[3])
+    f = Poly.monomial(m, Fraction(2, 3))
+    reduce_with_witness(basis, f)  # the memo as built closes
+    denom, residue, h, ((mult, i, n), *terms) = basis.reduction(m)
+    basis._reductions[m] = (denom, residue, h, ((mult, i, n + 1), *terms))
+    with pytest.raises(ArithmeticError, match="reduction identity failed to close"):
+        reduce_with_witness(basis, f)
 
 
 def _reference_reduction(basis, f):

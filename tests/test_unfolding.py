@@ -308,6 +308,21 @@ def test_unit_direction_tables_vanish(cubic_ring, cubic_basis):
     assert state.inputs[(1, 1)] == Poly.monomial((2, 2, 2, 2))
 
 
+def test_unit_led_entries_share_one_zero_element(ci22_ring, ci22_basis):
+    # every unit-led lambda and u is one shared zero element, but each a
+    # row is a dict of its own, which changing in place leaves the others
+    state = run(ci22_ring, ci22_basis, 5)
+    led = [multi for multi in state.a_table if multi[0] == 0]
+    larger = [multi for multi in led if len(multi) >= 3]
+    assert larger
+    for table in (state.lam_table, state.u_table):
+        assert not table[larger[0]]
+        assert all(table[multi] is table[larger[0]] for multi in led)
+    assert len({id(state.a_table[multi]) for multi in led}) == len(led)
+    state.a_table[larger[0]][1] = Fraction(1)
+    assert all(state.a_table[multi] == {} for multi in larger[1:])
+
+
 @pytest.mark.parametrize(
     "ring, basis, order",
     [

@@ -20,7 +20,8 @@ The script prints each pair's values, then for every metric each side's
 median and quartiles and the number of pairs in which CHANGE is better, the
 direction read from CHANGE's BENCHMARK.json (lower when it names none). For
 each end-to-end metric with a bound there it also prints a verdict (see
-verdict). It exits 1 when a run failed its gate or printed no metrics. It
+verdict), and for every metric whether the pairs show a gain (see gain).
+It exits 1 when a run failed its gate or printed no metrics. It
 changes nothing in the repository and removes its copies when done.
 Standard library only.
 """
@@ -107,9 +108,24 @@ def verdict(old, new, bound, lower=True):
     return "no regression" if quartiles(new)[1] <= limit else "regression"
 
 
+def gain(old, new, lower=True):
+    """The gain verdict on one metric from the paired runs old[i], new[i] of
+    base and change: "gain" when the change is better in at least 9 of
+    every 10 pairs, a tie counting for neither side, and its median is
+    better than the base's by more than the base's quartile distance;
+    otherwise "no gain shown"."""
+    if not lower:
+        old, new = [-v for v in old], [-v for v in new]
+    wins = sum(b < a for a, b in zip(old, new))
+    o1, o2, o3 = quartiles(old)
+    if 10 * wins >= 9 * len(old) and o2 - quartiles(new)[1] > o3 - o1:
+        return "gain"
+    return "no gain shown"
+
+
 def report(pairs, specs):
     """Print each metric's pairs, medians, quartiles and the change's wins,
-    and the verdict of each metric that has a bound."""
+    the verdict of each metric that has a bound and every metric's gain."""
     names = [n for n in pairs[0][0] if all(n in a and n in b for a, b in pairs)]
     for name in names:
         old = [a[name] for a, _ in pairs]
@@ -130,6 +146,7 @@ def report(pairs, specs):
         if "bound" in spec:
             print(f"  verdict (bound {spec['bound']}): "
                   + verdict(old, new, spec["bound"], down))
+        print(f"  gain: {gain(old, new, down)}")
 
 
 def main(argv=None):
