@@ -24,6 +24,7 @@ from toricff.unfolding import (
 )
 from toricff.ffverify import (
     Failure,
+    VerificationReport,
     _compared,
     _first_residual,
     _verdict,
@@ -482,6 +483,152 @@ def test_axioms_detect_broken_unit(cubic_state4):
     report = check_flat_f_axioms(bad, check_series(bad))
     assert not report.passed
     assert "unit" in report.failure.site
+
+
+def corrupted(state, table, key, value):
+    """A copy of state with a_table[key] set to the row value, value added to
+    u_table[key], or, for the table "t", value as its t-weights."""
+    bad = copy_state(state)
+    if table == "a":
+        bad.a_table[key] = value
+    elif table == "u":
+        bad.u_table[key] = bad.u_table[key] + value
+    else:
+        bad.t_weights = value
+    return bad
+
+
+# (cases, failure) of fqm2, flat-f-axioms, euler-identity and
+# weight-homogeneity, a failure as (site, t-multiset, weight, residual). The
+# ci22 algebra is two-dimensional with a unit, so no table of it breaks
+# associativity; its non-unit a rows all carry the wrong weight.
+K3_KNOWN_PAIR = ("pair (1,4)", (3,), 2, "-3/4*y1^2*x1*x2^2*x3^3*x4^2")
+PINNED_CORRUPTIONS = {
+    "k3-unit-row": (
+        "k3_state3", "a", (0, 7), {7: Fraction(1), 3: Fraction(1, 2)},
+        (
+            (2010, ("pair (0,7)", (), 1, "-1/2*y1*x1*x3*x4^2")),
+            (199332, ("unit row beta=7 rho=3", (), None, "1/2")),
+            (42, None),
+            (2175, None),
+        ),
+    ),
+    "k3-associativity": (
+        "k3_state3", "a", (2, 18), {20: Fraction(1), 19: Fraction(1, 2)},
+        (
+            (2027, K3_KNOWN_PAIR),
+            (199332, ("associativity (1,2,18)->20", (), None, "-1/2")),
+            (6, ("a weight (2,18)->19", (), None, "-1/2")),
+            (2175, None),
+        ),
+    ),
+    "k3-a-weight": (
+        "k3_state3", "a", (1, 20), {20: Fraction(3, 2)},
+        (
+            (2027, K3_KNOWN_PAIR),
+            (199332, ("associativity (1,1,19)->20", (), None, "-3/2")),
+            (4, ("a weight (1,20)->20", (), None, "-3/2")),
+            (2175, None),
+        ),
+    ),
+    "k3-t-weights": (
+        "k3_state3", "t", None, (1,) + (0,) * 20,
+        (
+            (2027, K3_KNOWN_PAIR),
+            (199332, None),
+            (3, ("Gamma direction 1", (20,), 2, "1/4*y1^2*x1^2*x2^2*x4^4")),
+            (21, ("t-weight of direction 20", (20,), 0, "expected -1")),
+        ),
+    ),
+    "k3-u-weight": (
+        "k3_state3", "u", (1, 2), Poly.monomial((2, 2, 2, 2, 2), Fraction(2, 3)),
+        (
+            (
+                274,
+                (
+                    "u vs Delta(lambda) at multiset (1, 2)",
+                    (1, 2),
+                    2,
+                    "-2/3*y1^2*x1^2*x2^2*x3^2*x4^2",
+                ),
+            ),
+            (199332, None),
+            (3, ("Gamma direction 1", (2,), 2, "2/3*y1^2*x1^2*x2^2*x3^2*x4^2")),
+            (35, ("u[(1, 2)]", (1, 2), 2, "y1^2*x1^2*x2^2*x3^2*x4^2")),
+        ),
+    ),
+    "ci22-unit-row": (
+        "ci22_state3", "a", (0, 1), {1: Fraction(1), 0: Fraction(-1, 5)},
+        (
+            (9, ("pair (0,1)", (), 0, "1/5")),
+            (22, ("unit row beta=1 rho=0", (), None, "-1/5")),
+            (2, ("a weight (0,1)->0", (), None, "1/5")),
+            (32, None),
+        ),
+    ),
+    "ci22-a-weight": (
+        "ci22_state3", "a", (1, 1), {0: Fraction(1, 3)},
+        (
+            (10, ("pair (1,1)", (), 0, "-1/3")),
+            (22, None),
+            (4, ("a weight (1,1)->0", (), None, "-2/3")),
+            (32, None),
+        ),
+    ),
+    "ci22-a-weight-at-t1": (
+        "ci22_state3", "a", (1, 1, 1), {1: Fraction(1, 4)},
+        (
+            (10, ("pair (1,1)", (1,), 1, "-1/4*y2*x4^2")),
+            (22, None),
+            (4, ("a weight (1,1)->1", (1,), None, "-1/4")),
+            (32, None),
+        ),
+    ),
+    "ci22-t-weights": (
+        "ci22_state3", "t", None, (1, 1),
+        (
+            (10, None),
+            (22, None),
+            (3, ("Gamma direction 1", (), 1, "y2*x4^2")),
+            (2, ("t-weight of direction 1", (1,), 1, "expected 0")),
+        ),
+    ),
+    "ci22-u-weight": (
+        "ci22_state3", "u", (1, 1), Poly.monomial((0,) * 6, 5),
+        (
+            (6, ("u vs Delta(lambda) at multiset (1, 1)", (1, 1), 0, "-5")),
+            (22, None),
+            (3, ("Gamma direction 1", (1,), 0, "-5")),
+            (10, ("u[(1, 1)]", (1, 1), 0, "1")),
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CORRUPTIONS))
+def test_every_check_reports_a_pinned_corruption(request, name):
+    fixture, table, key, value, pinned = PINNED_CORRUPTIONS[name]
+    bad = corrupted(request.getfixturevalue(fixture), table, key, value)
+    dim = len(bad.basis.monomials)
+    series = check_series(bad)
+    reports = (
+        check_fqm2(bad, series),
+        check_flat_f_axioms(bad, series),
+        check_euler_identity(bad, series),
+        check_weight_homogeneity(bad),
+    )
+    checks = ("fqm2", "flat-f-axioms", "euler-identity", "weight-homogeneity")
+    # the order-3 states truncate fqm2 and the axioms at t-degree 1, the
+    # Euler identity at 2 and the stored tables at 3
+    for report, check, truncation, (cases, failure) in zip(
+        reports, checks, (1, 1, 2, 3), pinned
+    ):
+        if failure is not None:
+            site, multi, weight, residual = failure
+            failure = Failure(site, exponent_vector(multi, dim), weight, residual)
+        assert report == VerificationReport(
+            check, failure is None, truncation, cases, failure
+        )
 
 
 # Known defect: step settles each multiset with one lambda, which every split
