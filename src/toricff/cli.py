@@ -23,7 +23,7 @@ import sys
 import traceback
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import groupby
+from itertools import chain, groupby
 from pathlib import Path
 
 from . import __version__
@@ -325,12 +325,15 @@ def _table_lines(state):
     for multi in sorted(state.u_table, key=sort_key):
         rendered = render_poly(state.u_table[multi], ring.names)
         lines.append(f"u.{names[multi]} = {rendered}")
-    # a rows hold nonzero values only; the report format prints every rho
+    # a rows hold nonzero values only; the report format prints every rho,
+    # the dim lines of a row as one string over a row of zeros
+    zeros = [f"{rho} = 0" for rho in range(dim)]
     for multi in sorted(state.a_table, key=sort_key):
-        row = state.a_table[multi]
+        cells = zeros.copy()
+        for rho, value in state.a_table[multi].items():
+            cells[rho] = f"{rho} = {value}"
         prefix = f"a.{names[multi]}."
-        for rho in range(dim):
-            lines.append(f"{prefix}{rho} = {row.get(rho, 0)}")
+        lines.append(prefix + ("\n" + prefix).join(cells))
     for multi in sorted(state.lam_table, key=sort_key):
         rendered = render_super(
             state.lam_table[multi], ring.names, ring.eta_names
@@ -375,24 +378,30 @@ def _verification_lines(state, selection):
     return lines, passed
 
 
+def _report(*sections):
+    """The report text: every line of the sections, each ended by a newline,
+    in one join, so the text is built once."""
+    return "\n".join(chain(*sections, [""]))
+
+
 def cmd_grading(problem):
     """Charge/weight summary of the ray data and hypersurface degrees."""
     ring = _build_ring(problem)
-    lines = _header_lines("grading") + _problem_lines(problem) + _grading_lines(ring)
-    return 0, "\n".join(lines) + "\n"
+    return 0, _report(
+        _header_lines("grading"), _problem_lines(problem), _grading_lines(ring)
+    )
 
 
 def cmd_basis(problem, allow_non_cy=False):
     """Graded quotient basis report with per-weight dimensions."""
     ring = _build_ring(problem)
     basis = jacobian_basis(ring, allow_non_cy=allow_non_cy)
-    lines = (
-        _header_lines("basis")
-        + _problem_lines(problem)
-        + _grading_lines(ring)
-        + _basis_lines(ring, basis)
+    return 0, _report(
+        _header_lines("basis"),
+        _problem_lines(problem),
+        _grading_lines(ring),
+        _basis_lines(ring, basis),
     )
-    return 0, "\n".join(lines) + "\n"
 
 
 def cmd_unfold(problem):
@@ -401,15 +410,14 @@ def cmd_unfold(problem):
     basis = jacobian_basis(ring)
     state = run(ring, basis, problem.order, debug=problem.retain_intermediates)
     check_lines, passed = _verification_lines(state, problem.checks)
-    lines = (
-        _header_lines("unfolding")
-        + _problem_lines(problem)
-        + _grading_lines(ring)
-        + _basis_lines(ring, basis)
-        + _table_lines(state)
-        + check_lines
+    return (0 if passed else 1), _report(
+        _header_lines("unfolding"),
+        _problem_lines(problem),
+        _grading_lines(ring),
+        _basis_lines(ring, basis),
+        _table_lines(state),
+        check_lines,
     )
-    return (0 if passed else 1), "\n".join(lines) + "\n"
 
 
 def _split_sections(text):

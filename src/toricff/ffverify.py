@@ -1,24 +1,26 @@
 """Exact re-expansion checks over a completed unfolding state.
 
-Every check expands both sides of an identity as truncated t-series of
-polynomials and compares coefficient by coefficient; a pass means the
-residual is identically zero through the stated truncation degree. Failures
-carry the first offending t-monomial and the rendered residual, so corrupted
-states are located, not just flagged.
+Each case of a series check is one truncated t-series of polynomials or
+rationals: the left side of its identity minus the right side. A pass means
+that difference is identically zero through the stated truncation degree.
+A failure carries the first t-monomial, in exponent-vector order, where the
+difference is nonzero, and the rendered residual there, so corrupted states
+are located, not just flagged.
 
 The checks of an order >= 2 state read the one unfolding.check_series of
 that state, which the caller builds and hands to each; none builds a series.
 
-Every coefficient is compared with ==, which on the int form of polyalg
-compares the stored numerators. The pair cases of check_fqm2, its bulk, add
-the terms of each t-monomial straight into the numerators of one LinearSum
-per side: dGamma_alpha * dGamma_beta through LinearSum.add_product, each
-unordered pair of terms once when alpha == beta, and Q_S(Lambda) and
-Q_Gamma(Lambda) through q_f with the sum, so no product element is built.
-The sums key monomials by packed ints (polyalg.shared_packing): a product
-key is one int addition, and each monomial is decoded once, when the sum
-becomes the series coefficient. Fractions are built only for the residual
-of a failing case.
+A coefficient is zero exactly when it is falsy, which on the int form of
+polyalg means that no numerator is left. The pair cases of check_fqm2, its
+bulk, add the terms of each t-monomial straight into the numerators of one
+LinearSum per t-monomial, the right side negated: dGamma_alpha *
+dGamma_beta through LinearSum.add_product, each unordered pair of terms
+once when alpha == beta, then with scale -1 each A^rho dGamma_rho through
+LinearSum.add and Q_S(Lambda) and Q_Gamma(Lambda) through q_f, so no
+product element is built. The sums key monomials by packed ints
+(polyalg.shared_packing): a product key is one int addition, and each
+monomial is decoded once, when the sum becomes the series coefficient.
+Fractions are built only for the residual of a failing case.
 """
 
 from __future__ import annotations
@@ -64,22 +66,14 @@ def _expvec(multi, dim):
     return tuple(multi.count(j) for j in range(dim))
 
 
-def _first_residual(left, right):
-    """The first key where the sides differ, with the difference there, or
-    None. Keys go in exponent-vector order, which is that of negated keys.
-    Coefficients are compared with ==, and only the first difference is
-    computed."""
-    keys = left.coefficients.keys() | right.coefficients.keys()
-    for key in sorted(keys, key=lambda multi: tuple(-j for j in multi)):
-        a = left.coefficients.get(key)
-        b = right.coefficients.get(key)
-        if a is None:
-            return key, -b
-        if b is None:
-            return key, a
-        if a != b:
-            return key, a - b
-    return None
+def _first_residual(diff):
+    """The key of the difference series diff that is least in
+    exponent-vector order, the order of negated keys, with its coefficient
+    there; None when diff is zero."""
+    if not diff.coefficients:
+        return None
+    key = min(diff.coefficients, key=lambda multi: tuple(-j for j in multi))
+    return key, diff.coefficients[key]
 
 
 def _verdict(check, truncation, outcomes, total=None):
@@ -105,7 +99,7 @@ def _verdict(check, truncation, outcomes, total=None):
 
 
 def _failure(ring, site, dim, key, value):
-    """The Failure at the t-monomial key whose two sides differ by value."""
+    """The Failure at the t-monomial key whose residual is value."""
     if isinstance(value, Poly):
         weight = ring.degree_of_monomial(min(value.nums))[1]
         residual = render_poly(value, ring.names)
@@ -115,12 +109,13 @@ def _failure(ring, site, dim, key, value):
 
 
 def _compared(ring, cases):
-    """Outcomes of lazy (site, left, right) series cases: None where the sides
-    agree, else a Failure naming the site, the exponent vector of the first
-    t-monomial where the sides differ, and their difference there."""
-    for site, left, right in cases:
-        hit = _first_residual(left, right)
-        yield None if hit is None else _failure(ring, site, left.dim, *hit)
+    """Outcomes of lazy (site, diff) cases, diff the left side of an identity
+    minus its right side: None where diff is zero, else a Failure naming the
+    site, the exponent vector of diff's first t-monomial and its coefficient
+    there."""
+    for site, diff in cases:
+        hit = _first_residual(diff)
+        yield None if hit is None else _failure(ring, site, diff.dim, *hit)
 
 
 def _entry_outcomes(state, dim):
@@ -138,44 +133,34 @@ def _entry_outcomes(state, dim):
         )
 
 
-def _summed(sums, dim, trunc):
-    """The series of the sums in sums."""
-    return TruncatedSeries(
-        dim, trunc, {key: total.element() for key, total in sums.items()}
-    )
-
-
 def _pair_cases(state, series, dim, trunc):
-    # each side adds its products into one LinearSum per t-monomial; Gamma
-    # and its partials are cut to trunc before any pairing walks them
+    # the left side adds its products, and the right side its negated terms,
+    # into one LinearSum per t-monomial; Gamma and its partials are cut to
+    # trunc before any pairing walks them
     ring = state.ring
     gamma = series.gamma.truncate(trunc)
     partials = [p.truncate(trunc) for p in series.partials]
     for alpha in range(dim):
         for beta in range(alpha, dim):
-            lhs = defaultdict(LinearSum)
-            rhs = defaultdict(LinearSum)
+            diff = defaultdict(LinearSum)
             if alpha == beta:
                 products = partials[alpha].square_pairings()
             else:
                 pairs = partials[alpha].pairings(partials[beta])
                 products = ((key, 1, a, b) for key, a, b in pairs)
             for key, weight, a, b in products:
-                lhs[key].add_product(weight, a, b)
+                diff[key].add_product(weight, a, b)
             for rho, a_series in series.structure.get((alpha, beta), {}).items():
                 for key, scale, u in a_series.pairings(partials[rho]):
-                    rhs[key].add(scale, u)
+                    diff[key].add(-scale, u)
             lam = series.witnesses.get((alpha, beta))
             if lam is not None:
                 for key, w in lam.coefficients.items():
-                    q_f(w, ring.S, rhs[key])
+                    q_f(w, ring.S, diff[key], -1)
                 for key, u, w in gamma.pairings(lam):
-                    q_f(w, u, rhs[key])
-            yield (
-                f"pair ({alpha},{beta})",
-                _summed(lhs, dim, trunc),
-                _summed(rhs, dim, trunc),
-            )
+                    q_f(w, u, diff[key], -1)
+            coefficients = {key: total.element() for key, total in diff.items()}
+            yield f"pair ({alpha},{beta})", TruncatedSeries(dim, trunc, coefficients)
 
 
 def check_fqm2(state, series):
@@ -194,35 +179,36 @@ def check_fqm2(state, series):
     return _verdict("fqm2", trunc, chain(_entry_outcomes(state, dim), pairs))
 
 
-def _unit_cases(index, dim, unit, zero, one):
+def _unit_cases(index, dim, trunc, unit):
+    # A_{unit beta}^rho - delta_{rho beta}
     for beta in range(dim):
         row = index.get((unit, beta), {})
         for rho in sorted(row.keys() | {beta}):
-            yield (
-                f"unit row beta={beta} rho={rho}",
-                row.get(rho, zero),
-                one if rho == beta else zero,
-            )
+            diff = dict(row[rho].coefficients) if rho in row else {}
+            if rho == beta:
+                diff[()] = diff.get((), 0) - 1
+            yield f"unit row beta={beta} rho={rho}", TruncatedSeries(dim, trunc, diff)
 
 
-def _add_products(sums, outer, row):
-    """Add outer * row[sigma] into sums[sigma] for every sigma of row; a
-    coefficient that cancels stays, as 0."""
+def _add_products(sums, outer, row, sign):
+    """Add sign * outer * row[sigma] into sums[sigma] for every sigma of row;
+    a coefficient that cancels stays, as 0."""
     for sigma, inner in row.items():
         acc = sums.setdefault(sigma, {})
         for key, a, b in outer.pairings(inner):
-            acc[key] = acc.get(key, 0) + a * b
+            acc[key] = acc.get(key, 0) + sign * a * b
 
 
 def _associativity_cases(index, dim, trunc):
-    # for each alpha, both sides of every (beta, gamma) at once, walking only
-    # the nonzero products: the left side sum_rho A_{alpha beta}^rho
-    # A_{rho gamma} over the pairs (rho, gamma) present in the index, the
-    # right side sum_rho A_{beta gamma}^rho A_{rho alpha} over the entries
-    # A_{beta gamma}^rho whose pair (rho, alpha) is present. A (beta, gamma)
-    # with no product is never drawn; the cases go in (alpha, beta, gamma,
-    # sigma) order, so the first failure is that of the full walk. A_{rho
-    # alpha} is by_left[alpha][rho]: structure_series builds a symmetric index.
+    # for each alpha, left minus right side of every (beta, gamma) at once,
+    # walking only the nonzero products: the left side sum_rho A_{alpha
+    # beta}^rho A_{rho gamma} over the pairs (rho, gamma) present in the
+    # index, the right side sum_rho A_{beta gamma}^rho A_{rho alpha} over the
+    # entries A_{beta gamma}^rho whose pair (rho, alpha) is present. A (beta,
+    # gamma) with no product is never drawn, and a sigma whose products
+    # cancel stays a case; the cases go in (alpha, beta, gamma, sigma) order,
+    # so the first failure is that of the full walk. A_{rho alpha} is
+    # by_left[alpha][rho]: structure_series builds a symmetric index.
     by_left = defaultdict(dict)
     entries = defaultdict(list)  # rho -> (i, j, A_{ij}^rho) for every entry
     for (i, j), row in index.items():
@@ -230,24 +216,22 @@ def _associativity_cases(index, dim, trunc):
         for rho, value in row.items():
             entries[rho].append((i, j, value))
     for alpha in range(dim):
-        lhs, rhs = defaultdict(dict), defaultdict(dict)
+        sums = defaultdict(dict)
         for beta, first in by_left[alpha].items():
             for rho, outer in first.items():
                 for gamma_idx, row in by_left[rho].items():
                     if gamma_idx >= alpha:
-                        _add_products(lhs[beta, gamma_idx], outer, row)
+                        _add_products(sums[beta, gamma_idx], outer, row, 1)
         for rho, row in by_left[alpha].items():
             for beta, gamma_idx, outer in entries[rho]:
                 if gamma_idx >= alpha:
-                    _add_products(rhs[beta, gamma_idx], outer, row)
-        for beta, gamma_idx in sorted(lhs.keys() | rhs.keys()):
-            left = lhs.get((beta, gamma_idx), {})
-            right = rhs.get((beta, gamma_idx), {})
-            for sigma in sorted(left.keys() | right.keys()):
+                    _add_products(sums[beta, gamma_idx], outer, row, -1)
+        for beta, gamma_idx in sorted(sums):
+            diffs = sums[beta, gamma_idx]
+            for sigma in sorted(diffs):
                 yield (
                     f"associativity ({alpha},{beta},{gamma_idx})->{sigma}",
-                    TruncatedSeries(dim, trunc, left.get(sigma, {})),
-                    TruncatedSeries(dim, trunc, right.get(sigma, {})),
+                    TruncatedSeries(dim, trunc, diffs[sigma]),
                 )
 
 
@@ -272,15 +256,13 @@ def check_flat_f_axioms(state, series):
     dim = len(state.basis.monomials)
     trunc = state.order - 2
     index = series.structure
-    zero = TruncatedSeries(dim, trunc, {})
-    one = TruncatedSeries(dim, trunc, {(): Fraction(1)})
     unit = state.basis.index_of[(0,) * ring.nvars]
     strict_pairs = dim * (dim - 1) // 2
     cases = strict_pairs * dim + dim * dim + dim * dim * (dim + 1) // 2 * dim
     if state.order >= 3:
         cases += strict_pairs * dim * dim
     families = (
-        _unit_cases(index, dim, unit, zero, one),
+        _unit_cases(index, dim, trunc, unit),
         _associativity_cases(index, dim, trunc),
     )
     outcomes = _compared(ring, chain.from_iterable(families))
@@ -335,32 +317,35 @@ def check_weight_homogeneity(state):
     return _verdict("weight-homogeneity", state.order, _weight_outcomes(state))
 
 
-def _euler_image(series, t_weights, weigh):
-    """The series with its coefficient c at t^C replaced by weigh(c, w), where
-    w = sum of d_j over C is the eigenvalue of E_t on t^C."""
+def _euler_image(series, t_weights, shift, weigh):
+    """The image of series under E_t - shift: its coefficient c at t^C
+    replaced by weigh(c, w - shift), where w = sum of d_j over C is the
+    eigenvalue of E_t on t^C and weigh may add a weight of c's own."""
     coeffs = series.coefficients.items()
-    weighed = {k: weigh(c, sum(t_weights[j] for j in k)) for k, c in coeffs}
+    weighed = {
+        k: weigh(c, sum(t_weights[j] for j in k) - shift) for k, c in coeffs
+    }
     return TruncatedSeries(series.dim, series.order, weighed)
 
 
 def _euler_outcomes(state, series):
     ring, d = state.ring, state.t_weights
 
-    def total_weight(u, w):  # (E_t + E_wt)(u t^C), w the t-weight of t^C
+    def total_weight(u, w):  # (E_wt + w)(u), w the shifted t-weight of t^C
         wt = ring.degree_of_monomial
         nums = {e: (wt(e)[1] + w) * n for e, n in u.nums.items()}
         return Poly.from_nums(u.denom, nums)
 
     structure = series.structure
     for alpha, part in enumerate(series.partials):
-        left = _euler_image(part, d, total_weight)
-        right = part.map(lambda u: (1 - d[alpha]) * u)
-        yield from _compared(ring, [(f"Gamma direction {alpha}", left, right)])
+        diff = _euler_image(part, d, 1 - d[alpha], total_weight)
+        yield from _compared(ring, [(f"Gamma direction {alpha}", diff)])
         a_cases = (
             (
                 f"a weight ({alpha},{beta})->{rho}",
-                _euler_image(a_series, d, operator.mul),
-                a_series.map(lambda v: (1 - d[alpha] - d[beta] + d[rho]) * v),
+                _euler_image(
+                    a_series, d, 1 - d[alpha] - d[beta] + d[rho], operator.mul
+                ),
             )
             for beta in range(part.dim)
             for rho, a_series in sorted(structure.get((alpha, beta), {}).items())

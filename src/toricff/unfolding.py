@@ -100,11 +100,6 @@ class TruncatedSeries:
         kept = {k: v for k, v in self.coefficients.items() if len(k) <= order}
         return TruncatedSeries(self.dim, order, kept)
 
-    def map(self, fn):
-        """The coefficient-wise image under fn, on the same domain."""
-        image = {key: fn(value) for key, value in self.coefficients.items()}
-        return TruncatedSeries(self.dim, self.order, image)
-
     def pairings(self, other):
         """(A + B, a, b) for every term a t^A of self and b t^B of other
         whose product t^(A+B) lies within the lower of the two orders."""

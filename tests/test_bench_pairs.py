@@ -1,4 +1,4 @@
-"""The no-regression verdict of tools/bench_pairs.py on one metric."""
+"""The per-metric verdict, gain and median change of tools/bench_pairs.py."""
 
 import importlib.util
 from pathlib import Path
@@ -86,3 +86,18 @@ def _shifted(by, changed=()):
 )
 def test_gain(new, lower, expected):
     assert _bench_pairs().gain(BASE10, new, lower) == expected
+
+
+@pytest.mark.parametrize(
+    "old, new, expected",
+    [
+        (BASE, [9.0, 9.0, 9.0, 9.0, 9.0], -0.1),
+        (BASE, [11.0, 12.0, 12.5, 13.0, 14.0], 0.25),
+        (BASE, list(reversed(BASE)), 0.0),
+        ([0.0] * 3, [1.0] * 3, None),
+    ],
+    ids=["lower", "higher", "same-median", "zero-base"],
+)
+def test_median_change(old, new, expected):
+    got = _bench_pairs().median_change(old, new)
+    assert got == expected if expected is None else got == pytest.approx(expected)

@@ -13,7 +13,7 @@ from conftest import (
     scanned_structure_series,
 )
 
-from toricff.polyalg import Poly
+from toricff.polyalg import Poly, render_poly
 from toricff.supercomplex import SuperElement, delta
 from toricff.unfolding import (
     TruncatedSeries,
@@ -25,7 +25,6 @@ from toricff.unfolding import (
 from toricff.ffverify import (
     Failure,
     VerificationReport,
-    _compared,
     _first_residual,
     _verdict,
     check_euler_identity,
@@ -137,6 +136,24 @@ def add_products(into, left, right, trunc):
                 into[key] = into.get(key, 0) + a * b
 
 
+def first_difference(left, right):
+    """The first key of the two series left and right, in exponent-vector
+    order, where their coefficients differ, with left's minus right's
+    there; None when they agree. The dense references compare their two
+    sides with this, apart from the engine's one difference series."""
+    keys = left.coefficients.keys() | right.coefficients.keys()
+    for key in sorted(keys, key=lambda k: exponent_vector(k, left.dim)):
+        a = left.coefficients.get(key)
+        b = right.coefficients.get(key)
+        if a is None:
+            return key, -b
+        if b is None:
+            return key, a
+        if a != b:
+            return key, a - b
+    return None
+
+
 def dense_axioms_failure(state):
     """First failing (site, monomial, residual) of the four axiom families,
     expanded over every case on the dense table of structure series."""
@@ -193,7 +210,7 @@ def dense_axioms_failure(state):
                         )
                     )
     for site, left, right in cases:
-        hit = _first_residual(left, right)
+        hit = first_difference(left, right)
         if hit is not None:
             return site, exponent_vector(hit[0], dim), str(hit[1])
     return None
@@ -317,7 +334,18 @@ def dense_fqm2_report(state):
                     ),
                 )
 
-    return _verdict("fqm2", trunc, _compared(ring, cases()))
+    def outcomes():
+        for site, left, right in cases():
+            hit = first_difference(left, right)
+            if hit is None:
+                yield None
+                continue
+            key, value = hit
+            weight = ring.degree_of_monomial(min(value.nums))[1]
+            monomial = exponent_vector(key, dim)
+            yield Failure(site, monomial, weight, render_poly(value, ring.names))
+
+    return _verdict("fqm2", trunc, outcomes())
 
 
 def test_fqm2_matches_dense_reference(
@@ -387,11 +415,12 @@ def test_fqm2_matches_dense_reference(
 
 
 def test_first_residual_in_exponent_vector_order():
-    # t2, t0*t1, t1^2 and t0^2*t2 differ; t2 has the least exponent vector,
-    # though (2,) is the greatest of the four key tuples
+    # t2, t0*t1, t1^2 and t0^2*t2 are nonzero; t2 has the least exponent
+    # vector, though (2,) is the greatest of the four key tuples
     keys = [(2,), (0, 1), (1, 1), (0, 0, 2)]
-    left = TruncatedSeries(3, 3, {key: Fraction(1) for key in keys})
-    assert _first_residual(left, TruncatedSeries(3, 3, {})) == ((2,), 1)
+    diff = TruncatedSeries(3, 3, {key: Fraction(1) for key in keys})
+    assert _first_residual(diff) == ((2,), 1)
+    assert _first_residual(TruncatedSeries(3, 3, {})) is None
     rng = random.Random(5)
     for _ in range(200):
         dim = rng.randint(1, 4)
@@ -412,7 +441,8 @@ def test_first_residual_in_exponent_vector_order():
         if differing:
             first = min(differing, key=lambda k: exponent_vector(k, dim))
             expected = (first, diff[first])
-        assert _first_residual(left, right) == expected
+        assert _first_residual(TruncatedSeries(dim, 4, diff)) == expected
+        assert first_difference(left, right) == expected
 
 
 def test_axioms_pass_on_k3(k3_state2, k3_state3):

@@ -90,6 +90,54 @@ def test_p1p1_basis(p1p1_ring):
         assert basis.dims[w] == quotient_dimension(p1p1_ring, w)
 
 
+def diagonal_ring(weights, degrees):
+    """The complete intersection of the given degrees in P(weights),
+    weights[0] == 1: rays e_1..e_n and -(weights[1:]), so the ray charges are
+    weights[1:] then 1. Equation j puts (i+1)^j on x_i^(d/q_i), distinct
+    ratios that keep the system quasi-smooth."""
+    n = len(weights) - 1
+    rays = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    rays.append(tuple(-w for w in weights[1:]))
+    charges = weights[1:] + weights[:1]
+    equations = [
+        xpoly(
+            n + 1,
+            {
+                tuple(d // q * (i == k) for k in range(n + 1)): (i + 1) ** j
+                for i, q in enumerate(charges)
+            },
+        )
+        for j, d in enumerate(degrees)
+    ]
+    ring = build_cayley_ring(rays, equations)
+    assert ring.grading.ray_charges == tuple((q,) for q in charges)
+    return ring
+
+
+# classic inputs with h^{1,1} = 1, so the basis dims are the known Hodge
+# numbers: the CY3 complete intersections in P4 and P5 (Candelas, Dale,
+# Lütken and Schimmrigk 1988), the one-modulus weighted hypersurfaces (Klemm
+# and Theisen 1993; Morrison 1992) and two K3 intersections
+@pytest.mark.parametrize(
+    "weights, degrees, dims",
+    [
+        ((1,) * 5, (5,), (1, 101, 101, 1)),
+        ((1,) * 6, (2, 4), (1, 89, 89, 1)),
+        ((1,) * 6, (3, 3), (1, 73, 73, 1)),
+        ((1, 1, 1, 1, 2), (6,), (1, 103, 103, 1)),
+        ((1, 1, 1, 1, 4), (8,), (1, 149, 149, 1)),
+        ((1, 1, 1, 2, 5), (10,), (1, 145, 145, 1)),
+        ((1,) * 5, (2, 3), (1, 19, 1)),
+        ((1,) * 6, (2, 2, 2), (1, 19, 1)),
+    ],
+    ids=["quintic", "2-4-P5", "3-3-P5", "X6", "X8", "X10", "k3-2-3-P4", "k3-2-2-2-P5"],
+)
+def test_known_hodge_numbers(weights, degrees, dims):
+    ring = diagonal_ring(weights, degrees)
+    assert jacobian_basis(ring).dims == dims
+    assert quotient_dimension(ring, 1) == dims[1]
+
+
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,

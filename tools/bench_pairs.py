@@ -2,8 +2,8 @@
 
 Usage (from anywhere inside the repository):
 
-    python3 tools/bench_pairs.py BASE [CHANGE] --workload W --pairs N \\
-        --seconds S --seed K
+    python3 tools/bench_pairs.py BASE [CHANGE] --workload W [W ...] \\
+        --pairs N --seconds S --seed K
 
 BASE and CHANGE are git revisions. CHANGE defaults to the working tree's
 tracked files, as the commit ``git stash create`` makes of them, or to HEAD
@@ -16,11 +16,13 @@ CHANGE first when it is even.
 
 Each run is ``python3 bench/run.py --workload W --seed K --seconds S`` in
 its copy; the last line of its output, one JSON object, gives the metrics.
-The script prints each pair's values, then for every metric each side's
-median and quartiles and the number of pairs in which CHANGE is better, the
-direction read from CHANGE's BENCHMARK.json (lower when it names none). For
-each end-to-end metric with a bound there it also prints a verdict (see
-verdict), and for every metric whether the pairs show a gain (see gain).
+The N pairs of each workload W run in turn, in the order given. For each
+workload the script prints each pair's values, then for every metric each
+side's median and quartiles and the number of pairs in which CHANGE is
+better, the direction read from CHANGE's BENCHMARK.json (lower when it
+names none). For each end-to-end metric with a bound there it also prints a
+verdict (see verdict), and for every metric whether the pairs show a gain
+(see gain), with the relative change of the medians (see median_change).
 It exits 1 when a run failed its gate or printed no metrics. It
 changes nothing in the repository and removes its copies when done.
 Standard library only.
@@ -55,11 +57,12 @@ def export(revision, target):
     archive.unlink()
 
 
-def bench(copy, args):
-    """One bench/run.py run in copy: (correct, metrics {name: value})."""
+def bench(copy, workload, args):
+    """One bench/run.py run of workload in copy: (correct, metrics {name:
+    value})."""
     shutil.rmtree(copy / "src" / "toricff" / "__pycache__", ignore_errors=True)
     command = [
-        sys.executable, "bench/run.py", "--workload", args.workload,
+        sys.executable, "bench/run.py", "--workload", workload,
         "--seed", str(args.seed), "--seconds", str(args.seconds),
     ]
     done = subprocess.run(command, cwd=copy, capture_output=True, text=True)
@@ -123,9 +126,17 @@ def gain(old, new, lower=True):
     return "no gain shown"
 
 
+def median_change(old, new):
+    """The change's median over the base's, less 1: -0.1 is a median 10%
+    lower. None when the base's median is 0."""
+    base = quartiles(old)[1]
+    return None if base == 0 else quartiles(new)[1] / base - 1
+
+
 def report(pairs, specs):
     """Print each metric's pairs, medians, quartiles and the change's wins,
-    the verdict of each metric that has a bound and every metric's gain."""
+    the verdict of each metric that has a bound, and every metric's gain
+    and median change."""
     names = [n for n in pairs[0][0] if all(n in a and n in b for a, b in pairs)]
     for name in names:
         old = [a[name] for a, _ in pairs]
@@ -146,14 +157,16 @@ def report(pairs, specs):
         if "bound" in spec:
             print(f"  verdict (bound {spec['bound']}): "
                   + verdict(old, new, spec["bound"], down))
-        print(f"  gain: {gain(old, new, down)}")
+        change = median_change(old, new)
+        change = "n/a" if change is None else f"{change:+.2%}"
+        print(f"  gain: {gain(old, new, down)}; median change/base - 1: {change}")
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base")
     parser.add_argument("change", nargs="?")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, nargs="+")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--seed", type=int, default=0)
@@ -168,21 +181,23 @@ def main(argv=None):
         for name, revision in revisions.items():
             copies[name] = scratch / name
             export(revision, copies[name])
-        pairs = []
-        for i in range(1, args.pairs + 1):
-            order = ("old", "new") if i % 2 else ("new", "old")
-            got = {}
-            for name in order:
-                correct, got[name] = bench(copies[name], args)
-                ok = ok and correct and bool(got[name])
-            first = "base" if order[0] == "old" else "change"
-            print(f"pair {i} ({first} first): " + " ".join(
-                f"{m} {got['old'].get(m, float('nan')):.4g}/{v:.4g}"
-                for m, v in got["new"].items()
-            ), flush=True)
-            pairs.append((got["old"], got["new"]))
-        if all(a and b for a, b in pairs):
-            report(pairs, metric_specs(copies["new"]))
+        for workload in args.workload:
+            print(f"workload {workload}", flush=True)
+            pairs = []
+            for i in range(1, args.pairs + 1):
+                order = ("old", "new") if i % 2 else ("new", "old")
+                got = {}
+                for name in order:
+                    correct, got[name] = bench(copies[name], workload, args)
+                    ok = ok and correct and bool(got[name])
+                first = "base" if order[0] == "old" else "change"
+                print(f"pair {i} ({first} first): " + " ".join(
+                    f"{m} {got['old'].get(m, float('nan')):.4g}/{v:.4g}"
+                    for m, v in got["new"].items()
+                ), flush=True)
+                pairs.append((got["old"], got["new"]))
+            if all(a and b for a, b in pairs):
+                report(pairs, metric_specs(copies["new"]))
     finally:
         shutil.rmtree(scratch)
     if not ok:
